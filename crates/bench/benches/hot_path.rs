@@ -1,21 +1,12 @@
 //! Criterion bench: the engine's per-feedback critical path, dense
-//! arena layout vs. the seed layout, at 10 k / 50 k subjects for
-//! 1 / 4 / 8 shards.
+//! arena layout vs. the seed layout, at 10 k / 50 k subjects.
 //!
-//! Four groups, all emitted into the machine-readable perf trajectory
+//! Groups, all emitted into the machine-readable perf trajectory
 //! (`REPLEND_BENCH_JSON`, see the criterion shim):
 //!
 //! * `hot_path/report_batch/…` — one full-population batch applied
 //!   end-to-end, plus the delta drain the community performs after
-//!   every batch. On a single-core host (such as the CI container:
-//!   `available_parallelism() == 1`, where the rayon pool degrades to
-//!   sequential execution) multi-shard numbers show only partition
-//!   overhead.
-//! * `hot_path_critical/one_shard_slice/…` — shard 0's slice of that
-//!   batch: the per-worker work that multi-core hosts run
-//!   concurrently, i.e. the quantity sharding divides and the number
-//!   the ISSUE-5 acceptance bar (≥ 25 % vs. the PR 3 numbers) is
-//!   measured on.
+//!   every batch.
 //! * `hot_path_churn/join_leave/…` — one overlay join + leave,
 //!   re-homing the moved replica arcs (the path the borrowed-in-place
 //!   key index and inline assignment lists speed up).
@@ -38,9 +29,10 @@
 //! The `seed` layout is [`ReferenceEngine`] — the pre-arena
 //! `HashMap`-of-records engine preserved in `replend-rocq` — so the
 //! comparison runs in the same binary on the same host. Results are
-//! byte-identical between layouts and across shard counts (pinned by
-//! the churn oracle in `replend-tests`); this bench measures only the
-//! wall-clock difference.
+//! byte-identical between layouts (pinned by the churn oracle in
+//! `replend-tests`); this bench measures only the wall-clock
+//! difference. The ids keep their historical `/1shards` suffix so
+//! they stay comparable with the committed `BENCH_*.json` baselines.
 //!
 //! `REPLEND_BENCH_SUBJECTS` (comma-separated counts) scales the
 //! subject sizes down for CI smoke runs, like `REPLEND_TICKS` does
@@ -49,12 +41,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use replend_rocq::score::ScoreState;
 use replend_rocq::slab::ScoreSlab;
-use replend_rocq::{shard_of, ReferenceEngine, ReputationEngine, RocqEngine, RocqParams};
+use replend_rocq::{ReferenceEngine, ReputationEngine, RocqEngine, RocqParams};
 use replend_types::{Feedback, PeerId, Reputation};
 use std::hint::black_box;
-
-/// Shard counts compared.
-const SHARDS: &[usize] = &[1, 4, 8];
 
 /// Score managers per subject — the Table-1 default.
 const NUM_SM: usize = 6;
@@ -79,27 +68,12 @@ fn sizes() -> Vec<usize> {
     }
 }
 
-/// An engine of the given layout with `n` registered subjects spread
-/// over `shards` shards. `serial_only` pins the arena engine to the
-/// serial batch path regardless of host core count (the reference
-/// layout is always serial).
-fn engine_of(
-    layout: &str,
-    n: usize,
-    shards: usize,
-    serial_only: bool,
-) -> Box<dyn ReputationEngine> {
+/// An engine of the given layout with `n` registered subjects.
+fn engine_of(layout: &str, n: usize) -> Box<dyn ReputationEngine> {
     let params = RocqParams::default();
     let mut e: Box<dyn ReputationEngine> = match layout {
-        "arena" => {
-            let e = RocqEngine::sharded(params, NUM_SM, shards, 0xE5);
-            Box::new(if serial_only {
-                e.with_parallel_batch_min(usize::MAX)
-            } else {
-                e
-            })
-        }
-        "seed" => Box::new(ReferenceEngine::sharded(params, NUM_SM, shards, 0xE5)),
+        "arena" => Box::new(RocqEngine::new(params, NUM_SM, 0xE5)),
+        "seed" => Box::new(ReferenceEngine::new(params, NUM_SM, 0xE5)),
         other => panic!("unknown layout {other}"),
     };
     for p in 0..n as u64 {
@@ -127,62 +101,18 @@ fn bench_report_batch(c: &mut Criterion) {
     for &n in &sizes() {
         let batch = batch_of(n);
         for &layout in LAYOUTS {
-            for &shards in SHARDS {
-                let mut engine = engine_of(layout, n, shards, false);
-                let mut deltas = Vec::new();
-                group.bench_function(
-                    format!("report_batch/{layout}/{n}subj/{shards}shards"),
-                    |b| {
-                        b.iter(|| {
-                            engine.report_batch(black_box(&batch));
-                            // Drain like the community does, so the
-                            // buffers (and the canonical merge) are part
-                            // of the cost.
-                            deltas.clear();
-                            engine.drain_deltas(&mut deltas);
-                            black_box(deltas.len())
-                        })
-                    },
-                );
-            }
-        }
-    }
-    group.finish();
-}
-
-fn bench_critical_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hot_path_critical");
-    for &n in &sizes() {
-        let full = batch_of(n);
-        for &layout in LAYOUTS {
-            for &shards in SHARDS {
-                // Shard 0's slice of the batch (the engine's own
-                // routing function): on a multi-core host, a parallel
-                // report_batch finishes when the slowest such slice
-                // does.
-                let part: Vec<Feedback> = full
-                    .iter()
-                    .filter(|f| shard_of(f.subject, shards) == 0)
-                    .copied()
-                    .collect();
-                // Serial-only: the slice must measure one worker's
-                // share of the batch, not a pool round trip — on
-                // multi-core hosts the fan-out would otherwise fire
-                // for slices above the parallel threshold.
-                let mut engine = engine_of(layout, n, shards, true);
-                let mut deltas = Vec::new();
-                group.bench_function(
-                    format!("one_shard_slice/{layout}/{n}subj/{shards}shards"),
-                    |b| {
-                        b.iter(|| {
-                            engine.report_batch(black_box(&part));
-                            deltas.clear();
-                            engine.drain_deltas(&mut deltas);
-                            black_box(deltas.len())
-                        })
-                    },
-                );
-            }
+            let mut engine = engine_of(layout, n);
+            let mut deltas = Vec::new();
+            group.bench_function(format!("report_batch/{layout}/{n}subj/1shards"), |b| {
+                b.iter(|| {
+                    engine.report_batch(black_box(&batch));
+                    // Drain like the community does, so the buffers
+                    // (and the canonical order) are part of the cost.
+                    deltas.clear();
+                    engine.drain_deltas(&mut deltas);
+                    black_box(deltas.len())
+                })
+            });
         }
     }
     group.finish();
@@ -192,21 +122,18 @@ fn bench_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("hot_path_churn");
     for &n in &sizes() {
         for &layout in LAYOUTS {
-            for &shards in SHARDS {
-                let mut engine = engine_of(layout, n, shards, false);
-                let mut next = n as u64;
-                group.bench_function(format!("join_leave/{layout}/{n}subj/{shards}shards"), |b| {
-                    b.iter(|| {
-                        // One overlay join (register) and one
-                        // leave (remove), each re-homing the
-                        // moved replica arc.
-                        engine.register_peer(PeerId(next), Reputation::HALF);
-                        engine.remove_peer(PeerId(next));
-                        next += 1;
-                        black_box(engine.contains(PeerId(next)))
-                    })
-                });
-            }
+            let mut engine = engine_of(layout, n);
+            let mut next = n as u64;
+            group.bench_function(format!("join_leave/{layout}/{n}subj/1shards"), |b| {
+                b.iter(|| {
+                    // One overlay join (register) and one leave
+                    // (remove), each re-homing the moved replica arc.
+                    engine.register_peer(PeerId(next), Reputation::HALF);
+                    engine.remove_peer(PeerId(next));
+                    next += 1;
+                    black_box(engine.contains(PeerId(next)))
+                })
+            });
         }
     }
     group.finish();
@@ -215,10 +142,9 @@ fn bench_churn(c: &mut Criterion) {
 fn bench_reads(c: &mut Criterion) {
     let mut group = c.benchmark_group("hot_path_reads");
     for &n in &sizes() {
-        // The cached-aggregate probe, both layouts (single shard —
-        // the read never fans out).
+        // The cached-aggregate probe, both layouts.
         for &layout in LAYOUTS {
-            let engine = engine_of(layout, n, 1, false);
+            let engine = engine_of(layout, n);
             let mut p = 0u64;
             group.bench_function(format!("reputation/{layout}/{n}subj"), |b| {
                 b.iter(|| {
@@ -229,7 +155,7 @@ fn bench_reads(c: &mut Criterion) {
         }
         // The full replica snapshot (arena engine's inspection API).
         let engine = {
-            let mut e = RocqEngine::sharded(RocqParams::default(), NUM_SM, 1, 0xE5);
+            let mut e = RocqEngine::new(RocqParams::default(), NUM_SM, 0xE5);
             for p in 0..n as u64 {
                 e.register_peer(PeerId(p), Reputation::ONE);
             }
@@ -386,7 +312,6 @@ fn bench_refresh_kernel(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_report_batch,
-    bench_critical_path,
     bench_churn,
     bench_reads,
     bench_report_kernel,

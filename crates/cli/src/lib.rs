@@ -8,29 +8,18 @@
 //!             [--policy lending|open|fixed-credit|positive-only|complaints-only]
 //!             [--intro-amt F] [--reward F] [--wait N] [--audit-trans N]
 //!             [--departure-rate F] [--seed N] [--runs N] [--sample N]
-//!             [--histogram N] [--shards N] [--communities K]
+//!             [--histogram N] [--communities K]
 //! replend serve [--subjects N] [--rounds N] [--batch N] [--readers N]
 //!               [--partitions N] [--num-sm N] [--seed N] [--journal PATH]
 //!               [--journal-sync always|batch:N]
 //!               [--min-observations N] [--throttle-below F] [--ban-below F]
-//! replend calibrate [--budget-ms N] [--subjects N] [--num-sm N] [--seed N]
-//!                   [--out PATH]
 //! replend table1
 //! replend help
 //! ```
 //!
-//! `--shards` partitions the reputation engine's subject store
-//! (byte-identical results for any shard count); `--communities`
-//! runs K independent communities in parallel as one in-process
-//! cluster and prints merged aggregates plus a per-community table.
-//!
-//! `replend calibrate` measures this host's serial-vs-pool crossover
-//! (sweeping batch size × shard count over a seeded synthetic
-//! workload) and writes a wire-encoded [`HostProfile`]; `run`,
-//! `serve` and `worker` load it via `--profile PATH` to pick their
-//! engine defaults. Precedence is **flags > profile > defaults**,
-//! and a loaded profile can only change timing, never output (the
-//! engine's knob-invariance contract; pinned in tests and CI).
+//! `--communities` runs K independent communities in parallel as one
+//! in-process cluster and prints merged aggregates plus a
+//! per-community table.
 //!
 //! Argument parsing is hand-rolled (the workspace's dependency policy
 //! has no CLI crate) and fully unit-tested; `main.rs` is a thin shell
@@ -42,17 +31,11 @@ use replend_core::serve::{
 };
 use replend_core::worker::Worker;
 use replend_core::{BootstrapPolicy, CommunityCluster, EngineKind, SubprocessWorker};
-use replend_rocq::{ReputationEngine as _, RocqEngine, RocqParams};
 use replend_sim::runner::{run_many_parallel, Summary};
 use replend_sim::series::average_present;
-use replend_types::hash::splitmix64;
-use replend_types::{
-    Feedback, HostProfile, PeerId, Reputation, ReputationDelta, Table1, TopologyKind,
-    HOST_PROFILE_VERSION, POOL_NEVER_WINS,
-};
+use replend_types::{Table1, TopologyKind};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::path::PathBuf;
 
 /// Parsed command line.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,13 +46,8 @@ pub enum Command {
     /// Print the Table-1 defaults.
     Table1,
     /// Serve cluster jobs over stdin/stdout (spawned by `run
-    /// --workers N`; speaks the `replend-wire` framed protocol). A
-    /// host profile, when given, tunes every job's engine knobs
-    /// (byte-identical output either way).
-    Worker {
-        /// Host profile tuning the engine knobs of every job served.
-        profile: Option<PathBuf>,
-    },
+    /// --workers N`; speaks the `replend-wire` framed protocol).
+    Worker,
     /// Run the concurrent reputation service under a synthetic ingest
     /// workload (optionally journalled) and print the tier census.
     Serve(ServeArgs),
@@ -78,9 +56,6 @@ pub enum Command {
     /// compact`). Takes the service-config subset of the serve flags
     /// — the workload flags make no sense here and are rejected.
     Compact(ServeArgs),
-    /// Measure this host's serial-vs-pool crossover and write a
-    /// wire-encoded [`HostProfile`].
-    Calibrate(CalibrateArgs),
     /// Data-driven attack scenarios (`replend scenario …`).
     Scenario(ScenarioCmd),
     /// Print usage.
@@ -96,8 +71,6 @@ pub enum ScenarioCmd {
     Run {
         /// The scenario file.
         file: PathBuf,
-        /// Engine shard-count override (byte-identical output).
-        shards: Option<usize>,
         /// Where to write the metrics CSV (default
         /// `results/scenario_<name>.csv`).
         out: Option<PathBuf>,
@@ -109,34 +82,6 @@ pub enum ScenarioCmd {
         /// Where to write it (default `examples/scenarios/<name>.scn`).
         out: Option<PathBuf>,
     },
-}
-
-/// Options of `replend calibrate`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CalibrateArgs {
-    /// Measurement budget per sweep cell (one batch size × shard
-    /// count × serial/pool combination), in milliseconds.
-    pub budget_ms: u64,
-    /// Subjects registered in the synthetic workload.
-    pub subjects: u64,
-    /// Score managers per subject.
-    pub num_sm: usize,
-    /// Workload seed (also stamped into the profile envelope).
-    pub seed: u64,
-    /// Where to write the profile file.
-    pub out: PathBuf,
-}
-
-impl Default for CalibrateArgs {
-    fn default() -> Self {
-        CalibrateArgs {
-            budget_ms: 80,
-            subjects: 20_000,
-            num_sm: 6,
-            seed: 0,
-            out: PathBuf::from("replend-host.profile"),
-        }
-    }
 }
 
 /// Options of `replend serve`.
@@ -169,12 +114,6 @@ pub struct ServeArgs {
     pub throttle_below: f64,
     /// Ban subjects below this reputation.
     pub ban_below: f64,
-    /// Host profile supplying the default partition count (see
-    /// [`CalibrateArgs`]); an explicit `--partitions` wins.
-    pub profile: Option<PathBuf>,
-    /// True when `--partitions` was given explicitly (profiles must
-    /// not override it).
-    pub partitions_explicit: bool,
 }
 
 impl Default for ServeArgs {
@@ -195,8 +134,6 @@ impl Default for ServeArgs {
             min_observations: config.policy.min_observations,
             throttle_below: config.policy.throttle_below,
             ban_below: config.policy.ban_below,
-            profile: None,
-            partitions_explicit: false,
         }
     }
 }
@@ -261,13 +198,6 @@ pub struct RunArgs {
     /// (1 = in-process; N > 1 spawns `replend worker` children;
     /// output is byte-identical either way).
     pub workers: usize,
-    /// Host profile supplying default `--shards` / `--batch-min`
-    /// values (see [`CalibrateArgs`]); explicit flags win.
-    pub profile: Option<PathBuf>,
-    /// True when `--shards` was given explicitly.
-    pub shards_explicit: bool,
-    /// True when `--batch-min` was given explicitly.
-    pub batch_min_explicit: bool,
 }
 
 impl Default for RunArgs {
@@ -282,9 +212,6 @@ impl Default for RunArgs {
             departure_rate: 0.0,
             communities: 1,
             workers: 1,
-            profile: None,
-            shards_explicit: false,
-            batch_min_explicit: false,
         }
     }
 }
@@ -389,62 +316,10 @@ pub fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
     match args.first().copied() {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
         Some("table1") => Ok(Command::Table1),
-        Some("worker") => {
-            let mut profile = None;
-            let mut i = 1;
-            while i < args.len() {
-                let flag = args[i];
-                let value = args.get(i + 1).copied();
-                match flag {
-                    "--profile" => {
-                        let raw: String = parse_value(flag, value)?;
-                        profile = Some(PathBuf::from(raw));
-                        i += 2;
-                    }
-                    other => return Err(UsageError(format!("unknown flag {other:?}"))),
-                }
-            }
-            Ok(Command::Worker { profile })
-        }
-        Some("calibrate") => {
-            let mut out = CalibrateArgs::default();
-            let mut i = 1;
-            while i < args.len() {
-                let flag = args[i];
-                let value = args.get(i + 1).copied();
-                match flag {
-                    "--budget-ms" => {
-                        out.budget_ms = parse_value(flag, value)?;
-                        i += 2;
-                    }
-                    "--subjects" => {
-                        out.subjects = parse_value(flag, value)?;
-                        i += 2;
-                    }
-                    "--num-sm" => {
-                        out.num_sm = parse_positive(flag, value)?;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        out.seed = parse_value(flag, value)?;
-                        i += 2;
-                    }
-                    "--out" => {
-                        let raw: String = parse_value(flag, value)?;
-                        out.out = PathBuf::from(raw);
-                        i += 2;
-                    }
-                    other => return Err(UsageError(format!("unknown flag {other:?}"))),
-                }
-            }
-            if out.budget_ms == 0 {
-                return Err(UsageError("--budget-ms must be at least 1".into()));
-            }
-            if out.subjects < 2 {
-                return Err(UsageError("--subjects must be at least 2".into()));
-            }
-            Ok(Command::Calibrate(out))
-        }
+        Some("worker") => match args.get(1) {
+            None => Ok(Command::Worker),
+            Some(other) => Err(UsageError(format!("unknown flag {other:?}"))),
+        },
         Some("serve") => {
             let mut out = ServeArgs::default();
             let mut i = 1;
@@ -471,12 +346,6 @@ pub fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
                     "--partitions" => {
                         // Caught here, not at the engine's assert!.
                         out.partitions = parse_positive(flag, value)?;
-                        out.partitions_explicit = true;
-                        i += 2;
-                    }
-                    "--profile" => {
-                        let raw: String = parse_value(flag, value)?;
-                        out.profile = Some(PathBuf::from(raw));
                         i += 2;
                     }
                     "--num-sm" => {
@@ -570,12 +439,6 @@ pub fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
                     }
                     "--partitions" => {
                         out.partitions = parse_positive(flag, value)?;
-                        out.partitions_explicit = true;
-                        i += 2;
-                    }
-                    "--profile" => {
-                        let raw: String = parse_value(flag, value)?;
-                        out.profile = Some(PathBuf::from(raw));
                         i += 2;
                     }
                     "--num-sm" => {
@@ -702,24 +565,6 @@ pub fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
                         out.histogram = parse_value(flag, value)?;
                         i += 2;
                     }
-                    "--shards" => {
-                        // Caught here, not at the engine's assert!:
-                        // a zero must surface as a friendly usage
-                        // error, never a panic.
-                        out.config.sim.num_shards = parse_positive(flag, value)?;
-                        out.shards_explicit = true;
-                        i += 2;
-                    }
-                    "--batch-min" => {
-                        out.config.sim.parallel_batch_min = parse_positive(flag, value)?;
-                        out.batch_min_explicit = true;
-                        i += 2;
-                    }
-                    "--profile" => {
-                        let raw: String = parse_value(flag, value)?;
-                        out.profile = Some(PathBuf::from(raw));
-                        i += 2;
-                    }
                     "--communities" => {
                         out.communities = parse_positive(flag, value)?;
                         i += 2;
@@ -773,17 +618,12 @@ fn parse_scenario_args(args: &[&str]) -> Result<Command, UsageError> {
                 .get(1)
                 .filter(|a| !a.starts_with("--"))
                 .ok_or_else(|| UsageError("scenario run needs a .scn file".into()))?;
-            let mut shards = None;
             let mut out = None;
             let mut i = 2;
             while i < args.len() {
                 let flag = args[i];
                 let value = args.get(i + 1).copied();
                 match flag {
-                    "--shards" => {
-                        shards = Some(parse_positive(flag, value)?);
-                        i += 2;
-                    }
                     "--out" => {
                         let raw: String = parse_value(flag, value)?;
                         out = Some(PathBuf::from(raw));
@@ -794,7 +634,6 @@ fn parse_scenario_args(args: &[&str]) -> Result<Command, UsageError> {
             }
             Ok(Command::Scenario(ScenarioCmd::Run {
                 file: PathBuf::from(file),
-                shards,
                 out,
             }))
         }
@@ -838,10 +677,8 @@ pub fn usage() -> String {
      USAGE:\n\
      \x20 replend run [OPTIONS]   run a simulation and print the summary\n\
      \x20 replend table1          print the paper's Table-1 defaults\n\
-     \x20 replend worker [--profile PATH]\n\
-     \x20                         serve cluster jobs over stdin/stdout (wire\n\
-     \x20                         protocol; spawned by `run --workers N`); a\n\
-     \x20                         host profile tunes every job's engine knobs\n\
+     \x20 replend worker          serve cluster jobs over stdin/stdout (wire\n\
+     \x20                         protocol; spawned by `run --workers N`)\n\
      \x20 replend serve [OPTIONS] run the concurrent reputation service under a\n\
      \x20                         synthetic ingest workload and print the\n\
      \x20                         operational status-tier census\n\
@@ -850,16 +687,12 @@ pub fn usage() -> String {
      \x20                         and truncate its journal; the next open\n\
      \x20                         restores the checkpoint and replays only ops\n\
      \x20                         written after it (config flags as for serve)\n\
-     \x20 replend calibrate [OPTIONS]\n\
-     \x20                         measure this host's serial-vs-pool crossover\n\
-     \x20                         and write a host profile for --profile\n\
      \x20 replend scenario list   list the shipped attack scenarios\n\
-     \x20 replend scenario run <file> [--shards N] [--out PATH]\n\
+     \x20 replend scenario run <file> [--out PATH]\n\
      \x20                         run a .scn scenario file deterministically and\n\
      \x20                         write its metrics CSV (default\n\
      \x20                         results/scenario_<name>.csv; honours\n\
-     \x20                         $REPLEND_TICKS for reduced-scale smokes;\n\
-     \x20                         output is byte-identical for any --shards)\n\
+     \x20                         $REPLEND_TICKS for reduced-scale smokes)\n\
      \x20 replend scenario export <name> [--out PATH]\n\
      \x20                         write a builtin scenario's canonical .scn\n\
      \x20                         bytes (default examples/scenarios/<name>.scn)\n\
@@ -885,10 +718,6 @@ pub fn usage() -> String {
      \x20 --runs N            averaged runs (default 1)\n\
      \x20 --sample N          also print a reputation series every N ticks\n\
      \x20 --histogram N       print an N-bucket member reputation histogram\n\
-     \x20 --shards N          reputation-engine shards (default 1; results are\n\
-     \x20                     byte-identical for any shard count)\n\
-     \x20 --batch-min N       smallest engine report batch fanned out over the\n\
-     \x20                     thread pool (default 256; byte-identical results)\n\
      \x20 --communities K     run K independent communities in parallel as one\n\
      \x20                     cluster; prints merged aggregates and a\n\
      \x20                     per-community table (default 1)\n\
@@ -897,9 +726,6 @@ pub fn usage() -> String {
      \x20                     wire protocol; default 1 = in-process; output is\n\
      \x20                     byte-identical to the in-process run; needs\n\
      \x20                     --communities >= 2, capped at K)\n\
-     \x20 --profile PATH      load a `replend calibrate` host profile to pick\n\
-     \x20                     the default --shards / --batch-min (explicit\n\
-     \x20                     flags win; results are byte-identical)\n\
      \n\
      SERVE OPTIONS (reads proceed concurrently with ingest; final state\n\
      is deterministic in the seed):\n\
@@ -924,17 +750,7 @@ pub fn usage() -> String {
      \x20 --min-observations N  observations before the policy trusts a\n\
      \x20                     reputation (default 10)\n\
      \x20 --throttle-below F  throttle subjects below this reputation (default 0.5)\n\
-     \x20 --ban-below F       ban subjects below this reputation (default 0.2)\n\
-     \x20 --profile PATH      load a host profile to pick the default\n\
-     \x20                     --partitions (an explicit flag wins)\n\
-     \n\
-     CALIBRATE OPTIONS (writes a versioned, wire-encoded host profile;\n\
-     the host tag comes from $REPLEND_HOST, then $HOSTNAME):\n\
-     \x20 --budget-ms N       measurement budget per sweep cell (default 80)\n\
-     \x20 --subjects N        synthetic-workload subjects (default 20000)\n\
-     \x20 --num-sm N          score managers per subject (default 6)\n\
-     \x20 --seed N            workload seed, stamped into the profile (default 0)\n\
-     \x20 --out PATH          profile file to write (default replend-host.profile)\n"
+     \x20 --ban-below F       ban subjects below this reputation (default 0.2)\n"
         .to_string()
 }
 
@@ -948,8 +764,7 @@ pub fn usage() -> String {
 /// by [`run_cli`]; asking for its "output text" yields the usage.
 pub fn execute(command: Command) -> Result<String, CliError> {
     match command {
-        Command::Help | Command::Worker { .. } => Ok(usage()),
-        Command::Calibrate(args) => run_calibrate(&args),
+        Command::Help | Command::Worker => Ok(usage()),
         Command::Table1 => {
             let c = Table1::paper_defaults();
             Ok(format!(
@@ -1011,13 +826,12 @@ fn run_scenario(cmd: &ScenarioCmd) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        ScenarioCmd::Run { file, shards, out } => {
+        ScenarioCmd::Run { file, out } => {
             let scenario = replend_scenario::load_scenario(file)
                 .map_err(CliError::Run)?
                 .map_err(|e| UsageError(format!("invalid scenario {}: {e}", file.display())))?;
-            let mut options = replend_scenario::capped_options(&scenario);
-            options.shards = *shards;
-            let runner = replend_scenario::ScenarioRunner::with_options(scenario, options)
+            let options = replend_scenario::capped_options(&scenario);
+            let runner = replend_scenario::ScenarioRunner::new(scenario)
                 .map_err(|e| UsageError(format!("invalid scenario {}: {e}", file.display())))?;
             let outcome = runner.run_with(options);
             let path = match out {
@@ -1089,53 +903,11 @@ fn run_scenario(cmd: &ScenarioCmd) -> Result<String, CliError> {
     }
 }
 
-/// Reads, decodes and validates a `replend calibrate` host profile.
-/// Every failure (missing file, bad magic, wrong envelope or payload
-/// version, zero fields) surfaces as a friendly [`CliError::Run`]
-/// naming the path.
-fn load_profile(path: &Path) -> Result<HostProfile, CliError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| CliError::Run(format!("cannot read host profile {}: {e}", path.display())))?;
-    let (_seed, profile): (u64, HostProfile) = replend_wire::decode_profile(&bytes)
-        .map_err(|e| CliError::Run(format!("invalid host profile {}: {e}", path.display())))?;
-    profile
-        .validate()
-        .map_err(|e| CliError::Run(format!("invalid host profile {}: {e}", path.display())))?;
-    Ok(profile)
-}
-
-/// Applies a `--profile` to run arguments: the profile fills
-/// `num_shards` / `parallel_batch_min` **only** where the user did
-/// not pass the explicit flag (flags > profile > defaults). The
-/// engine guarantees both knobs are byte-identity-safe, so this can
-/// change timing but never output.
-fn apply_run_profile(args: &mut RunArgs) -> Result<(), CliError> {
-    let Some(path) = args.profile.clone() else {
-        return Ok(());
-    };
-    let profile = load_profile(&path)?;
-    if !args.shards_explicit {
-        args.config.sim.num_shards = profile.num_shards as usize;
-    }
-    if !args.batch_min_explicit {
-        args.config.sim.parallel_batch_min = profile.effective_batch_min();
-    }
-    Ok(())
-}
-
 /// Executes `replend serve`: opens (and replays) the journal when one
 /// was requested, runs the synthetic ingest workload with concurrent
 /// readers, and prints the operational summary. Everything printed
 /// except the read count is deterministic in (seed, workload shape).
 fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
-    let mut args = args.clone();
-    if let Some(path) = args.profile.clone() {
-        let profile = load_profile(&path)?;
-        if !args.partitions_explicit {
-            args.partitions = profile.num_shards as usize;
-        }
-    }
-    let args = &args;
     let config = args.service_config();
     let serve_failed = |e: replend_core::ServeError| CliError::Run(format!("serve failed: {e}"));
 
@@ -1213,13 +985,6 @@ fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
 /// checkpoint, and compacts the journal to empty. The next open
 /// restores from the checkpoint and replays nothing.
 fn run_compact(args: &ServeArgs) -> Result<String, CliError> {
-    let mut args = args.clone();
-    if let Some(path) = args.profile.clone() {
-        let profile = load_profile(&path)?;
-        if !args.partitions_explicit {
-            args.partitions = profile.num_shards as usize;
-        }
-    }
     let path = args.journal.clone().expect("parse requires --journal");
     let serve_failed = |e: replend_core::ServeError| CliError::Run(format!("compact failed: {e}"));
     let (service, summary) =
@@ -1264,178 +1029,6 @@ fn run_compact(args: &ServeArgs) -> Result<String, CliError> {
     let _ = writeln!(out, "    whitelisted  {}", census.whitelisted);
     let _ = writeln!(out, "    throttled    {}", census.throttled);
     let _ = writeln!(out, "    banned       {}", census.banned);
-    Ok(out)
-}
-
-/// Shard counts swept by `replend calibrate`.
-const CALIBRATE_SHARDS: &[usize] = &[1, 2, 4, 8];
-/// Report-batch sizes swept by `replend calibrate`.
-const CALIBRATE_BATCHES: &[usize] = &[64, 256, 1024, 4096];
-
-/// The free-form host tag stamped into calibration profiles:
-/// `$REPLEND_HOST`, then `$HOSTNAME`, then a fixed fallback. Purely
-/// an environment read — this build has no dependency that could ask
-/// the OS for a hostname, and an override knob is wanted anyway so CI
-/// can pin the tag.
-fn host_tag() -> String {
-    for var in ["REPLEND_HOST", "HOSTNAME"] {
-        if let Ok(v) = std::env::var(var) {
-            if !v.is_empty() {
-                return v;
-            }
-        }
-    }
-    "unknown-host".to_string()
-}
-
-/// One deterministic synthetic feedback record (reporter ≠ subject,
-/// opinion alternating by hash bit) — the calibration workload.
-fn synth_feedback(seed: u64, i: u64, subjects: u64) -> Feedback {
-    let h = splitmix64(seed ^ splitmix64(i.wrapping_add(0x9E37_79B9_7F4A_7C15)));
-    let reporter = h % subjects;
-    let h2 = splitmix64(h);
-    let mut subject = h2 % subjects;
-    if subject == reporter {
-        subject = (subject + 1) % subjects;
-    }
-    let opinion = if h2 & 1 == 0 { 1.0 } else { 0.0 };
-    Feedback::new(PeerId(reporter), PeerId(subject), opinion)
-}
-
-/// A fresh calibration engine: `subjects` registered peers, the
-/// requested shard count, and the fan-out threshold under test.
-fn calibrate_engine(args: &CalibrateArgs, shards: usize, batch_min: usize) -> RocqEngine {
-    let mut engine = RocqEngine::sharded(RocqParams::default(), args.num_sm, shards, args.seed)
-        .with_parallel_batch_min(batch_min);
-    for i in 0..args.subjects {
-        engine.register_peer(PeerId(i), Reputation::new(0.5));
-    }
-    engine
-}
-
-/// Times repeated `report_batch` + `drain_deltas` rounds for at least
-/// `budget`, returning mean nanoseconds per feedback.
-fn measure_ns_per_feedback(engine: &mut RocqEngine, batch: &[Feedback], budget: Duration) -> f64 {
-    let mut drained: Vec<ReputationDelta> = Vec::new();
-    // One warm-up round pays the lazy costs (scratch growth, page
-    // faults) outside the timed window.
-    engine.report_batch(batch);
-    engine.drain_deltas(&mut drained);
-    let start = Instant::now();
-    let mut rounds: u64 = 0;
-    loop {
-        engine.report_batch(batch);
-        drained.clear();
-        engine.drain_deltas(&mut drained);
-        rounds += 1;
-        if start.elapsed() >= budget {
-            break;
-        }
-    }
-    start.elapsed().as_nanos() as f64 / (rounds as f64 * batch.len() as f64)
-}
-
-/// Executes `replend calibrate`: sweeps batch size × shard count over
-/// a seeded synthetic workload, serial (`batch_min = usize::MAX`)
-/// versus pool (`batch_min = 1`), picks the best shard count and the
-/// smallest batch size where the pool beat the serial sweep, and
-/// writes the wire-encoded [`HostProfile`]. On a host whose pool is
-/// bypassed anyway (one thread, per [`pool_threads`]) the pool leg is
-/// skipped — it would measure the identical serial path — and the
-/// profile records [`POOL_NEVER_WINS`].
-fn run_calibrate(args: &CalibrateArgs) -> Result<String, CliError> {
-    let threads = replend_rocq::pool_threads();
-    let budget = Duration::from_millis(args.budget_ms);
-    let max_batch = *CALIBRATE_BATCHES.last().expect("non-empty sweep");
-    let feedback: Vec<Feedback> = (0..max_batch as u64)
-        .map(|i| synth_feedback(args.seed, i, args.subjects))
-        .collect();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "replend calibrate: {} subjects, numSM {}, seed {}, {} pool thread(s), \
-         {} ms per cell",
-        args.subjects, args.num_sm, args.seed, threads, args.budget_ms
-    );
-    let _ = writeln!(out, "  ns per feedback (serial / pool):");
-
-    // serial[s][b] = ns/feedback of the serial sweep; pool mirrors it
-    // when the pool is reachable (threads > 1, shards > 1).
-    let mut serial = vec![vec![0.0f64; CALIBRATE_BATCHES.len()]; CALIBRATE_SHARDS.len()];
-    let mut pool = vec![vec![None::<f64>; CALIBRATE_BATCHES.len()]; CALIBRATE_SHARDS.len()];
-    for (si, &shards) in CALIBRATE_SHARDS.iter().enumerate() {
-        let mut serial_engine = calibrate_engine(args, shards, usize::MAX);
-        let mut pool_engine =
-            (threads > 1 && shards > 1).then(|| calibrate_engine(args, shards, 1));
-        for (bi, &bs) in CALIBRATE_BATCHES.iter().enumerate() {
-            serial[si][bi] = measure_ns_per_feedback(&mut serial_engine, &feedback[..bs], budget);
-            pool[si][bi] = pool_engine
-                .as_mut()
-                .map(|e| measure_ns_per_feedback(e, &feedback[..bs], budget));
-            let _ = writeln!(
-                out,
-                "    shards {shards:>2}  batch {bs:>5}  {:>9.1} / {}",
-                serial[si][bi],
-                pool[si][bi]
-                    .map(|ns| format!("{ns:.1}"))
-                    .unwrap_or_else(|| "bypassed".into()),
-            );
-        }
-    }
-
-    // Best shard count: fastest sweep at the largest batch (the
-    // steady-state shape), taking the better of serial and pool per
-    // shard count; ties break toward fewer shards.
-    let last = CALIBRATE_BATCHES.len() - 1;
-    let cost = |si: usize| serial[si][last].min(pool[si][last].unwrap_or(f64::INFINITY));
-    let best_si = (0..CALIBRATE_SHARDS.len())
-        .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
-        .expect("non-empty sweep");
-    let best_shards = CALIBRATE_SHARDS[best_si];
-    // Crossover: smallest swept batch where the pool beat the serial
-    // sweep at the chosen shard count.
-    let crossover = CALIBRATE_BATCHES
-        .iter()
-        .enumerate()
-        .find(|&(bi, _)| pool[best_si][bi].is_some_and(|p| p < serial[best_si][bi]))
-        .map(|(_, &bs)| bs as u64);
-
-    let profile = HostProfile {
-        version: HOST_PROFILE_VERSION,
-        threads: threads as u32,
-        parallel_batch_min: crossover.unwrap_or(POOL_NEVER_WINS),
-        num_shards: best_shards as u32,
-        host: host_tag(),
-    };
-    let bytes = replend_wire::encode_profile(args.seed, &profile)
-        .map_err(|e| CliError::Run(format!("cannot encode host profile: {e}")))?;
-    std::fs::write(&args.out, bytes).map_err(|e| {
-        CliError::Run(format!(
-            "cannot write host profile {}: {e}",
-            args.out.display()
-        ))
-    })?;
-
-    let _ = writeln!(out, "  chosen: shards {best_shards}");
-    match crossover {
-        Some(bs) => {
-            let _ = writeln!(out, "  chosen: parallel-batch-min {bs} (pool crossover)");
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "  chosen: parallel-batch-min never (the pool never won; batches stay serial)"
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "  wrote {} (version {}, host {:?})",
-        args.out.display(),
-        profile.version,
-        profile.host
-    );
     Ok(out)
 }
 
@@ -1552,12 +1145,11 @@ fn render_cluster<W: Worker>(
     let _ = writeln!(
         out,
         "replend: {} ticks × {} communities (parallel cluster), policy {}, topology {}, \
-         {} engine shard(s), seed {}",
+         seed {}",
         ticks,
         cluster.len(),
         args.policy.name(),
         args.config.sim.topology,
-        args.config.sim.num_shards,
         args.seed
     );
     let _ = writeln!(out, "  merged population:");
@@ -1629,9 +1221,6 @@ fn render_cluster<W: Worker>(
 }
 
 fn run_simulation(args: &RunArgs) -> Result<String, CliError> {
-    let mut args = args.clone();
-    apply_run_profile(&mut args)?;
-    let args = &args;
     if args.communities > 1 {
         return run_cluster(args);
     }
@@ -1722,19 +1311,11 @@ fn run_simulation(args: &RunArgs) -> Result<String, CliError> {
 pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     let refs: Vec<&str> = args.iter().map(String::as_str).collect();
     match parse_args(&refs)? {
-        Command::Worker { profile } => {
-            let profile = match &profile {
-                Some(path) => Some(load_profile(path)?),
-                None => None,
-            };
+        Command::Worker => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            replend_core::worker::serve_tuned(
-                &mut stdin.lock(),
-                &mut stdout.lock(),
-                profile.as_ref(),
-            )
-            .map_err(|e| CliError::Run(format!("worker session failed: {e}")))?;
+            replend_core::worker::serve(&mut stdin.lock(), &mut stdout.lock())
+                .map_err(|e| CliError::Run(format!("worker session failed: {e}")))?;
             Ok(String::new())
         }
         command => execute(command),
@@ -1816,15 +1397,12 @@ mod tests {
             "3",
             "--sample",
             "250",
-            "--shards",
-            "4",
         ])
         .unwrap() else {
             panic!("expected Run");
         };
         assert_eq!(args.config.sim.num_trans, 1000);
         assert_eq!(args.config.sim.num_sm, 4);
-        assert_eq!(args.config.sim.num_shards, 4);
         assert_eq!(args.config.sim.topology, TopologyKind::Zipf);
         assert_eq!(args.policy, BootstrapPolicy::OpenAdmission { initial: 0.5 });
         assert_eq!(args.config.lending.wait_period, 500);
@@ -1852,7 +1430,7 @@ mod tests {
         // Each of these would otherwise travel on to an `assert!`
         // deep inside the engine/cluster; they must die at parse time
         // with a message naming the flag.
-        for flag in ["--shards", "--communities", "--workers", "--batch-min"] {
+        for flag in ["--communities", "--workers"] {
             let err = parse_args(&["run", flag, "0"]).unwrap_err();
             assert!(
                 err.to_string().contains(flag) && err.to_string().contains("at least 1"),
@@ -1877,29 +1455,28 @@ mod tests {
 
     #[test]
     fn worker_subcommand_parses() {
-        assert_eq!(
-            parse_args(&["worker"]),
-            Ok(Command::Worker { profile: None })
-        );
-        let Command::Worker { profile } =
-            parse_args(&["worker", "--profile", "/tmp/host.profile"]).unwrap()
-        else {
-            panic!("expected Worker");
-        };
-        assert_eq!(profile, Some(PathBuf::from("/tmp/host.profile")));
+        assert_eq!(parse_args(&["worker"]), Ok(Command::Worker));
         assert!(parse_args(&["worker", "--frobnicate"]).is_err());
         // execute() must not hijack stdin; it points at the usage.
-        assert!(execute(Command::Worker { profile: None })
-            .unwrap()
-            .contains("USAGE"));
+        assert!(execute(Command::Worker).unwrap().contains("USAGE"));
     }
 
     #[test]
-    fn batch_min_flag_reaches_the_config() {
-        let Command::Run(args) = parse_args(&["run", "--batch-min", "64"]).unwrap() else {
-            panic!("expected Run");
-        };
-        assert_eq!(args.config.sim.parallel_batch_min, 64);
+    fn engine_tuning_knobs_are_gone() {
+        let err = parse_args(&["calibrate"]).unwrap_err();
+        assert!(err.to_string().contains("unknown command"), "{err}");
+        for args in [
+            &["run", "--shards", "4"][..],
+            &["run", "--batch-min", "64"],
+            &["run", "--profile", "host.profile"],
+            &["serve", "--profile", "host.profile"],
+            &["compact", "--journal", "j.wal", "--profile", "host.profile"],
+            &["worker", "--profile", "host.profile"],
+            &["scenario", "run", "x.scn", "--shards", "4"],
+        ] {
+            let err = parse_args(args).unwrap_err();
+            assert!(err.to_string().contains("unknown flag"), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -1976,8 +1553,6 @@ mod tests {
             "--runs",
             "--sample",
             "--histogram",
-            "--shards",
-            "--batch-min",
             "--communities",
             "--workers",
             "--subjects",
@@ -1991,8 +1566,6 @@ mod tests {
             "--min-observations",
             "--throttle-below",
             "--ban-below",
-            "--profile",
-            "--budget-ms",
             "--out",
         ] {
             assert!(u.contains(flag), "usage missing {flag}");
@@ -2004,10 +1577,6 @@ mod tests {
         assert!(
             u.contains("replend serve"),
             "usage missing the serve subcommand"
-        );
-        assert!(
-            u.contains("replend calibrate"),
-            "usage missing the calibrate subcommand"
         );
         assert!(
             u.contains("replend compact"),
@@ -2285,8 +1854,6 @@ mod tests {
             "3",
             "--communities",
             "3",
-            "--shards",
-            "2",
             "--histogram",
             "4",
             "--sample",
@@ -2295,7 +1862,6 @@ mod tests {
         .unwrap();
         let text = execute(cmd).unwrap();
         assert!(text.contains("3 communities"), "{text}");
-        assert!(text.contains("2 engine shard(s)"), "{text}");
         assert!(text.contains("merged population"), "{text}");
         assert!(text.contains("per community"), "{text}");
         assert!(text.contains("histogram"), "{text}");
@@ -2312,234 +1878,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_run_output_matches_unsharded() {
-        // The CLI surface of the tentpole guarantee: same seed, same
-        // printed bytes, any shard count.
-        let run = |shards: &str| {
-            execute(
-                parse_args(&[
-                    "run",
-                    "--ticks",
-                    "2000",
-                    "--num-init",
-                    "50",
-                    "--lambda",
-                    "0.03",
-                    "--seed",
-                    "11",
-                    "--shards",
-                    shards,
-                    "--histogram",
-                    "5",
-                ])
-                .unwrap(),
-            )
-        };
-        assert_eq!(run("1"), run("4"));
-    }
-
-    /// Writes a valid wire-encoded profile to a unique temp path.
-    fn write_profile(tag: &str, profile: &HostProfile) -> PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("replend-cli-{tag}-{}.profile", std::process::id()));
-        let bytes = replend_wire::encode_profile(0, profile).unwrap();
-        std::fs::write(&path, bytes).unwrap();
-        path
-    }
-
-    fn sample_profile() -> HostProfile {
-        HostProfile {
-            version: HOST_PROFILE_VERSION,
-            threads: 1,
-            parallel_batch_min: POOL_NEVER_WINS,
-            num_shards: 4,
-            host: "test-host".to_string(),
-        }
-    }
-
-    #[test]
-    fn calibrate_parses_all_flags() {
-        assert_eq!(
-            parse_args(&["calibrate"]),
-            Ok(Command::Calibrate(CalibrateArgs::default()))
-        );
-        let Command::Calibrate(args) = parse_args(&[
-            "calibrate",
-            "--budget-ms",
-            "2",
-            "--subjects",
-            "300",
-            "--num-sm",
-            "3",
-            "--seed",
-            "7",
-            "--out",
-            "/tmp/p.profile",
-        ])
-        .unwrap() else {
-            panic!("expected Calibrate");
-        };
-        assert_eq!(args.budget_ms, 2);
-        assert_eq!(args.subjects, 300);
-        assert_eq!(args.num_sm, 3);
-        assert_eq!(args.seed, 7);
-        assert_eq!(args.out, PathBuf::from("/tmp/p.profile"));
-        assert!(parse_args(&["calibrate", "--budget-ms", "0"]).is_err());
-        assert!(parse_args(&["calibrate", "--subjects", "1"]).is_err());
-        assert!(parse_args(&["calibrate", "--num-sm", "0"]).is_err());
-        assert!(parse_args(&["calibrate", "--frobnicate", "1"]).is_err());
-    }
-
-    #[test]
-    fn calibrate_writes_a_loadable_profile() {
-        let out = std::env::temp_dir().join(format!(
-            "replend-cli-calibrate-{}.profile",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&out);
-        let cmd = parse_args(&[
-            "calibrate",
-            "--budget-ms",
-            "1",
-            "--subjects",
-            "200",
-            "--num-sm",
-            "3",
-            "--out",
-            out.to_str().unwrap(),
-        ])
-        .unwrap();
-        let text = execute(cmd).unwrap();
-        assert!(text.contains("replend calibrate: 200 subjects"), "{text}");
-        assert!(text.contains("chosen: shards"), "{text}");
-        assert!(text.contains("wrote "), "{text}");
-        let profile = load_profile(&out).unwrap();
-        assert_eq!(profile.version, HOST_PROFILE_VERSION);
-        assert!(profile.threads >= 1);
-        assert!(profile.num_shards >= 1);
-        let _ = std::fs::remove_file(&out);
-    }
-
-    #[test]
-    fn run_with_profile_is_byte_identical_to_profileless() {
-        // The CLI face of the knob-invariance contract: a loaded
-        // profile (different shard count, pool-never-wins threshold)
-        // must not change a single printed byte.
-        let path = write_profile("run-identity", &sample_profile());
-        let base = [
-            "run",
-            "--ticks",
-            "2000",
-            "--num-init",
-            "50",
-            "--lambda",
-            "0.03",
-            "--seed",
-            "11",
-        ];
-        let mut profiled: Vec<&str> = base.to_vec();
-        let p = path.to_str().unwrap().to_string();
-        profiled.extend(["--profile", &p]);
-        let plain = execute(parse_args(&base).unwrap()).unwrap();
-        let tuned = execute(parse_args(&profiled).unwrap()).unwrap();
-        assert_eq!(plain, tuned);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn explicit_flags_beat_the_profile() {
-        let path = write_profile("precedence", &sample_profile());
-        let p = path.to_str().unwrap().to_string();
-        // No explicit flags: the profile fills both knobs.
-        let Command::Run(mut args) = parse_args(&["run", "--profile", &p]).unwrap() else {
-            panic!("expected Run");
-        };
-        apply_run_profile(&mut args).unwrap();
-        assert_eq!(args.config.sim.num_shards, 4);
-        assert_eq!(args.config.sim.parallel_batch_min, usize::MAX);
-        // Explicit flags win over the profile.
-        let Command::Run(mut args) = parse_args(&[
-            "run",
-            "--profile",
-            &p,
-            "--shards",
-            "2",
-            "--batch-min",
-            "128",
-        ])
-        .unwrap() else {
-            panic!("expected Run");
-        };
-        apply_run_profile(&mut args).unwrap();
-        assert_eq!(args.config.sim.num_shards, 2);
-        assert_eq!(args.config.sim.parallel_batch_min, 128);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn serve_profile_fills_partitions_unless_explicit() {
-        let path = write_profile("serve-partitions", &sample_profile());
-        let p = path.to_str().unwrap();
-        let small = |extra: &[&str]| {
-            let mut argv = vec![
-                "serve",
-                "--subjects",
-                "100",
-                "--rounds",
-                "5",
-                "--batch",
-                "50",
-                "--readers",
-                "0",
-                "--profile",
-                p,
-            ];
-            argv.extend_from_slice(extra);
-            execute(parse_args(&argv).unwrap()).unwrap()
-        };
-        // The header echoes the partition count, so it shows whether
-        // the profile (4) or the explicit flag (2) won.
-        assert!(small(&[]).contains("4 partition(s)"));
-        assert!(small(&["--partitions", "2"]).contains("2 partition(s)"));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn bad_profile_files_fail_with_friendly_errors() {
-        let missing = apply_run_profile(&mut RunArgs {
-            profile: Some(PathBuf::from("/nonexistent/host.profile")),
-            ..RunArgs::default()
-        })
-        .unwrap_err();
-        assert!(missing.to_string().contains("cannot read"), "{missing}");
-
-        let garbage = std::env::temp_dir().join(format!(
-            "replend-cli-garbage-{}.profile",
-            std::process::id()
-        ));
-        std::fs::write(&garbage, b"not a profile").unwrap();
-        let err = load_profile(&garbage).unwrap_err();
-        assert!(err.to_string().contains("invalid host profile"), "{err}");
-        let _ = std::fs::remove_file(&garbage);
-
-        // Structurally valid wire bytes, but a payload the loader
-        // must reject (unsupported payload version).
-        let stale = write_profile(
-            "stale",
-            &HostProfile {
-                version: HOST_PROFILE_VERSION + 1,
-                ..sample_profile()
-            },
-        );
-        let err = load_profile(&stale).unwrap_err();
-        assert!(err.to_string().contains("invalid host profile"), "{err}");
-        let _ = std::fs::remove_file(&stale);
-    }
-
     // -- replend scenario ---------------------------------------------------
 
     use replend_scenario::{Scenario, SCENARIO_MAGIC};
+    use std::path::Path;
 
     /// `.scn` bytes for an arbitrary payload, bypassing
     /// `encode_scenario`'s validation — how a malformed file reaches
@@ -2582,10 +1924,9 @@ mod tests {
             Ok(Command::Scenario(ScenarioCmd::List))
         );
         assert_eq!(
-            parse_args(&["scenario", "run", "a.scn", "--shards", "4", "--out", "m.csv"]),
+            parse_args(&["scenario", "run", "a.scn", "--out", "m.csv"]),
             Ok(Command::Scenario(ScenarioCmd::Run {
                 file: PathBuf::from("a.scn"),
-                shards: Some(4),
                 out: Some(PathBuf::from("m.csv")),
             }))
         );
@@ -2599,7 +1940,6 @@ mod tests {
         assert!(parse_args(&["scenario"]).is_err());
         assert!(parse_args(&["scenario", "frobnicate"]).is_err());
         assert!(parse_args(&["scenario", "run"]).is_err(), "missing file");
-        assert!(parse_args(&["scenario", "run", "a.scn", "--shards", "0"]).is_err());
         assert!(parse_args(&["scenario", "list", "extra"]).is_err());
     }
 

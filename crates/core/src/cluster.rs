@@ -31,12 +31,6 @@ use crate::stats::{CommunityStats, Population};
 use crate::worker::{CommunityReport, InProcessWorker, Worker, WorkerError, WorkerJob};
 use replend_sim::stats::Histogram;
 
-impl replend_sim::cluster::ClusterNode for crate::community::Community {
-    fn advance(&mut self, ticks: u64) {
-        self.run(ticks);
-    }
-}
-
 /// Everything a sweep or operator view needs from one member
 /// community of a cluster.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]

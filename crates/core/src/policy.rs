@@ -85,16 +85,12 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Instantiates the engine for a simulation configuration. The
-    /// infrastructure knobs (`num_sm`, `num_shards`,
-    /// `parallel_batch_min`) and `seed` only affect the replicated
-    /// ROCQ engine (the baselines are centralised single structures).
+    /// Instantiates the engine for a simulation configuration.
+    /// `num_sm` and `seed` only affect the replicated ROCQ engine (the
+    /// baselines are centralised single structures).
     pub fn build(self, sim: &SimParams, seed: u64) -> Box<dyn ReputationEngine + Send> {
         match self {
-            EngineKind::Rocq(params) => Box::new(
-                RocqEngine::sharded(params, sim.num_sm, sim.num_shards, seed)
-                    .with_parallel_batch_min(sim.parallel_batch_min),
-            ),
+            EngineKind::Rocq(params) => Box::new(RocqEngine::new(params, sim.num_sm, seed)),
             EngineKind::SimpleAverage => Box::new(SimpleAverageEngine::new()),
             EngineKind::Ewma { alpha } => Box::new(EwmaEngine::new(alpha)),
             EngineKind::Beta => Box::new(BetaEngine::new()),
@@ -150,13 +146,7 @@ mod tests {
     #[test]
     fn engines_build() {
         let sim = SimParams::default();
-        let sharded = SimParams {
-            num_shards: 4,
-            parallel_batch_min: 64,
-            ..SimParams::default()
-        };
         assert_eq!(EngineKind::default().build(&sim, 1).name(), "rocq");
-        assert_eq!(EngineKind::default().build(&sharded, 1).name(), "rocq");
         assert_eq!(
             EngineKind::SimpleAverage.build(&sim, 1).name(),
             "simple-average"

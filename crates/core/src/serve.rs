@@ -281,6 +281,19 @@ pub enum ServeError {
     /// missing or unreadable. (A merely torn/corrupt checkpoint is
     /// *not* an error — `open` falls back to full journal replay.)
     Checkpoint(String),
+    /// A mutation carried a value outside its domain: an opinion that
+    /// is not in `[0, 1]` (NaN included) or a non-finite credit/debit
+    /// amount. Refused before it reaches the journal, so neither the
+    /// journal nor the engine changed.
+    InvalidInput {
+        /// The offending field: `"opinion"` or `"amount"`.
+        field: &'static str,
+        /// Position of the offending feedback within its batch
+        /// (`None` for the single-value `credit`/`debit`).
+        index: Option<usize>,
+        /// The refused value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -289,6 +302,16 @@ impl fmt::Display for ServeError {
             ServeError::Journal(e) => write!(f, "journal: {e}"),
             ServeError::Io(e) => write!(f, "journal file: {e}"),
             ServeError::Checkpoint(m) => write!(f, "checkpoint: {m}"),
+            ServeError::InvalidInput {
+                field,
+                index: Some(i),
+                value,
+            } => write!(f, "invalid {field} {value} at batch index {i}"),
+            ServeError::InvalidInput {
+                field,
+                index: None,
+                value,
+            } => write!(f, "invalid {field} {value}"),
         }
     }
 }
@@ -304,6 +327,19 @@ impl From<JournalError> for ServeError {
 impl From<io::Error> for ServeError {
     fn from(e: io::Error) -> Self {
         ServeError::Io(e)
+    }
+}
+
+/// Refuses a non-finite credit/debit amount before it is journalled.
+fn check_amount(amount: f64) -> Result<(), ServeError> {
+    if amount.is_finite() {
+        Ok(())
+    } else {
+        Err(ServeError::InvalidInput {
+            field: "amount",
+            index: None,
+            value: amount,
+        })
     }
 }
 
@@ -826,20 +862,33 @@ impl ReputationService {
         self.mutate(JournalOp::Remove { peer })
     }
 
-    /// Ingests a feedback batch (journalled as one record).
+    /// Ingests a feedback batch (journalled as one record). Refuses
+    /// the whole batch with [`ServeError::InvalidInput`] when any
+    /// opinion lies outside `[0, 1]`.
     pub fn report_batch(&self, batch: &[Feedback]) -> Result<(), ServeError> {
+        if let Some(index) = batch.iter().position(|f| !(0.0..=1.0).contains(&f.opinion)) {
+            return Err(ServeError::InvalidInput {
+                field: "opinion",
+                index: Some(index),
+                value: batch[index].opinion,
+            });
+        }
         self.mutate(JournalOp::Batch {
             batch: batch.to_vec(),
         })
     }
 
-    /// Raises `subject`'s reputation (journalled).
+    /// Raises `subject`'s reputation (journalled). A non-finite
+    /// `amount` is refused with [`ServeError::InvalidInput`].
     pub fn credit(&self, subject: PeerId, amount: f64) -> Result<(), ServeError> {
+        check_amount(amount)?;
         self.mutate(JournalOp::Credit { subject, amount })
     }
 
-    /// Lowers `subject`'s reputation (journalled).
+    /// Lowers `subject`'s reputation (journalled). A non-finite
+    /// `amount` is refused with [`ServeError::InvalidInput`].
     pub fn debit(&self, subject: PeerId, amount: f64) -> Result<(), ServeError> {
+        check_amount(amount)?;
         self.mutate(JournalOp::Debit { subject, amount })
     }
 

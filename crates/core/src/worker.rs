@@ -428,31 +428,9 @@ impl Worker for SubprocessWorker {
 /// streaming each job's reports (in index order) before reading the
 /// next.
 pub fn serve<R: Read, W: Write>(reader: &mut R, writer: &mut W) -> Result<(), WorkerError> {
-    serve_tuned(reader, writer, None)
-}
-
-/// [`serve`] with an optional host-calibration profile: when given,
-/// the profile's measured `parallel_batch_min` and shard count
-/// replace the corresponding engine knobs of every incoming job
-/// before it runs. Both knobs are byte-identity-safe by engine
-/// contract (results are independent of shard count and fan-out
-/// threshold — pinned by the knob-invariance suite), so a tuned
-/// worker's reports stay bit-identical to an untuned one's; only the
-/// timing may differ. The coordinator's own flags still win: it sends
-/// jobs, not profiles, and a coordinator that wants specific knobs
-/// simply spawns workers without `--profile`.
-pub fn serve_tuned<R: Read, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    profile: Option<&replend_types::HostProfile>,
-) -> Result<(), WorkerError> {
     while let Some(frame) = read_frame(reader)? {
         let envelope = SummaryEnvelope::decode(&frame)?;
-        let mut job: WorkerJob = envelope.open()?;
-        if let Some(p) = profile {
-            job.config.sim.parallel_batch_min = p.effective_batch_min();
-            job.config.sim.num_shards = p.num_shards as usize;
-        }
+        let job: WorkerJob = envelope.open()?;
         job.config
             .validate()
             .map_err(|e| WorkerError::Protocol(format!("invalid job configuration: {e}")))?;
@@ -565,32 +543,6 @@ mod tests {
             run_job(&job),
             "served reports must be bit-identical"
         );
-    }
-
-    #[test]
-    fn tuned_serve_is_byte_identical_to_untuned() {
-        let mut job = small_job(vec![0, 1]);
-        job.ticks = 800;
-        let envelope = SummaryEnvelope::wrap(job.base_seed, &job).unwrap();
-        let mut stdin = Vec::new();
-        write_frame(&mut stdin, &envelope.encode().unwrap()).unwrap();
-
-        let mut plain = Vec::new();
-        serve(&mut stdin.as_slice(), &mut plain).unwrap();
-
-        // A profile with knobs far from the job's own: results must
-        // not move by a single byte (the engine's shard-count and
-        // threshold independence, seen end-to-end at the transport).
-        let profile = replend_types::HostProfile {
-            version: replend_types::HOST_PROFILE_VERSION,
-            threads: 1,
-            parallel_batch_min: replend_types::POOL_NEVER_WINS,
-            num_shards: 3,
-            host: "test-host".into(),
-        };
-        let mut tuned = Vec::new();
-        serve_tuned(&mut stdin.as_slice(), &mut tuned, Some(&profile)).unwrap();
-        assert_eq!(plain, tuned, "profile knobs must not change report bytes");
     }
 
     #[test]

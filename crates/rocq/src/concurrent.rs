@@ -4,9 +4,8 @@
 //!
 //! ## Layout
 //!
-//! The subject space is split by the engine's standard
-//! [`shard_of`](crate::engine::shard_of) hash into `P` partitions,
-//! each holding a full single-shard [`RocqEngine`] behind its own
+//! The subject space is split by a splitmix64 hash of the peer id
+//! into `P` partitions, each holding a full [`RocqEngine`] behind its own
 //! `RwLock` **plus** a [`SnapshotSlab`] — an atomically readable copy
 //! of the two hot read fields (cached aggregate reputation and
 //! applied-report count) guarded by a seqlock-style epoch counter. A
@@ -59,12 +58,12 @@
 //! path returns bit-identical values to the locked read path — both
 //! pinned by the serve suite in `replend-tests`.
 
-use crate::engine::{shard_of, ReputationEngine, RocqEngine};
+use crate::engine::{ReputationEngine, RocqEngine};
 use crate::inspect::SubjectSnapshot;
 use crate::params::RocqParams;
 use crate::snapshot::SnapshotSlab;
 use crate::state::{InvalidState, PartitionCheckpoint};
-use replend_types::hash::salted;
+use replend_types::hash::{salted, splitmix64};
 use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
 use std::collections::HashSet;
 use std::sync::RwLock;
@@ -75,7 +74,16 @@ use std::sync::RwLock;
 /// in a quiet window; the fallback bounds the worst case.
 const SWEEP_ATTEMPTS: usize = 4;
 
-/// One lockable partition: a single-shard engine plus the mutator-side
+/// The partition owning `peer` among `partitions` — the facade's
+/// single partition function (splitmix64 scatters the dense simulation
+/// ids uniformly, so partition loads stay balanced without
+/// coordination).
+#[inline]
+fn partition_of(peer: PeerId, partitions: usize) -> usize {
+    (splitmix64(peer.raw()) % partitions as u64) as usize
+}
+
+/// One lockable partition: an engine plus the mutator-side
 /// scratch. The hot read fields live outside the lock, in the cell's
 /// [`SnapshotSlab`].
 struct Partition {
@@ -119,7 +127,7 @@ pub struct ConcurrentEngine {
 }
 
 impl ConcurrentEngine {
-    /// A facade over `partitions` single-shard engines. Partition `i`
+    /// A facade over `partitions` engines. Partition `i`
     /// rolls crash losses from `salted(seed, i)`, so distinct
     /// partitions never share a roll stream.
     ///
@@ -168,7 +176,7 @@ impl ConcurrentEngine {
     }
 
     fn home(&self, peer: PeerId) -> &Cell {
-        &self.cells[shard_of(peer, self.cells.len())]
+        &self.cells[partition_of(peer, self.cells.len())]
     }
 
     fn read(&self, peer: PeerId) -> std::sync::RwLockReadGuard<'_, Partition> {
@@ -182,7 +190,7 @@ impl ConcurrentEngine {
     /// its home partition, reporter-only membership everywhere else.
     /// Idempotent, like [`ReputationEngine::register_peer`].
     pub fn register_peer(&self, peer: PeerId, initial: Reputation) {
-        let home = shard_of(peer, self.cells.len());
+        let home = partition_of(peer, self.cells.len());
         for (i, cell) in self.cells.iter().enumerate() {
             let mut p = cell.lock.write().expect("partition lock poisoned");
             let p = &mut *p;
@@ -223,7 +231,7 @@ impl ConcurrentEngine {
                 // batch, never a half-registered group.
                 let mut w = cell.slab.write();
                 for &(peer, initial) in batch {
-                    if shard_of(peer, n) == i {
+                    if partition_of(peer, n) == i {
                         p.engine.register_peer(peer, initial);
                         // Engine value, not `initial`, exactly as in
                         // [`ConcurrentEngine::register_peer`].
@@ -243,7 +251,7 @@ impl ConcurrentEngine {
     /// Removes a subject everywhere: subject state from its home
     /// partition, reporter-only membership from the rest.
     pub fn remove_peer(&self, peer: PeerId) {
-        let home = shard_of(peer, self.cells.len());
+        let home = partition_of(peer, self.cells.len());
         for (i, cell) in self.cells.iter().enumerate() {
             let mut p = cell.lock.write().expect("partition lock poisoned");
             let p = &mut *p;
@@ -284,7 +292,7 @@ impl ConcurrentEngine {
         let n = self.cells.len();
         let mut groups: Vec<Vec<Feedback>> = vec![Vec::new(); n];
         for f in batch {
-            groups[shard_of(f.subject, n)].push(*f);
+            groups[partition_of(f.subject, n)].push(*f);
         }
         for (cell, group) in self.cells.iter().zip(&groups) {
             if group.is_empty() {
@@ -610,6 +618,19 @@ mod tests {
         e.remove_peer(PeerId(7));
         assert!(!e.contains(PeerId(7)));
         assert_eq!(e.len(), 49);
+    }
+
+    #[test]
+    fn partitions_spread_subjects() {
+        let e = engine(4);
+        for p in 0..400u64 {
+            e.register_peer(PeerId(p), Reputation::ONE);
+        }
+        let loads: Vec<usize> = e.cells.iter().map(|c| c.slab.len()).collect();
+        assert_eq!(loads.iter().sum::<usize>(), 400);
+        for (i, &l) in loads.iter().enumerate() {
+            assert!((50..=150).contains(&l), "partition {i} holds {l} of 400");
+        }
     }
 
     #[test]

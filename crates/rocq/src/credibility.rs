@@ -92,7 +92,7 @@ impl CredibilityTable {
 /// Rows are **never removed on reporter departure**, mirroring the
 /// replica tables of the reference layout (a departed reporter's
 /// earned credibility survives and resumes if it re-joins; only its
-/// interaction *counts* are forgotten — those live in the shard's
+/// interaction *counts* are forgotten — those live in the engine's
 /// [`InteractionLog`](crate::quality::InteractionLog), which the
 /// engine's `remove_peer` still purges).
 #[derive(Clone, Debug)]

@@ -1,5 +1,4 @@
-//! The [`ReputationEngine`] trait and the sharded, replicated
-//! [`RocqEngine`].
+//! The [`ReputationEngine`] trait and the replicated [`RocqEngine`].
 //!
 //! The lending layer (crate `replend-core`) talks to reputation purely
 //! through this trait: register/remove peers, deliver post-transaction
@@ -10,58 +9,44 @@
 //! ablation comparisons, and [`reference`](crate::reference) preserves
 //! the pre-arena memory layout as a semantic oracle.
 //!
-//! ## Sharding
+//! ## Determinism
 //!
-//! The engine partitions its subject store into [`EngineShard`]s by a
-//! deterministic `PeerId → shard` hash. Each shard owns the subject
-//! records, the replica-key index and the delta buffer for *its*
-//! subjects, so the three bulk operations —
-//! [`ReputationEngine::report_batch`], churn handoffs, and the
-//! per-shard delta accounting behind them — touch disjoint state and
-//! can run on the rayon pool. Shard-count independence is structural:
-//!
-//! * a subject's entire state (replicas, credibilities, interaction
-//!   counts) lives in exactly one shard, and every operation on it is
-//!   applied in the same order for any shard count;
-//! * crash-loss decisions are a deterministic hash of
-//!   `(engine seed, subject, replica slot, per-replica re-homing
-//!   count)` rather than draws from a shared RNG stream, so they do
-//!   not depend on the order in which shards process a handoff;
-//! * [`ReputationEngine::drain_deltas`] merges the shard buffers in a
-//!   canonical order (sort by subject id — within a subject, mutation
-//!   order), which is identical for 1 and N shards.
+//! Crash-loss decisions are a deterministic hash of `(engine seed,
+//! subject, replica slot, per-replica re-homing count)` rather than
+//! draws from a shared RNG stream, so they do not depend on the order
+//! in which a handoff visits replicas, and
+//! [`ReputationEngine::drain_deltas`] emits deltas in a canonical
+//! order (sorted by subject id — within a subject, mutation order).
+//! Every golden output depends on that delta order.
 //!
 //! ## Memory layout: the dense subject arena
 //!
-//! Inside a shard, subjects live in a **dense slot arena** instead of
-//! a `HashMap` of records: a `PeerId → `[`Handle`] hash index is
-//! consulted **once** per feedback, and every per-subject field is a
-//! contiguous `Vec` indexed by the handle. Handles are stable for a
-//! subject's lifetime and recycled through a free list
-//! ([`SlotAllocator`]) when churn vacates them — recycling order is
-//! deterministic and, because all state is keyed by handle through the
-//! index, unobservable in results (pinned by the churn oracle in
-//! `replend-tests` against the [`reference`](crate::reference)
-//! layout).
+//! Subjects live in a **dense slot arena** instead of a `HashMap` of
+//! records: a `PeerId → `[`Handle`] hash index is consulted **once**
+//! per feedback, and every per-subject field is a contiguous `Vec`
+//! indexed by the handle. Handles are stable for a subject's lifetime
+//! and recycled through a free list ([`SlotAllocator`]) when churn
+//! vacates them — recycling order is deterministic and, because all
+//! state is keyed by handle through the index, unobservable in results
+//! (pinned by the churn oracle in `replend-tests` against the
+//! [`reference`](crate::reference) layout).
 //!
 //! The arrays split **hot from cold**. The `report_batch` inner loop
-//! touches only: the handle index, the shard's pairwise interaction
-//! log, the per-subject [`CredibilityBook`] (one hash probe yielding
-//! the reporter's credibility at **every** replica slot — the
-//! reference layout pays three probes per replica), and the
-//! contiguous `numSM`-strided score slab — since PR 7 a
-//! struct-of-arrays [`ScoreSlab`] walked by hand-unrolled multi-lane
-//! kernels (see the [`slab`](crate::slab) module docs for the layout
-//! and the determinism rule); the cache refresh then walks the same
-//! slab plus the `cached`/`touched_seq` arrays. Replica placement
-//! metadata (ring keys, hosts, re-homing counters) is cold and only
-//! touched by churn.
+//! touches only: the handle index, the pairwise interaction log, the
+//! per-subject [`CredibilityBook`] (one hash probe yielding the
+//! reporter's credibility at **every** replica slot — the reference
+//! layout pays three probes per replica), and the contiguous
+//! `numSM`-strided score slab — since PR 7 a struct-of-arrays
+//! [`ScoreSlab`] walked by hand-unrolled multi-lane kernels (see the
+//! [`slab`](crate::slab) module docs for the layout and the
+//! determinism rule); the cache refresh then walks the same slab plus
+//! the `cached`/`touched_seq` arrays. Replica placement metadata (ring
+//! keys, hosts, re-homing counters) is cold and only touched by churn.
 //!
 //! ## Allocation-free steady state
 //!
-//! Every buffer the batch path needs — the per-shard partition
-//! buffers of the parallel fan-out, the first-touch (`touched`)
-//! lists, the delta buffers and the canonical-merge scratch of
+//! Every buffer the batch path needs — the first-touch (`touched`)
+//! list, the delta buffer and the canonical-order permutation of
 //! [`ReputationEngine::drain_deltas`] — is owned by the engine and
 //! *cleared, never freed*. Once the buffers and hash tables have
 //! grown to the workload's working set, a steady-state
@@ -70,10 +55,6 @@
 //! `replend-tests` and a capacity-stability test below). Churn
 //! handoffs borrow the key index's inline assignment lists in place
 //! instead of cloning them.
-//!
-//! The determinism suite pins all of this down: a community run on a
-//! 4-shard engine is byte-identical to the same run on 1 shard, and
-//! both are byte-identical to the reference layout.
 
 use crate::credibility::CredibilityBook;
 use crate::params::RocqParams;
@@ -150,8 +131,8 @@ pub trait ReputationEngine {
 
 /// The deterministic crash-loss roll: a uniform `[0, 1)` value hashed
 /// from the engine seed and the replica's identity and re-homing
-/// count. Independent of shard layout and of the order in which
-/// re-homings are processed. Shared with the
+/// count. Independent of the order in which re-homings are
+/// processed. Shared with the
 /// [`reference`](crate::reference) layout so both engines roll
 /// identically.
 #[inline]
@@ -162,60 +143,6 @@ pub(crate) fn crash_roll(seed: u64, subject: PeerId, slot: usize, rehomes: u64) 
     let bits = splitmix64(seed ^ salted(subject.raw(), salt));
     // 53 high bits → the same [0, 1) grid rand uses for f64.
     (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Default for the smallest batch a multi-shard engine fans out over
-/// the thread pool: the per-tick two-opinion batch must not pay a
-/// thread-pool round trip. Tunable per engine via
-/// [`RocqEngine::with_parallel_batch_min`] (surfaced as
-/// `SimParams::parallel_batch_min`).
-pub const PARALLEL_BATCH_MIN: usize = 256;
-
-/// Worker threads the rayon pool will actually run, sampled once per
-/// engine: the same rule as the pool itself (`RAYON_NUM_THREADS`
-/// when set and positive, otherwise `available_parallelism`), so the
-/// bypass decision below cannot disagree with the pool it is
-/// bypassing. Public so `replend calibrate` can stamp the measured
-/// host's effective pool size into the [`HostProfile`] it emits
-/// (`replend_types::HostProfile`).
-pub fn pool_threads() -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    match std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => n,
-        _ => cores,
-    }
-}
-
-/// The parallel fan-out decision, factored out so it is unit-testable
-/// without a pool: fan out only when the work is actually partitioned
-/// (`num_shards > 1`), the batch clears the configured threshold, and
-/// the pool runs more than one worker (on a single-core host — or
-/// under `RAYON_NUM_THREADS=1` — it degrades to sequential execution,
-/// so partition buffers would be pure overhead). Results are
-/// byte-identical either way.
-#[inline]
-fn use_parallel_fanout(
-    num_shards: usize,
-    batch_len: usize,
-    parallel_batch_min: usize,
-    pool_threads: usize,
-) -> bool {
-    num_shards > 1 && batch_len >= parallel_batch_min && pool_threads > 1
-}
-
-/// The shard index owning `peer`'s subject state in an engine with
-/// `num_shards` shards — the single definition of the engine's
-/// partition function (splitmix64 scatters the dense simulation ids
-/// uniformly, so shard loads stay balanced without coordination).
-/// Public so benches and diagnostics can reproduce the routing.
-#[inline]
-pub fn shard_of(peer: PeerId, num_shards: usize) -> usize {
-    (splitmix64(peer.raw()) % num_shards as u64) as usize
 }
 
 /// One `(subject handle, replica slot)` entry of the replica-key
@@ -286,9 +213,8 @@ fn assignments_in_arc(
         .chain(wrap.map(|r| index.range(r)).into_iter().flatten())
 }
 
-/// One partition of the engine state: the subjects whose
-/// `PeerId → shard` hash lands here, stored as a dense slot arena
-/// (see the module docs for the layout).
+/// The engine's subject store, a dense slot arena (see the module
+/// docs for the layout).
 #[derive(Clone, Debug)]
 struct EngineShard {
     /// `PeerId → Handle`: the single hash probe on the feedback hot
@@ -316,21 +242,19 @@ struct EngineShard {
     books: Vec<CredibilityBook>,
     /// Replica placement metadata, `numSM` consecutive per handle.
     meta: Vec<ReplicaMeta>,
-    /// Pairwise (reporter, subject) interaction counts for subjects
-    /// of this shard.
+    /// Pairwise (reporter, subject) interaction counts.
     interactions: InteractionLog,
     // ---- index & buffers ----
     /// Replica-key index: key → inline (handle, slot) list, for
-    /// O(moved) churn handling instead of O(subjects). Holds only
-    /// this shard's subjects' keys.
+    /// O(moved) churn handling instead of O(subjects).
     key_index: BTreeMap<NodeId, AssignList>,
     /// Aggregate changes since the last drain, in mutation order.
     /// Drained with capacity retained.
     deltas: Vec<ReputationDelta>,
-    /// Reusable first-touch scratch of `apply_batch` (cleared, never
-    /// freed).
+    /// Reusable first-touch scratch of
+    /// [`ReputationEngine::report_batch`] (cleared, never freed).
     touched: Vec<Handle>,
-    /// Replica re-homings processed by this shard.
+    /// Replica re-homings processed so far.
     rehomings: u64,
     /// Re-homings that lost state under the crash model.
     crash_losses: u64,
@@ -359,7 +283,7 @@ impl EngineShard {
         }
     }
 
-    /// Applies a churn handoff to this shard: every replica whose key
+    /// Applies a churn handoff: every replica whose key
     /// lies in the moved arc is re-homed to `event.to`; with
     /// probability `crash_prob` (decided by the deterministic
     /// [`crash_roll`]) its state is lost and recovered from a
@@ -428,8 +352,7 @@ impl EngineShard {
     /// Applies one opinion to `subject`'s replicas *without*
     /// refreshing the cached aggregate (shared by [`report`] and
     /// [`report_batch`], which refresh at different granularities).
-    /// `members` is the engine-wide registry — the reporter may live
-    /// in another shard.
+    /// `members` is the engine's member registry.
     ///
     /// Returns the subject's handle, or `None` when reporter or
     /// subject is unknown.
@@ -524,37 +447,9 @@ impl EngineShard {
         }
     }
 
-    /// Applies this shard's slice of a report batch: every opinion in
-    /// order, then one cache refresh per touched subject (deduped via
-    /// the batch sequence number, first-touch order). The `touched`
-    /// scratch is shard-owned and reused across batches.
-    fn apply_batch(
-        &mut self,
-        params: &RocqParams,
-        members: &HashSet<PeerId>,
-        seq: u64,
-        batch: &[Feedback],
-    ) {
-        self.touched.clear();
-        for f in batch {
-            if let Some(h) = self.apply_batch_item(params, members, seq, f) {
-                self.touched.push(h);
-            }
-        }
-        // Borrow the first-touch list out of the shard for the
-        // refresh sweep (a pointer swap, not an allocation), so
-        // [`EngineShard::refresh_run`] can take `&mut self`.
-        let touched = std::mem::take(&mut self.touched);
-        self.refresh_run(&touched);
-        self.touched = touched;
-    }
-
     /// Applies one batch feedback, returning the subject's handle
     /// when this is its first touch in batch `seq` — the caller owes
-    /// it one [`EngineShard::refresh_cache`] after the whole batch.
-    /// The single dedup implementation shared by the parallel
-    /// ([`EngineShard::apply_batch`]) and serial
-    /// ([`RocqEngine::report_batch`]) paths.
+    /// it one cache refresh after the whole batch.
     #[inline]
     fn apply_batch_item(
         &mut self,
@@ -570,39 +465,7 @@ impl EngineShard {
         })
     }
 
-    /// [`EngineShard::refresh_run`] over the serial batch path's
-    /// `(home shard, handle)` pairs — same multi-chain kernel, tags
-    /// ignored (the caller already grouped the run by home shard).
-    fn refresh_tagged_run(&mut self, run: &[(u32, Handle)]) {
-        let sm = self.num_sm;
-        let mut chunks = run.chunks_exact(8);
-        for chunk in &mut chunks {
-            let bases: [usize; 8] = std::array::from_fn(|k| chunk[k].1.index() * sm);
-            let sums = self.slab.sum_spans(bases, sm);
-            for (k, &(_, h)) in chunk.iter().enumerate() {
-                self.finish_refresh(h, Reputation::new(sums[k] / sm as f64));
-            }
-        }
-        let mut rest = chunks.remainder().chunks_exact(4);
-        for chunk in &mut rest {
-            let bases: [usize; 4] = std::array::from_fn(|k| chunk[k].1.index() * sm);
-            let sums = self.slab.sum_spans(bases, sm);
-            for (k, &(_, h)) in chunk.iter().enumerate() {
-                self.finish_refresh(h, Reputation::new(sums[k] / sm as f64));
-            }
-        }
-        for &(_, h) in rest.remainder() {
-            self.refresh_cache(h);
-        }
-    }
-
-    /// Live subjects homed in this shard (shard-balance tests).
-    #[cfg(test)]
-    fn live_subjects(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Exports this shard's complete subject arena in the
+    /// Exports the complete subject arena in the
     /// derive-don't-store layout (see the [`state`](crate::state)
     /// module docs). Vacant slots are canonicalised, uniform score
     /// lanes and credibility rows are packed once, and replica
@@ -789,7 +652,7 @@ impl EngineShard {
         }
     }
 
-    /// Rebuilds a shard from exported state — the exact inverse of
+    /// Rebuilds the store from exported state — the exact inverse of
     /// [`EngineShard::export`]. Packed lanes and rows are re-expanded
     /// bit-for-bit; replica keys are recomputed, hosts re-derived by
     /// merge-walking `ring_nodes` (ascending) and patched from the
@@ -1012,99 +875,50 @@ impl EngineShard {
     }
 }
 
-/// The sharded, replicated ROCQ engine.
+/// The replicated ROCQ engine.
 ///
 /// Every registered peer is simultaneously an overlay node (in the
 /// paper, peers *are* the DHT nodes that act as score managers), so
 /// registration causes a ring join, removal a ring leave, and both
-/// trigger replica re-homing with optional crash loss. The ring is
-/// engine-global; the subject store is partitioned into dense-arena
-/// shards (see the module docs).
+/// trigger replica re-homing with optional crash loss. Subjects live
+/// in one dense-arena store (see the module docs); concurrent
+/// partitioning is [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)'s
+/// job.
 pub struct RocqEngine {
     params: RocqParams,
     num_sm: usize,
     /// Engine seed — the source of the deterministic crash rolls.
     seed: u64,
     ring: Ring,
-    shards: Vec<EngineShard>,
-    /// Engine-wide subject registry: membership checks must see peers
-    /// in *other* shards (any member may report on any subject).
+    shard: EngineShard,
+    /// Member registry: subjects plus reporter-only members.
     members: HashSet<PeerId>,
     /// Monotonic id of the current `report_batch` call.
     batch_seq: u64,
-    /// Smallest batch fanned out over the pool (see
-    /// [`PARALLEL_BATCH_MIN`]).
-    parallel_batch_min: usize,
-    /// Worker threads the host can actually run, sampled once at
-    /// construction (`available_parallelism`); 1 bypasses the pool.
-    pool_threads: usize,
-    // ---- reusable steady-state scratch (cleared, never freed) ----
-    /// Per-shard partition buffers of the parallel fan-out.
-    parts: Vec<Vec<Feedback>>,
-    /// First-touch list of the serial batch path.
-    serial_touched: Vec<(u32, Handle)>,
-    /// Gather buffer of [`ReputationEngine::drain_deltas`].
-    drain_scratch: Vec<ReputationDelta>,
-    /// Permutation buffer of the canonical drain merge.
+    /// Permutation buffer of the canonical drain order (cleared,
+    /// never freed).
     drain_order: Vec<u32>,
 }
 
 impl RocqEngine {
-    /// A single-shard engine with `num_sm` score managers per subject
-    /// (the Table-1 configuration).
+    /// An engine with `num_sm` score managers per subject (the
+    /// Table-1 configuration).
     ///
     /// # Panics
     /// If `params` fail validation or `num_sm` is zero.
     pub fn new(params: RocqParams, num_sm: usize, seed: u64) -> Self {
-        Self::sharded(params, num_sm, 1, seed)
-    }
-
-    /// An engine whose subject store is partitioned into `num_shards`
-    /// shards. Results are byte-identical for every shard count;
-    /// shards > 1 lets large [`ReputationEngine::report_batch`] calls
-    /// fan out over the rayon pool.
-    ///
-    /// # Panics
-    /// If `params` fail validation or `num_sm` / `num_shards` is zero.
-    pub fn sharded(params: RocqParams, num_sm: usize, num_shards: usize, seed: u64) -> Self {
         params.validate().expect("invalid ROCQ parameters");
         assert!(num_sm > 0, "need at least one score manager");
-        assert!(num_shards > 0, "need at least one engine shard");
         RocqEngine {
             params,
             num_sm,
             seed,
             ring: Ring::new(),
-            shards: (0..num_shards).map(|_| EngineShard::new(num_sm)).collect(),
+            shard: EngineShard::new(num_sm),
             members: HashSet::new(),
             batch_seq: 0,
-            parallel_batch_min: PARALLEL_BATCH_MIN,
-            pool_threads: pool_threads(),
-            parts: vec![Vec::new(); num_shards],
-            serial_touched: Vec::new(),
-            drain_scratch: Vec::new(),
             drain_order: Vec::new(),
         }
-    }
-
-    /// Overrides the smallest [`ReputationEngine::report_batch`] size
-    /// fanned out over the thread pool (the `SimParams::
-    /// parallel_batch_min` knob). Results are byte-identical for any
-    /// threshold.
-    ///
-    /// # Panics
-    /// If `min` is zero.
-    #[must_use]
-    pub fn with_parallel_batch_min(mut self, min: usize) -> Self {
-        assert!(min > 0, "parallel_batch_min must be at least 1");
-        self.parallel_batch_min = min;
-        self
-    }
-
-    /// The shard index owning `peer`'s subject state.
-    #[inline]
-    fn shard_of(&self, peer: PeerId) -> usize {
-        shard_of(peer, self.shards.len())
     }
 
     /// The engine parameters.
@@ -1117,11 +931,6 @@ impl RocqEngine {
         self.num_sm
     }
 
-    /// The configured shard count.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Live overlay size.
     pub fn overlay_len(&self) -> usize {
         self.ring.len()
@@ -1129,12 +938,12 @@ impl RocqEngine {
 
     /// Total replica re-homings caused by churn so far.
     pub fn rehomings(&self) -> u64 {
-        self.shards.iter().map(|s| s.rehomings).sum()
+        self.shard.rehomings
     }
 
     /// Re-homings that lost state under the crash model.
     pub fn crash_losses(&self) -> u64 {
-        self.shards.iter().map(|s| s.crash_losses).sum()
+        self.shard.crash_losses
     }
 
     /// Per-replica views of `subject` for the inspection API.
@@ -1142,7 +951,7 @@ impl RocqEngine {
         &self,
         subject: PeerId,
     ) -> Option<Vec<crate::inspect::ReplicaSnapshot>> {
-        let shard = &self.shards[self.shard_of(subject)];
+        let shard = &self.shard;
         let &h = shard.index.get(&subject)?;
         let base = h.index() * self.num_sm;
         let known = shard.books[h.index()].known_reporters();
@@ -1161,21 +970,8 @@ impl RocqEngine {
 
     /// Replica 0's credibility for `reporter` (inspection API).
     pub(crate) fn reporter_credibility(&self, subject: PeerId, reporter: PeerId) -> Option<f64> {
-        let shard = &self.shards[self.shard_of(subject)];
-        let &h = shard.index.get(&subject)?;
-        Some(shard.books[h.index()].credibility(reporter, 0))
-    }
-
-    /// Applies a churn handoff to every shard. Each shard re-homes
-    /// (and possibly crash-recovers) only its own subjects' replicas;
-    /// the crash rolls are order-independent, so a serial sweep and a
-    /// parallel one are interchangeable — churn handoffs move few
-    /// keys per event on realistic rings, so the sweep stays serial.
-    fn apply_handoff(&mut self, event: HandoffEvent) {
-        let (params, seed) = (self.params, self.seed);
-        for shard in &mut self.shards {
-            shard.apply_handoff(event, &params, seed);
-        }
+        let &h = self.shard.index.get(&subject)?;
+        Some(self.shard.books[h.index()].credibility(reporter, 0))
     }
 
     /// Registers `peer` as a **reporter-only** member: its opinions
@@ -1196,7 +992,7 @@ impl RocqEngine {
     /// [`report_batch`]: ReputationEngine::report_batch
     pub fn register_reporter(&mut self, peer: PeerId) {
         debug_assert!(
-            !self.shards[self.shard_of(peer)].index.contains_key(&peer),
+            !self.shard.index.contains_key(&peer),
             "register_reporter on a peer that is a subject of this engine"
         );
         self.members.insert(peer);
@@ -1209,14 +1005,11 @@ impl RocqEngine {
     /// use `remove_peer` there.
     pub fn remove_reporter(&mut self, peer: PeerId) {
         debug_assert!(
-            !self.shards[self.shard_of(peer)].index.contains_key(&peer),
+            !self.shard.index.contains_key(&peer),
             "remove_reporter on a peer that is a subject of this engine"
         );
-        if !self.members.remove(&peer) {
-            return;
-        }
-        for shard in &mut self.shards {
-            shard.interactions.forget(peer);
+        if self.members.remove(&peer) {
+            self.shard.interactions.forget(peer);
         }
     }
 
@@ -1224,24 +1017,22 @@ impl RocqEngine {
     /// than [`ReputationEngine::contains`], which also accepts
     /// reporter-only members).
     pub fn is_subject(&self, peer: PeerId) -> bool {
-        self.shards[self.shard_of(peer)].index.contains_key(&peer)
+        self.shard.index.contains_key(&peer)
     }
 
     /// Number of registered subjects (reporter-only members are not
     /// counted).
     pub fn subjects_len(&self) -> usize {
-        self.shards.iter().map(|s| s.index.len()).sum()
+        self.shard.index.len()
     }
 
     /// Visits every registered subject with its cached aggregate
     /// reputation. Iteration order is unspecified (it follows the
-    /// shard hash indexes) — callers needing a canonical order must
-    /// sort by `PeerId`.
+    /// hash index) — callers needing a canonical order must sort by
+    /// `PeerId`.
     pub fn for_each_reputation(&self, mut f: impl FnMut(PeerId, Reputation)) {
-        for shard in &self.shards {
-            for &h in shard.index.values() {
-                f(shard.peers[h.index()], shard.cached[h.index()]);
-            }
+        for &h in self.shard.index.values() {
+            f(self.shard.peers[h.index()], self.shard.cached[h.index()]);
         }
     }
 
@@ -1263,8 +1054,7 @@ impl RocqEngine {
             params: self.params,
             num_sm: self.num_sm as u64,
             seed: self.seed,
-            parallel_batch_min: self.parallel_batch_min as u64,
-            shards: self.shards.iter().map(|s| s.export(&ring)).collect(),
+            shard: self.shard.export(&ring),
             ring,
             members,
         }
@@ -1285,24 +1075,16 @@ impl RocqEngine {
             .ok()
             .filter(|&n| n > 0)
             .ok_or_else(|| InvalidState(format!("invalid numSM {}", state.num_sm)))?;
-        if state.shards.is_empty() {
-            return Err(InvalidState("no shards".into()));
-        }
-        let mut engine = RocqEngine::sharded(state.params, num_sm, state.shards.len(), state.seed);
-        engine.parallel_batch_min = usize::try_from(state.parallel_batch_min)
-            .unwrap_or(PARALLEL_BATCH_MIN)
-            .max(1);
-        // The export writes the ring in ascending order; the shard
-        // host derivation merge-walks it, so enforce the order here
-        // rather than trusting the bytes.
+        let mut engine = RocqEngine::new(state.params, num_sm, state.seed);
+        // The export writes the ring in ascending order; the host
+        // derivation merge-walks it, so enforce the order here rather
+        // than trusting the bytes.
         if !state.ring.windows(2).all(|w| w[0] < w[1]) {
             return Err(InvalidState("ring nodes not strictly ascending".into()));
         }
         engine.ring = Ring::from_sorted_nodes(state.ring.iter().copied());
         engine.members = state.members.iter().copied().collect();
-        for (shard, s) in engine.shards.iter_mut().zip(&state.shards) {
-            *shard = EngineShard::import(s, num_sm, &state.params, &state.ring)?;
-        }
+        engine.shard = EngineShard::import(&state.shard, num_sm, &state.params, &state.ring)?;
         Ok(engine)
     }
 
@@ -1323,11 +1105,10 @@ impl ReputationEngine for RocqEngine {
         // The peer becomes an overlay node first (it may end up
         // hosting some of its own replicas on tiny rings — harmless).
         if let Some(event) = self.ring.join(peer.node_id()) {
-            self.apply_handoff(event);
+            self.shard.apply_handoff(event, &self.params, self.seed);
         }
         let num_sm = self.num_sm;
-        let home = self.shard_of(peer);
-        let shard = &mut self.shards[home];
+        let shard = &mut self.shard;
         let h = match shard.alloc.alloc() {
             SlotAlloc::Fresh(h) => {
                 shard.cached.push(Reputation::ZERO);
@@ -1385,9 +1166,8 @@ impl ReputationEngine for RocqEngine {
             return;
         }
         let num_sm = self.num_sm;
-        let home = self.shard_of(peer);
-        let shard = &mut self.shards[home];
-        let h = shard.index.remove(&peer).expect("registry and shard agree");
+        let shard = &mut self.shard;
+        let h = shard.index.remove(&peer).expect("registry and store agree");
         let base = h.index() * num_sm;
         for slot in 0..num_sm {
             let key = shard.meta[base + slot].key;
@@ -1402,17 +1182,13 @@ impl ReputationEngine for RocqEngine {
         // recycled by the free list. Other subjects' books keep the
         // departed peer's *credibility* rows (as the reference
         // layout's replica tables do — earned credibility resumes on
-        // re-join); only the interaction counts are forgotten below.
+        // re-join); only the interaction counts are forgotten.
         shard.books[h.index()] =
             CredibilityBook::new(self.params.initial_credibility, self.params.gamma, num_sm);
         shard.alloc.release(h);
-        // The departed peer's opinions-as-reporter are spread over
-        // every shard's interaction log.
-        for shard in &mut self.shards {
-            shard.interactions.forget(peer);
-        }
+        shard.interactions.forget(peer);
         if let Some(event) = self.ring.leave(peer.node_id()) {
-            self.apply_handoff(event);
+            shard.apply_handoff(event, &self.params, self.seed);
         }
     }
 
@@ -1421,40 +1197,37 @@ impl ReputationEngine for RocqEngine {
     }
 
     fn report(&mut self, reporter: PeerId, subject: PeerId, opinion: f64) {
-        let (params, home) = (self.params, self.shard_of(subject));
-        let shard = &mut self.shards[home];
+        let params = self.params;
+        let shard = &mut self.shard;
         if let Some(h) = shard.apply_report(&params, &self.members, reporter, subject, opinion) {
             shard.refresh_cache(h);
         }
     }
 
     fn reputation(&self, subject: PeerId) -> Option<Reputation> {
-        let shard = &self.shards[self.shard_of(subject)];
-        let &h = shard.index.get(&subject)?;
-        Some(shard.cached[h.index()])
+        let &h = self.shard.index.get(&subject)?;
+        Some(self.shard.cached[h.index()])
     }
 
     fn credit(&mut self, subject: PeerId, amount: f64) {
-        let home = self.shard_of(subject);
-        let num_sm = self.num_sm;
-        let shard = &mut self.shards[home];
+        let shard = &mut self.shard;
         let Some(&h) = shard.index.get(&subject) else {
             return;
         };
-        let base = h.index() * num_sm;
-        shard.slab.adjust_span(base, num_sm, amount.abs());
+        shard
+            .slab
+            .adjust_span(h.index() * self.num_sm, self.num_sm, amount.abs());
         shard.refresh_cache(h);
     }
 
     fn debit(&mut self, subject: PeerId, amount: f64) {
-        let home = self.shard_of(subject);
-        let num_sm = self.num_sm;
-        let shard = &mut self.shards[home];
+        let shard = &mut self.shard;
         let Some(&h) = shard.index.get(&subject) else {
             return;
         };
-        let base = h.index() * num_sm;
-        shard.slab.adjust_span(base, num_sm, -amount.abs());
+        shard
+            .slab
+            .adjust_span(h.index() * self.num_sm, self.num_sm, -amount.abs());
         shard.refresh_cache(h);
     }
 
@@ -1462,98 +1235,38 @@ impl ReputationEngine for RocqEngine {
         // Apply every opinion in order (bit-identical to sequential
         // `report` calls), but refresh each touched subject's cached
         // aggregate only once — the per-subject sequence number makes
-        // the dedup O(1) regardless of batch size.
+        // the dedup O(1) regardless of batch size — through the
+        // multi-chain aggregate kernel, in first-touch order.
         self.batch_seq += 1;
         let seq = self.batch_seq;
         let params = self.params;
-        let n_shards = self.shards.len();
-        if use_parallel_fanout(
-            n_shards,
-            batch.len(),
-            self.parallel_batch_min,
-            self.pool_threads,
-        ) {
-            // Partition by subject shard into the engine-owned
-            // buffers — a subject's feedbacks stay in batch order
-            // within its partition, which is all the per-subject
-            // semantics depend on — then fan the disjoint shard
-            // slices out over the rayon pool.
-            for part in &mut self.parts {
-                part.clear();
-            }
-            for f in batch {
-                self.parts[shard_of(f.subject, n_shards)].push(*f);
-            }
-            let RocqEngine {
-                shards,
-                parts,
-                members,
-                ..
-            } = self;
-            let members: &HashSet<PeerId> = members;
-            use rayon::prelude::*;
-            shards
-                .par_iter_mut()
-                .zip(&*parts)
-                .for_each(|(shard, part)| shard.apply_batch(&params, members, seq, part));
-            return;
-        }
-        // Serial path (single shard, or batches too small to pay a
-        // thread-pool round trip — e.g. the community's two opinions
-        // per tick): route each feedback to its subject's shard
-        // directly, no partition buffers, first-touch list reused
-        // across calls.
-        let RocqEngine {
-            shards,
-            members,
-            serial_touched,
-            ..
-        } = self;
-        let members: &HashSet<PeerId> = members;
-        serial_touched.clear();
+        let shard = &mut self.shard;
+        let mut touched = std::mem::take(&mut shard.touched);
+        touched.clear();
         for f in batch {
-            let home = shard_of(f.subject, n_shards);
-            if let Some(h) = shards[home].apply_batch_item(&params, members, seq, f) {
-                serial_touched.push((home as u32, h));
+            if let Some(h) = shard.apply_batch_item(&params, &self.members, seq, f) {
+                touched.push(h);
             }
         }
-        // Refresh runs of consecutive same-shard touches through the
-        // four-chain aggregate kernel (a single-shard engine is one
-        // run). Run order equals first-touch order, so the delta
-        // stream is identical to the old one-at-a-time sweep.
-        let mut i = 0;
-        while i < serial_touched.len() {
-            let home = serial_touched[i].0;
-            let mut j = i + 1;
-            while j < serial_touched.len() && serial_touched[j].0 == home {
-                j += 1;
-            }
-            shards[home as usize].refresh_tagged_run(&serial_touched[i..j]);
-            i = j;
-        }
+        shard.refresh_run(&touched);
+        shard.touched = touched;
     }
 
     fn drain_deltas(&mut self, out: &mut Vec<ReputationDelta>) {
-        // Canonical cross-shard order: sort by subject, ties (same
-        // subject ⇒ same shard) by buffer position, i.e. mutation
-        // order — identical for every shard count. The gather and
-        // permutation buffers are engine-owned scratch, and the
-        // index sort is unstable (in-place, allocation-free) with the
-        // position tiebreaker making it order-preserving.
+        // Canonical order: sort by subject, ties by buffer position,
+        // i.e. mutation order. The permutation buffer is engine-owned
+        // scratch, and the index sort is unstable (in-place,
+        // allocation-free) with the position tiebreaker making it
+        // order-preserving.
         let RocqEngine {
-            shards,
-            drain_scratch,
-            drain_order,
-            ..
+            shard, drain_order, ..
         } = self;
-        drain_scratch.clear();
-        for shard in shards.iter_mut() {
-            drain_scratch.append(&mut shard.deltas);
-        }
+        let deltas = &shard.deltas;
         drain_order.clear();
-        drain_order.extend(0..drain_scratch.len() as u32);
-        drain_order.sort_unstable_by_key(|&i| (drain_scratch[i as usize].subject, i));
-        out.extend(drain_order.iter().map(|&i| drain_scratch[i as usize]));
+        drain_order.extend(0..deltas.len() as u32);
+        drain_order.sort_unstable_by_key(|&i| (deltas[i as usize].subject, i));
+        out.extend(drain_order.iter().map(|&i| deltas[i as usize]));
+        shard.deltas.clear();
     }
 
     fn name(&self) -> &'static str {
@@ -1577,12 +1290,6 @@ mod tests {
     #[should_panic(expected = "at least one score manager")]
     fn zero_sm_rejected() {
         RocqEngine::new(RocqParams::default(), 0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one engine shard")]
-    fn zero_shards_rejected() {
-        RocqEngine::sharded(RocqParams::default(), 6, 0, 0);
     }
 
     #[test]
@@ -1932,73 +1639,6 @@ mod tests {
         }
     }
 
-    /// Drives one engine through a registration + report + batch +
-    /// credit/debit + churn workload and returns the full observable
-    /// state: drained delta streams, final reputations, counters.
-    fn exercise(mut e: RocqEngine) -> (Vec<Vec<ReputationDelta>>, Vec<Option<u64>>, u64, u64) {
-        let mut streams = Vec::new();
-        let drain = |e: &mut RocqEngine| {
-            let mut v = Vec::new();
-            e.drain_deltas(&mut v);
-            v
-        };
-        for p in 0..120u64 {
-            e.register_peer(PeerId(p), Reputation::ONE);
-        }
-        streams.push(drain(&mut e));
-        // Large batch (crosses the parallel threshold on multi-shard
-        // engines) plus singleton reports.
-        let batch: Vec<Feedback> = (0..600u64)
-            .map(|r| Feedback::new(PeerId(r % 40), PeerId(40 + r % 60), ((r / 3) % 2) as f64))
-            .collect();
-        e.report_batch(&batch);
-        streams.push(drain(&mut e));
-        for r in 0..50u64 {
-            e.report(PeerId(r % 20), PeerId(100 + r % 20), 1.0);
-            e.credit(PeerId(r % 30), 0.01);
-            e.debit(PeerId(30 + r % 30), 0.01);
-        }
-        streams.push(drain(&mut e));
-        // Churn with crash losses (crash_prob set by the caller).
-        for p in 200..260u64 {
-            e.register_peer(PeerId(p), Reputation::HALF);
-        }
-        for p in 0..25u64 {
-            e.remove_peer(PeerId(p));
-        }
-        streams.push(drain(&mut e));
-        let reps: Vec<Option<u64>> = (0..260u64)
-            .map(|p| e.reputation(PeerId(p)).map(|r| r.value().to_bits()))
-            .collect();
-        (streams, reps, e.rehomings(), e.crash_losses())
-    }
-
-    #[test]
-    fn shard_count_does_not_change_results() {
-        // The tentpole guarantee at engine level: the full observable
-        // behaviour — delta streams, reputations (bitwise), churn
-        // counters — is identical for 1, 2, 4 and 7 shards, with the
-        // crash model active.
-        let params = RocqParams {
-            crash_prob: 0.4,
-            ..Default::default()
-        };
-        let baseline = exercise(RocqEngine::sharded(params, 4, 1, 7));
-        for shards in [2usize, 4, 7] {
-            let sharded = exercise(RocqEngine::sharded(params, 4, shards, 7));
-            assert_eq!(baseline.1, sharded.1, "{shards}-shard reputations diverged");
-            assert_eq!(
-                baseline.0, sharded.0,
-                "{shards}-shard delta streams diverged"
-            );
-            assert_eq!(baseline.2, sharded.2, "{shards}-shard rehomings diverged");
-            assert_eq!(
-                baseline.3, sharded.3,
-                "{shards}-shard crash losses diverged"
-            );
-        }
-    }
-
     #[test]
     fn handle_reuse_does_not_change_results() {
         // Adversarial churn: vacate slots in one order, refill in
@@ -2034,65 +1674,16 @@ mod tests {
                 "peer {p}: cache diverged from replica mean after handle reuse"
             );
         }
-        let live: usize = churned.shards.iter().map(|s| s.live_subjects()).sum();
-        let capacity: usize = churned.shards.iter().map(|s| s.alloc.capacity()).sum();
-        assert_eq!(live, 40, "40 registered − 6 removed + 6 reused");
         assert_eq!(
-            capacity, 40,
+            churned.subjects_len(),
+            40,
+            "40 registered − 6 removed + 6 reused"
+        );
+        assert_eq!(
+            churned.shard.alloc.capacity(),
+            40,
             "re-registrations must recycle vacated slots, not grow the arena"
         );
-    }
-
-    #[test]
-    fn parallel_fanout_decision() {
-        // Multi-shard, big batch, multi-core: fan out.
-        assert!(use_parallel_fanout(4, 256, 256, 8));
-        // Below the threshold: stay serial.
-        assert!(!use_parallel_fanout(4, 255, 256, 8));
-        // Single shard: nothing to partition.
-        assert!(!use_parallel_fanout(1, 10_000, 256, 8));
-        // Single-core host: the pool degrades to sequential, so the
-        // partition buffers would be pure overhead (ROADMAP "adaptive
-        // parallel threshold", first half).
-        assert!(!use_parallel_fanout(4, 10_000, 256, 1));
-        // A lowered knob admits small batches.
-        assert!(use_parallel_fanout(2, 4, 4, 2));
-    }
-
-    #[test]
-    fn parallel_batch_min_knob_does_not_change_results() {
-        // Same workload, thresholds on both sides of the batch size
-        // (and a shard count > 1 so the parallel path is reachable):
-        // byte-identical observable state.
-        let params = RocqParams {
-            crash_prob: 0.4,
-            ..Default::default()
-        };
-        let eager = exercise(RocqEngine::sharded(params, 4, 4, 7).with_parallel_batch_min(1));
-        let lazy =
-            exercise(RocqEngine::sharded(params, 4, 4, 7).with_parallel_batch_min(usize::MAX));
-        assert_eq!(eager.0, lazy.0, "delta streams diverged");
-        assert_eq!(eager.1, lazy.1, "reputations diverged");
-        assert_eq!((eager.2, eager.3), (lazy.2, lazy.3), "counters diverged");
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel_batch_min must be at least 1")]
-    fn zero_parallel_batch_min_rejected() {
-        let _ = RocqEngine::new(RocqParams::default(), 6, 0).with_parallel_batch_min(0);
-    }
-
-    #[test]
-    fn sharded_engine_spreads_subjects() {
-        let mut e = RocqEngine::sharded(RocqParams::default(), 6, 4, 1);
-        for p in 0..400u64 {
-            e.register_peer(PeerId(p), Reputation::ONE);
-        }
-        let loads: Vec<usize> = e.shards.iter().map(|s| s.live_subjects()).collect();
-        assert_eq!(loads.iter().sum::<usize>(), 400);
-        for (i, &l) in loads.iter().enumerate() {
-            assert!((50..=150).contains(&l), "shard {i} holds {l} of 400");
-        }
     }
 
     /// The engine-owned scratch the batch path uses, as capacities —
@@ -2100,55 +1691,39 @@ mod tests {
     /// state" guarantee (the counting-allocator side lives in
     /// `replend-tests`, which owns the test binary's global
     /// allocator).
-    fn scratch_capacities(e: &RocqEngine) -> Vec<usize> {
-        let mut caps = vec![
-            e.serial_touched.capacity(),
-            e.drain_scratch.capacity(),
+    fn scratch_capacities(e: &RocqEngine) -> [usize; 3] {
+        [
             e.drain_order.capacity(),
-        ];
-        caps.extend(e.parts.iter().map(Vec::capacity));
-        for s in &e.shards {
-            caps.push(s.touched.capacity());
-            caps.push(s.deltas.capacity());
-        }
-        caps
+            e.shard.touched.capacity(),
+            e.shard.deltas.capacity(),
+        ]
     }
 
     #[test]
     fn steady_state_scratch_capacities_stabilise() {
-        // Both batch paths: after a warm-up batch, repeated identical
-        // batches must not grow any engine-owned buffer — the
-        // "cleared, never freed" contract, including the parallel
-        // fan-out's partition buffers (forced on regardless of the
-        // host's core count).
-        for (threshold, pool) in [(usize::MAX, 1usize), (1, 4)] {
-            let mut e = RocqEngine::sharded(RocqParams::default(), 4, 4, 9);
-            e.parallel_batch_min = threshold;
-            e.pool_threads = pool;
-            for p in 0..300u64 {
-                e.register_peer(PeerId(p), Reputation::ONE);
-            }
-            let batch: Vec<Feedback> = (0..900u64)
-                .map(|r| Feedback::new(PeerId(r % 300), PeerId((r * 7 + 1) % 300), (r % 2) as f64))
-                .collect();
-            let mut out = Vec::new();
-            for _ in 0..2 {
-                e.report_batch(&batch);
-                out.clear();
-                e.drain_deltas(&mut out);
-            }
-            let warm = scratch_capacities(&e);
-            for _ in 0..5 {
-                e.report_batch(&batch);
-                out.clear();
-                e.drain_deltas(&mut out);
-            }
-            assert_eq!(
-                warm,
-                scratch_capacities(&e),
-                "scratch grew at steady state (threshold {threshold}, pool {pool})"
-            );
+        // After a warm-up batch, repeated identical batches must not
+        // grow any engine-owned buffer — the "cleared, never freed"
+        // contract.
+        let mut e = RocqEngine::new(RocqParams::default(), 4, 9);
+        for p in 0..300u64 {
+            e.register_peer(PeerId(p), Reputation::ONE);
         }
+        let batch: Vec<Feedback> = (0..900u64)
+            .map(|r| Feedback::new(PeerId(r % 300), PeerId((r * 7 + 1) % 300), (r % 2) as f64))
+            .collect();
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            e.report_batch(&batch);
+            out.clear();
+            e.drain_deltas(&mut out);
+        }
+        let warm = scratch_capacities(&e);
+        for _ in 0..5 {
+            e.report_batch(&batch);
+            out.clear();
+            e.drain_deltas(&mut out);
+        }
+        assert_eq!(warm, scratch_capacities(&e), "scratch grew at steady state");
     }
 
     /// Sorted `(peer, cached-aggregate bits)` fingerprint.
@@ -2166,7 +1741,7 @@ mod tests {
             crash_prob: 0.3,
             ..RocqParams::default()
         };
-        let mut e = RocqEngine::sharded(params, 3, 2, 42);
+        let mut e = RocqEngine::new(params, 3, 42);
         for p in 0..60u64 {
             e.register_peer(PeerId(p), Reputation::new(0.4));
         }
@@ -2232,34 +1807,29 @@ mod tests {
         let state = churny_engine().export_state();
 
         let mut bad = state.clone();
-        bad.shards[0].cached.pop();
+        bad.shard.cached.pop();
         assert!(
             RocqEngine::import_state(&bad).is_err(),
             "short cached array"
         );
 
         let mut bad = state.clone();
-        bad.shards[0]
-            .free
-            .push(Handle::from_index(u32::MAX as usize));
+        bad.shard.free.push(Handle::from_index(u32::MAX as usize));
         assert!(
             RocqEngine::import_state(&bad).is_err(),
             "foreign free handle"
         );
 
         let mut bad = state.clone();
-        assert!(
-            !bad.shards[0].book_rows.is_empty(),
-            "churny stream grows books"
-        );
-        bad.shards[0].book_rows.pop();
+        assert!(!bad.shard.book_rows.is_empty(), "churny stream grows books");
+        bad.shard.book_rows.pop();
         assert!(
             RocqEngine::import_state(&bad).is_err(),
             "short book row run"
         );
 
         let mut bad = state.clone();
-        bad.shards[0].rehomes.pop();
+        bad.shard.rehomes.pop();
         assert!(
             RocqEngine::import_state(&bad).is_err(),
             "short re-home array"
@@ -2269,12 +1839,8 @@ mod tests {
         bad.ring.reverse();
         assert!(RocqEngine::import_state(&bad).is_err(), "unsorted ring");
 
-        let mut bad = state.clone();
+        let mut bad = state;
         bad.num_sm = 0;
         assert!(RocqEngine::import_state(&bad).is_err(), "zero numSM");
-
-        let mut bad = state;
-        bad.shards.clear();
-        assert!(RocqEngine::import_state(&bad).is_err(), "no shards");
     }
 }

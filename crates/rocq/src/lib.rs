@@ -69,7 +69,24 @@ pub mod snapshot;
 pub mod state;
 
 pub use concurrent::ConcurrentEngine;
-pub use engine::{pool_threads, shard_of, ReputationEngine, RocqEngine};
+pub use engine::{ReputationEngine, RocqEngine};
 pub use params::RocqParams;
 pub use reference::ReferenceEngine;
 pub use snapshot::SnapshotSlab;
+
+/// Worker threads the rayon pool will actually run: the same rule as
+/// the pool itself (`RAYON_NUM_THREADS` when set and positive,
+/// otherwise `available_parallelism`). Reported beside any measurement
+/// whose result depends on threads.
+pub fn pool_threads() -> usize {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    match std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+    {
+        Some(n) if n > 0 => n,
+        _ => cores,
+    }
+}

@@ -7,8 +7,8 @@
 //! subject — a reporter's tenth opinion about the same partner is
 //! worth more than its first.
 //!
-//! Both the arena [`RocqEngine`](crate::engine::RocqEngine) (one log
-//! per shard) and the seed-layout
+//! Both the arena [`RocqEngine`](crate::engine::RocqEngine) and the
+//! seed-layout
 //! [`ReferenceEngine`](crate::reference::ReferenceEngine) track these
 //! counts in an [`InteractionLog`]; the layouts share the structure
 //! so reporter departures forget counts identically (credibility

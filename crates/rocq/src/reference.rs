@@ -10,7 +10,7 @@
 //!   access, replicas as an array-of-structs with one
 //!   [`CredibilityTable`] per replica (three hash probes per replica
 //!   per report),
-//! * a shard-global [`InteractionLog`] keyed by `(reporter, subject)`
+//! * an engine-global [`InteractionLog`] keyed by `(reporter, subject)`
 //!   pairs,
 //! * a replica-key index of heap-allocated `Vec`s that the
 //!   crash-recovery path `.cloned()`s per moved key,
@@ -31,7 +31,7 @@
 //! alone — that is the point of it.
 
 use crate::credibility::CredibilityTable;
-use crate::engine::{crash_roll, shard_of, ReputationEngine};
+use crate::engine::{crash_roll, ReputationEngine};
 use crate::params::RocqParams;
 use crate::quality::{quality_from_count, InteractionLog};
 use crate::score::ScoreState;
@@ -82,8 +82,7 @@ impl SubjectRecord {
     }
 }
 
-/// One partition of the reference engine state (the seed's
-/// `EngineShard`).
+/// The reference engine's subject store (the seed's `EngineShard`).
 #[derive(Clone, Debug, Default)]
 struct RefShard {
     subjects: HashMap<PeerId, SubjectRecord>,
@@ -95,7 +94,7 @@ struct RefShard {
 }
 
 impl RefShard {
-    /// Replica keys of this shard lying in the clockwise interval
+    /// Replica keys lying in the clockwise interval
     /// `(start, end]` — materialised into a fresh `Vec`, as the seed
     /// did.
     fn keys_in_arc(&self, start: NodeId, end: NodeId) -> Vec<NodeId> {
@@ -225,67 +224,44 @@ impl RefShard {
     }
 }
 
-/// The seed-layout ROCQ engine. Always applies batches serially (the
-/// parallel fan-out is a scheduling concern, not a semantic one — the
-/// arena engine is byte-identical on either path).
+/// The seed-layout ROCQ engine.
 pub struct ReferenceEngine {
     params: RocqParams,
     num_sm: usize,
     seed: u64,
     ring: Ring,
-    shards: Vec<RefShard>,
+    shard: RefShard,
     members: HashSet<PeerId>,
     batch_seq: u64,
 }
 
 impl ReferenceEngine {
-    /// A single-shard reference engine.
+    /// A reference engine with `num_sm` score managers per subject.
     ///
     /// # Panics
     /// If `params` fail validation or `num_sm` is zero.
     pub fn new(params: RocqParams, num_sm: usize, seed: u64) -> Self {
-        Self::sharded(params, num_sm, 1, seed)
-    }
-
-    /// A reference engine with `num_shards` seed-layout shards.
-    ///
-    /// # Panics
-    /// If `params` fail validation or `num_sm` / `num_shards` is zero.
-    pub fn sharded(params: RocqParams, num_sm: usize, num_shards: usize, seed: u64) -> Self {
         params.validate().expect("invalid ROCQ parameters");
         assert!(num_sm > 0, "need at least one score manager");
-        assert!(num_shards > 0, "need at least one engine shard");
         ReferenceEngine {
             params,
             num_sm,
             seed,
             ring: Ring::new(),
-            shards: vec![RefShard::default(); num_shards],
+            shard: RefShard::default(),
             members: HashSet::new(),
             batch_seq: 0,
         }
     }
 
-    #[inline]
-    fn shard_of(&self, peer: PeerId) -> usize {
-        shard_of(peer, self.shards.len())
-    }
-
     /// Total replica re-homings caused by churn so far.
     pub fn rehomings(&self) -> u64 {
-        self.shards.iter().map(|s| s.rehomings).sum()
+        self.shard.rehomings
     }
 
     /// Re-homings that lost state under the crash model.
     pub fn crash_losses(&self) -> u64 {
-        self.shards.iter().map(|s| s.crash_losses).sum()
-    }
-
-    fn apply_handoff(&mut self, event: HandoffEvent) {
-        let (params, seed) = (self.params, self.seed);
-        for shard in &mut self.shards {
-            shard.apply_handoff(event, &params, seed);
-        }
+        self.shard.crash_losses
     }
 }
 
@@ -295,10 +271,9 @@ impl ReputationEngine for ReferenceEngine {
             return;
         }
         if let Some(event) = self.ring.join(peer.node_id()) {
-            self.apply_handoff(event);
+            self.shard.apply_handoff(event, &self.params, self.seed);
         }
         let mut replicas = Vec::with_capacity(self.num_sm);
-        let home = self.shard_of(peer);
         for i in 0..self.num_sm {
             let key = replica_key(peer, i);
             let host = self.ring.successor(key).expect("ring non-empty after join");
@@ -309,11 +284,7 @@ impl ReputationEngine for ReferenceEngine {
                 creds: CredibilityTable::new(self.params.initial_credibility, self.params.gamma),
                 rehomes: 0,
             });
-            self.shards[home]
-                .key_index
-                .entry(key)
-                .or_default()
-                .push((peer, i));
+            self.shard.key_index.entry(key).or_default().push((peer, i));
         }
         let mut record = SubjectRecord {
             replicas,
@@ -321,7 +292,7 @@ impl ReputationEngine for ReferenceEngine {
             touched_seq: 0,
         };
         record.recompute();
-        self.shards[home].subjects.insert(peer, record);
+        self.shard.subjects.insert(peer, record);
         self.members.insert(peer);
     }
 
@@ -329,24 +300,22 @@ impl ReputationEngine for ReferenceEngine {
         if !self.members.remove(&peer) {
             return;
         }
-        let home = self.shard_of(peer);
-        let record = self.shards[home]
+        let shard = &mut self.shard;
+        let record = shard
             .subjects
             .remove(&peer)
-            .expect("registry and shard agree");
+            .expect("registry and store agree");
         for (i, replica) in record.replicas.iter().enumerate() {
-            if let Some(v) = self.shards[home].key_index.get_mut(&replica.key) {
+            if let Some(v) = shard.key_index.get_mut(&replica.key) {
                 v.retain(|&(p, s)| !(p == peer && s == i));
                 if v.is_empty() {
-                    self.shards[home].key_index.remove(&replica.key);
+                    shard.key_index.remove(&replica.key);
                 }
             }
         }
-        for shard in &mut self.shards {
-            shard.interactions.forget(peer);
-        }
+        shard.interactions.forget(peer);
         if let Some(event) = self.ring.leave(peer.node_id()) {
-            self.apply_handoff(event);
+            shard.apply_handoff(event, &self.params, self.seed);
         }
     }
 
@@ -355,23 +324,18 @@ impl ReputationEngine for ReferenceEngine {
     }
 
     fn report(&mut self, reporter: PeerId, subject: PeerId, opinion: f64) {
-        let (params, home) = (self.params, self.shard_of(subject));
-        let shard = &mut self.shards[home];
-        if shard.apply_report(&params, &self.members, reporter, subject, opinion) {
+        let shard = &mut self.shard;
+        if shard.apply_report(&self.params, &self.members, reporter, subject, opinion) {
             shard.refresh_cache(subject);
         }
     }
 
     fn reputation(&self, subject: PeerId) -> Option<Reputation> {
-        self.shards[self.shard_of(subject)]
-            .subjects
-            .get(&subject)
-            .map(|r| r.cached)
+        self.shard.subjects.get(&subject).map(|r| r.cached)
     }
 
     fn credit(&mut self, subject: PeerId, amount: f64) {
-        let home = self.shard_of(subject);
-        let shard = &mut self.shards[home];
+        let shard = &mut self.shard;
         let Some(record) = shard.subjects.get_mut(&subject) else {
             return;
         };
@@ -382,8 +346,7 @@ impl ReputationEngine for ReferenceEngine {
     }
 
     fn debit(&mut self, subject: PeerId, amount: f64) {
-        let home = self.shard_of(subject);
-        let shard = &mut self.shards[home];
+        let shard = &mut self.shard;
         let Some(record) = shard.subjects.get_mut(&subject) else {
             return;
         };
@@ -398,25 +361,21 @@ impl ReputationEngine for ReferenceEngine {
         // call, one cache refresh per touched subject.
         self.batch_seq += 1;
         let seq = self.batch_seq;
-        let (params, members) = (self.params, &self.members);
-        let n_shards = self.shards.len();
-        let mut touched: Vec<(usize, PeerId)> = Vec::new();
+        let shard = &mut self.shard;
+        let mut touched: Vec<PeerId> = Vec::new();
         for f in batch {
-            let home = shard_of(f.subject, n_shards);
-            if let Some(subject) = self.shards[home].apply_batch_item(&params, members, seq, f) {
-                touched.push((home, subject));
+            if let Some(subject) = shard.apply_batch_item(&self.params, &self.members, seq, f) {
+                touched.push(subject);
             }
         }
-        for (home, subject) in touched {
-            self.shards[home].refresh_cache(subject);
+        for subject in touched {
+            shard.refresh_cache(subject);
         }
     }
 
     fn drain_deltas(&mut self, out: &mut Vec<ReputationDelta>) {
         let start = out.len();
-        for shard in &mut self.shards {
-            out.append(&mut shard.deltas);
-        }
+        out.append(&mut self.shard.deltas);
         // The seed's canonical merge: stable sort by subject.
         out[start..].sort_by_key(|d| d.subject);
     }
@@ -440,8 +399,8 @@ mod tests {
             crash_prob: 0.6,
             ..Default::default()
         };
-        let mut arena = RocqEngine::sharded(params, 4, 3, 11);
-        let mut seed = ReferenceEngine::sharded(params, 4, 3, 11);
+        let mut arena = RocqEngine::new(params, 4, 11);
+        let mut seed = ReferenceEngine::new(params, 4, 11);
         let engines: [&mut dyn ReputationEngine; 2] = [&mut arena, &mut seed];
         let mut streams: Vec<Vec<ReputationDelta>> = vec![Vec::new(), Vec::new()];
         for (e, stream) in engines.into_iter().zip(streams.iter_mut()) {

@@ -111,7 +111,7 @@ impl Table {
     }
 
     /// First probe index for `peer` — the same splitmix64 mix the
-    /// engine's shard routing uses.
+    /// facade's partition routing uses.
     fn start(&self, peer: u64) -> usize {
         replend_types::hash::splitmix64(peer) as usize & self.mask
     }

@@ -89,8 +89,8 @@ use replend_types::{NodeId, PeerId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// One engine shard's complete subject arena, in the derive-don't-
-/// store layout described in the [module docs](self).
+/// An engine's complete subject arena, in the derive-don't-store
+/// layout described in the [module docs](self).
 ///
 /// Handle-indexed arrays (`cached`, `peers`, `book_lens`, the packed
 /// slab, per-lane `rehomes`) run to `capacity`, with vacant slots
@@ -147,7 +147,7 @@ pub struct ShardState {
     /// Pairwise interaction counts: `(reporter, subject, count)`,
     /// sorted by the pair.
     pub interactions: Vec<(PeerId, PeerId, u32)>,
-    /// Replica re-homings processed by this shard.
+    /// Replica re-homings processed so far.
     pub rehomings: u64,
     /// Re-homings that lost state under the crash model.
     pub crash_losses: u64,
@@ -162,8 +162,6 @@ pub struct EngineState {
     pub num_sm: u64,
     /// Engine seed — source of the deterministic crash rolls.
     pub seed: u64,
-    /// Smallest batch fanned out over the thread pool.
-    pub parallel_batch_min: u64,
     /// Overlay ring membership in ring (ascending `NodeId`) order.
     pub ring: Vec<NodeId>,
     /// Engine-wide member registry, sorted. In a partition-set
@@ -171,12 +169,12 @@ pub struct EngineState {
     /// registry is identical by construction); see
     /// [`ConcurrentEngine::export_partitions`](crate::concurrent::ConcurrentEngine::export_partitions).
     pub members: Vec<PeerId>,
-    /// The subject shards, in shard order.
-    pub shards: Vec<ShardState>,
+    /// The subject arena.
+    pub shard: ShardState,
 }
 
 /// One [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
-/// partition: its single-shard engine plus the wait-free read slab's
+/// partition: its engine plus the wait-free read slab's
 /// applied-report counts (which live *only* in the slab — the engine
 /// forgets interaction counts on reporter departure while the served
 /// count persists). The slab's reputation bits are **not** stored:

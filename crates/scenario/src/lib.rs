@@ -13,7 +13,7 @@
 //!   flip a cohort's behaviour, re-rate arrivals);
 //! * the [`ScenarioRunner`] drives a `Community` through it
 //!   deterministically — equal scenarios give byte-identical metrics
-//!   CSVs for any shard count — tracking every identity each cohort
+//!   CSVs — tracking every identity each cohort
 //!   ever assumes, so whitewashing rejoins stay attributed;
 //! * each sample row reports honest vs adversary mean reputation,
 //!   the status-tier census, and false-positive / false-negative

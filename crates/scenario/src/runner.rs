@@ -7,8 +7,7 @@
 //! when the sampling interval elapses. All cohort scripts are
 //! deterministic state machines keyed on absolute ticks, so a run is
 //! a pure function of the scenario — equal scenarios give
-//! byte-identical CSVs, for any shard count (the PR 3/5 engine
-//! invariant extended to adversarial workloads).
+//! byte-identical CSVs.
 //!
 //! The cohort scripts for [`AdversaryClass::CollusionRing`] and
 //! [`AdversaryClass::Whitewash`] perform *exactly* the community
@@ -32,8 +31,6 @@ pub struct RunOptions {
     pub max_ticks: Option<u64>,
     /// Override the scenario's sampling interval.
     pub sample_every: Option<u64>,
-    /// Override the configured engine shard count.
-    pub shards: Option<usize>,
 }
 
 /// The `REPLEND_TICKS` environment cap, if set and parseable.
@@ -50,7 +47,6 @@ pub fn capped_options(scenario: &Scenario) -> RunOptions {
         Some(cap) if cap < scenario.horizon => RunOptions {
             max_ticks: Some(cap),
             sample_every: Some((cap / 8).max(1)),
-            shards: None,
         },
         _ => RunOptions::default(),
     }
@@ -72,22 +68,11 @@ pub struct ScenarioRunner {
 }
 
 impl ScenarioRunner {
-    /// Validates the scenario and builds the community. `options`
-    /// only affects the run length/sampling; the community itself is
-    /// fully determined by the scenario (plus the shard override).
+    /// Validates the scenario and builds the community, which is
+    /// fully determined by the scenario.
     pub fn new(scenario: Scenario) -> Result<Self, ScenarioError> {
-        Self::with_options(scenario, RunOptions::default())
-    }
-
-    /// [`ScenarioRunner::new`] with a shard-count override.
-    pub fn with_options(scenario: Scenario, options: RunOptions) -> Result<Self, ScenarioError> {
         scenario.validate()?;
-        let mut config = scenario.config;
-        if let Some(shards) = options.shards {
-            config = config.with_num_shards(shards);
-            config.validate().map_err(ScenarioError::Config)?;
-        }
-        let community = CommunityBuilder::new(config)
+        let community = CommunityBuilder::new(scenario.config)
             .policy(scenario.policy)
             .seed(scenario.seed)
             .departure_rate(scenario.departure_rate)

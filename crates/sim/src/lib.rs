@@ -24,13 +24,9 @@
 //! * [`runner`] — seeded multi-run execution with mean / standard
 //!   deviation / 95% confidence-interval summaries, optionally fanned
 //!   out over threads (each run is independent, so parallelism cannot
-//!   change results);
-//! * [`cluster`] — the in-process multi-simulation substrate: K
-//!   independent [`ClusterNode`]s with derived seeds, stepped (and
-//!   optionally sampled) in parallel on the rayon pool.
+//!   change results).
 
 pub mod arrivals;
-pub mod cluster;
 pub mod dist;
 pub mod events;
 pub mod runner;
@@ -38,7 +34,6 @@ pub mod series;
 pub mod stats;
 
 pub use arrivals::PoissonProcess;
-pub use cluster::{Cluster, ClusterNode};
 pub use events::EventQueue;
 pub use runner::{run_many, run_many_parallel, Summary};
 pub use series::TimeSeries;

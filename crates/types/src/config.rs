@@ -167,16 +167,6 @@ pub struct SimParams {
     pub num_trans: u64,
     /// `numSM` — score-manager replicas per peer.
     pub num_sm: usize,
-    /// Engine shards the reputation backend partitions its subject
-    /// store into (infrastructure knob, not a Table-1 parameter;
-    /// results are byte-identical for every shard count). Default 1.
-    pub num_shards: usize,
-    /// Smallest `report_batch` size a multi-shard engine fans out
-    /// over the thread pool; smaller batches (e.g. the per-tick two
-    /// opinions) stay serial to skip the pool round trip.
-    /// Infrastructure knob — results are byte-identical either way.
-    /// Default 256.
-    pub parallel_batch_min: usize,
     /// `λ` — Poisson arrival rate of new peers per tick.
     pub arrival_rate: f64,
     /// `f_u` — fraction of new entrants that are uncooperative.
@@ -203,16 +193,6 @@ impl SimParams {
         if self.num_sm == 0 {
             return Err(ConfigError::Inconsistent {
                 what: "num_sm must be at least 1",
-            });
-        }
-        if self.num_shards == 0 {
-            return Err(ConfigError::Inconsistent {
-                what: "num_shards must be at least 1",
-            });
-        }
-        if self.parallel_batch_min == 0 {
-            return Err(ConfigError::Inconsistent {
-                what: "parallel_batch_min must be at least 1",
             });
         }
         if !(self.arrival_rate.is_finite() && self.arrival_rate >= 0.0) {
@@ -246,8 +226,6 @@ impl Default for SimParams {
             num_init: 500,
             num_trans: 500_000,
             num_sm: 6,
-            num_shards: 1,
-            parallel_batch_min: 256,
             arrival_rate: 0.01,
             f_uncoop: 0.25,
             f_naive: 0.3,
@@ -334,21 +312,6 @@ impl Table1 {
     #[must_use]
     pub fn with_num_sm(mut self, n: usize) -> Self {
         self.sim.num_sm = n;
-        self
-    }
-
-    /// Builder-style update of the engine shard count.
-    #[must_use]
-    pub fn with_num_shards(mut self, n: usize) -> Self {
-        self.sim.num_shards = n;
-        self
-    }
-
-    /// Builder-style update of the sharded engine's parallel batch
-    /// fan-out threshold.
-    #[must_use]
-    pub fn with_parallel_batch_min(mut self, n: usize) -> Self {
-        self.sim.parallel_batch_min = n;
         self
     }
 
@@ -456,32 +419,6 @@ mod tests {
             .validate()
             .is_err());
         assert!(Table1::paper_defaults().with_num_sm(0).validate().is_err());
-    }
-
-    #[test]
-    fn shard_count_defaults_to_one_and_rejects_zero() {
-        assert_eq!(Table1::paper_defaults().sim.num_shards, 1);
-        assert!(Table1::paper_defaults()
-            .with_num_shards(0)
-            .validate()
-            .is_err());
-        assert!(Table1::paper_defaults()
-            .with_num_shards(8)
-            .validate()
-            .is_ok());
-    }
-
-    #[test]
-    fn parallel_batch_min_defaults_and_rejects_zero() {
-        assert_eq!(Table1::paper_defaults().sim.parallel_batch_min, 256);
-        assert!(Table1::paper_defaults()
-            .with_parallel_batch_min(0)
-            .validate()
-            .is_err());
-        assert!(Table1::paper_defaults()
-            .with_parallel_batch_min(1)
-            .validate()
-            .is_ok());
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod config;
 pub mod error;
 pub mod hash;
 pub mod id;
-pub mod profile;
 pub mod reputation;
 pub mod time;
 
@@ -42,6 +41,5 @@ pub use behavior::{Behavior, IntroducerPolicy, PeerProfile};
 pub use config::{LendingParams, SimParams, Table1, TopologyKind};
 pub use error::{ConfigError, ProtocolError};
 pub use id::{NodeId, PeerId, RequestId};
-pub use profile::{HostProfile, HOST_PROFILE_VERSION, POOL_NEVER_WINS};
 pub use reputation::Reputation;
 pub use time::SimTime;

@@ -74,21 +74,16 @@ use std::io::{self, Read, Write};
 /// History: v1 = the original job/report protocol; v2 = the report's
 /// sampled series carries `Option<f64>` per sample (empty cohorts are
 /// no longer conflated with a true zero mean) and the serve layer's
-/// journal records joined the boundary-crossing set.
-pub const PROTOCOL_VERSION: u32 = 2;
-
-/// The file-magic prefix of a host-calibration profile written by
-/// `replend calibrate` (see [`encode_profile`]): distinguishes a
-/// profile from arbitrary wire bytes before any decoding happens, so
-/// pointing `--profile` at the wrong file fails with a typed error
-/// instead of a garbage decode.
-pub const PROFILE_MAGIC: [u8; 4] = *b"RLPF";
+/// journal records joined the boundary-crossing set; v3 = the engine
+/// shard-count and fan-out fields left the simulation config (worker
+/// jobs, `.scn` files) and the engine checkpoint state.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// The file-magic prefix of an engine checkpoint written by the serve
 /// layer (see [`encode_checkpoint`]): distinguishes a checkpoint from
-/// arbitrary wire bytes — and from a profile — before any decoding
-/// happens, so a corrupt or misrouted file fails with a typed error
-/// instead of a garbage decode.
+/// arbitrary wire bytes before any decoding happens, so a corrupt or
+/// misrouted file fails with a typed error instead of a garbage
+/// decode.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RLCK";
 
 /// Typed encode/decode failure.
@@ -96,8 +91,9 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RLCK";
 pub enum WireError {
     /// Input ended before the value was fully decoded.
     Eof,
-    /// The input did not start with the expected file magic (e.g.
-    /// `--profile` pointed at something that is not a profile).
+    /// The input did not start with the expected file magic (e.g. a
+    /// checkpoint path pointing at something that is not a
+    /// checkpoint).
     BadMagic,
     /// Decoding finished with this many input bytes left over.
     TrailingBytes(usize),
@@ -727,44 +723,14 @@ impl SummaryEnvelope {
 }
 
 // ---------------------------------------------------------------------------
-// Host-profile files
-// ---------------------------------------------------------------------------
-
-/// Encodes a host-calibration profile for writing to disk:
-/// [`PROFILE_MAGIC`] followed by a version-gated [`SummaryEnvelope`]
-/// tagged with the calibration seed. Generic over the payload type so
-/// this crate keeps its serde-only dependency set (the concrete
-/// `HostProfile` lives in `replend-types`).
-pub fn encode_profile<T: ?Sized + Serialize>(seed: u64, profile: &T) -> Result<Vec<u8>, WireError> {
-    let envelope = SummaryEnvelope::wrap(seed, profile)?.encode()?;
-    let mut out = Vec::with_capacity(PROFILE_MAGIC.len() + envelope.len());
-    out.extend_from_slice(&PROFILE_MAGIC);
-    out.extend_from_slice(&envelope);
-    Ok(out)
-}
-
-/// Decodes a profile file produced by [`encode_profile`], checking
-/// the magic first and the protocol version second, before any
-/// payload bytes are interpreted. Returns the calibration seed with
-/// the decoded profile.
-pub fn decode_profile<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<(u64, T), WireError> {
-    let rest = bytes
-        .strip_prefix(&PROFILE_MAGIC[..])
-        .ok_or(WireError::BadMagic)?;
-    let envelope = SummaryEnvelope::decode(rest)?;
-    Ok((envelope.seed, envelope.open()?))
-}
-
-// ---------------------------------------------------------------------------
 // Checkpoint files
 // ---------------------------------------------------------------------------
 
 /// Encodes an engine checkpoint for writing to disk:
 /// [`CHECKPOINT_MAGIC`] followed by a version-gated
 /// [`SummaryEnvelope`] tagged with the service seed. Generic over the
-/// payload type for the same reason as [`encode_profile`]: the
-/// concrete checkpoint state lives in the serve layer, this crate
-/// keeps its serde-only dependency set.
+/// payload type so this crate keeps its serde-only dependency set: the
+/// concrete checkpoint state lives in the serve layer.
 pub fn encode_checkpoint<T: ?Sized + Serialize>(
     seed: u64,
     state: &T,
@@ -807,7 +773,10 @@ pub fn write_frame<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean
 /// end-of-stream (EOF exactly at a frame boundary); a mid-frame EOF
-/// is an `UnexpectedEof` error.
+/// is an `UnexpectedEof` error. The length prefix is untrusted input,
+/// so the payload buffer grows with the bytes actually read instead
+/// of being allocated up front: a corrupt header claiming 4 GiB costs
+/// only the bytes that follow it.
 pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
@@ -823,9 +792,15 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
             n => filled += n,
         }
     }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let len = u64::from(u32::from_le_bytes(len_bytes));
+    let mut payload = Vec::new();
+    reader.by_ref().take(len).read_to_end(&mut payload)?;
+    if (payload.len() as u64) < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended inside a frame payload",
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -1240,43 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_files_round_trip_and_gate_magic_and_version() {
-        let payload = Record {
-            id: 11,
-            score: 0.25,
-            tags: vec![4],
-            label: Some("host".into()),
-            flag: false,
-        };
-        let bytes = encode_profile(5, &payload).unwrap();
-        assert_eq!(&bytes[..4], b"RLPF");
-        let (seed, decoded) = decode_profile::<Record>(&bytes).unwrap();
-        assert_eq!(seed, 5);
-        assert_eq!(decoded, payload);
-
-        // Not a profile file at all.
-        assert_eq!(
-            decode_profile::<Record>(b"not a profile").unwrap_err(),
-            WireError::BadMagic
-        );
-        assert_eq!(
-            decode_profile::<Record>(b"RL").unwrap_err(),
-            WireError::BadMagic
-        );
-
-        // Right magic, wrong protocol version: rejected before the
-        // payload decodes.
-        let mut stale = SummaryEnvelope::wrap(5, &payload).unwrap();
-        stale.version += 1;
-        let mut file = PROFILE_MAGIC.to_vec();
-        file.extend_from_slice(&stale.encode().unwrap());
-        assert!(matches!(
-            decode_profile::<Record>(&file),
-            Err(WireError::VersionMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn checkpoint_files_round_trip_and_gate_magic_and_version() {
         let payload = Record {
             id: 3,
@@ -1291,10 +1229,15 @@ mod tests {
         assert_eq!(seed, 42);
         assert_eq!(decoded, payload);
 
-        // A profile is not a checkpoint (and vice versa): the two
-        // magics keep the file kinds from being confused.
+        // Not a checkpoint file at all.
         assert_eq!(
-            decode_checkpoint::<Record>(&encode_profile(42, &payload).unwrap()).unwrap_err(),
+            decode_checkpoint::<Record>(
+                &SummaryEnvelope::wrap(42, &payload)
+                    .unwrap()
+                    .encode()
+                    .unwrap()
+            )
+            .unwrap_err(),
             WireError::BadMagic
         );
         assert_eq!(
@@ -1353,6 +1296,39 @@ mod tests {
         let mut truncated = &stream[..2];
         let err = read_frame(&mut truncated).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A reader that records the widest buffer it was asked to fill.
+    struct Probe<'a> {
+        bytes: &'a [u8],
+        widest: usize,
+    }
+
+    impl Read for Probe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn corrupt_length_prefix_fails_without_allocating_its_claim() {
+        // A header claiming u32::MAX bytes followed by only three: the
+        // read fails as a short payload, and no buffer anywhere near
+        // the claimed 4 GiB is ever handed to the reader.
+        let mut stream = u32::MAX.to_le_bytes().to_vec();
+        stream.extend_from_slice(b"abc");
+        let mut probe = Probe {
+            bytes: &stream,
+            widest: 0,
+        };
+        let err = read_frame(&mut probe).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            probe.widest < 1 << 20,
+            "read_frame sized a {}-byte buffer from the untrusted header",
+            probe.widest
+        );
     }
 
     #[test]

@@ -205,7 +205,8 @@ fn escape_json(s: &str) -> String {
 }
 
 /// The thread-pool size a benchmark in this process would run with —
-/// the same rule the workspace's rayon shim and engine fan-out use:
+/// the same rule the workspace's rayon shim and
+/// `replend_rocq::pool_threads` use:
 /// `RAYON_NUM_THREADS` when set to a positive number, otherwise the
 /// host's available parallelism.
 fn effective_threads() -> usize {

@@ -13,8 +13,8 @@
 //! `IntoParallelRefMutIterator` whose iterators support `map`, `zip`,
 //! `for_each` and `collect` — the subset the workspace uses
 //! (`replend_sim::runner::run_many_parallel`, the sweep binaries, the
-//! sharded ROCQ engine's `report_batch` fan-out, and the
-//! multi-community cluster). Call sites compile unchanged against the
+//! partition-parallel checkpoint paths, and the multi-community
+//! cluster). Call sites compile unchanged against the
 //! real crate; swap the workspace dependency when a networked build
 //! is available.
 //!

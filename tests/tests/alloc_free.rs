@@ -9,16 +9,9 @@
 //! caller's delta buffer to the workload's working set, further
 //! identical batches must not allocate at all: the handle index and
 //! credibility books only probe existing entries, the score-state
-//! slab is written in place, the first-touch lists and partition
-//! buffers are cleared-not-freed, and the drain's canonical merge
-//! sorts a reused index buffer in place.
-//!
-//! The parallel fan-out path spawns pool threads in the rayon shim
-//! (inherently allocating, and bypassed on single-core hosts
-//! anyway), so this test pins the serial path — the one the
-//! community's two-opinion ticks and single-core CI actually run;
-//! the parallel path's engine-owned buffers are covered by the
-//! capacity-stability test in `replend-rocq`.
+//! slab is written in place, the first-touch list is
+//! cleared-not-freed, and the drain's canonical order sorts a reused
+//! index buffer in place.
 
 use replend_rocq::{ReputationEngine, RocqEngine, RocqParams};
 use replend_types::{Feedback, PeerId, Reputation};
@@ -59,12 +52,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 #[test]
 fn steady_state_report_batch_performs_zero_allocations() {
     const SUBJECTS: u64 = 1_500;
-    // Multi-shard engine forced onto the serial path (the fan-out
-    // threshold is effectively infinite), so the test covers shard
-    // routing, per-shard first-touch dedup and the cross-shard
-    // canonical drain — everything a single-core host executes.
-    let mut engine = RocqEngine::sharded(RocqParams::default(), 6, 4, 0xA11C)
-        .with_parallel_batch_min(usize::MAX);
+    let mut engine = RocqEngine::new(RocqParams::default(), 6, 0xA11C);
     for p in 0..SUBJECTS {
         engine.register_peer(PeerId(p), Reputation::ONE);
     }

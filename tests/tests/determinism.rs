@@ -230,63 +230,3 @@ fn journal_replay_restores_byte_identical_service_state() {
 
     let _ = std::fs::remove_file(&path);
 }
-
-/// The sharded-engine guarantee (ISSUE 3): partitioning the ROCQ
-/// subject store into 4 shards produces byte-identical run output to
-/// the single-shard engine under the same seed — stats bytes,
-/// population, per-member reputation bit patterns — for each of the
-/// three bootstrap policies, with departure churn and the crash model
-/// active so the handoff / crash-recovery path is exercised too.
-#[test]
-fn sharded_engine_is_byte_identical_to_unsharded() {
-    fn fingerprint(policy: BootstrapPolicy, shards: usize) -> (String, Vec<u64>) {
-        let params = RocqParams {
-            crash_prob: 0.3,
-            ..RocqParams::default()
-        };
-        let mut c = CommunityBuilder::new(steady_config().with_num_shards(shards))
-            .policy(policy)
-            .engine(EngineKind::Rocq(params))
-            .departure_rate(0.002)
-            .seed(2024)
-            .build();
-        c.run(5_000);
-        let debug_bytes = format!("{:?} {:?}", c.stats(), c.population());
-        let mut float_bits: Vec<u64> = [
-            c.mean_cooperative_reputation(),
-            c.mean_uncooperative_reputation(),
-        ]
-        .iter()
-        .map(|m| m.unwrap_or(f64::NAN).to_bits())
-        .collect();
-        // Every member's engine aggregate, bit for bit.
-        float_bits.extend(c.members().map(|p| {
-            c.reputation(p.id)
-                .expect("member registered")
-                .value()
-                .to_bits()
-        }));
-        (debug_bytes, float_bits)
-    }
-
-    for policy in [
-        BootstrapPolicy::ReputationLending,
-        BootstrapPolicy::OpenAdmission { initial: 0.5 },
-        BootstrapPolicy::FixedCredit { credit: 0.1 },
-    ] {
-        let unsharded = fingerprint(policy, 1);
-        let sharded = fingerprint(policy, 4);
-        assert_eq!(
-            unsharded.0.as_bytes(),
-            sharded.0.as_bytes(),
-            "stats bytes diverged between 1 and 4 shards under {}",
-            policy.name()
-        );
-        assert_eq!(
-            unsharded.1,
-            sharded.1,
-            "reputation bit patterns diverged between 1 and 4 shards under {}",
-            policy.name()
-        );
-    }
-}

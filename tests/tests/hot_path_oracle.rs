@@ -4,9 +4,9 @@
 //! departures, crashes, batches and direct adjustments — the
 //! interleavings that recycle arena handles in hostile orders.
 //!
-//! Each proptest case derives an operation sequence, drives four
-//! engines through it (arena × {1, 4} shards, reference × {1, 4}
-//! shards, all with the crash model active), drains deltas after
+//! Each proptest case derives an operation sequence, drives the arena
+//! and reference engines through it (crash model active), drains
+//! deltas after
 //! *every* operation, and requires: identical delta streams
 //! (subject, old bits, new bits, in drained order), bitwise-identical
 //! final reputations, and identical re-homing/crash counters.
@@ -146,26 +146,15 @@ proptest! {
     ) {
         let ops = decode(&raw);
         let params = RocqParams { crash_prob: crash, ..Default::default() };
-        let mut arena1 = RocqEngine::sharded(params, 3, 1, 23);
-        let mut arena4 = RocqEngine::sharded(params, 3, 4, 23);
-        let mut seed1 = ReferenceEngine::sharded(params, 3, 1, 23);
-        let mut seed4 = ReferenceEngine::sharded(params, 3, 4, 23);
-        let baseline = drive(&mut seed1, &ops);
-        let from_arena1 = drive(&mut arena1, &ops);
-        let from_arena4 = drive(&mut arena4, &ops);
-        let from_seed4 = drive(&mut seed4, &ops);
-        prop_assert_eq!(&baseline, &from_arena1, "arena(1 shard) diverged from seed layout");
-        prop_assert_eq!(&baseline, &from_arena4, "arena(4 shards) diverged from seed layout");
-        prop_assert_eq!(&baseline, &from_seed4, "reference(4 shards) diverged from itself at 1 shard");
+        let mut arena = RocqEngine::new(params, 3, 23);
+        let mut seed = ReferenceEngine::new(params, 3, 23);
+        let baseline = drive(&mut seed, &ops);
+        let from_arena = drive(&mut arena, &ops);
+        prop_assert_eq!(&baseline, &from_arena, "arena diverged from seed layout");
         prop_assert_eq!(
-            (arena1.rehomings(), arena1.crash_losses()),
-            (seed1.rehomings(), seed1.crash_losses()),
-            "churn counters diverged (1 shard)"
-        );
-        prop_assert_eq!(
-            (arena4.rehomings(), arena4.crash_losses()),
-            (seed1.rehomings(), seed1.crash_losses()),
-            "churn counters diverged (4 shards)"
+            (arena.rehomings(), arena.crash_losses()),
+            (seed.rehomings(), seed.crash_losses()),
+            "churn counters diverged"
         );
     }
 

@@ -8,9 +8,8 @@
 //!    by replaying the legacy code paths inline (at reduced scale)
 //!    and byte-diffing the rendered reports.
 //! 2. **Determinism** — equal scenarios give byte-identical metrics
-//!    CSVs, for any shard count, including under proptest-generated
-//!    random well-formed scenarios (the PR 3/5 invariant extended to
-//!    adversarial workloads).
+//!    CSVs, including under proptest-generated random well-formed
+//!    scenarios.
 //! 3. **Shipped files** — every `.scn` under `examples/scenarios/`
 //!    decodes to its builtin definition and re-encodes to the exact
 //!    bytes on disk.
@@ -370,30 +369,27 @@ fn shipped_files_match_builtins_and_reencode_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism and shard invariance
+// Determinism
 // ---------------------------------------------------------------------------
 
-fn run_csv(scenario: &Scenario, ticks: u64, shards: Option<usize>) -> String {
+fn run_csv(scenario: &Scenario, ticks: u64) -> String {
     let options = RunOptions {
         max_ticks: Some(ticks),
         sample_every: Some((ticks / 4).max(1)),
-        shards,
     };
-    ScenarioRunner::with_options(scenario.clone(), options)
+    ScenarioRunner::new(scenario.clone())
         .unwrap()
         .run_with(options)
         .to_csv()
 }
 
 #[test]
-fn builtins_are_seed_deterministic_and_shard_invariant() {
+fn builtins_are_seed_deterministic() {
     for scenario in builtins() {
         let ticks = 600u64;
-        let base = run_csv(&scenario, ticks, Some(1));
-        let again = run_csv(&scenario, ticks, Some(1));
+        let base = run_csv(&scenario, ticks);
+        let again = run_csv(&scenario, ticks);
         assert_eq!(base, again, "{} not deterministic", scenario.name);
-        let sharded = run_csv(&scenario, ticks, Some(4));
-        assert_eq!(base, sharded, "{} differs at 4 shards", scenario.name);
     }
 }
 
@@ -526,14 +522,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// Random well-formed scenarios validate, run, and are
-    /// seed-deterministic and shard-invariant.
+    /// seed-deterministic.
     #[test]
-    fn random_scenarios_deterministic_across_shards(scenario in any_small_scenario()) {
+    fn random_scenarios_are_seed_deterministic(scenario in any_small_scenario()) {
         prop_assert!(scenario.validate().is_ok());
-        let base = run_csv(&scenario, 200, Some(1));
-        let again = run_csv(&scenario, 200, Some(1));
+        let base = run_csv(&scenario, 200);
+        let again = run_csv(&scenario, 200);
         prop_assert_eq!(&base, &again, "not deterministic");
-        let sharded = run_csv(&scenario, 200, Some(4));
-        prop_assert_eq!(&base, &sharded, "shard count leaked into the CSV");
     }
 }

@@ -1,13 +1,14 @@
-//! `replend serve` integration: the lock-per-shard concurrent facade
-//! is bit-identical to the monolithic engine under the same op
-//! stream, reads stay coherent while ingest runs on other shards, and
-//! the journalled workload path survives a restart with its tier
+//! `replend serve` integration: the lock-per-partition concurrent
+//! facade is bit-identical to the monolithic engine under the same op
+//! stream for any partition count, reads stay coherent while ingest
+//! runs on other partitions, invalid inputs never reach the journal,
+//! and the journalled workload path survives a restart with its tier
 //! census intact.
 
 use proptest::prelude::*;
 use replend_core::serve::{
-    run_ingest_workload, JournalOp, ReputationService, ServeConfig, SubjectStatus, SyncPolicy,
-    WorkloadConfig,
+    run_ingest_workload, JournalOp, ReputationService, ServeConfig, ServeError, SubjectStatus,
+    SyncPolicy, WorkloadConfig,
 };
 use replend_rocq::{ConcurrentEngine, ReputationEngine, RocqEngine, RocqParams};
 use replend_types::hash::{salted, splitmix64};
@@ -32,10 +33,11 @@ fn op_stream(seed: u64, peers: u64, rounds: u64, batch: u64) -> Vec<Vec<Feedback
         .collect()
 }
 
-/// The tentpole consistency guarantee: with the crash model off, the
-/// partitioned concurrent facade lands on exactly the same per-subject
-/// reputation bits as one monolithic engine fed the identical stream —
-/// partitioning changes locking, never results.
+/// The partition-invariance guarantee: with the crash model off, the
+/// concurrent facade lands on exactly the same per-subject reputation
+/// bits as one monolithic engine fed the identical stream, and its full
+/// census (reputation bits plus applied-report counts) is identical for
+/// every partition count — partitioning changes locking, never results.
 #[test]
 fn concurrent_engine_is_bitwise_identical_to_monolith() {
     let params = RocqParams {
@@ -43,35 +45,53 @@ fn concurrent_engine_is_bitwise_identical_to_monolith() {
         ..RocqParams::default()
     };
     const PEERS: u64 = 50;
+    let stream = op_stream(4242, PEERS, 30, 40);
     let mut mono = RocqEngine::new(params, 6, 99);
-    let conc = ConcurrentEngine::new(params, 6, 5, 99);
-
     for i in 0..PEERS {
-        let initial = Reputation::new(i as f64 / PEERS as f64);
-        mono.register_peer(PeerId(i), initial);
-        conc.register_peer(PeerId(i), initial);
+        mono.register_peer(PeerId(i), Reputation::new(i as f64 / PEERS as f64));
     }
-    for group in op_stream(4242, PEERS, 30, 40) {
-        mono.report_batch(&group);
-        conc.report_batch(&group);
+    for group in &stream {
+        mono.report_batch(group);
     }
     mono.credit(PeerId(1), 0.25);
-    conc.credit(PeerId(1), 0.25);
     mono.debit(PeerId(2), 0.5);
-    conc.debit(PeerId(2), 0.5);
     mono.remove_peer(PeerId(49));
-    conc.remove_peer(PeerId(49));
 
-    assert_eq!(conc.len(), (PEERS - 1) as usize);
-    assert!(!conc.contains(PeerId(49)));
-    for i in 0..PEERS - 1 {
-        let peer = PeerId(i);
-        let m = mono.reputation(peer).expect("monolith has the subject");
-        let c = conc.reputation(peer).expect("facade has the subject");
+    let mut censuses = Vec::new();
+    for partitions in [1usize, 2, 5, 8] {
+        let conc = ConcurrentEngine::new(params, 6, partitions, 99);
+        for i in 0..PEERS {
+            conc.register_peer(PeerId(i), Reputation::new(i as f64 / PEERS as f64));
+        }
+        for group in &stream {
+            conc.report_batch(group);
+        }
+        conc.credit(PeerId(1), 0.25);
+        conc.debit(PeerId(2), 0.5);
+        conc.remove_peer(PeerId(49));
+
+        assert_eq!(conc.len(), (PEERS - 1) as usize);
+        assert!(!conc.contains(PeerId(49)));
+        for i in 0..PEERS - 1 {
+            let peer = PeerId(i);
+            let m = mono.reputation(peer).expect("monolith has the subject");
+            let c = conc.reputation(peer).expect("facade has the subject");
+            assert_eq!(
+                m.value().to_bits(),
+                c.value().to_bits(),
+                "peer {i} diverged between monolith and {partitions}-partition facade"
+            );
+        }
+        let mut census = Vec::new();
+        conc.for_each_subject(|p, r, n| census.push((p.raw(), r.value().to_bits(), n)));
+        census.sort_unstable();
+        censuses.push((partitions, census));
+    }
+    let (_, first) = &censuses[0];
+    for (partitions, census) in &censuses[1..] {
         assert_eq!(
-            m.value().to_bits(),
-            c.value().to_bits(),
-            "peer {i} diverged between monolith and concurrent facade"
+            first, census,
+            "census diverged between 1 and {partitions} partitions"
         );
     }
 }
@@ -182,6 +202,95 @@ fn journalled_workload_survives_restart_with_census_intact() {
     assert_eq!(replayed.subjects(), workload.subjects as usize);
     assert_eq!(replayed.status_census(), census);
 
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The input-validation boundary: a NaN opinion and a NaN debit are
+/// refused with typed errors *before* they are journalled, so they can
+/// neither zero the subject live nor on replay. The subject still
+/// climbs under positive reports afterwards, and reopening the journal
+/// (which holds only the accepted ops) reproduces the same census.
+#[test]
+fn invalid_inputs_are_refused_before_the_journal() {
+    let path = std::env::temp_dir().join(format!("replend-serve-nan-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let config = ServeConfig {
+        partitions: 4,
+        seed: 21,
+        ..ServeConfig::default()
+    };
+    let subject = PeerId(0);
+    let (service, _) = ReputationService::open(config, &path).expect("fresh journal");
+    let founders: Vec<(PeerId, Reputation)> =
+        (0..8).map(|p| (PeerId(p), Reputation::new(0.3))).collect();
+    service.register_batch(&founders).unwrap();
+    let before = service.reputation(subject).expect("registered");
+
+    let poisoned = [
+        Feedback::new(PeerId(1), subject, 1.0),
+        Feedback::new(PeerId(2), subject, f64::NAN),
+    ];
+    assert!(matches!(
+        service.report_batch(&poisoned),
+        Err(ServeError::InvalidInput {
+            field: "opinion",
+            index: Some(1),
+            ..
+        })
+    ));
+    assert!(matches!(
+        service.report_batch(&[Feedback::new(PeerId(1), subject, 1.5)]),
+        Err(ServeError::InvalidInput {
+            field: "opinion",
+            index: Some(0),
+            ..
+        })
+    ));
+    assert!(matches!(
+        service.debit(subject, f64::NAN),
+        Err(ServeError::InvalidInput {
+            field: "amount",
+            index: None,
+            ..
+        })
+    ));
+    assert!(matches!(
+        service.credit(subject, f64::INFINITY),
+        Err(ServeError::InvalidInput {
+            field: "amount",
+            index: None,
+            ..
+        })
+    ));
+    assert_eq!(
+        service.reputation(subject).map(|r| r.value().to_bits()),
+        Some(before.value().to_bits()),
+        "a refused op changed the subject"
+    );
+
+    const ROUNDS: u64 = 50;
+    for _ in 0..ROUNDS {
+        let batch: Vec<Feedback> = (1..=3)
+            .map(|r| Feedback::new(PeerId(r), subject, 1.0))
+            .collect();
+        service.report_batch(&batch).unwrap();
+    }
+    let after = service.reputation(subject).expect("registered");
+    assert!(
+        after.value() > 0.5 && after.value() > before.value(),
+        "positive reports failed to lift the subject: {before:?} -> {after:?}"
+    );
+    let census = fingerprint(&service);
+    drop(service);
+
+    let (reopened, summary) = ReputationService::open(config, &path).expect("replay");
+    assert_eq!(
+        summary.records,
+        1 + ROUNDS,
+        "the journal holds a frame for a refused op"
+    );
+    assert_eq!(fingerprint(&reopened), census);
+    drop(reopened);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -13,17 +13,10 @@
 //!   bits through the branchless select);
 //! * crash-recovery column ops (the per-replica copy/reset path that
 //!   writes single lanes of the split `r`/`w` arrays mid-span).
-//!
-//! A separate knob-invariance test pins the `HostProfile` contract:
-//! knobs loaded from a wire-encoded profile (shard count, fan-out
-//! threshold) may change timing, never a single output bit.
 
 use proptest::prelude::*;
 use replend_rocq::{ReferenceEngine, ReputationEngine, RocqEngine, RocqParams};
-use replend_types::{
-    Feedback, HostProfile, PeerId, Reputation, ReputationDelta, HOST_PROFILE_VERSION,
-    POOL_NEVER_WINS,
-};
+use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
 
 /// Peer-id universe — small, so reports pile onto the same subjects.
 const POP: u64 = 32;
@@ -141,19 +134,13 @@ proptest! {
         let ops = decode(&raw);
         let params = RocqParams { crash_prob: crash, ..Default::default() };
         for &sm in NUM_SM {
-            let mut arena = RocqEngine::sharded(params, sm, 1, 77);
-            let mut arena3 = RocqEngine::sharded(params, sm, 3, 77);
-            let mut seed = ReferenceEngine::sharded(params, sm, 1, 77);
+            let mut arena = RocqEngine::new(params, sm, 77);
+            let mut seed = ReferenceEngine::new(params, sm, 77);
             let baseline = drive(&mut seed, &ops);
-            let vec1 = drive(&mut arena, &ops);
-            let vec3 = drive(&mut arena3, &ops);
+            let vectored = drive(&mut arena, &ops);
             prop_assert_eq!(
-                &baseline, &vec1,
+                &baseline, &vectored,
                 "vectorised engine diverged from reference at numSM={}", sm
-            );
-            prop_assert_eq!(
-                &baseline, &vec3,
-                "vectorised engine (3 shards) diverged at numSM={}", sm
             );
         }
     }
@@ -173,8 +160,8 @@ proptest! {
         let ops = decode(&raw);
         let params = RocqParams { min_quality: 0.0, ..Default::default() };
         for &sm in NUM_SM {
-            let mut arena = RocqEngine::sharded(params, sm, 1, 91);
-            let mut seed = ReferenceEngine::sharded(params, sm, 1, 91);
+            let mut arena = RocqEngine::new(params, sm, 91);
+            let mut seed = ReferenceEngine::new(params, sm, 91);
             let baseline = drive(&mut seed, &ops);
             let vectored = drive(&mut arena, &ops);
             prop_assert_eq!(
@@ -182,46 +169,6 @@ proptest! {
                 "zero-weight lanes diverged at numSM={}", sm
             );
         }
-    }
-
-    /// The `HostProfile` knob-invariance contract: an engine
-    /// configured from a wire-decoded profile (its shard count, its
-    /// fan-out threshold — including the POOL_NEVER_WINS saturation)
-    /// produces bit-identical output to the default configuration.
-    #[test]
-    fn loaded_host_profile_never_changes_results(
-        raw in proptest::collection::vec(
-            (proptest::num::u8::ANY, proptest::num::u64::ANY,
-             proptest::num::u64::ANY, 0.0f64..1.0),
-            1..48),
-        shards in 1u32..6,
-        batch_min in prop_oneof![1u64..2048, Just(POOL_NEVER_WINS)],
-    ) {
-        let ops = decode(&raw);
-        let profile = HostProfile {
-            version: HOST_PROFILE_VERSION,
-            threads: 1,
-            parallel_batch_min: batch_min,
-            num_shards: shards,
-            host: "oracle".to_string(),
-        };
-        // Round-trip through the wire format, exactly like `run`,
-        // `serve` and `worker` load it.
-        let bytes = replend_wire::encode_profile(0, &profile).unwrap();
-        let (_, loaded): (u64, HostProfile) = replend_wire::decode_profile(&bytes).unwrap();
-        loaded.validate().unwrap();
-
-        let params = RocqParams::default();
-        let mut plain = RocqEngine::sharded(params, 6, 1, 13);
-        let mut tuned = RocqEngine::sharded(params, 6, loaded.num_shards as usize, 13)
-            .with_parallel_batch_min(loaded.effective_batch_min());
-        let baseline = drive(&mut plain, &ops);
-        let profiled = drive(&mut tuned, &ops);
-        prop_assert_eq!(
-            &baseline, &profiled,
-            "profile knobs (shards={}, batch_min={}) changed engine output",
-            loaded.num_shards, loaded.parallel_batch_min
-        );
     }
 }
 
@@ -235,8 +182,8 @@ fn crash_recovery_column_ops_stay_identical() {
         ..Default::default()
     };
     for &sm in NUM_SM {
-        let mut arena = RocqEngine::sharded(params, sm, 1, 0xC0FFEE);
-        let mut seed = ReferenceEngine::sharded(params, sm, 1, 0xC0FFEE);
+        let mut arena = RocqEngine::new(params, sm, 0xC0FFEE);
+        let mut seed = ReferenceEngine::new(params, sm, 0xC0FFEE);
         let ops: Vec<Op> = (0..120u64)
             .map(|i| match i % 5 {
                 0 => Op::Join(PeerId(i % POP), 0.6),

@@ -117,8 +117,6 @@ fn any_sim_params() -> impl Strategy<Value = SimParams> {
         proptest::num::usize::ANY,
         proptest::num::u64::ANY,
         proptest::num::usize::ANY,
-        proptest::num::usize::ANY,
-        proptest::num::usize::ANY,
         proptest::num::f64::ANY,
         proptest::num::f64::ANY,
         proptest::num::f64::ANY,
@@ -126,28 +124,17 @@ fn any_sim_params() -> impl Strategy<Value = SimParams> {
         any_topology(),
     )
         .prop_map(
-            |(
-                num_init,
-                num_trans,
-                num_sm,
-                num_shards,
-                parallel_batch_min,
-                arrival_rate,
-                f_uncoop,
-                f_naive,
-                err_sel,
-                topology,
-            )| SimParams {
-                num_init,
-                num_trans,
-                num_sm,
-                num_shards,
-                parallel_batch_min,
-                arrival_rate,
-                f_uncoop,
-                f_naive,
-                err_sel,
-                topology,
+            |(num_init, num_trans, num_sm, arrival_rate, f_uncoop, f_naive, err_sel, topology)| {
+                SimParams {
+                    num_init,
+                    num_trans,
+                    num_sm,
+                    arrival_rate,
+                    f_uncoop,
+                    f_naive,
+                    err_sel,
+                    topology,
+                }
             },
         )
 }
