@@ -29,10 +29,13 @@
 //!   kept as the bit-identity oracle for the slab and as the bench
 //!   comparison baseline.
 //!
-//! Membership is engine-wide (any member may report on any subject),
-//! so registration fans out: the home partition gets the subject
-//! state (`register_peer`), every other partition learns the peer as
-//! reporter-only ([`RocqEngine::register_reporter`]).
+//! Any member may report on any subject, so membership is
+//! community-wide: it is the union of the partitions' slabs. A peer
+//! registers in its home partition alone, and `report_batch` gates
+//! each reporter by a lock-free probe of the reporter's home slab.
+//! Removal still visits every partition to forget interactions: each
+//! partition counts the (reporter, subject) pairs of its own subjects,
+//! and a departed reporter's pairs must go with it.
 //!
 //! ## Consistency model
 //!
@@ -65,7 +68,6 @@ use crate::snapshot::SnapshotSlab;
 use crate::state::{InvalidState, PartitionCheckpoint};
 use replend_types::hash::{salted, splitmix64};
 use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
-use std::collections::HashSet;
 use std::sync::RwLock;
 
 /// Lock-free sweep attempts before a census falls back to the
@@ -168,13 +170,6 @@ impl ConcurrentEngine {
         self.cells.len()
     }
 
-    /// The snapshot epoch of `subject`'s home partition (even when no
-    /// write is in flight). Exposed so the serve layer and tests can
-    /// key caches off it.
-    pub fn read_epoch(&self, subject: PeerId) -> u64 {
-        self.home(subject).slab.epoch()
-    }
-
     fn home(&self, peer: PeerId) -> &Cell {
         &self.cells[partition_of(peer, self.cells.len())]
     }
@@ -186,43 +181,29 @@ impl ConcurrentEngine {
             .expect("partition lock poisoned")
     }
 
-    /// Registers a subject with `initial` reputation: subject state in
-    /// its home partition, reporter-only membership everywhere else.
-    /// Idempotent, like [`ReputationEngine::register_peer`].
+    /// Registers a subject with `initial` reputation in its home
+    /// partition — the only lock taken. Idempotent, like
+    /// [`ReputationEngine::register_peer`].
     pub fn register_peer(&self, peer: PeerId, initial: Reputation) {
-        let home = partition_of(peer, self.cells.len());
-        for (i, cell) in self.cells.iter().enumerate() {
-            let mut p = cell.lock.write().expect("partition lock poisoned");
-            let p = &mut *p;
-            if i == home {
-                p.engine.register_peer(peer, initial);
-                // Engine value, not `initial`: re-registration keeps
-                // the existing score, and the slab must stay
-                // bit-identical to the engine either way.
-                let published = p.engine.reputation(peer).expect("registered subject");
-                {
-                    let mut w = cell.slab.write();
-                    let slot = w.insert(peer);
-                    w.set_reputation(slot, published.value().to_bits());
-                }
-                p.engine.drain_deltas(&mut p.delta_scratch);
-                p.delta_scratch.clear();
-            } else {
-                p.engine.register_reporter(peer);
-            }
-        }
+        self.register_batch(&[(peer, initial)]);
     }
 
-    /// Registers a batch of subjects, visiting every partition
-    /// **once**: each cell takes one write lock and — for the cell's
-    /// home registrations — one snapshot epoch window, instead of the
-    /// `partitions × batch` lock traffic of a `register_peer` loop.
-    /// Final state is bit-identical to registering the peers one at a
-    /// time in batch order: partition engines are independent and
-    /// each sees its operations in the same order either way.
+    /// Registers a batch of subjects, grouped by home partition: each
+    /// touched cell takes one write lock and one snapshot epoch
+    /// window, and each peer is visited once. Final state is
+    /// bit-identical to registering the peers one at a time in batch
+    /// order: partition engines are independent and each sees its
+    /// operations in the same order either way.
     pub fn register_batch(&self, batch: &[(PeerId, Reputation)]) {
         let n = self.cells.len();
-        for (i, cell) in self.cells.iter().enumerate() {
+        let mut groups: Vec<Vec<(PeerId, Reputation)>> = vec![Vec::new(); n];
+        for &entry in batch {
+            groups[partition_of(entry.0, n)].push(entry);
+        }
+        for (cell, group) in self.cells.iter().zip(&groups) {
+            if group.is_empty() {
+                continue;
+            }
             let mut p = cell.lock.write().expect("partition lock poisoned");
             let p = &mut *p;
             {
@@ -230,17 +211,14 @@ impl ConcurrentEngine {
                 // slab before or after this cell's share of the
                 // batch, never a half-registered group.
                 let mut w = cell.slab.write();
-                for &(peer, initial) in batch {
-                    if partition_of(peer, n) == i {
-                        p.engine.register_peer(peer, initial);
-                        // Engine value, not `initial`, exactly as in
-                        // [`ConcurrentEngine::register_peer`].
-                        let published = p.engine.reputation(peer).expect("registered subject");
-                        let slot = w.insert(peer);
-                        w.set_reputation(slot, published.value().to_bits());
-                    } else {
-                        p.engine.register_reporter(peer);
-                    }
+                for &(peer, initial) in group {
+                    p.engine.register_peer(peer, initial);
+                    // Engine value, not `initial`: re-registration
+                    // keeps the existing score, and the slab must stay
+                    // bit-identical to the engine either way.
+                    let published = p.engine.reputation(peer).expect("registered subject");
+                    let slot = w.insert(peer);
+                    w.set_reputation(slot, published.value().to_bits());
                 }
             }
             p.engine.drain_deltas(&mut p.delta_scratch);
@@ -248,20 +226,31 @@ impl ConcurrentEngine {
         }
     }
 
-    /// Removes a subject everywhere: subject state from its home
-    /// partition, reporter-only membership from the rest.
+    /// Removes a subject: its state from its home partition, and its
+    /// interaction counts as a reporter from every other partition,
+    /// so a re-registered peer restarts at interaction count 0 exactly
+    /// as in one engine. Takes the partition locks one at a time.
     pub fn remove_peer(&self, peer: PeerId) {
         let home = partition_of(peer, self.cells.len());
-        for (i, cell) in self.cells.iter().enumerate() {
+        {
+            let cell = &self.cells[home];
             let mut p = cell.lock.write().expect("partition lock poisoned");
             let p = &mut *p;
-            if i == home {
-                p.engine.remove_peer(peer);
-                cell.slab.write().remove(peer);
-                p.engine.drain_deltas(&mut p.delta_scratch);
-                p.delta_scratch.clear();
-            } else {
-                p.engine.remove_reporter(peer);
+            if !p.engine.contains(peer) {
+                return;
+            }
+            p.engine.remove_peer(peer);
+            cell.slab.write().remove(peer);
+            p.engine.drain_deltas(&mut p.delta_scratch);
+            p.delta_scratch.clear();
+        }
+        for (i, cell) in self.cells.iter().enumerate() {
+            if i != home {
+                cell.lock
+                    .write()
+                    .expect("partition lock poisoned")
+                    .engine
+                    .forget_interactions(peer);
             }
         }
     }
@@ -292,7 +281,13 @@ impl ConcurrentEngine {
         let n = self.cells.len();
         let mut groups: Vec<Vec<Feedback>> = vec![Vec::new(); n];
         for f in batch {
-            groups[partition_of(f.subject, n)].push(*f);
+            // The membership gate: a lock-free probe of the reporter's
+            // home slab, taken here before any slab write window opens
+            // (a seqlock read of a slab inside its own write window
+            // would spin forever).
+            if self.contains(f.reporter) {
+                groups[partition_of(f.subject, n)].push(*f);
+            }
         }
         for (cell, group) in self.cells.iter().zip(&groups) {
             if group.is_empty() {
@@ -300,7 +295,7 @@ impl ConcurrentEngine {
             }
             let mut p = cell.lock.write().expect("partition lock poisoned");
             let p = &mut *p;
-            p.engine.report_batch(group);
+            p.engine.report_member_batch(group);
             p.engine.drain_deltas(&mut p.delta_scratch);
             // One epoch window covers the whole group: aggregate
             // moves and interaction counts land together, so a read
@@ -313,15 +308,12 @@ impl ConcurrentEngine {
                         w.set_reputation(slot, d.new.value().to_bits());
                     }
                 }
-                // Count what was actually applied: both ends known.
-                // The membership set is engine-wide in every
-                // partition, so `contains` answers for reporters
-                // homed elsewhere too.
+                // Count what was actually applied: the group holds
+                // only member reporters, so a known subject completes
+                // the pair.
                 for f in group {
-                    if p.engine.contains(f.reporter) {
-                        if let Some(slot) = w.slot_of(f.subject) {
-                            w.add_hits(slot, 1);
-                        }
+                    if let Some(slot) = w.slot_of(f.subject) {
+                        w.add_hits(slot, 1);
                     }
                 }
             }
@@ -463,8 +455,7 @@ impl ConcurrentEngine {
     /// first).
     pub fn export_partitions(&self) -> Vec<PartitionCheckpoint> {
         use rayon::prelude::*;
-        let mut parts: Vec<PartitionCheckpoint> = self
-            .cells
+        self.cells
             .par_iter()
             .map(|cell| {
                 let p = cell.lock.read().expect("partition lock poisoned");
@@ -493,14 +484,7 @@ impl ConcurrentEngine {
                 slab.sort_unstable_by_key(|&(peer, _)| peer);
                 PartitionCheckpoint { engine, slab }
             })
-            .collect();
-        // Every partition's member registry is identical by
-        // construction (each registration fans out to all of them),
-        // so only partition 0's travels.
-        for part in parts.iter_mut().skip(1) {
-            part.engine.members = Vec::new();
-        }
-        parts
+            .collect()
     }
 
     /// Rebuilds a facade from exported partitions — the inverse of
@@ -509,22 +493,37 @@ impl ConcurrentEngine {
     /// future behaviour is bit-identical to the exported one's under
     /// any further operation stream.
     ///
-    /// Beyond the per-partition engine checks, this cross-validates
-    /// the slab rows against the restored engine (every row must name
-    /// a live subject of its partition, one row per subject) and
-    /// republishes the engine's cached aggregate bits into the slab,
-    /// so a corrupt checkpoint surfaces as [`InvalidState`] here
-    /// rather than as a silent read/locked-path divergence later. The
-    /// member registry — hoisted to partition 0 by the export — is
-    /// rebuilt once and installed into every partition.
+    /// Beyond the per-partition engine checks, this requires every
+    /// subject to sit in its home partition (so no peer lives in two
+    /// partitions, and the union of the slabs is the membership),
+    /// cross-validates the slab rows against the restored engine
+    /// (every row must name a live subject of its partition, one row
+    /// per subject) and republishes the engine's cached aggregate
+    /// bits into the slab, so a corrupt checkpoint surfaces as
+    /// [`InvalidState`] here rather than as a silent read/locked-path
+    /// divergence later.
     pub fn import_partitions(parts: &[PartitionCheckpoint]) -> Result<Self, InvalidState> {
         if parts.is_empty() {
             return Err(InvalidState("no partitions".into()));
         }
         use rayon::prelude::*;
-        let cells: Vec<Result<Cell, InvalidState>> = parts
-            .par_iter()
-            .map(|part| {
+        let n = parts.len();
+        let cells: Vec<Result<Cell, InvalidState>> = (0..n)
+            .into_par_iter()
+            .map(|i| {
+                let part = &parts[i];
+                if let Some(&(peer, _)) = part
+                    .engine
+                    .shard
+                    .index
+                    .iter()
+                    .find(|&&(peer, _)| partition_of(peer, n) != i)
+                {
+                    return Err(InvalidState(format!(
+                        "subject {peer} in partition {i}, but its home is {}",
+                        partition_of(peer, n)
+                    )));
+                }
                 let engine = RocqEngine::import_state(&part.engine)?;
                 if part.slab.len() != engine.subjects_len() {
                     return Err(InvalidState(format!(
@@ -558,21 +557,9 @@ impl ConcurrentEngine {
                 })
             })
             .collect();
-        let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let members: HashSet<PeerId> = parts[0].engine.members.iter().copied().collect();
-        for cell in &cells {
-            let mut p = cell.lock.write().expect("partition lock poisoned");
-            let mut missing = false;
-            p.engine
-                .for_each_reputation(|peer, _| missing |= !members.contains(&peer));
-            if missing {
-                return Err(InvalidState(
-                    "partition subjects missing from the member registry".into(),
-                ));
-            }
-            p.engine.set_members(members.clone());
-        }
-        Ok(ConcurrentEngine { cells })
+        Ok(ConcurrentEngine {
+            cells: cells.into_iter().collect::<Result<_, _>>()?,
+        })
     }
 
     /// Member-reputation bucket counts over `buckets` equal bins of
@@ -858,16 +845,24 @@ mod tests {
             "slab row for a foreign subject"
         );
 
-        let mut bad = parts.clone();
-        bad[0].engine.members.retain(|p| p.raw() != 0);
-        assert!(
-            ConcurrentEngine::import_partitions(&bad).is_err(),
-            "subject missing from the hoisted member registry"
-        );
-
         assert!(
             ConcurrentEngine::import_partitions(&[]).is_err(),
             "no partitions"
+        );
+
+        // Whole partitions in the wrong places: every subject readable
+        // through `reputation()` must sit in its home partition.
+        let e = engine(4);
+        e.register_batch(
+            &(0..40u64)
+                .map(|p| (PeerId(p), Reputation::new(0.6)))
+                .collect::<Vec<_>>(),
+        );
+        let mut bad = e.export_partitions();
+        bad.swap(1, 2);
+        assert!(
+            ConcurrentEngine::import_partitions(&bad).is_err(),
+            "partitions swapped out of their home slots"
         );
     }
 

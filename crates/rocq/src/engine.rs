@@ -67,7 +67,7 @@ use replend_dht::ring::{HandoffEvent, Ring};
 use replend_types::arena::{Handle, InlineList, SlotAlloc, SlotAllocator};
 use replend_types::hash::{salted, splitmix64};
 use replend_types::{Feedback, NodeId, PeerId, Reputation, ReputationDelta};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Abstract reputation backend.
 ///
@@ -352,10 +352,10 @@ impl EngineShard {
     /// Applies one opinion to `subject`'s replicas *without*
     /// refreshing the cached aggregate (shared by [`report`] and
     /// [`report_batch`], which refresh at different granularities).
-    /// `members` is the engine's member registry.
+    /// The caller has already checked that `reporter` is a member.
     ///
-    /// Returns the subject's handle, or `None` when reporter or
-    /// subject is unknown.
+    /// Returns the subject's handle, or `None` when the subject is
+    /// unknown.
     ///
     /// [`report`]: ReputationEngine::report
     /// [`report_batch`]: ReputationEngine::report_batch
@@ -363,14 +363,10 @@ impl EngineShard {
     fn apply_report(
         &mut self,
         params: &RocqParams,
-        members: &HashSet<PeerId>,
         reporter: PeerId,
         subject: PeerId,
         opinion: f64,
     ) -> Option<Handle> {
-        if !members.contains(&reporter) {
-            return None;
-        }
         let &h = self.index.get(&subject)?;
         let base = h.index() * self.num_sm;
         let n = self.interactions.record(reporter, subject);
@@ -447,22 +443,35 @@ impl EngineShard {
         }
     }
 
-    /// Applies one batch feedback, returning the subject's handle
-    /// when this is its first touch in batch `seq` — the caller owes
-    /// it one cache refresh after the whole batch.
-    #[inline]
-    fn apply_batch_item(
+    /// Applies `batch` in order as batch `seq`, skipping every
+    /// opinion whose reporter fails `is_member` (asked of this shard
+    /// before the opinion touches it), then refreshes each touched
+    /// subject's cached aggregate once — the per-subject sequence
+    /// number makes the dedup O(1) regardless of batch size — through
+    /// the multi-chain aggregate kernel, in first-touch order. The
+    /// result is bit-identical to sequential `report` calls.
+    fn apply_batch(
         &mut self,
         params: &RocqParams,
-        members: &HashSet<PeerId>,
         seq: u64,
-        f: &Feedback,
-    ) -> Option<Handle> {
-        let h = self.apply_report(params, members, f.reporter, f.subject, f.opinion)?;
-        (self.touched_seq[h.index()] != seq).then(|| {
-            self.touched_seq[h.index()] = seq;
-            h
-        })
+        batch: &[Feedback],
+        is_member: impl Fn(&Self, PeerId) -> bool,
+    ) {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        for f in batch {
+            if !is_member(self, f.reporter) {
+                continue;
+            }
+            if let Some(h) = self.apply_report(params, f.reporter, f.subject, f.opinion) {
+                if self.touched_seq[h.index()] != seq {
+                    self.touched_seq[h.index()] = seq;
+                    touched.push(h);
+                }
+            }
+        }
+        self.refresh_run(&touched);
+        self.touched = touched;
     }
 
     /// Exports the complete subject arena in the
@@ -890,9 +899,9 @@ pub struct RocqEngine {
     /// Engine seed — the source of the deterministic crash rolls.
     seed: u64,
     ring: Ring,
+    /// The subject store. Its index is also the member registry: a
+    /// peer is a member exactly while it has subject state here.
     shard: EngineShard,
-    /// Member registry: subjects plus reporter-only members.
-    members: HashSet<PeerId>,
     /// Monotonic id of the current `report_batch` call.
     batch_seq: u64,
     /// Permutation buffer of the canonical drain order (cleared,
@@ -915,7 +924,6 @@ impl RocqEngine {
             seed,
             ring: Ring::new(),
             shard: EngineShard::new(num_sm),
-            members: HashSet::new(),
             batch_seq: 0,
             drain_order: Vec::new(),
         }
@@ -974,66 +982,9 @@ impl RocqEngine {
         Some(self.shard.books[h.index()].credibility(reporter, 0))
     }
 
-    /// Registers `peer` as a **reporter-only** member: its opinions
-    /// pass the membership gate of
-    /// [`ReputationEngine::report`]/[`report_batch`], but no subject
-    /// state is created and the peer does not join this engine's
-    /// overlay ring.
-    ///
-    /// This is the membership bridge of
-    /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine):
-    /// each partition holds the subjects hashed to it, yet any member
-    /// may report on any subject, so every *other* partition learns
-    /// the peer as reporter-only. Must not be called for a peer that
-    /// is (or will become) a subject of *this* engine —
-    /// [`ReputationEngine::register_peer`] would then see the peer as
-    /// already registered and skip creating its subject state.
-    ///
-    /// [`report_batch`]: ReputationEngine::report_batch
-    pub fn register_reporter(&mut self, peer: PeerId) {
-        debug_assert!(
-            !self.shard.index.contains_key(&peer),
-            "register_reporter on a peer that is a subject of this engine"
-        );
-        self.members.insert(peer);
-    }
-
-    /// Undoes [`RocqEngine::register_reporter`]: drops the peer from
-    /// the membership gate and forgets its interaction counts (the
-    /// same reporter-side cleanup [`ReputationEngine::remove_peer`]
-    /// performs). Must not be called for a subject of this engine —
-    /// use `remove_peer` there.
-    pub fn remove_reporter(&mut self, peer: PeerId) {
-        debug_assert!(
-            !self.shard.index.contains_key(&peer),
-            "remove_reporter on a peer that is a subject of this engine"
-        );
-        if self.members.remove(&peer) {
-            self.shard.interactions.forget(peer);
-        }
-    }
-
-    /// True when `peer` has subject state in this engine (stricter
-    /// than [`ReputationEngine::contains`], which also accepts
-    /// reporter-only members).
-    pub fn is_subject(&self, peer: PeerId) -> bool {
-        self.shard.index.contains_key(&peer)
-    }
-
-    /// Number of registered subjects (reporter-only members are not
-    /// counted).
+    /// Number of registered subjects.
     pub fn subjects_len(&self) -> usize {
         self.shard.index.len()
-    }
-
-    /// Visits every registered subject with its cached aggregate
-    /// reputation. Iteration order is unspecified (it follows the
-    /// hash index) — callers needing a canonical order must sort by
-    /// `PeerId`.
-    pub fn for_each_reputation(&self, mut f: impl FnMut(PeerId, Reputation)) {
-        for &h in self.shard.index.values() {
-            f(self.shard.peers[h.index()], self.shard.cached[h.index()]);
-        }
     }
 
     /// Exports the engine's complete state for checkpointing. The
@@ -1047,8 +998,6 @@ impl RocqEngine {
     /// ([`ReputationEngine::drain_deltas`]); they are a transient
     /// hand-off to the accounting layer, not durable state.
     pub fn export_state(&self) -> EngineState {
-        let mut members: Vec<PeerId> = self.members.iter().copied().collect();
-        members.sort_unstable();
         let ring = self.ring.to_vec();
         EngineState {
             params: self.params,
@@ -1056,7 +1005,6 @@ impl RocqEngine {
             seed: self.seed,
             shard: self.shard.export(&ring),
             ring,
-            members,
         }
     }
 
@@ -1083,23 +1031,34 @@ impl RocqEngine {
             return Err(InvalidState("ring nodes not strictly ascending".into()));
         }
         engine.ring = Ring::from_sorted_nodes(state.ring.iter().copied());
-        engine.members = state.members.iter().copied().collect();
         engine.shard = EngineShard::import(&state.shard, num_sm, &state.params, &state.ring)?;
         Ok(engine)
     }
 
-    /// Replaces the member registry wholesale — the partition-set
-    /// import path rebuilds it once and installs a clone into every
-    /// partition engine (the registries are identical by
-    /// construction, so only partition 0's travels in a checkpoint).
-    pub(crate) fn set_members(&mut self, members: HashSet<PeerId>) {
-        self.members = members;
+    /// [`ReputationEngine::report_batch`] for a caller that has
+    /// already checked every reporter's membership. A
+    /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
+    /// partition needs this: its reporters may be homed in other
+    /// partitions, so only the facade can answer for them.
+    pub(crate) fn report_member_batch(&mut self, batch: &[Feedback]) {
+        self.batch_seq += 1;
+        let params = self.params;
+        self.shard
+            .apply_batch(&params, self.batch_seq, batch, |_, _| true);
+    }
+
+    /// Forgets `peer`'s interaction counts as a reporter — the
+    /// reporter-side half of [`ReputationEngine::remove_peer`], for a
+    /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
+    /// partition that is not the departed peer's home.
+    pub(crate) fn forget_interactions(&mut self, peer: PeerId) {
+        self.shard.interactions.forget(peer);
     }
 }
 
 impl ReputationEngine for RocqEngine {
     fn register_peer(&mut self, peer: PeerId, initial: Reputation) {
-        if self.members.contains(&peer) {
+        if self.shard.index.contains_key(&peer) {
             return;
         }
         // The peer becomes an overlay node first (it may end up
@@ -1158,16 +1117,14 @@ impl ReputationEngine for RocqEngine {
         }
         shard.cached[h.index()] = shard.slab.aggregate_span(base, num_sm);
         shard.index.insert(peer, h);
-        self.members.insert(peer);
     }
 
     fn remove_peer(&mut self, peer: PeerId) {
-        if !self.members.remove(&peer) {
-            return;
-        }
         let num_sm = self.num_sm;
         let shard = &mut self.shard;
-        let h = shard.index.remove(&peer).expect("registry and store agree");
+        let Some(h) = shard.index.remove(&peer) else {
+            return;
+        };
         let base = h.index() * num_sm;
         for slot in 0..num_sm {
             let key = shard.meta[base + slot].key;
@@ -1193,13 +1150,16 @@ impl ReputationEngine for RocqEngine {
     }
 
     fn contains(&self, peer: PeerId) -> bool {
-        self.members.contains(&peer)
+        self.shard.index.contains_key(&peer)
     }
 
     fn report(&mut self, reporter: PeerId, subject: PeerId, opinion: f64) {
+        if !self.contains(reporter) {
+            return;
+        }
         let params = self.params;
         let shard = &mut self.shard;
-        if let Some(h) = shard.apply_report(&params, &self.members, reporter, subject, opinion) {
+        if let Some(h) = shard.apply_report(&params, reporter, subject, opinion) {
             shard.refresh_cache(h);
         }
     }
@@ -1232,24 +1192,12 @@ impl ReputationEngine for RocqEngine {
     }
 
     fn report_batch(&mut self, batch: &[Feedback]) {
-        // Apply every opinion in order (bit-identical to sequential
-        // `report` calls), but refresh each touched subject's cached
-        // aggregate only once — the per-subject sequence number makes
-        // the dedup O(1) regardless of batch size — through the
-        // multi-chain aggregate kernel, in first-touch order.
         self.batch_seq += 1;
-        let seq = self.batch_seq;
         let params = self.params;
-        let shard = &mut self.shard;
-        let mut touched = std::mem::take(&mut shard.touched);
-        touched.clear();
-        for f in batch {
-            if let Some(h) = shard.apply_batch_item(&params, &self.members, seq, f) {
-                touched.push(h);
-            }
-        }
-        shard.refresh_run(&touched);
-        shard.touched = touched;
+        self.shard
+            .apply_batch(&params, self.batch_seq, batch, |shard, r| {
+                shard.index.contains_key(&r)
+            });
     }
 
     fn drain_deltas(&mut self, out: &mut Vec<ReputationDelta>) {
@@ -1729,7 +1677,9 @@ mod tests {
     /// Sorted `(peer, cached-aggregate bits)` fingerprint.
     fn fingerprint(e: &RocqEngine) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        e.for_each_reputation(|p, r| out.push((p.raw(), r.value().to_bits())));
+        for (&p, &h) in &e.shard.index {
+            out.push((p.raw(), e.shard.cached[h.index()].value().to_bits()));
+        }
         out.sort_unstable();
         out
     }

@@ -21,6 +21,10 @@
 //! exception list for the (rare or impossible) cases where the
 //! observation does not hold:
 //!
+//! * **Membership is never stored.** A peer is a member exactly while
+//!   it is a live subject, so the subject index below is the member
+//!   registry; a partition-set checkpoint's membership is the union of
+//!   its partitions' subjects.
 //! * **Replica keys are never stored.** `meta.key` is the pure
 //!   function [`replica_key`](replend_dht::managers::replica_key) of
 //!   `(subject, slot)`; import recomputes it. (Export asserts this in
@@ -63,7 +67,7 @@
 //! ## Invariants the format preserves
 //!
 //! * **Hash-keyed maps are exported sorted** (subject index,
-//!   credibility rows, interaction counts, membership) so the encoded
+//!   credibility rows, interaction counts) so the encoded
 //!   bytes are canonical — two exports of the same engine state are
 //!   byte-identical, which lets tests fingerprint a checkpoint.
 //!   Iteration order of the underlying hash maps is unobservable by
@@ -102,7 +106,8 @@ pub struct ShardState {
     pub capacity: u32,
     /// Vacated handles awaiting reuse, oldest release first.
     pub free: Vec<Handle>,
-    /// Live-subject occupancy: `(peer, handle)`, sorted by peer.
+    /// Live-subject occupancy: `(peer, handle)`, sorted by peer —
+    /// also the engine's member registry (members are its subjects).
     pub index: Vec<(PeerId, Handle)>,
     /// Cached aggregate reputation per handle (bit-exact values);
     /// vacant slots canonicalised to `0.0`.
@@ -164,12 +169,7 @@ pub struct EngineState {
     pub seed: u64,
     /// Overlay ring membership in ring (ascending `NodeId`) order.
     pub ring: Vec<NodeId>,
-    /// Engine-wide member registry, sorted. In a partition-set
-    /// checkpoint only partition 0 carries it (every partition's
-    /// registry is identical by construction); see
-    /// [`ConcurrentEngine::export_partitions`](crate::concurrent::ConcurrentEngine::export_partitions).
-    pub members: Vec<PeerId>,
-    /// The subject arena.
+    /// The subject arena (its index doubles as the member registry).
     pub shard: ShardState,
 }
 
@@ -182,7 +182,9 @@ pub struct EngineState {
 /// aggregates, so import republishes them from the restored engine.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PartitionCheckpoint {
-    /// The partition's engine (members hoisted to partition 0 only).
+    /// The partition's engine. Every subject must hash to this
+    /// partition (`splitmix64(peer) % partitions` is its index), so no
+    /// peer lives in two partitions.
     pub engine: EngineState,
     /// Snapshot-slab rows: `(peer, applied reports)`, sorted by peer.
     /// Must list exactly the partition's registered subjects.

@@ -76,8 +76,10 @@ use std::io::{self, Read, Write};
 /// no longer conflated with a true zero mean) and the serve layer's
 /// journal records joined the boundary-crossing set; v3 = the engine
 /// shard-count and fan-out fields left the simulation config (worker
-/// jobs, `.scn` files) and the engine checkpoint state.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// jobs, `.scn` files) and the engine checkpoint state; v4 = the
+/// engine checkpoint state no longer stores the member registry
+/// (membership is derived from the subjects).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// The file-magic prefix of an engine checkpoint written by the serve
 /// layer (see [`encode_checkpoint`]): distinguishes a checkpoint from

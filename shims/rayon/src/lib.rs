@@ -8,15 +8,13 @@
 //! their input slot — so output order is input order and results are
 //! bit-identical to sequential execution regardless of scheduling.
 //!
-//! Surface implemented: [`join`], and the `prelude` traits
-//! `IntoParallelIterator` / `IntoParallelRefIterator` /
-//! `IntoParallelRefMutIterator` whose iterators support `map`, `zip`,
-//! `for_each` and `collect` — the subset the workspace uses
-//! (`replend_sim::runner::run_many_parallel`, the sweep binaries, the
-//! partition-parallel checkpoint paths, and the multi-community
-//! cluster). Call sites compile unchanged against the
-//! real crate; swap the workspace dependency when a networked build
-//! is available.
+//! Surface implemented: the `prelude` traits `IntoParallelIterator`
+//! (`into_par_iter`) and `IntoParallelRefIterator` (`par_iter`), whose
+//! iterators support `map` followed by `collect` — the subset the
+//! workspace uses (`replend_sim::runner::run_many_parallel`, the
+//! worker's job fan-out, and the partition-parallel checkpoint
+//! paths). Call sites compile unchanged against the real crate; swap
+//! the workspace dependency when a networked build is available.
 //!
 //! Thread count: `RAYON_NUM_THREADS` when set (0 or unset ⇒ all
 //! available cores), capped by the number of items.
@@ -36,21 +34,6 @@ fn pool_threads() -> usize {
         Some(n) if n > 0 => n,
         _ => cores,
     }
-}
-
-/// Runs both closures — `b` on a scoped worker thread, `a` on the
-/// calling thread — and returns both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(b);
-        let ra = a();
-        (ra, handle.join().expect("rayon-shim join worker panicked"))
-    })
 }
 
 /// The pool core: applies `f` to every item, chunked over scoped
@@ -121,40 +104,6 @@ impl<T: Send> IntoParIter<T> {
             f,
         }
     }
-
-    /// Pairs this iterator with another parallel source, element by
-    /// element (the real crate's `IndexedParallelIterator::zip`;
-    /// truncates to the shorter side, like `Iterator::zip`).
-    pub fn zip<B>(self, other: B) -> IntoParIter<(T, B::Item)>
-    where
-        B: prelude::IntoParallelIterator,
-    {
-        IntoParIter {
-            items: self
-                .items
-                .into_iter()
-                .zip(other.into_par_iter().items)
-                .collect(),
-        }
-    }
-
-    /// Runs `f` for every item on the pool.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(T) + Sync,
-    {
-        run_chunked(self.items, &|t| f(t));
-    }
-
-    /// Collects the items (already materialised — no pool needed).
-    pub fn collect<C: FromIterator<T>>(self) -> C {
-        self.items.into_iter().collect()
-    }
-
-    /// Number of items.
-    pub fn count(self) -> usize {
-        self.items.len()
-    }
 }
 
 /// The `map` adapter; executes on the pool at the terminal call.
@@ -186,15 +135,6 @@ where
     /// results in input order.
     pub fn collect<C: FromIterator<R>>(self) -> C {
         run_chunked(self.items, &self.f).into_iter().collect()
-    }
-
-    /// Executes the mapped pipeline for its side effects.
-    pub fn for_each<G>(self, g: G)
-    where
-        G: Fn(R) + Sync,
-    {
-        let f = self.f;
-        run_chunked(self.items, &|t| g(f(t)));
     }
 }
 
@@ -245,42 +185,11 @@ pub mod prelude {
             }
         }
     }
-
-    /// `par_iter_mut()` on unique references — materialises the
-    /// `&mut` list, then fans out on the pool (disjoint borrows, so
-    /// workers mutate in parallel safely).
-    pub trait IntoParallelRefMutIterator<'data> {
-        /// Item type (a unique reference).
-        type Item: Send + 'data;
-        /// Starts a parallel pipeline over `&mut self`.
-        fn par_iter_mut(&'data mut self) -> IntoParIter<Self::Item>;
-    }
-
-    impl<'data, C: 'data + ?Sized> IntoParallelRefMutIterator<'data> for C
-    where
-        &'data mut C: IntoIterator,
-        <&'data mut C as IntoIterator>::Item: Send,
-    {
-        type Item = <&'data mut C as IntoIterator>::Item;
-        fn par_iter_mut(&'data mut self) -> IntoParIter<Self::Item> {
-            IntoParIter {
-                items: self.into_iter().collect(),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
-    }
 
     #[test]
     fn map_collect_preserves_order() {
@@ -310,15 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_everything_once() {
-        let hits = AtomicUsize::new(0);
-        (0..5_000u32).into_par_iter().for_each(|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 5_000);
-    }
-
-    #[test]
     fn workers_actually_fan_out() {
         // With >1 core, a blocking-ish workload must be observed on
         // more than one thread id. Skip on single-core machines.
@@ -329,34 +229,17 @@ mod tests {
         {
             return;
         }
-        let ids = std::sync::Mutex::new(std::collections::HashSet::new());
-        (0..64u32).into_par_iter().for_each(|_| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            ids.lock().unwrap().insert(std::thread::current().id());
-        });
+        let ids: std::collections::HashSet<_> = (0..64u32)
+            .into_par_iter()
+            .map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                std::thread::current().id()
+            })
+            .collect();
         assert!(
-            ids.lock().unwrap().len() > 1,
+            ids.len() > 1,
             "work stayed on one thread: pool did not fan out"
         );
-    }
-
-    #[test]
-    fn par_iter_mut_mutates_in_place() {
-        let mut data = vec![1u64, 2, 3, 4, 5];
-        data.par_iter_mut().for_each(|x| *x *= 10);
-        assert_eq!(data, vec![10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn zip_pairs_in_order() {
-        let mut sums = vec![0u64; 100];
-        let addends: Vec<u64> = (0..100u64).collect();
-        sums.par_iter_mut()
-            .zip(addends)
-            .for_each(|(slot, add)| *slot += add + 1);
-        for (i, v) in sums.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1);
-        }
     }
 
     #[test]

@@ -38,6 +38,11 @@ fn op_stream(seed: u64, peers: u64, rounds: u64, batch: u64) -> Vec<Vec<Feedback
 /// bits as one monolithic engine fed the identical stream, and its full
 /// census (reputation bits plus applied-report counts) is identical for
 /// every partition count — partitioning changes locking, never results.
+///
+/// The tail pins the shared membership: a departed peer's opinions on
+/// subjects in every partition are dropped, and once it re-registers
+/// its interaction counts restart from zero everywhere, as in the
+/// monolith.
 #[test]
 fn concurrent_engine_is_bitwise_identical_to_monolith() {
     let params = RocqParams {
@@ -46,6 +51,14 @@ fn concurrent_engine_is_bitwise_identical_to_monolith() {
     };
     const PEERS: u64 = 50;
     let stream = op_stream(4242, PEERS, 30, 40);
+    // Three opinions per subject: quality is floored until a pair's
+    // third interaction, so a stale count would show in the bits.
+    let from_49 = |opinion: f64| -> Vec<Feedback> {
+        (0..3 * (PEERS - 1))
+            .map(|k| Feedback::new(PeerId(49), PeerId(k % (PEERS - 1)), opinion))
+            .collect()
+    };
+    let (departed, rejoined) = (from_49(0.0), from_49(1.0));
     let mut mono = RocqEngine::new(params, 6, 99);
     for i in 0..PEERS {
         mono.register_peer(PeerId(i), Reputation::new(i as f64 / PEERS as f64));
@@ -56,6 +69,9 @@ fn concurrent_engine_is_bitwise_identical_to_monolith() {
     mono.credit(PeerId(1), 0.25);
     mono.debit(PeerId(2), 0.5);
     mono.remove_peer(PeerId(49));
+    mono.report_batch(&departed);
+    mono.register_peer(PeerId(49), Reputation::HALF);
+    mono.report_batch(&rejoined);
 
     let mut censuses = Vec::new();
     for partitions in [1usize, 2, 5, 8] {
@@ -72,7 +88,12 @@ fn concurrent_engine_is_bitwise_identical_to_monolith() {
 
         assert_eq!(conc.len(), (PEERS - 1) as usize);
         assert!(!conc.contains(PeerId(49)));
-        for i in 0..PEERS - 1 {
+        conc.report_batch(&departed);
+        conc.register_peer(PeerId(49), Reputation::HALF);
+        conc.report_batch(&rejoined);
+
+        assert_eq!(conc.len(), PEERS as usize);
+        for i in 0..PEERS {
             let peer = PeerId(i);
             let m = mono.reputation(peer).expect("monolith has the subject");
             let c = conc.reputation(peer).expect("facade has the subject");
