@@ -1,8 +1,9 @@
 //! # replend-bench
 //!
 //! The experiment harness of the reproduction: one regeneration
-//! binary per table/figure of the paper (see `src/bin/`), plus the
-//! Criterion micro-benchmarks in `benches/`.
+//! binary per table/figure of the paper and per ablation (see
+//! `src/bin/`). Performance is measured by the separate `benchmark/`
+//! package, declared in `BENCHMARK.json`.
 //!
 //! This library crate holds the shared machinery: running a
 //! configuration over `n` seeded runs (in parallel — runs are

@@ -65,9 +65,9 @@
 //! The one-writer/many-readers split is by construction: mutators
 //! serialize on the journal lock (a WAL has one tail), while readers
 //! bypass locks entirely on the snapshot slab. [`run_ingest_workload`]
-//! is the service loop the `replend serve` subcommand and the service
-//! bench both drive: a deterministic synthetic ingest stream with
-//! reader threads hammering the read path the whole time.
+//! is the service loop the `replend serve` subcommand drives: a
+//! deterministic synthetic ingest stream with reader threads
+//! hammering the read path the whole time.
 
 use rayon::prelude::*;
 use replend_rocq::concurrent::ConcurrentEngine;
@@ -898,10 +898,11 @@ impl ReputationService {
         self.engine.reputation(subject)
     }
 
-    /// [`ReputationService::reputation`] through the pre-PR-8 locked
-    /// path (one partition read lock). Bit-identical to the snapshot
-    /// read; kept as the oracle and contended-read bench baseline.
-    pub fn reputation_locked(&self, subject: PeerId) -> Option<Reputation> {
+    /// [`ReputationService::reputation`] through the locked path (one
+    /// partition read lock). The test oracle the snapshot read must
+    /// match bit for bit.
+    #[cfg(test)]
+    fn reputation_locked(&self, subject: PeerId) -> Option<Reputation> {
         self.engine.reputation_locked(subject)
     }
 
@@ -925,8 +926,9 @@ impl ReputationService {
 
     /// [`ReputationService::status`] through the locked path (no
     /// memo): reputation and applied-report count read under one
-    /// partition read lock. Oracle and bench baseline.
-    pub fn status_locked(&self, subject: PeerId) -> Option<SubjectStatus> {
+    /// partition read lock. The test oracle for the memoized read.
+    #[cfg(test)]
+    fn status_locked(&self, subject: PeerId) -> Option<SubjectStatus> {
         let policy = self.policy;
         let tier = self
             .engine
@@ -1059,8 +1061,7 @@ fn synthetic_opinion(seed: u64, reporter: u64, subject: u64, round: u64) -> f64 
 /// The service loop: registers `cfg.subjects` subjects, then applies
 /// `cfg.rounds` synthetic feedback batches while `cfg.readers`
 /// threads continuously probe `reputation()` + `status()` against the
-/// live service. This is exactly what `replend serve` and the
-/// `service` bench run.
+/// live service. This is exactly what `replend serve` runs.
 ///
 /// The ingest stream (and therefore the final engine state) is fully
 /// deterministic; the read count is not.

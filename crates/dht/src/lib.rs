@@ -1,7 +1,7 @@
 //! # replend-dht
 //!
-//! A Chord-style structured overlay, built from scratch as the routing
-//! and score-manager-selection substrate assumed by the paper:
+//! A Chord-style identifier ring, built from scratch as the
+//! score-manager-placement substrate assumed by the paper:
 //!
 //! > *"We assume the existence of a structured overlay that uses
 //! > distributed hash tables for routing and for selecting score
@@ -13,10 +13,9 @@
 //! simulator (§3). What *is* modelled faithfully:
 //!
 //! * a 64-bit identifier [`ring`](ring::Ring) with successor ownership,
-//! * Chord [`finger-table`](routing) routing with real hop counts
-//!   (O(log n) hops, verified by tests and benchmarked),
-//! * [`score-manager selection`](managers) via salted replica hashing —
-//!   the `numSM`-fold redundancy of §2,
+//! * [`score-manager placement`](managers) via salted replica keys —
+//!   the `numSM`-fold redundancy of §2: replica `i` of a peer lives at
+//!   the successor of [`replica_key`](managers::replica_key)`(peer, i)`,
 //! * churn: joins and leaves emit [`HandoffEvent`]s so the reputation
 //!   layer can migrate score state, and a crash model drops state to
 //!   exercise the redundancy (*"redundancy is introduced in the system
@@ -40,10 +39,5 @@
 
 pub mod managers;
 pub mod ring;
-pub mod routing;
-pub mod stabilize;
 
-pub use managers::ManagerSet;
 pub use ring::{HandoffEvent, Ring};
-pub use routing::{RouteOutcome, Router};
-pub use stabilize::Maintainer;

@@ -1,16 +1,17 @@
-//! Score-manager selection.
+//! Score-manager placement.
 //!
 //! §2: each peer has `numSM` *score managers* — overlay nodes selected
 //! through the DHT — that keep all feedback pertaining to the peer.
 //! Replica `i` of peer `p` lives at the ring key `salted(p, i)`; the
-//! manager is that key's successor. Using independent salted keys
-//! (rather than the successor list of a single key) spreads a peer's
-//! managers across the whole ring, which is what makes the redundancy
-//! meaningful: *"Since each score manager of the introducer sends
-//! messages to each score manager of the new peer, redundancy is
-//! introduced in the system in case a score manager crashes"* (§2).
+//! manager is that key's successor on the [`Ring`](crate::ring::Ring),
+//! and two replicas whose keys share an owner share that manager.
+//! Using independent salted keys (rather than the successor list of a
+//! single key) spreads a peer's managers across the whole ring, which
+//! is what makes the redundancy meaningful: *"Since each score manager
+//! of the introducer sends messages to each score manager of the new
+//! peer, redundancy is introduced in the system in case a score
+//! manager crashes"* (§2).
 
-use crate::ring::Ring;
 use replend_types::hash::salted;
 use replend_types::{NodeId, PeerId};
 
@@ -20,227 +21,12 @@ pub fn replica_key(peer: PeerId, i: usize) -> NodeId {
     NodeId(salted(peer.raw(), i as u64))
 }
 
-/// The set of score managers responsible for one peer, in replica
-/// order.
-///
-/// Managers are *distinct* nodes whenever the ring has at least
-/// `num_sm` members: when two replica keys land on the same owner, the
-/// later replica walks clockwise to the next unused node. This mirrors
-/// deployed DHT replication (distinctness is required for the crash
-/// redundancy to help) and keeps the Table-1 default of 6 managers
-/// meaningful even on the initial 500-node ring.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ManagerSet {
-    peer: PeerId,
-    managers: Vec<NodeId>,
-}
-
-impl ManagerSet {
-    /// Computes the manager set of `peer` on the current ring.
-    ///
-    /// Returns `None` when the ring is empty. When the ring has fewer
-    /// than `num_sm` nodes, all live nodes are returned (every node
-    /// manages everyone — the degenerate but correct small-ring case).
-    pub fn select(ring: &Ring, peer: PeerId, num_sm: usize) -> Option<ManagerSet> {
-        if ring.is_empty() || num_sm == 0 {
-            return None;
-        }
-        let want = num_sm.min(ring.len());
-        let mut managers: Vec<NodeId> = Vec::with_capacity(want);
-        for i in 0..num_sm {
-            if managers.len() == want {
-                break;
-            }
-            let key = replica_key(peer, i);
-            // Walk clockwise from the replica key until we find a node
-            // not already selected. Bounded by ring size.
-            for k in 0..ring.len() {
-                let candidate = ring.successor_nth(key, k)?;
-                if !managers.contains(&candidate) {
-                    managers.push(candidate);
-                    break;
-                }
-            }
-        }
-        debug_assert_eq!(managers.len(), want);
-        Some(ManagerSet { peer, managers })
-    }
-
-    /// The peer this set manages.
-    pub fn peer(&self) -> PeerId {
-        self.peer
-    }
-
-    /// The manager nodes, in replica order.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.managers
-    }
-
-    /// Number of managers.
-    pub fn len(&self) -> usize {
-        self.managers.len()
-    }
-
-    /// True when no managers were selected (never produced by
-    /// [`ManagerSet::select`] on a non-empty ring).
-    pub fn is_empty(&self) -> bool {
-        self.managers.is_empty()
-    }
-
-    /// True if `node` manages this peer.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.managers.contains(&node)
-    }
-
-    /// How many managers two selections share — used by churn tests to
-    /// check assignment stability.
-    pub fn overlap(&self, other: &ManagerSet) -> usize {
-        self.managers
-            .iter()
-            .filter(|m| other.managers.contains(m))
-            .count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn ring_of_peers(n: u64) -> Ring {
-        let mut r = Ring::new();
-        for p in 0..n {
-            r.join(PeerId(p).node_id());
-        }
-        r
-    }
-
-    #[test]
-    fn empty_ring_selects_nothing() {
-        assert!(ManagerSet::select(&Ring::new(), PeerId(0), 6).is_none());
-    }
-
-    #[test]
-    fn zero_managers_selects_nothing() {
-        assert!(ManagerSet::select(&ring_of_peers(10), PeerId(0), 0).is_none());
-    }
-
-    #[test]
-    fn selects_requested_count_when_ring_large_enough() {
-        let ring = ring_of_peers(500);
-        let set = ManagerSet::select(&ring, PeerId(3), 6).unwrap();
-        assert_eq!(set.len(), 6);
-        assert!(!set.is_empty());
-        assert_eq!(set.peer(), PeerId(3));
-    }
-
-    #[test]
-    fn managers_are_distinct() {
-        let ring = ring_of_peers(50);
-        for p in 0..50u64 {
-            let set = ManagerSet::select(&ring, PeerId(p), 6).unwrap();
-            let mut nodes = set.nodes().to_vec();
-            nodes.sort();
-            nodes.dedup();
-            assert_eq!(nodes.len(), set.len(), "peer {p} got duplicate managers");
-        }
-    }
-
-    #[test]
-    fn small_ring_returns_all_nodes() {
-        let ring = ring_of_peers(3);
-        let set = ManagerSet::select(&ring, PeerId(0), 6).unwrap();
-        assert_eq!(set.len(), 3, "ring smaller than numSM: all nodes manage");
-    }
-
-    #[test]
-    fn selection_is_deterministic() {
-        let ring = ring_of_peers(100);
-        let a = ManagerSet::select(&ring, PeerId(17), 6).unwrap();
-        let b = ManagerSet::select(&ring, PeerId(17), 6).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn different_peers_get_different_sets() {
-        // Not guaranteed pairwise-distinct, but across 20 peers on a
-        // 500-node ring, sets should not all coincide.
-        let ring = ring_of_peers(500);
-        let first = ManagerSet::select(&ring, PeerId(0), 6).unwrap();
-        let all_same = (1..20u64)
-            .all(|p| ManagerSet::select(&ring, PeerId(p), 6).unwrap().nodes() == first.nodes());
-        assert!(!all_same);
-    }
-
-    #[test]
-    fn churn_moves_few_assignments() {
-        // One join on a 200-node ring should change at most a couple
-        // of a peer's managers — the stability that makes "the score
-        // managers assigned to a peer change over time" (§3)
-        // tolerable with numSM-fold redundancy.
-        let mut ring = ring_of_peers(200);
-        let before = ManagerSet::select(&ring, PeerId(42), 6).unwrap();
-        ring.join(PeerId(10_000).node_id());
-        let after = ManagerSet::select(&ring, PeerId(42), 6).unwrap();
-        assert!(
-            before.overlap(&after) >= 5,
-            "one join displaced more than one manager: {} kept",
-            before.overlap(&after)
-        );
-    }
-
-    #[test]
-    fn manager_load_is_balanced() {
-        // Count how many peers each node manages; on a 300-node ring
-        // with 300 peers and 6 replicas the mean load is 6. No node
-        // should carry a pathological multiple of that.
-        let n = 300u64;
-        let ring = ring_of_peers(n);
-        let mut load: std::collections::HashMap<NodeId, usize> = Default::default();
-        for p in 0..n {
-            for m in ManagerSet::select(&ring, PeerId(p), 6).unwrap().nodes() {
-                *load.entry(*m).or_default() += 1;
-            }
-        }
-        let max = load.values().copied().max().unwrap();
-        // Without virtual nodes, consistent hashing concentrates load
-        // on whoever owns the largest arc: E[max arc] ≈ ln(n)/n of the
-        // ring, i.e. ≈ ln(300) ≈ 5.7× the mean, and the tail reaches
-        // ~8×. Assert the load stays within the O(log n) envelope.
-        assert!(max <= 6 * 10, "hottest manager holds {max} assignments");
-    }
-
-    #[test]
-    fn contains_matches_nodes() {
-        let ring = ring_of_peers(50);
-        let set = ManagerSet::select(&ring, PeerId(1), 4).unwrap();
-        for m in set.nodes() {
-            assert!(set.contains(*m));
-        }
-        assert!(!set.contains(NodeId(0x1234_5678)));
-    }
-
     proptest! {
-        /// Selection always yields min(num_sm, ring size) distinct live
-        /// nodes.
-        #[test]
-        fn selection_invariants(
-            ring_size in 1u64..64,
-            peer in proptest::num::u64::ANY,
-            num_sm in 1usize..10,
-        ) {
-            let ring = ring_of_peers(ring_size);
-            let set = ManagerSet::select(&ring, PeerId(peer), num_sm).unwrap();
-            prop_assert_eq!(set.len(), num_sm.min(ring_size as usize));
-            let mut nodes = set.nodes().to_vec();
-            nodes.sort();
-            nodes.dedup();
-            prop_assert_eq!(nodes.len(), set.len());
-            for m in set.nodes() {
-                prop_assert!(ring.contains(*m));
-            }
-        }
-
         /// Replica keys are deterministic and distinct per replica.
         #[test]
         fn replica_keys_distinct(peer in proptest::num::u64::ANY) {

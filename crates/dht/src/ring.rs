@@ -29,9 +29,7 @@ pub struct HandoffEvent {
 /// The membership view of a Chord-style ring.
 ///
 /// Internally a `BTreeMap<NodeId, ()>` over live node ids; successor
-/// queries are `O(log n)`. This structure is the *oracle* against
-/// which the finger-table [`Router`](crate::routing::Router) is
-/// validated.
+/// queries are `O(log n)`.
 #[derive(Clone, Debug, Default)]
 pub struct Ring {
     nodes: BTreeMap<NodeId, ()>,
@@ -69,11 +67,6 @@ impl Ring {
         self.nodes.contains_key(&node)
     }
 
-    /// Iterates over live node ids in ring order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.keys().copied()
-    }
-
     /// The clockwise successor of `key` — the live node owning `key`.
     ///
     /// Returns `None` only when the ring is empty.
@@ -89,7 +82,8 @@ impl Ring {
     /// then the next live node clockwise, and so on, wrapping.
     ///
     /// Returns `None` when the ring has fewer than `k + 1` nodes.
-    pub fn successor_nth(&self, key: NodeId, k: usize) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn successor_nth(&self, key: NodeId, k: usize) -> Option<NodeId> {
         if self.nodes.len() <= k {
             return None;
         }
@@ -103,7 +97,7 @@ impl Ring {
     /// The closest live predecessor of `node` (exclusive), i.e. the
     /// node counter-clockwise of it. `None` if `node` is the only
     /// member or the ring is empty.
-    pub fn predecessor(&self, node: NodeId) -> Option<NodeId> {
+    pub(crate) fn predecessor(&self, node: NodeId) -> Option<NodeId> {
         if self.nodes.len() < 2 && self.contains(node) {
             return None;
         }

@@ -26,8 +26,7 @@
 //!   from the pre-batch to the post-batch state.
 //! * `snapshot()` (full replica state) and the `*_locked` read
 //!   variants still take the partition read lock; the locked path is
-//!   kept as the bit-identity oracle for the slab and as the bench
-//!   comparison baseline.
+//!   kept as the bit-identity test oracle for the slab.
 //!
 //! Any member may report on any subject, so membership is
 //! community-wide: it is the union of the partitions' slabs. A peer
@@ -163,11 +162,6 @@ impl ConcurrentEngine {
                 })
                 .collect(),
         }
-    }
-
-    /// Number of partitions (and of independent locks).
-    pub fn partitions(&self) -> usize {
-        self.cells.len()
     }
 
     fn home(&self, peer: PeerId) -> &Cell {
@@ -349,10 +343,10 @@ impl ConcurrentEngine {
             .map(|(bits, _)| Reputation::new(f64::from_bits(bits)))
     }
 
-    /// The aggregate reputation of `subject` through the pre-PR-8
-    /// locked path: one partition read lock, one O(1) cached-aggregate
-    /// probe. Kept as the slab's bit-identity oracle and as the
-    /// contended-read bench baseline.
+    /// The aggregate reputation of `subject` read from the engine
+    /// under its partition's read lock, bypassing the slab. A test
+    /// oracle: the lock-free [`ConcurrentEngine::reputation`] must
+    /// match it bit for bit.
     pub fn reputation_locked(&self, subject: PeerId) -> Option<Reputation> {
         self.read(subject).engine.reputation(subject)
     }
@@ -367,7 +361,8 @@ impl ConcurrentEngine {
     /// Reports applied to `subject` so far (`None` when unknown) —
     /// the interaction count the serve layer's status tiers combine
     /// with the reputation. Lock-free.
-    pub fn interactions(&self, subject: PeerId) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn interactions(&self, subject: PeerId) -> Option<u64> {
         self.home(subject).slab.read(subject).map(|(_, hits)| hits)
     }
 
@@ -388,7 +383,7 @@ impl ConcurrentEngine {
 
     /// The locked-path equivalent of [`ConcurrentEngine::classify_read`]
     /// (no memo): reputation and interaction count read under one
-    /// partition read lock. Bench baseline and bit-identity oracle.
+    /// partition read lock. A test oracle for the memoized read.
     pub fn classify_read_locked(
         &self,
         subject: PeerId,
@@ -407,7 +402,7 @@ impl ConcurrentEngine {
     /// census sweep minus the interaction counts. Same per-partition
     /// coherence and ordering caveats as
     /// [`ConcurrentEngine::for_each_subject`].
-    pub fn for_each_reputation(&self, mut f: impl FnMut(PeerId, Reputation)) {
+    fn for_each_reputation(&self, mut f: impl FnMut(PeerId, Reputation)) {
         self.for_each_subject(|peer, rep, _| f(peer, rep));
     }
 

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 /// moves `c` up by `γ·(1−c)`, disagreement decays it by `γ·c`,
 /// clamped to `[0, 1]`.
 #[inline]
-pub fn credibility_update(c: f64, agreed: bool, gamma: f64) -> f64 {
+pub(crate) fn credibility_update(c: f64, agreed: bool, gamma: f64) -> f64 {
     let next = if agreed {
         c + gamma * (1.0 - c)
     } else {
@@ -28,7 +28,7 @@ pub fn credibility_update(c: f64, agreed: bool, gamma: f64) -> f64 {
 
 /// Per-reporter credibility table of one score-manager replica.
 #[derive(Clone, Debug)]
-pub struct CredibilityTable {
+pub(crate) struct CredibilityTable {
     initial: f64,
     gamma: f64,
     table: HashMap<PeerId, f64>,
@@ -59,16 +59,19 @@ impl CredibilityTable {
     }
 
     /// Forgets a departed reporter.
-    pub fn forget(&mut self, reporter: PeerId) {
+    #[cfg(test)]
+    pub(crate) fn forget(&mut self, reporter: PeerId) {
         self.table.remove(&reporter);
     }
 
     /// Number of reporters with explicit state.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.table.len()
     }
 
     /// True when no reporter has explicit state.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
     }
@@ -96,7 +99,7 @@ impl CredibilityTable {
 /// [`InteractionLog`](crate::quality::InteractionLog), which the
 /// engine's `remove_peer` still purges).
 #[derive(Clone, Debug)]
-pub struct CredibilityBook {
+pub(crate) struct CredibilityBook {
     initial: f64,
     gamma: f64,
     slots: usize,
@@ -120,7 +123,7 @@ impl CredibilityBook {
     /// reporters start every slot at `initial` (the only heap
     /// allocation, paid once per (reporter, subject) pair).
     #[inline]
-    pub fn row_mut(&mut self, reporter: PeerId) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, reporter: PeerId) -> &mut [f64] {
         let (initial, slots) = (self.initial, self.slots);
         self.rows
             .entry(reporter)
@@ -128,6 +131,7 @@ impl CredibilityBook {
     }
 
     /// Current credibility `slot` assigns to `reporter`.
+    #[cfg(test)]
     pub fn credibility(&self, reporter: PeerId, slot: usize) -> f64 {
         self.rows.get(&reporter).map_or(self.initial, |r| r[slot])
     }
@@ -135,7 +139,7 @@ impl CredibilityBook {
     /// Crash recovery from a sibling replica: every reporter's `dst`
     /// credibility becomes its `src` credibility (the column-wise
     /// equivalent of cloning the sibling's table).
-    pub fn copy_column(&mut self, dst: usize, src: usize) {
+    pub(crate) fn copy_column(&mut self, dst: usize, src: usize) {
         for row in self.rows.values_mut() {
             row[dst] = row[src];
         }
@@ -145,7 +149,7 @@ impl CredibilityBook {
     /// the initial credibility (the column-wise equivalent of a fresh
     /// table — unknown and reset reporters are indistinguishable at
     /// `initial`).
-    pub fn reset_column(&mut self, slot: usize) {
+    pub(crate) fn reset_column(&mut self, slot: usize) {
         for row in self.rows.values_mut() {
             row[slot] = self.initial;
         }
@@ -153,33 +157,27 @@ impl CredibilityBook {
 
     /// Number of reporters with explicit state (identical for every
     /// slot — the book is shared by all replicas of the subject).
-    pub fn known_reporters(&self) -> usize {
+    pub(crate) fn known_reporters(&self) -> usize {
         self.rows.len()
     }
 
     /// Every reporter's explicit per-slot credibility row, in
     /// arbitrary (hash) order — checkpoint export sorts by reporter
     /// for canonical bytes.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (PeerId, &[f64])> {
+    pub(crate) fn iter_rows(&self) -> impl Iterator<Item = (PeerId, &[f64])> {
         self.rows.iter().map(|(p, r)| (*p, &r[..]))
     }
 
     /// Checkpoint import: installs a reporter's row verbatim,
     /// bit-exact. The row length must match the book's slot count.
-    pub fn insert_row(&mut self, reporter: PeerId, row: Vec<f64>) {
+    pub(crate) fn insert_row(&mut self, reporter: PeerId, row: Vec<f64>) {
         assert_eq!(row.len(), self.slots, "credibility row width mismatch");
         self.rows.insert(reporter, row.into_boxed_slice());
     }
 
-    /// The slot-count every row carries.
-    #[inline]
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
     /// The learning rate, for the engine's inline update loop.
     #[inline]
-    pub fn gamma(&self) -> f64 {
+    pub(crate) fn gamma(&self) -> f64 {
         self.gamma
     }
 }

@@ -37,8 +37,8 @@
 //! reporter's credibility at **every** replica slot — the reference
 //! layout pays three probes per replica), and the contiguous
 //! `numSM`-strided score slab — since PR 7 a struct-of-arrays
-//! [`ScoreSlab`] walked by hand-unrolled multi-lane kernels (see the
-//! [`slab`](crate::slab) module docs for the layout and the
+//! `ScoreSlab` walked by hand-unrolled multi-lane kernels (see the
+//! `slab` module docs for the layout and the
 //! determinism rule); the cache refresh then walks the same slab plus
 //! the `cached`/`touched_seq` arrays. Replica placement metadata (ring
 //! keys, hosts, re-homing counters) is cold and only touched by churn.
@@ -929,18 +929,9 @@ impl RocqEngine {
         }
     }
 
-    /// The engine parameters.
-    pub fn params(&self) -> &RocqParams {
-        &self.params
-    }
-
-    /// The configured replication factor.
-    pub fn num_sm(&self) -> usize {
-        self.num_sm
-    }
-
     /// Live overlay size.
-    pub fn overlay_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn overlay_len(&self) -> usize {
         self.ring.len()
     }
 
@@ -977,13 +968,14 @@ impl RocqEngine {
     }
 
     /// Replica 0's credibility for `reporter` (inspection API).
+    #[cfg(test)]
     pub(crate) fn reporter_credibility(&self, subject: PeerId, reporter: PeerId) -> Option<f64> {
         let &h = self.shard.index.get(&subject)?;
         Some(self.shard.books[h.index()].credibility(reporter, 0))
     }
 
     /// Number of registered subjects.
-    pub fn subjects_len(&self) -> usize {
+    pub(crate) fn subjects_len(&self) -> usize {
         self.shard.index.len()
     }
 
@@ -997,7 +989,7 @@ impl RocqEngine {
     /// Pending aggregate deltas must be drained first
     /// ([`ReputationEngine::drain_deltas`]); they are a transient
     /// hand-off to the accounting layer, not durable state.
-    pub fn export_state(&self) -> EngineState {
+    pub(crate) fn export_state(&self) -> EngineState {
         let ring = self.ring.to_vec();
         EngineState {
             params: self.params,
@@ -1014,7 +1006,7 @@ impl RocqEngine {
     /// invalid parameters) surface as [`InvalidState`] so a corrupt
     /// checkpoint can fall back to full journal replay instead of
     /// aborting.
-    pub fn import_state(state: &EngineState) -> Result<Self, InvalidState> {
+    pub(crate) fn import_state(state: &EngineState) -> Result<Self, InvalidState> {
         state
             .params
             .validate()

@@ -57,7 +57,8 @@ impl SubjectSnapshot {
 
     /// Largest pairwise disagreement between replicas — 0 in a
     /// crash-free run, nonzero after unrecovered losses.
-    pub fn max_divergence(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max_divergence(&self) -> f64 {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for r in &self.replicas {
@@ -83,7 +84,8 @@ impl RocqEngine {
     /// The credibility one of `subject`'s replicas assigns to
     /// `reporter` (replica 0's view; all replicas agree in crash-free
     /// runs). `None` when the subject is unknown.
-    pub fn credibility_of(&self, subject: PeerId, reporter: PeerId) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn credibility_of(&self, subject: PeerId, reporter: PeerId) -> Option<f64> {
         self.reporter_credibility(subject, reporter)
     }
 }

@@ -43,8 +43,7 @@
 //! [`SimpleAverageEngine`](baselines::SimpleAverageEngine),
 //! [`EwmaEngine`](baselines::EwmaEngine) and
 //! [`BetaEngine`](baselines::BetaEngine), and the [`reference`]
-//! module preserves the pre-arena memory layout as a semantic oracle
-//! and bench baseline.
+//! module preserves the pre-arena memory layout as a semantic oracle.
 //!
 //! ## Hot-path layout
 //!
@@ -53,18 +52,18 @@
 //! batch-path buffer as reusable scratch, so a steady-state
 //! [`ReputationEngine::report_batch`] performs zero heap allocations
 //! — see the crate README and the `engine` module docs for the
-//! layout, the invariants, and how to run the `hot_path` benches.
+//! layout, the invariants, and where it is measured.
 
 pub mod baselines;
 pub mod concurrent;
-pub mod credibility;
+mod credibility;
 pub mod engine;
 pub mod inspect;
 pub mod params;
-pub mod quality;
+mod quality;
 pub mod reference;
-pub mod score;
-pub mod slab;
+mod score;
+mod slab;
 pub mod snapshot;
 pub mod state;
 

@@ -43,7 +43,7 @@ pub struct RocqParams {
 
 impl RocqParams {
     /// Validates ranges.
-    pub fn validate(&self) -> Result<(), replend_types::ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), replend_types::ConfigError> {
         use replend_types::ConfigError;
         for (name, v, lo, hi) in [
             ("gamma", self.gamma, 0.0, 1.0),

@@ -20,14 +20,14 @@ use std::collections::HashMap;
 
 /// The quality ramp.
 #[inline]
-pub fn quality_from_count(n: u32, eta: f64, min_quality: f64) -> f64 {
+pub(crate) fn quality_from_count(n: u32, eta: f64, min_quality: f64) -> f64 {
     let q = n as f64 / (n as f64 + eta);
     q.max(min_quality).min(1.0)
 }
 
 /// Tracks pairwise first-hand interaction counts (reporter, subject).
 #[derive(Clone, Debug, Default)]
-pub struct InteractionLog {
+pub(crate) struct InteractionLog {
     counts: HashMap<(PeerId, PeerId), u32>,
 }
 
@@ -38,6 +38,7 @@ impl InteractionLog {
     }
 
     /// Number of recorded (reporter, subject) interactions.
+    #[cfg(test)]
     pub fn count(&self, reporter: PeerId, subject: PeerId) -> u32 {
         self.counts.get(&(reporter, subject)).copied().unwrap_or(0)
     }
@@ -52,28 +53,30 @@ impl InteractionLog {
     }
 
     /// Forgets everything about `peer` (as reporter or subject).
-    pub fn forget(&mut self, peer: PeerId) {
+    pub(crate) fn forget(&mut self, peer: PeerId) {
         self.counts.retain(|(r, s), _| *r != peer && *s != peer);
     }
 
     /// Every tracked (reporter, subject) pair with its count, in
     /// arbitrary (hash) order — checkpoint export sorts the pairs for
     /// canonical bytes.
-    pub fn iter_counts(&self) -> impl Iterator<Item = ((PeerId, PeerId), u32)> + '_ {
+    pub(crate) fn iter_counts(&self) -> impl Iterator<Item = ((PeerId, PeerId), u32)> + '_ {
         self.counts.iter().map(|(&pair, &n)| (pair, n))
     }
 
     /// Checkpoint import: installs a pair's count verbatim.
-    pub fn insert_count(&mut self, reporter: PeerId, subject: PeerId, count: u32) {
+    pub(crate) fn insert_count(&mut self, reporter: PeerId, subject: PeerId, count: u32) {
         self.counts.insert((reporter, subject), count);
     }
 
     /// Number of distinct pairs tracked.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.counts.len()
     }
 
     /// True when nothing has been recorded.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }

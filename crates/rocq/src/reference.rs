@@ -1,5 +1,5 @@
 //! The pre-arena (PR ≤ 4, "seed") engine layout, preserved as a
-//! semantic oracle and bench baseline.
+//! semantic oracle.
 //!
 //! [`ReferenceEngine`] implements exactly the same ROCQ semantics as
 //! [`RocqEngine`](crate::engine::RocqEngine) — same parameters, same
@@ -17,13 +17,9 @@
 //! * fresh `touched` buffers per batch and a stable (allocating)
 //!   sort per delta drain.
 //!
-//! Two consumers depend on it:
-//!
-//! * the churn-oracle property test in `replend-tests` pins the arena
-//!   engine **byte-identical** to this layout under adversarial
-//!   interleavings of joins, departures, crashes and handle reuse;
-//! * the `hot_path` criterion bench times the arena layout against it
-//!   so the speedup is measured, not asserted.
+//! The churn-oracle property test in `replend-tests` pins the arena
+//! engine **byte-identical** to this layout under adversarial
+//! interleavings of joins, departures, crashes and handle reuse.
 //!
 //! Keep this file boring: when engine *semantics* change, change both
 //! implementations in lockstep (the oracle will fail loudly if they

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 /// One replica's aggregate for one subject.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ScoreState {
+pub(crate) struct ScoreState {
     /// Current aggregate reputation.
     r: f64,
     /// Accumulated evidence mass (capped).
@@ -75,7 +75,7 @@ impl ScoreState {
 
     /// Overwrites this replica's state (anti-entropy copy from a
     /// sibling replica after re-homing).
-    pub fn overwrite_from(&mut self, other: &ScoreState) {
+    pub(crate) fn overwrite_from(&mut self, other: &ScoreState) {
         *self = *other;
     }
 

@@ -111,7 +111,7 @@ fn report_lane(
 /// consecutive lanes per subject handle (the engine's stride
 /// discipline is unchanged — only the interleaving moved).
 #[derive(Clone, Debug, Default)]
-pub struct ScoreSlab {
+pub(crate) struct ScoreSlab {
     r: Vec<f64>,
     w: Vec<f64>,
 }
@@ -123,11 +123,13 @@ impl ScoreSlab {
     }
 
     /// Number of replica lanes (subjects × numSM).
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.r.len()
     }
 
     /// True when no lane exists.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.r.is_empty()
     }
@@ -156,14 +158,14 @@ impl ScoreSlab {
     /// Copies lane `src` over lane `dst` — the crash-recovery
     /// anti-entropy copy from a sibling replica.
     #[inline]
-    pub fn copy_lane(&mut self, dst: usize, src: usize) {
+    pub(crate) fn copy_lane(&mut self, dst: usize, src: usize) {
         self.r[dst] = self.r[src];
         self.w[dst] = self.w[src];
     }
 
     /// `ScoreState::adjust` over `n` consecutive lanes from `base` —
     /// the lending credit/debit walk (evidence mass unchanged).
-    pub fn adjust_span(&mut self, base: usize, n: usize, amount: f64) {
+    pub(crate) fn adjust_span(&mut self, base: usize, n: usize, amount: f64) {
         for r in &mut self.r[base..base + n] {
             *r = (*r + amount).clamp(0.0, 1.0);
         }
@@ -175,7 +177,7 @@ impl ScoreSlab {
     /// bit-identical to the scalar per-lane walk (see [`report_lane`]
     /// and the module docs).
     #[allow(clippy::too_many_arguments)]
-    pub fn report_span(
+    pub(crate) fn report_span(
         &mut self,
         base: usize,
         n: usize,
@@ -261,14 +263,14 @@ impl ScoreSlab {
     /// `states.iter().map(|s| s.reputation().value()).sum()` on the
     /// interleaved layout. **Not** reassociated (see the module docs).
     #[inline]
-    pub fn sum_span(&self, base: usize, n: usize) -> f64 {
+    pub(crate) fn sum_span(&self, base: usize, n: usize) -> f64 {
         self.r[base..base + n].iter().copied().map(rep_value).sum()
     }
 
     /// The replica-mean aggregate of one subject's span, matching the
     /// engine's historical `aggregate` definition (sum then divide).
     #[inline]
-    pub fn aggregate_span(&self, base: usize, n: usize) -> Reputation {
+    pub(crate) fn aggregate_span(&self, base: usize, n: usize) -> Reputation {
         Reputation::new(self.sum_span(base, n) / n as f64)
     }
 
@@ -281,7 +283,7 @@ impl ScoreSlab {
     /// then scalar tail.
     #[inline]
     #[allow(clippy::needless_range_loop)] // lockstep index over `spans` and `acc`
-    pub fn sum_spans<const K: usize>(&self, bases: [usize; K], n: usize) -> [f64; K] {
+    pub(crate) fn sum_spans<const K: usize>(&self, bases: [usize; K], n: usize) -> [f64; K] {
         // Pre-slicing the subspans lets the compiler hoist every
         // bounds check out of the loop (`j < n == len` is provable),
         // leaving pure pipelined adds in the body; the inner loop is
@@ -294,12 +296,6 @@ impl ScoreSlab {
             }
         }
         acc
-    }
-
-    /// [`ScoreSlab::sum_spans`] at the engine's narrow width.
-    #[inline]
-    pub fn sum_span4(&self, bases: [usize; 4], n: usize) -> [f64; 4] {
-        self.sum_spans(bases, n)
     }
 }
 
@@ -360,7 +356,7 @@ mod tests {
             .collect();
         let slab = slab_of(&states);
         let bases = [0usize, 8, 16, 24];
-        let quad = slab.sum_span4(bases, 8);
+        let quad = slab.sum_spans::<4>(bases, 8);
         for (k, &b) in bases.iter().enumerate() {
             assert_eq!(quad[k].to_bits(), slab.sum_span(b, 8).to_bits());
         }

@@ -402,7 +402,11 @@ impl SnapshotSlab {
     /// `(reputation, hits)` pair and the result is memoized for this
     /// epoch. `classify` must be a pure function of its inputs and
     /// return a tier `< 4`.
-    pub fn read_classified(&self, peer: PeerId, classify: impl Fn(f64, u64) -> u8) -> Option<u8> {
+    pub(crate) fn read_classified(
+        &self,
+        peer: PeerId,
+        classify: impl Fn(f64, u64) -> u8,
+    ) -> Option<u8> {
         loop {
             let Some((e1, table, values)) = self.begin_read() else {
                 std::hint::spin_loop();
@@ -442,7 +446,7 @@ impl SnapshotSlab {
     /// false (with `out` cleared) when a write intervened. The facade
     /// retries a few times and then falls back to sweeping under the
     /// partition read lock, where a single attempt cannot fail.
-    pub fn try_sweep(&self, out: &mut Vec<(u64, u64, u64)>) -> bool {
+    pub(crate) fn try_sweep(&self, out: &mut Vec<(u64, u64, u64)>) -> bool {
         out.clear();
         let Some((e1, _table, values)) = self.begin_read() else {
             return false;

@@ -17,7 +17,7 @@
 
 /// Fenwick tree over `u64` weights.
 #[derive(Clone, Debug, Default)]
-pub struct Fenwick {
+pub(crate) struct Fenwick {
     /// 1-based partial sums, `tree[0]` unused.
     tree: Vec<u64>,
     /// Number of logical slots.
@@ -26,12 +26,13 @@ pub struct Fenwick {
 
 impl Fenwick {
     /// An empty tree.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fenwick::default()
     }
 
     /// A tree with `n` zero-weight slots.
-    pub fn with_len(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_len(n: usize) -> Self {
         Fenwick {
             tree: vec![0; n + 1],
             len: n,
@@ -39,17 +40,19 @@ impl Fenwick {
     }
 
     /// Number of slots (including zero-weight ones).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when the tree has no slots.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Appends a new slot with the given weight, returning its index.
-    pub fn push(&mut self, weight: u64) -> usize {
+    pub(crate) fn push(&mut self, weight: u64) -> usize {
         if self.tree.is_empty() {
             // Slot 0 of the 1-based tree array is a sentinel.
             self.tree.push(0);
@@ -81,7 +84,7 @@ impl Fenwick {
     /// # Panics
     /// In debug builds, if the resulting weight would underflow below
     /// zero (weights are unsigned).
-    pub fn add(&mut self, i: usize, delta: i64) {
+    pub(crate) fn add(&mut self, i: usize, delta: i64) {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         debug_assert!(
             delta >= 0 || self.weight(i) as i64 + delta >= 0,
@@ -95,12 +98,12 @@ impl Fenwick {
     }
 
     /// The weight of slot `i`.
-    pub fn weight(&self, i: usize) -> u64 {
+    pub(crate) fn weight(&self, i: usize) -> u64 {
         self.prefix_sum(i + 1) - self.prefix_sum(i)
     }
 
     /// Sum of weights of slots `[0, n)`.
-    pub fn prefix_sum(&self, n: usize) -> u64 {
+    pub(crate) fn prefix_sum(&self, n: usize) -> u64 {
         let mut pos = n.min(self.len);
         let mut sum = 0;
         while pos > 0 {
@@ -111,7 +114,7 @@ impl Fenwick {
     }
 
     /// Total weight.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.prefix_sum(self.len)
     }
 
@@ -121,7 +124,7 @@ impl Fenwick {
     ///
     /// Returns `None` if `u >= total()` (in particular when the tree
     /// is empty or all weights are zero).
-    pub fn sample_index(&self, mut u: u64) -> Option<usize> {
+    pub(crate) fn sample_index(&self, mut u: u64) -> Option<usize> {
         if u >= self.total() {
             return None;
         }

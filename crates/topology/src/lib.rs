@@ -14,32 +14,31 @@
 //! arrival (§3: "The introducer is also chosen depending on network
 //! topology").
 //!
-//! Two implementations of the [`Topology`] trait:
+//! Three implementations of the [`Topology`] trait, chosen by
+//! [`build_topology`]:
 //!
-//! * [`RandomTopology`] — uniform choice, O(1) everything;
-//! * [`ScaleFreeTopology`] — a growing Barabási–Albert graph whose
-//!   degree-proportional sampling is backed by a [`fenwick::Fenwick`]
-//!   tree (O(log n) insert/sample), since the community grows during
-//!   a run and the distribution must stay current.
+//! * `RandomTopology` — uniform choice, O(1) everything;
+//! * `ScaleFreeTopology` — a growing Barabási–Albert graph whose
+//!   degree-proportional sampling is backed by a Fenwick tree
+//!   (O(log n) insert/sample), since the community grows during a run
+//!   and the distribution must stay current;
+//! * `ZipfTopology` — rank-based power-law sampling over arrival
+//!   order, on the same Fenwick tree.
 //!
-//! The [`alias`] module additionally provides the classic (static)
-//! alias method, used by benchmarks for comparison, and [`stats`]
-//! provides degree-distribution diagnostics (including a maximum-
-//! likelihood power-law exponent) used by the tests to verify the BA
-//! graph really is scale-free.
+//! The test-only `stats` module provides degree-distribution
+//! diagnostics (including a maximum-likelihood power-law exponent)
+//! that verify the BA graph really is scale-free.
 
-pub mod alias;
-pub mod fenwick;
-pub mod random;
-pub mod scale_free;
-pub mod stats;
-pub mod zipf;
+mod fenwick;
+mod random;
+mod scale_free;
+#[cfg(test)]
+mod stats;
+mod zipf;
 
-pub use alias::AliasSampler;
-pub use fenwick::Fenwick;
-pub use random::RandomTopology;
-pub use scale_free::ScaleFreeTopology;
-pub use zipf::ZipfTopology;
+use random::RandomTopology;
+use scale_free::ScaleFreeTopology;
+use zipf::ZipfTopology;
 
 use rand::RngCore;
 use replend_types::{PeerId, TopologyKind};

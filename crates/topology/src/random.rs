@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// Uniform-choice population.
 #[derive(Clone, Debug, Default)]
-pub struct RandomTopology {
+pub(crate) struct RandomTopology {
     members: Vec<PeerId>,
     /// Position of each member in `members` (for O(1) removal).
     pos: HashMap<PeerId, usize>,
@@ -19,12 +19,13 @@ pub struct RandomTopology {
 
 impl RandomTopology {
     /// An empty population.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         RandomTopology::default()
     }
 
     /// An empty population with pre-allocated capacity.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         RandomTopology {
             members: Vec::with_capacity(n),
             pos: HashMap::with_capacity(n),

@@ -32,7 +32,7 @@ use std::collections::HashMap;
 
 /// Barabási–Albert scale-free population.
 #[derive(Clone, Debug)]
-pub struct ScaleFreeTopology {
+pub(crate) struct ScaleFreeTopology {
     /// Attachment edges per newcomer.
     m: usize,
     /// Slot -> peer (never reused; dead slots keep their id).
@@ -57,12 +57,13 @@ impl ScaleFreeTopology {
     /// A new topology with `m` attachment edges per arrival.
     ///
     /// `m` is clamped to at least 1.
-    pub fn new(m: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(m: usize) -> Self {
         Self::with_capacity(0, m)
     }
 
     /// A new topology with pre-allocated capacity.
-    pub fn with_capacity(n: usize, m: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize, m: usize) -> Self {
         ScaleFreeTopology {
             m: m.max(1),
             slot_peer: Vec::with_capacity(n),
@@ -77,18 +78,21 @@ impl ScaleFreeTopology {
     }
 
     /// The configured attachment parameter `m`.
-    pub fn m(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn m(&self) -> usize {
         self.m
     }
 
     /// Current degree of `peer` (0 if absent).
-    pub fn degree_of(&self, peer: PeerId) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn degree_of(&self, peer: PeerId) -> u32 {
         self.slots.get(&peer).map(|&s| self.degree[s]).unwrap_or(0)
     }
 
     /// Degrees of all live peers — input for the power-law
     /// diagnostics in [`stats`](crate::stats).
-    pub fn live_degrees(&self) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn live_degrees(&self) -> Vec<u32> {
         self.live.iter().map(|&s| self.degree[s as usize]).collect()
     }
 

@@ -6,7 +6,7 @@
 //! requires.
 
 /// Histogram of degrees: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(degrees: &[u32]) -> Vec<usize> {
+pub(crate) fn degree_histogram(degrees: &[u32]) -> Vec<usize> {
     if degrees.is_empty() {
         return Vec::new();
     }
@@ -19,7 +19,7 @@ pub fn degree_histogram(degrees: &[u32]) -> Vec<usize> {
 }
 
 /// Mean degree; `None` for an empty input.
-pub fn mean_degree(degrees: &[u32]) -> Option<f64> {
+pub(crate) fn mean_degree(degrees: &[u32]) -> Option<f64> {
     if degrees.is_empty() {
         return None;
     }
@@ -29,7 +29,7 @@ pub fn mean_degree(degrees: &[u32]) -> Option<f64> {
 /// Complementary CDF `P(D >= d)` evaluated at each degree value
 /// `0..=max`. Useful for plotting/straight-line checks on log-log
 /// axes.
-pub fn degree_ccdf(degrees: &[u32]) -> Vec<f64> {
+pub(crate) fn degree_ccdf(degrees: &[u32]) -> Vec<f64> {
     let hist = degree_histogram(degrees);
     let n = degrees.len();
     if n == 0 {
@@ -51,7 +51,7 @@ pub fn degree_ccdf(degrees: &[u32]) -> Vec<f64> {
 ///
 /// Returns `None` when fewer than 10 observations lie in the tail
 /// (too little data for a meaningful fit).
-pub fn power_law_alpha_mle(degrees: &[u32], d_min: u32) -> Option<f64> {
+pub(crate) fn power_law_alpha_mle(degrees: &[u32], d_min: u32) -> Option<f64> {
     let d_min = d_min.max(1);
     let tail: Vec<f64> = degrees
         .iter()

@@ -12,7 +12,7 @@
 //! founding members: under Zipf with `s = 1`, the 500 founders of a
 //! 5 500-peer community absorb ≈ 72% of respondent/introducer choices
 //! (`ln 500 / ln 5500`), versus ≈ 35% under BA degrees. The
-//! `ablation_topology` bench quantifies what that does to the
+//! `ablation_topology` binary quantifies what that does to the
 //! admission figures.
 
 use crate::fenwick::Fenwick;
@@ -27,7 +27,7 @@ const WEIGHT_SCALE: f64 = 1_000_000.0;
 /// Rank-based power-law population: the `r`-th peer to arrive is
 /// sampled with probability ∝ `(r + 1)^-s`.
 #[derive(Clone, Debug)]
-pub struct ZipfTopology {
+pub(crate) struct ZipfTopology {
     /// Power-law exponent `s > 0`.
     s: f64,
     /// Slot (arrival rank) → peer; never reused.
@@ -44,12 +44,13 @@ pub struct ZipfTopology {
 
 impl ZipfTopology {
     /// A new topology with exponent `s` (clamped to at least 0.01).
-    pub fn new(s: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(s: f64) -> Self {
         Self::with_capacity(0, s)
     }
 
     /// A new topology with pre-allocated capacity.
-    pub fn with_capacity(n: usize, s: f64) -> Self {
+    pub(crate) fn with_capacity(n: usize, s: f64) -> Self {
         ZipfTopology {
             s: s.max(0.01),
             slot_peer: Vec::with_capacity(n),
@@ -61,7 +62,8 @@ impl ZipfTopology {
     }
 
     /// The configured exponent.
-    pub fn exponent(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn exponent(&self) -> f64 {
         self.s
     }
 

@@ -810,8 +810,9 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
 // Write-ahead journal framing
 // ---------------------------------------------------------------------------
 
-/// A journal failure: the transport, the encoding, or a record that
-/// belongs to a different log.
+/// A journal failure: the transport, the encoding, a record that
+/// belongs to a different log, or a writer stopped by an earlier
+/// write failure.
 #[derive(Debug)]
 pub enum JournalError {
     /// Reading or writing the underlying stream failed.
@@ -828,6 +829,11 @@ pub enum JournalError {
         /// The seed found in the record's envelope.
         found: u64,
     },
+    /// An earlier write to the stream failed, so the writer refuses
+    /// every later append and sync: the stream may end in a partial
+    /// frame, and writing past it would corrupt the log. Reopening
+    /// the journal recovers its intact prefix.
+    Stopped,
 }
 
 impl fmt::Display for JournalError {
@@ -838,6 +844,10 @@ impl fmt::Display for JournalError {
             JournalError::SeedMismatch { expected, found } => write!(
                 f,
                 "journal seed mismatch: this service uses seed {expected}, record carries {found}"
+            ),
+            JournalError::Stopped => write!(
+                f,
+                "journal writer stopped after an earlier write failure; reopen the journal"
             ),
         }
     }
@@ -893,6 +903,14 @@ impl SyncPolicy {
 /// hit the stream in groups — byte-identical content either way.
 /// Dropping the writer flushes the tail best-effort; call
 /// [`JournalWriter::sync`] to observe the result.
+///
+/// The writer is fail-stop: once a write or flush of the stream
+/// fails, every later [`JournalWriter::append`] and
+/// [`JournalWriter::sync`] returns [`JournalError::Stopped`] and
+/// `Drop` writes nothing. The stream then ends in whole frames,
+/// possibly followed by one torn frame, which [`JournalReader`] stops
+/// at cleanly. Under [`SyncPolicy::Batch`] the records of the failed
+/// group are lost, as in a crash.
 #[derive(Debug)]
 pub struct JournalWriter<W: Write> {
     inner: W,
@@ -902,6 +920,8 @@ pub struct JournalWriter<W: Write> {
     /// Records currently buffered in `tail`.
     pending: usize,
     every: usize,
+    /// Set when a write or flush failed; the writer is then stopped.
+    failed: bool,
 }
 
 impl<W: Write> JournalWriter<W> {
@@ -920,11 +940,15 @@ impl<W: Write> JournalWriter<W> {
             tail: Vec::new(),
             pending: 0,
             every: policy.every(),
+            failed: false,
         }
     }
 
     /// Appends one record; flushes when the policy's batch is full.
     pub fn append<T: ?Sized + Serialize>(&mut self, record: &T) -> Result<(), JournalError> {
+        if self.failed {
+            return Err(JournalError::Stopped);
+        }
         let envelope = SummaryEnvelope::wrap(self.seed, record)?;
         let bytes = envelope.encode()?;
         let len = u32::try_from(bytes.len()).map_err(|_| {
@@ -944,14 +968,24 @@ impl<W: Write> JournalWriter<W> {
 
     /// Forces the buffered tail onto the stream and flushes. A no-op
     /// under [`SyncPolicy::Always`] outside `append` (the tail is
-    /// always empty there).
+    /// always empty there). A failed write or flush stops the writer.
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        if !self.tail.is_empty() {
-            self.inner.write_all(&self.tail)?;
-            self.tail.clear();
+        if self.failed {
+            return Err(JournalError::Stopped);
         }
+        // Part of the tail may have reached the stream before an
+        // error, so it can never be written again: stop instead.
+        let written = if self.tail.is_empty() {
+            Ok(())
+        } else {
+            self.inner.write_all(&self.tail)
+        };
+        self.tail.clear();
         self.pending = 0;
-        self.inner.flush()?;
+        if let Err(e) = written.and_then(|()| self.inner.flush()) {
+            self.failed = true;
+            return Err(JournalError::Io(e));
+        }
         Ok(())
     }
 
@@ -985,7 +1019,8 @@ impl<W: Write> Drop for JournalWriter<W> {
     fn drop(&mut self) {
         // Best-effort: a clean shutdown should not lose the buffered
         // tail just because the policy batched. Errors are invisible
-        // here — callers that care must `sync()` explicitly.
+        // here — callers that care must `sync()` explicitly. A
+        // stopped writer writes nothing.
         let _ = self.sync();
     }
 }
@@ -1078,6 +1113,8 @@ impl<R: Read> JournalReader<R> {
 mod tests {
     use super::*;
     use serde::de::DeserializeOwned;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn round_trip<T>(value: &T) -> T
     where
@@ -1415,6 +1452,97 @@ mod tests {
                 writer.sync().unwrap();
             }
             assert_eq!(log, reference, "{policy:?} changed the bytes on disk");
+        }
+    }
+
+    /// A sink that accepts `budget` bytes, fails one write, then
+    /// accepts everything again: a transient write error (a full
+    /// disk that is later cleared) after a partial write.
+    struct FailOnceAfter {
+        sink: Rc<RefCell<Vec<u8>>>,
+        budget: usize,
+        failed: bool,
+    }
+
+    impl Write for FailOnceAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !self.failed && self.budget == 0 {
+                self.failed = true;
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
+            }
+            let n = if self.failed {
+                buf.len()
+            } else {
+                buf.len().min(self.budget)
+            };
+            self.budget -= n.min(self.budget);
+            self.sink.borrow_mut().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_stops_after_a_failed_write() {
+        let records: Vec<u64> = (0..6).collect();
+        let mut reference = Vec::new();
+        for r in &records {
+            let envelope = SummaryEnvelope::wrap(3, r).unwrap();
+            write_frame(&mut reference, &envelope.encode().unwrap()).unwrap();
+        }
+        let frame = reference.len() / records.len();
+        for policy in [SyncPolicy::Always, SyncPolicy::Batch(2)] {
+            for budget in [frame + 3, 2 * frame, 2 * frame + frame / 2] {
+                let sink = Rc::new(RefCell::new(Vec::new()));
+                let mut results = Vec::new();
+                let after_stop;
+                {
+                    let inner = FailOnceAfter {
+                        sink: Rc::clone(&sink),
+                        budget,
+                        failed: false,
+                    };
+                    let mut writer = JournalWriter::with_policy(inner, 3, policy);
+                    for r in &records {
+                        results.push(writer.append(r));
+                    }
+                    after_stop = writer.sync();
+                    // Dropping a stopped writer must write nothing.
+                }
+                let log = sink.borrow();
+                let case = format!("{policy:?}, failure after {budget} bytes");
+                // The stream holds whole frames of the reference log,
+                // then at most one torn frame: never a frame written
+                // again after a partial copy of itself.
+                assert!(
+                    reference.starts_with(&log),
+                    "{case}: the stream is not a prefix of the appended frames"
+                );
+                let failed_at = results
+                    .iter()
+                    .position(|r| matches!(r, Err(JournalError::Io(_))))
+                    .unwrap_or_else(|| panic!("{case}: no append saw the write error"));
+                assert!(results[..failed_at].iter().all(Result::is_ok), "{case}");
+                assert!(
+                    results[failed_at + 1..]
+                        .iter()
+                        .all(|r| matches!(r, Err(JournalError::Stopped))),
+                    "{case}: an append after the failure was not refused"
+                );
+                assert!(matches!(after_stop, Err(JournalError::Stopped)), "{case}");
+                let mut reader = JournalReader::new(log.as_slice(), 3);
+                let mut seen = Vec::new();
+                while let Some(r) = reader.next::<u64>().unwrap() {
+                    seen.push(r);
+                }
+                assert!(records[..failed_at].starts_with(&seen), "{case}");
+                if policy == SyncPolicy::Always {
+                    assert_eq!(seen, records[..failed_at], "{case}: lost an acked record");
+                }
+            }
         }
     }
 
