@@ -41,9 +41,7 @@ fn reputation_series(lambda: f64, runs: usize, ticks: u64) -> (TimeSeries, f64) 
     // cluster (same seed schedule as the former per-run fan-out, so
     // the CSV output is unchanged).
     let mut cluster = CommunityCluster::build(CommunityBuilder::new(config), runs, 0xF162);
-    let runs_series = cluster
-        .run_sampled(ticks, sample_every(ticks))
-        .expect("in-process cluster cannot fail");
+    let runs_series = cluster.run_sampled(ticks, sample_every(ticks));
     let uncoop = cluster
         .reports()
         .iter()

@@ -106,9 +106,8 @@ pub fn metrics_of(community: &Community) -> RunMetrics {
     )
 }
 
-/// Reads the metrics out of a decoded worker report — the same
-/// arithmetic as [`metrics_of`], so cluster transports cannot change
-/// figure output.
+/// Reads the metrics out of a cluster report — the same arithmetic
+/// as [`metrics_of`], so a cluster run cannot change figure output.
 pub fn metrics_of_report(report: &CommunityReport) -> RunMetrics {
     metrics_from_parts(
         &report.population,
@@ -172,7 +171,7 @@ pub fn run_average(
 ) -> RunMetrics {
     let builder = CommunityBuilder::new(config).policy(policy).engine(engine);
     let mut cluster = CommunityCluster::build(builder, n_runs, base_seed);
-    cluster.run(ticks).expect("in-process cluster cannot fail");
+    cluster.run(ticks);
     let runs: Vec<RunMetrics> = cluster.reports().iter().map(metrics_of_report).collect();
     RunMetrics::average(&runs)
 }

@@ -29,8 +29,7 @@ use replend_core::community::CommunityBuilder;
 use replend_core::serve::{
     run_ingest_workload, ReputationService, ServeConfig, StatusPolicy, SyncPolicy, WorkloadConfig,
 };
-use replend_core::worker::Worker;
-use replend_core::{BootstrapPolicy, CommunityCluster, EngineKind, SubprocessWorker};
+use replend_core::{BootstrapPolicy, CommunityCluster, EngineKind};
 use replend_sim::runner::{run_many_parallel, Summary};
 use replend_sim::series::average_present;
 use replend_types::{Table1, TopologyKind};
@@ -45,9 +44,6 @@ pub enum Command {
     Run(Box<RunArgs>),
     /// Print the Table-1 defaults.
     Table1,
-    /// Serve cluster jobs over stdin/stdout (spawned by `run
-    /// --workers N`; speaks the `replend-wire` framed protocol).
-    Worker,
     /// Run the concurrent reputation service under a synthetic ingest
     /// workload (optionally journalled) and print the tier census.
     Serve(ServeArgs),
@@ -194,10 +190,6 @@ pub struct RunArgs {
     /// Independent communities stepped in parallel as one cluster
     /// (1 = the classic single-community run).
     pub communities: usize,
-    /// Shared-nothing worker processes executing the cluster
-    /// (1 = in-process; N > 1 spawns `replend worker` children;
-    /// output is byte-identical either way).
-    pub workers: usize,
 }
 
 impl Default for RunArgs {
@@ -211,7 +203,6 @@ impl Default for RunArgs {
             histogram: 0,
             departure_rate: 0.0,
             communities: 1,
-            workers: 1,
         }
     }
 }
@@ -228,8 +219,8 @@ impl std::fmt::Display for UsageError {
 impl std::error::Error for UsageError {}
 
 /// Any CLI failure, split so the shell sees the right behaviour:
-/// usage problems reprint the usage text, runtime failures (a worker
-/// process dying mid-cluster) just report — but **both** must exit
+/// usage problems reprint the usage text, runtime failures (an
+/// unreadable journal, say) just report — but **both** must exit
 /// non-zero, so neither may travel back through the `Ok` output
 /// channel as rendered text.
 #[derive(Clone, Debug, PartialEq)]
@@ -316,10 +307,6 @@ pub fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
     match args.first().copied() {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
         Some("table1") => Ok(Command::Table1),
-        Some("worker") => match args.get(1) {
-            None => Ok(Command::Worker),
-            Some(other) => Err(UsageError(format!("unknown flag {other:?}"))),
-        },
         Some("serve") => {
             let mut out = ServeArgs::default();
             let mut i = 1;
@@ -569,10 +556,6 @@ pub fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
                         out.communities = parse_positive(flag, value)?;
                         i += 2;
                     }
-                    "--workers" => {
-                        out.workers = parse_positive(flag, value)?;
-                        i += 2;
-                    }
                     other => return Err(UsageError(format!("unknown flag {other:?}"))),
                 }
             }
@@ -581,13 +564,6 @@ pub fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
                 .map_err(|e| UsageError(format!("invalid configuration: {e}")))?;
             if out.runs == 0 {
                 return Err(UsageError("--runs must be at least 1".into()));
-            }
-            if out.workers > 1 && out.communities < 2 {
-                return Err(UsageError(
-                    "--workers N > 1 needs --communities K >= 2 \
-                     (workers split the communities of one cluster)"
-                        .into(),
-                ));
             }
             if out.communities > 1 && out.runs > 1 {
                 return Err(UsageError(
@@ -677,8 +653,6 @@ pub fn usage() -> String {
      USAGE:\n\
      \x20 replend run [OPTIONS]   run a simulation and print the summary\n\
      \x20 replend table1          print the paper's Table-1 defaults\n\
-     \x20 replend worker          serve cluster jobs over stdin/stdout (wire\n\
-     \x20                         protocol; spawned by `run --workers N`)\n\
      \x20 replend serve [OPTIONS] run the concurrent reputation service under a\n\
      \x20                         synthetic ingest workload and print the\n\
      \x20                         operational status-tier census\n\
@@ -721,11 +695,6 @@ pub fn usage() -> String {
      \x20 --communities K     run K independent communities in parallel as one\n\
      \x20                     cluster; prints merged aggregates and a\n\
      \x20                     per-community table (default 1)\n\
-     \x20 --workers N         execute the cluster on N shared-nothing worker\n\
-     \x20                     processes (`replend worker` children speaking the\n\
-     \x20                     wire protocol; default 1 = in-process; output is\n\
-     \x20                     byte-identical to the in-process run; needs\n\
-     \x20                     --communities >= 2, capped at K)\n\
      \n\
      SERVE OPTIONS (reads proceed concurrently with ingest; final state\n\
      is deterministic in the seed):\n\
@@ -755,16 +724,12 @@ pub fn usage() -> String {
 }
 
 /// Executes a parsed command, returning the text to print. Fails
-/// (with [`CliError::Run`]) only on runtime errors — a worker process
-/// dying mid-cluster — so the shell sees a non-zero exit instead of
-/// an "error: ..." line on stdout with exit 0.
-///
-/// `Command::Worker` is intentionally not runnable here — it owns the
-/// process's stdin/stdout for the binary wire protocol and is driven
-/// by [`run_cli`]; asking for its "output text" yields the usage.
+/// (with [`CliError::Run`]) only on runtime errors — journal or file
+/// I/O — so the shell sees a non-zero exit instead of an "error: ..."
+/// line on stdout with exit 0.
 pub fn execute(command: Command) -> Result<String, CliError> {
     match command {
-        Command::Help | Command::Worker => Ok(usage()),
+        Command::Help => Ok(usage()),
         Command::Table1 => {
             let c = Table1::paper_defaults();
             Ok(format!(
@@ -788,7 +753,7 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 )
             ))
         }
-        Command::Run(args) => run_simulation(&args),
+        Command::Run(args) => Ok(run_simulation(&args)),
         Command::Serve(args) => run_serve(&args),
         Command::Compact(args) => run_compact(&args),
         Command::Scenario(cmd) => run_scenario(&cmd),
@@ -1087,55 +1052,21 @@ fn render_series(out: &mut String, interval: u64, series: &[Vec<Option<f64>>]) {
 }
 
 /// Executes a `--communities K` run: K independent communities run in
-/// parallel — in-process, or across `--workers N` subprocess workers —
-/// then merged aggregates plus a per-community table. The rendering is
-/// transport-blind on purpose: `--workers N` output is byte-identical
-/// to the in-process run (pinned by the integration tests and the CI
-/// smoke step).
-fn run_cluster(args: &RunArgs) -> Result<String, CliError> {
+/// parallel, then merged aggregates plus a per-community table.
+fn run_cluster(args: &RunArgs) -> String {
     let builder = CommunityBuilder::new(args.config)
         .policy(args.policy)
         .engine(EngineKind::default())
         .departure_rate(args.departure_rate);
-    if args.workers > 1 {
-        let program = std::env::current_exe().map_err(|e| {
-            CliError::Run(format!(
-                "cannot locate the replend binary for --workers: {e}"
-            ))
-        })?;
-        let workers: Vec<SubprocessWorker> = (0..args.workers.min(args.communities))
-            .map(|_| SubprocessWorker::new(&program))
-            .collect();
-        render_cluster(
-            args,
-            CommunityCluster::with_workers(builder, args.communities, args.seed, workers),
-        )
-    } else {
-        render_cluster(
-            args,
-            CommunityCluster::build(builder, args.communities, args.seed),
-        )
-    }
-}
-
-/// Runs a configured cluster and renders the merged report — shared
-/// verbatim by every transport so the printed bytes cannot depend on
-/// how the communities were executed.
-fn render_cluster<W: Worker>(
-    args: &RunArgs,
-    mut cluster: CommunityCluster<W>,
-) -> Result<String, CliError> {
+    let mut cluster = CommunityCluster::build(builder, args.communities, args.seed);
     let ticks = args.config.sim.num_trans;
     if args.histogram > 0 {
         cluster.set_histogram_buckets(args.histogram);
     }
-    let run_failed = |e: replend_core::WorkerError| CliError::Run(e.to_string());
     let series: Vec<Vec<Option<f64>>> = if args.sample > 0 {
-        cluster
-            .run_sampled(ticks, args.sample)
-            .map_err(run_failed)?
+        cluster.run_sampled(ticks, args.sample)
     } else {
-        cluster.run(ticks).map_err(run_failed)?;
+        cluster.run(ticks);
         Vec::new()
     };
 
@@ -1217,10 +1148,10 @@ fn render_cluster<W: Worker>(
         );
     }
     render_series(&mut out, args.sample, &series);
-    Ok(out)
+    out
 }
 
-fn run_simulation(args: &RunArgs) -> Result<String, CliError> {
+fn run_simulation(args: &RunArgs) -> String {
     if args.communities > 1 {
         return run_cluster(args);
     }
@@ -1301,25 +1232,13 @@ fn run_simulation(args: &RunArgs) -> Result<String, CliError> {
         let series: Vec<Vec<Option<f64>>> = outputs.iter().map(|r| r.series.clone()).collect();
         render_series(&mut out, args.sample, &series);
     }
-    Ok(out)
+    out
 }
 
 /// Parses and executes in one step — the `main` entry point.
-///
-/// `replend worker` takes over this process's stdin/stdout for the
-/// framed wire protocol (jobs in, summaries out) and prints nothing.
 pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-    match parse_args(&refs)? {
-        Command::Worker => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            replend_core::worker::serve(&mut stdin.lock(), &mut stdout.lock())
-                .map_err(|e| CliError::Run(format!("worker session failed: {e}")))?;
-            Ok(String::new())
-        }
-        command => execute(command),
-    }
+    execute(parse_args(&refs)?)
 }
 
 #[cfg(test)]
@@ -1430,52 +1349,38 @@ mod tests {
         // Each of these would otherwise travel on to an `assert!`
         // deep inside the engine/cluster; they must die at parse time
         // with a message naming the flag.
-        for flag in ["--communities", "--workers"] {
-            let err = parse_args(&["run", flag, "0"]).unwrap_err();
-            assert!(
-                err.to_string().contains(flag) && err.to_string().contains("at least 1"),
-                "{flag}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn workers_flag_parses_and_is_validated() {
-        let Command::Run(args) =
-            parse_args(&["run", "--communities", "3", "--workers", "2"]).unwrap()
-        else {
-            panic!("expected Run");
-        };
-        assert_eq!(args.workers, 2);
-        assert_eq!(args.communities, 3);
-        // Multiple workers need a cluster to split.
-        let err = parse_args(&["run", "--workers", "2"]).unwrap_err();
-        assert!(err.to_string().contains("--communities"), "{err}");
-    }
-
-    #[test]
-    fn worker_subcommand_parses() {
-        assert_eq!(parse_args(&["worker"]), Ok(Command::Worker));
-        assert!(parse_args(&["worker", "--frobnicate"]).is_err());
-        // execute() must not hijack stdin; it points at the usage.
-        assert!(execute(Command::Worker).unwrap().contains("USAGE"));
+        let err = parse_args(&["run", "--communities", "0"]).unwrap_err();
+        assert!(
+            err.to_string().contains("--communities") && err.to_string().contains("at least 1"),
+            "{err}"
+        );
     }
 
     #[test]
     fn engine_tuning_knobs_are_gone() {
-        let err = parse_args(&["calibrate"]).unwrap_err();
-        assert!(err.to_string().contains("unknown command"), "{err}");
-        for args in [
-            &["run", "--shards", "4"][..],
-            &["run", "--batch-min", "64"],
-            &["run", "--profile", "host.profile"],
-            &["serve", "--profile", "host.profile"],
-            &["compact", "--journal", "j.wal", "--profile", "host.profile"],
-            &["worker", "--profile", "host.profile"],
-            &["scenario", "run", "x.scn", "--shards", "4"],
+        for (args, expect) in [
+            (&["calibrate"][..], "unknown command"),
+            (&["worker"], "unknown command"),
+            (&["worker", "--profile", "host.profile"], "unknown command"),
+            (&["run", "--shards", "4"], "unknown flag"),
+            (&["run", "--batch-min", "64"], "unknown flag"),
+            (&["run", "--profile", "host.profile"], "unknown flag"),
+            (
+                &["run", "--communities", "2", "--workers", "2"],
+                "unknown flag",
+            ),
+            (&["serve", "--profile", "host.profile"], "unknown flag"),
+            (
+                &["compact", "--journal", "j.wal", "--profile", "host.profile"],
+                "unknown flag",
+            ),
+            (
+                &["scenario", "run", "x.scn", "--shards", "4"],
+                "unknown flag",
+            ),
         ] {
             let err = parse_args(args).unwrap_err();
-            assert!(err.to_string().contains("unknown flag"), "{args:?}: {err}");
+            assert!(err.to_string().contains(expect), "{args:?}: {err}");
         }
     }
 
@@ -1554,7 +1459,6 @@ mod tests {
             "--sample",
             "--histogram",
             "--communities",
-            "--workers",
             "--subjects",
             "--rounds",
             "--batch ",
@@ -1570,10 +1474,6 @@ mod tests {
         ] {
             assert!(u.contains(flag), "usage missing {flag}");
         }
-        assert!(
-            u.contains("replend worker"),
-            "usage missing the worker subcommand"
-        );
         assert!(
             u.contains("replend serve"),
             "usage missing the serve subcommand"

@@ -14,8 +14,7 @@ fn main() -> ExitCode {
         Err(err) => {
             eprintln!("error: {err}");
             // Only usage problems warrant reprinting the usage text;
-            // a runtime failure (e.g. a worker process dying) would
-            // just bury its message under it.
+            // a runtime failure would just bury its message under it.
             if matches!(err, replend_cli::CliError::Usage(_)) {
                 eprintln!("{}", replend_cli::usage());
             }

@@ -36,7 +36,7 @@ pub struct AuditSettlement {
 
 /// Evaluates the audit of `newcomer` (currently holding
 /// `newcomer_rep`) introduced by `introducer`.
-pub fn perform_audit(
+pub(crate) fn perform_audit(
     params: &LendingParams,
     newcomer: PeerId,
     introducer: PeerId,

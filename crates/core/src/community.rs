@@ -55,18 +55,17 @@ enum CommunityEvent {
 
 /// Builder for [`Community`].
 ///
-/// Fields are crate-visible so [`crate::worker::WorkerJob`] can
-/// capture the full spec for cross-process execution.
+/// `Copy`, so a [`CommunityCluster`](crate::cluster::CommunityCluster)
+/// builds each of its communities from one builder and a seed.
 #[derive(Clone, Copy, Debug)]
 pub struct CommunityBuilder {
-    pub(crate) config: Table1,
-    pub(crate) policy: BootstrapPolicy,
-    pub(crate) engine: EngineKind,
-    pub(crate) seed: u64,
-    pub(crate) ba_m: usize,
-    pub(crate) sm_crash_prob: f64,
-    pub(crate) departure_rate: f64,
-    pub(crate) log_capacity: usize,
+    config: Table1,
+    policy: BootstrapPolicy,
+    engine: EngineKind,
+    seed: u64,
+    sm_crash_prob: f64,
+    departure_rate: f64,
+    log_capacity: usize,
 }
 
 impl CommunityBuilder {
@@ -77,7 +76,6 @@ impl CommunityBuilder {
             policy: BootstrapPolicy::ReputationLending,
             engine: EngineKind::default(),
             seed: 0,
-            ba_m: BA_ATTACHMENT,
             sm_crash_prob: 0.0,
             departure_rate: 0.0,
             log_capacity: 0,
@@ -87,13 +85,6 @@ impl CommunityBuilder {
     /// A builder with the paper's Table-1 defaults.
     pub fn paper_defaults() -> Self {
         Self::new(Table1::paper_defaults())
-    }
-
-    /// Replaces the configuration.
-    #[must_use]
-    pub fn config(mut self, config: Table1) -> Self {
-        self.config = config;
-        self
     }
 
     /// Selects the bootstrap policy.
@@ -117,13 +108,6 @@ impl CommunityBuilder {
         self
     }
 
-    /// Overrides the Barabási–Albert attachment parameter.
-    #[must_use]
-    pub fn ba_attachment(mut self, m: usize) -> Self {
-        self.ba_m = m.max(1);
-        self
-    }
-
     /// Probability that an introducer-side score manager crashes
     /// before forwarding the loan credit (§2's redundancy scenario).
     /// Default 0 — the paper's lossless simulation.
@@ -143,7 +127,7 @@ impl CommunityBuilder {
     }
 
     /// Retains the last `capacity` protocol events for inspection via
-    /// [`Community::events`] / [`Community::history_of`]. Default 0
+    /// [`Community::history_of`]. Default 0
     /// (logging disabled; the paper-scale sweeps pay nothing).
     #[must_use]
     pub fn log_capacity(mut self, capacity: usize) -> Self {
@@ -164,7 +148,7 @@ impl CommunityBuilder {
         let expected = self.config.sim.num_init
             + (self.config.sim.arrival_rate * self.config.sim.num_trans as f64) as usize
             + 16;
-        let topology = build_topology(self.config.sim.topology, expected, self.ba_m);
+        let topology = build_topology(self.config.sim.topology, expected, BA_ATTACHMENT);
         let arrivals = PoissonProcess::new(self.config.sim.arrival_rate, &mut rng);
         let departures = PoissonProcess::new(self.departure_rate, &mut rng);
         let bus = MessageBus::new(self.config.sim.num_sm, self.sm_crash_prob);
@@ -294,7 +278,8 @@ impl Community {
 
     /// Retained protocol events, oldest first (empty unless
     /// [`CommunityBuilder::log_capacity`] was set).
-    pub fn events(&self) -> impl Iterator<Item = &LoggedEvent> + '_ {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> impl Iterator<Item = &LoggedEvent> + '_ {
         self.log.iter()
     }
 
@@ -343,8 +328,8 @@ impl Community {
     /// Histogram of member reputations over `buckets` equal bins of
     /// `[0, 1]` (the community's trust distribution; bimodal under
     /// the paper's model — cooperative mass near 1, uncooperative
-    /// near 0). O(buckets) for bucket counts dividing
-    /// [`crate::peer_table::HIST_RESOLUTION`], O(members) otherwise.
+    /// near 0). O(buckets) for bucket counts dividing the peer
+    /// table's 120-bin resolution, O(members) otherwise.
     pub fn reputation_histogram(&self, buckets: usize) -> Histogram {
         self.table.histogram(buckets)
     }
@@ -393,7 +378,8 @@ impl Community {
 
     /// Runs `ticks` steps, recording `sampler(self)` every `interval`
     /// ticks (the paper's Figure-2 protocol: every 5 000 units).
-    pub fn run_sampled<F>(&mut self, ticks: u64, interval: u64, mut sampler: F) -> TimeSeries
+    #[cfg(test)]
+    pub(crate) fn run_sampled<F>(&mut self, ticks: u64, interval: u64, mut sampler: F) -> TimeSeries
     where
         F: FnMut(&Community) -> f64,
     {
@@ -404,11 +390,10 @@ impl Community {
         series
     }
 
-    /// [`Community::run_sampled`] with an arbitrary sample type:
-    /// records `sampler(self)` every `interval` ticks and returns the
-    /// raw samples in order. The cluster protocol uses this with
-    /// `Option<f64>` samples so an empty cohort's "no mean" is never
-    /// conflated with a true `0.0`.
+    /// Advances `ticks` ticks, recording `sampler(self)` every
+    /// `interval` ticks, and returns the raw samples in order. The
+    /// cluster uses this with `Option<f64>` samples so an empty
+    /// cohort's "no mean" is never conflated with a true `0.0`.
     pub fn run_sampled_with<T, F>(&mut self, ticks: u64, interval: u64, mut sampler: F) -> Vec<T>
     where
         F: FnMut(&Community) -> T,
@@ -752,11 +737,6 @@ impl Community {
     /// normalised to `None`.
     pub fn set_partition(&mut self, groups: Option<u32>) {
         self.partition = groups.filter(|&g| g >= 2);
-    }
-
-    /// The active partition group count, if any.
-    pub fn partition(&self) -> Option<u32> {
-        self.partition
     }
 
     /// Transactions dropped by the active partition so far.

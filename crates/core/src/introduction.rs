@@ -71,17 +71,19 @@ pub struct IntroductionBook {
 
 impl IntroductionBook {
     /// An empty book.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of requests currently waiting out `T`.
-    pub fn pending_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_count(&self) -> usize {
         self.pending.len()
     }
 
     /// The pending request of `newcomer`, if any.
-    pub fn pending_for(&self, newcomer: PeerId) -> Option<&PendingIntro> {
+    #[cfg(test)]
+    pub(crate) fn pending_for(&self, newcomer: PeerId) -> Option<&PendingIntro> {
         self.pending.get(&newcomer)
     }
 
@@ -91,7 +93,7 @@ impl IntroductionBook {
     /// newcomer already has a request in flight — *"This protocol
     /// ensures that the new peer cannot send any more introduction
     /// requests before the waiting period is over."*
-    pub fn request(
+    pub(crate) fn request(
         &mut self,
         newcomer: PeerId,
         introducer: PeerId,
@@ -118,7 +120,7 @@ impl IntroductionBook {
     ///
     /// Returns `None` when there is no pending request or the waiting
     /// period has not yet elapsed.
-    pub fn resolve(&mut self, newcomer: PeerId, now: SimTime) -> Option<IntroOutcome> {
+    pub(crate) fn resolve(&mut self, newcomer: PeerId, now: SimTime) -> Option<IntroOutcome> {
         let pending = *self.pending.get(&newcomer)?;
         if now < pending.resolve_at {
             return None;
@@ -135,7 +137,7 @@ impl IntroductionBook {
     /// duplicate-introduction error if another grant was already
     /// recorded — callers must then zero the peer's reputation and
     /// flag it malicious.
-    pub fn record_grant(
+    pub(crate) fn record_grant(
         &mut self,
         newcomer: PeerId,
         request: RequestId,
@@ -148,7 +150,8 @@ impl IntroductionBook {
     }
 
     /// True if `newcomer` has been granted an introduction.
-    pub fn is_granted(&self, newcomer: PeerId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_granted(&self, newcomer: PeerId) -> bool {
         self.granted.contains_key(&newcomer)
     }
 }

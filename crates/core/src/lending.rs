@@ -22,7 +22,7 @@ use replend_types::{LendingParams, Reputation};
 /// §3: *"We do not allow peers whose reputation goes below a certain
 /// threshold minIntro to introduce anyone into the system."*
 #[inline]
-pub fn may_introduce(params: &LendingParams, introducer_rep: Reputation) -> bool {
+pub(crate) fn may_introduce(params: &LendingParams, introducer_rep: Reputation) -> bool {
     introducer_rep.value() >= params.min_intro()
 }
 
@@ -33,7 +33,11 @@ pub fn may_introduce(params: &LendingParams, introducer_rep: Reputation) -> bool
 /// In debug builds, if the introducer was below `minIntro` (callers
 /// must gate on [`may_introduce`]).
 #[inline]
-pub fn apply_loan(params: &LendingParams, introducer_rep: Reputation) -> (Reputation, Reputation) {
+#[cfg(test)]
+pub(crate) fn apply_loan(
+    params: &LendingParams,
+    introducer_rep: Reputation,
+) -> (Reputation, Reputation) {
     debug_assert!(
         may_introduce(params, introducer_rep),
         "loan from an under-threshold introducer"
@@ -45,7 +49,7 @@ pub fn apply_loan(params: &LendingParams, introducer_rep: Reputation) -> (Reputa
 
 /// Is the audited newcomer's performance satisfactory?
 #[inline]
-pub fn audit_verdict(params: &LendingParams, newcomer_rep: Reputation) -> bool {
+pub(crate) fn audit_verdict(params: &LendingParams, newcomer_rep: Reputation) -> bool {
     newcomer_rep.value() >= params.audit_threshold
 }
 
@@ -53,7 +57,7 @@ pub fn audit_verdict(params: &LendingParams, newcomer_rep: Reputation) -> bool {
 /// audit: the returned stake plus the reward (the engine clamps the
 /// resulting reputation at 1).
 #[inline]
-pub fn settlement_on_success(params: &LendingParams) -> f64 {
+pub(crate) fn settlement_on_success(params: &LendingParams) -> f64 {
     params.intro_amt + params.reward
 }
 
@@ -61,7 +65,7 @@ pub fn settlement_on_success(params: &LendingParams) -> f64 {
 /// audit (the engine clamps at 0). The introducer receives nothing —
 /// its stake is simply never returned.
 #[inline]
-pub fn newcomer_penalty_on_failure(params: &LendingParams) -> f64 {
+pub(crate) fn newcomer_penalty_on_failure(params: &LendingParams) -> f64 {
     params.intro_amt
 }
 

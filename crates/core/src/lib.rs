@@ -12,19 +12,19 @@
 //!
 //! ## Crate layout
 //!
-//! * [`lending`] — the pure protocol arithmetic (stake, repayment,
+//! * `lending` (crate-private) — the pure protocol arithmetic (stake, repayment,
 //!   penalty, thresholds), unit-testable without a simulation;
-//! * [`introduction`] — the request / wait-`T` / resolve state
+//! * `introduction` (crate-private) — the request / wait-`T` / resolve state
 //!   machine, including duplicate-introduction detection (§2's
 //!   "multiple introduction requests" attack);
 //! * [`messages`] — the §2 message flow (signed stake deduction,
 //!   `numSM × numSM` credit fan-out, idempotent application) with
 //!   crash-loss injection;
-//! * [`audit`] — the per-newcomer transaction countdown and verdict;
+//! * `audit` (crate-private) — the per-newcomer transaction countdown and verdict;
 //! * [`log`] — an optional bounded event log ("why was peer X
 //!   refused?") for observability;
 //! * [`peer`] — runtime peer records (profile, admission status);
-//! * [`peer_table`] — the indexed peer store maintaining the
+//! * `peer_table` (crate-private) — the indexed peer store maintaining the
 //!   population counters, mean-reputation accumulators and the member
 //!   reputation histogram incrementally, so per-tick sampling is O(1)
 //!   instead of O(members);
@@ -35,12 +35,8 @@
 //! * [`community`] — the façade wiring ROCQ + DHT + topology +
 //!   Poisson arrivals into the paper's one-transaction-per-tick
 //!   simulator;
-//! * [`cluster`] — K independent communities executed by pluggable
-//!   [`worker`] transports and merged from their decoded reports
-//!   (byte-identical whichever transport ran them);
-//! * [`worker`] — the cluster's job/report protocol: in-process
-//!   execution on the rayon pool, or shared-nothing subprocess
-//!   workers speaking the `replend-wire` format over stdio;
+//! * [`cluster`] — K independent communities run in parallel on the
+//!   rayon pool and merged from their per-community reports;
 //! * [`serve`] — the online service layer: a concurrently-readable
 //!   engine facade with whitelist/throttle/ban status tiers and an
 //!   append-only write-ahead feedback journal for crash-consistent
@@ -65,26 +61,22 @@
 //! assert!(community.population().members >= 500);
 //! ```
 
-pub mod audit;
+mod audit;
 pub mod cluster;
 pub mod community;
-pub mod introduction;
-pub mod lending;
+mod introduction;
+mod lending;
 pub mod log;
 pub mod messages;
 pub mod peer;
-pub mod peer_table;
+mod peer_table;
 pub mod policy;
 pub mod serve;
 pub mod stats;
-pub mod worker;
 
-pub use cluster::{CommunityCluster, CommunitySummary};
+pub use cluster::{CommunityCluster, CommunityReport, CommunitySummary};
 pub use community::{Community, CommunityBuilder};
 pub use policy::{BootstrapPolicy, EngineKind};
 pub use serve::{
     ReputationService, ServeConfig, ServeError, StatusCensus, StatusPolicy, SubjectStatus,
-};
-pub use worker::{
-    CommunityReport, InProcessWorker, SubprocessWorker, Worker, WorkerError, WorkerJob,
 };

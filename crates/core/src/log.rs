@@ -59,7 +59,7 @@ pub enum Event {
 
 impl Event {
     /// The peer this event is primarily about.
-    pub fn subject(&self) -> PeerId {
+    pub(crate) fn subject(&self) -> PeerId {
         match *self {
             Event::IntroductionRequested { newcomer, .. } => newcomer,
             Event::Admitted { newcomer, .. } => newcomer,
@@ -88,7 +88,7 @@ pub struct LoggedEvent {
 /// events (borrowed, zero-copy) instead of scanning — and possibly
 /// allocating a copy of — the whole buffer.
 #[derive(Clone, Debug, Default)]
-pub struct EventLog {
+pub(crate) struct EventLog {
     capacity: usize,
     events: VecDeque<LoggedEvent>,
     /// Events discarded because the buffer was full. Also the
@@ -100,7 +100,7 @@ pub struct EventLog {
 
 impl EventLog {
     /// A log retaining at most `capacity` events (0 = disabled).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         EventLog {
             capacity,
             events: VecDeque::with_capacity(capacity.min(4096)),
@@ -110,27 +110,31 @@ impl EventLog {
     }
 
     /// True when recording is disabled.
-    pub fn is_disabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_disabled(&self) -> bool {
         self.capacity == 0
     }
 
     /// Number of retained events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
     /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
     /// Events discarded due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Records an event (no-op when disabled).
-    pub fn record(&mut self, at: SimTime, event: Event) {
+    pub(crate) fn record(&mut self, at: SimTime, event: Event) {
         if self.capacity == 0 {
             return;
         }
@@ -156,14 +160,15 @@ impl EventLog {
     }
 
     /// All retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &LoggedEvent> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &LoggedEvent> + '_ {
         self.events.iter()
     }
 
     /// Retained events about one peer, oldest first — a borrowed
     /// iterator over the peer's index entries; events about other
     /// peers are never touched.
-    pub fn history_of(&self, peer: PeerId) -> impl Iterator<Item = &LoggedEvent> + '_ {
+    pub(crate) fn history_of(&self, peer: PeerId) -> impl Iterator<Item = &LoggedEvent> + '_ {
         self.by_peer
             .get(&peer)
             .into_iter()
@@ -172,7 +177,8 @@ impl EventLog {
     }
 
     /// The most recent event of any kind, if retained.
-    pub fn last(&self) -> Option<&LoggedEvent> {
+    #[cfg(test)]
+    pub(crate) fn last(&self) -> Option<&LoggedEvent> {
         self.events.back()
     }
 }

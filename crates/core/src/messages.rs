@@ -26,25 +26,6 @@ use replend_types::{PeerId, RequestId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// Message kinds of the introduction flow, counted by the bus.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum MessageKind {
-    /// Newcomer → potential introducer: plea for an introduction.
-    IntroductionRequest,
-    /// Introducer → each of its own score managers (signed): deduct
-    /// the lent amount.
-    DeductStake,
-    /// Introducer's score manager → each of the newcomer's score
-    /// managers: credit the newcomer.
-    CreditNewcomer,
-    /// Introducer → newcomer at the end of the waiting period:
-    /// decision notification.
-    IntroductionResponse,
-    /// Newcomer's score managers → introducer's score managers:
-    /// audit verdict (repay/penalize).
-    AuditVerdict,
-}
-
 /// Per-kind delivery counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MessageCounters {
@@ -66,7 +47,7 @@ pub struct MessageCounters {
 
 /// Outcome of the credit fan-out of one introduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CreditOutcome {
+pub(crate) struct CreditOutcome {
     /// Receiving replicas that applied the credit (0..=num_sm).
     pub replicas_credited: usize,
     /// True when at least one replica received the credit — the
@@ -80,7 +61,7 @@ pub struct CreditOutcome {
 /// losses on the network path); what *can* fail is a score manager
 /// crashing before forwarding, modelled by `sender_crash_prob`.
 #[derive(Clone, Debug)]
-pub struct MessageBus {
+pub(crate) struct MessageBus {
     num_sm: usize,
     sender_crash_prob: f64,
     counters: MessageCounters,
@@ -95,7 +76,7 @@ impl MessageBus {
     ///
     /// # Panics
     /// If `num_sm` is zero or the probability is outside `[0, 1]`.
-    pub fn new(num_sm: usize, sender_crash_prob: f64) -> Self {
+    pub(crate) fn new(num_sm: usize, sender_crash_prob: f64) -> Self {
         assert!(num_sm > 0, "need at least one score manager");
         assert!(
             (0.0..=1.0).contains(&sender_crash_prob),
@@ -110,23 +91,23 @@ impl MessageBus {
     }
 
     /// Current counters.
-    pub fn counters(&self) -> MessageCounters {
+    pub(crate) fn counters(&self) -> MessageCounters {
         self.counters
     }
 
     /// Records the newcomer's introduction plea.
-    pub fn send_introduction_request(&mut self) {
+    pub(crate) fn send_introduction_request(&mut self) {
         self.counters.introduction_requests += 1;
     }
 
     /// Records the introducer's decision notification.
-    pub fn send_response(&mut self) {
+    pub(crate) fn send_response(&mut self) {
         self.counters.responses += 1;
     }
 
     /// Records the audit-verdict fan-out (newcomer SMs → introducer
     /// SMs, one message per pair).
-    pub fn send_audit_verdict(&mut self) {
+    pub(crate) fn send_audit_verdict(&mut self) {
         self.counters.audit_verdicts += (self.num_sm * self.num_sm) as u64;
     }
 
@@ -140,7 +121,7 @@ impl MessageBus {
     /// 3. each receiving SM applies the credit **once** (duplicates
     ///    from the redundancy are detected via the unique request
     ///    id).
-    pub fn fan_out_credit<R: Rng + ?Sized>(
+    pub(crate) fn fan_out_credit<R: Rng + ?Sized>(
         &mut self,
         request: RequestId,
         newcomer: PeerId,

@@ -79,7 +79,7 @@ pub struct PeerRecord {
 
 impl PeerRecord {
     /// A founding member (present at time zero, no audit).
-    pub fn founding(id: PeerId, profile: PeerProfile) -> Self {
+    pub(crate) fn founding(id: PeerId, profile: PeerProfile) -> Self {
         PeerRecord {
             id,
             profile,
@@ -93,7 +93,7 @@ impl PeerRecord {
     }
 
     /// An arrival awaiting its introduction decision.
-    pub fn arriving(id: PeerId, profile: PeerProfile, now: SimTime) -> Self {
+    pub(crate) fn arriving(id: PeerId, profile: PeerProfile, now: SimTime) -> Self {
         PeerRecord {
             id,
             profile,
@@ -109,7 +109,12 @@ impl PeerRecord {
     /// Marks the peer admitted at `now`, introduced by `introducer`
     /// (when applicable) and subject to an audit after `audit_trans`
     /// transactions (when applicable).
-    pub fn admit(&mut self, now: SimTime, introducer: Option<PeerId>, audit_trans: Option<u32>) {
+    pub(crate) fn admit(
+        &mut self,
+        now: SimTime,
+        introducer: Option<PeerId>,
+        audit_trans: Option<u32>,
+    ) {
         self.status = PeerStatus::Member;
         self.admitted_at = Some(now);
         self.introducer = introducer;
@@ -118,7 +123,7 @@ impl PeerRecord {
 
     /// Records participation in one transaction; returns `true` when
     /// this transaction triggers the audit.
-    pub fn record_transaction(&mut self) -> bool {
+    pub(crate) fn record_transaction(&mut self) -> bool {
         self.transactions += 1;
         match self.audit_remaining.as_mut() {
             Some(n) => {

@@ -43,14 +43,14 @@ use replend_types::{Behavior, MeanAcc, PeerId, ReputationDelta, SimTime};
 /// maintained at. Chosen for its divisor count (1, 2, 3, 4, 5, 6, 8,
 /// 10, 12, 15, 20, 24, 30, 40, 60, 120): any of those bucket counts
 /// is served in O(buckets).
-pub const HIST_RESOLUTION: usize = 120;
+pub(crate) const HIST_RESOLUTION: usize = 120;
 
 /// Upper edge of the histogram range — matches the seed's
 /// `Histogram::new(0.0, 1.0 + 1e-9, ..)` so reputation 1.0 lands in
 /// the top bin instead of overflow. Public so every reputation
 /// histogram in the workspace (e.g. the cluster's merged one) uses
 /// the same bounds.
-pub const HIST_HI: f64 = 1.0 + 1e-9;
+pub(crate) const HIST_HI: f64 = 1.0 + 1e-9;
 
 /// The fine bin of a reputation value (same arithmetic as
 /// [`Histogram::record`] over `[0, HIST_HI)`).
@@ -107,7 +107,7 @@ const NOT_MEMBER: usize = usize::MAX;
 
 impl PeerTable {
     /// An empty table with room for `capacity` peers.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         PeerTable {
             records: Vec::with_capacity(capacity),
             member_index: Vec::with_capacity(capacity),
@@ -125,33 +125,29 @@ impl PeerTable {
     // ------------------------------------------------------------------
 
     /// The id the next pushed peer will receive.
-    pub fn next_id(&self) -> PeerId {
+    pub(crate) fn next_id(&self) -> PeerId {
         PeerId(self.records.len() as u64)
     }
 
     /// Number of peers ever seen (members, waiting, refused, flagged,
     /// departed).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// True when no peer was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// The record of `peer`, if known.
-    pub fn get(&self, peer: PeerId) -> Option<&PeerRecord> {
+    pub(crate) fn get(&self, peer: PeerId) -> Option<&PeerRecord> {
         self.records.get(peer.index())
     }
 
     /// All records, in arrival order.
-    pub fn records(&self) -> &[PeerRecord] {
+    #[cfg(test)]
+    pub(crate) fn records(&self) -> &[PeerRecord] {
         &self.records
     }
 
     /// True when `peer` is an admitted member.
-    pub fn is_member(&self, peer: PeerId) -> bool {
+    pub(crate) fn is_member(&self, peer: PeerId) -> bool {
         self.records
             .get(peer.index())
             .is_some_and(|p| p.status.is_member())
@@ -159,39 +155,40 @@ impl PeerTable {
 
     /// Iterates over admitted members (insertion order, except where
     /// departures swapped the tail in).
-    pub fn members(&self) -> impl Iterator<Item = &PeerRecord> + '_ {
+    pub(crate) fn members(&self) -> impl Iterator<Item = &PeerRecord> + '_ {
         self.member_index.iter().map(|id| &self.records[id.index()])
     }
 
     /// Point-in-time population snapshot — an O(1) copy of the live
     /// counters.
-    pub fn population(&self) -> Population {
+    pub(crate) fn population(&self) -> Population {
         self.pop
     }
 
     /// Mean reputation over cooperative members (the Figure-2
     /// quantity) — an O(1) accumulator read. `None` when there are no
     /// cooperative members.
-    pub fn mean_cooperative_reputation(&self) -> Option<f64> {
+    pub(crate) fn mean_cooperative_reputation(&self) -> Option<f64> {
         self.coop.mean()
     }
 
     /// Mean reputation over uncooperative members — O(1). `None` when
     /// there are none.
-    pub fn mean_uncooperative_reputation(&self) -> Option<f64> {
+    pub(crate) fn mean_uncooperative_reputation(&self) -> Option<f64> {
         self.uncoop.mean()
     }
 
     /// The last engine aggregate observed for `peer` (only meaningful
     /// while `peer` is a member).
-    pub fn tracked_reputation(&self, peer: PeerId) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn tracked_reputation(&self, peer: PeerId) -> Option<f64> {
         self.tracked.get(peer.index()).copied()
     }
 
     /// The serving strategy for a bucket count, after the same
     /// clamping [`PeerTable::histogram`] applies (`buckets = 0` is
     /// clamped to 1, which groups). See [`HistogramMode`].
-    pub fn histogram_mode(buckets: usize) -> HistogramMode {
+    pub(crate) fn histogram_mode(buckets: usize) -> HistogramMode {
         let buckets = buckets.max(1);
         if buckets <= HIST_RESOLUTION && HIST_RESOLUTION % buckets == 0 {
             HistogramMode::Grouped {
@@ -212,7 +209,7 @@ impl PeerTable {
     /// documented O(members) rebin of the tracked values — both
     /// engine-free, and both bit-identical to recording every member
     /// reputation into a fresh [`Histogram`].
-    pub fn histogram(&self, buckets: usize) -> Histogram {
+    pub(crate) fn histogram(&self, buckets: usize) -> Histogram {
         let buckets = buckets.max(1);
         let mut out = Histogram::new(0.0, HIST_HI, buckets);
         match Self::histogram_mode(buckets) {
@@ -235,7 +232,7 @@ impl PeerTable {
     // ------------------------------------------------------------------
 
     /// Records a founding member already holding `reputation`.
-    pub fn push_founding(&mut self, record: PeerRecord, reputation: f64) {
+    pub(crate) fn push_founding(&mut self, record: PeerRecord, reputation: f64) {
         debug_assert_eq!(record.id, self.next_id(), "peer ids must stay dense");
         debug_assert!(record.status.is_member());
         let id = record.id;
@@ -246,7 +243,7 @@ impl PeerTable {
     }
 
     /// Records an arrival awaiting its introduction decision.
-    pub fn push_arriving(&mut self, record: PeerRecord) {
+    pub(crate) fn push_arriving(&mut self, record: PeerRecord) {
         debug_assert_eq!(record.id, self.next_id(), "peer ids must stay dense");
         debug_assert!(record.status.is_waiting());
         self.records.push(record);
@@ -259,7 +256,7 @@ impl PeerTable {
     ///
     /// # Panics
     /// If the peer is not in the waiting room (a protocol bug).
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         id: PeerId,
         now: SimTime,
@@ -291,7 +288,7 @@ impl PeerTable {
     ///
     /// # Panics
     /// If the peer is neither waiting nor a member (a protocol bug).
-    pub fn refuse(&mut self, id: PeerId, reason: RefusalReason) {
+    pub(crate) fn refuse(&mut self, id: PeerId, reason: RefusalReason) {
         let status = self.records[id.index()].status;
         if status.is_member() {
             self.exit_membership(id);
@@ -310,7 +307,7 @@ impl PeerTable {
     ///
     /// # Panics
     /// If the peer is not a member (a protocol bug).
-    pub fn flag(&mut self, id: PeerId) {
+    pub(crate) fn flag(&mut self, id: PeerId) {
         self.exit_membership(id);
         self.records[id.index()].status = PeerStatus::Flagged;
         self.pop.flagged += 1;
@@ -320,7 +317,7 @@ impl PeerTable {
     ///
     /// # Panics
     /// If the peer is not a member (a protocol bug).
-    pub fn depart(&mut self, id: PeerId) {
+    pub(crate) fn depart(&mut self, id: PeerId) {
         self.exit_membership(id);
         self.records[id.index()].status = PeerStatus::Departed;
         self.pop.departed += 1;
@@ -328,7 +325,7 @@ impl PeerTable {
 
     /// Counts one transaction against `id`'s audit countdown; returns
     /// `true` when this transaction triggers the audit.
-    pub fn record_transaction(&mut self, id: PeerId) -> bool {
+    pub(crate) fn record_transaction(&mut self, id: PeerId) -> bool {
         self.records[id.index()].record_transaction()
     }
 
@@ -341,7 +338,7 @@ impl PeerTable {
     ///
     /// # Panics
     /// If the peer is not a member (a protocol bug).
-    pub fn flip_behavior(&mut self, id: PeerId) -> Behavior {
+    pub(crate) fn flip_behavior(&mut self, id: PeerId) -> Behavior {
         let i = id.index();
         assert!(
             self.records[i].status.is_member() && self.member_pos[i] != NOT_MEMBER,
@@ -372,7 +369,7 @@ impl PeerTable {
     /// community's per-tick delta plumbing. One call per
     /// `drain_deltas` keeps the loop next to the accumulator state it
     /// feeds and leaves the caller's buffer untouched for reuse.
-    pub fn apply_deltas(&mut self, deltas: &[ReputationDelta]) {
+    pub(crate) fn apply_deltas(&mut self, deltas: &[ReputationDelta]) {
         for delta in deltas {
             self.apply_delta(delta);
         }
@@ -382,7 +379,7 @@ impl PeerTable {
     /// aggregates. Deltas about non-members (e.g. crash-recovery
     /// noise about flagged peers still registered in the engine) only
     /// update the tracked value.
-    pub fn apply_delta(&mut self, delta: &ReputationDelta) {
+    pub(crate) fn apply_delta(&mut self, delta: &ReputationDelta) {
         let i = delta.subject.index();
         let (old, new) = (delta.old.value(), delta.new.value());
         self.tracked[i] = new;

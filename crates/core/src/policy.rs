@@ -67,9 +67,8 @@ impl BootstrapPolicy {
     }
 }
 
-/// Which reputation engine backs the community. Serializable so a
-/// cluster job can carry the full engine spec to a worker process.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+/// Which reputation engine backs the community.
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum EngineKind {
     /// The replicated ROCQ engine (the paper's).
     Rocq(RocqParams),

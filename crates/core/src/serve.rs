@@ -102,7 +102,7 @@ pub enum SubjectStatus {
 
 impl SubjectStatus {
     /// Stable lowercase name for reports and CLI output.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SubjectStatus::Whitelisted => "whitelisted",
             SubjectStatus::Throttled => "throttled",
@@ -695,23 +695,14 @@ impl ReputationService {
         }
     }
 
-    /// The engine seed (and journal seed stamp).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The status-tier thresholds in force.
-    pub fn policy(&self) -> StatusPolicy {
-        self.policy
-    }
-
     /// The underlying concurrent engine, for read fan-out.
     pub fn engine(&self) -> &ConcurrentEngine {
         &self.engine
     }
 
     /// True when mutations are journalled.
-    pub fn journalled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn journalled(&self) -> bool {
         self.journal.is_some()
     }
 
@@ -936,20 +927,6 @@ impl ReputationService {
         Some(SubjectStatus::from_tier(tier))
     }
 
-    /// Forces any group-commit-buffered journal records onto the file
-    /// and flushes. A no-op for in-memory services and under
-    /// [`SyncPolicy::Always`].
-    pub fn sync_journal(&self) -> Result<(), ServeError> {
-        if let Some(journal) = &self.journal {
-            journal
-                .lock()
-                .expect("journal lock poisoned")
-                .writer
-                .sync()?;
-        }
-        Ok(())
-    }
-
     /// Registered subjects.
     pub fn subjects(&self) -> usize {
         self.engine.len()
@@ -957,7 +934,8 @@ impl ReputationService {
 
     /// Member-reputation bucket counts over `buckets` equal bins of
     /// `[0, 1]`.
-    pub fn histogram(&self, buckets: usize) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, buckets: usize) -> Vec<u64> {
         self.engine.reputation_buckets(buckets)
     }
 

@@ -59,11 +59,10 @@
 use crate::credibility::CredibilityBook;
 use crate::params::RocqParams;
 use crate::quality::{quality_from_count, InteractionLog};
+use crate::ring::{replica_key, HandoffEvent, Ring};
 use crate::score::ScoreState;
 use crate::slab::ScoreSlab;
 use crate::state::{EngineState, InvalidState, ShardState};
-use replend_dht::managers::replica_key;
-use replend_dht::ring::{HandoffEvent, Ring};
 use replend_types::arena::{Handle, InlineList, SlotAlloc, SlotAllocator};
 use replend_types::hash::{salted, splitmix64};
 use replend_types::{Feedback, NodeId, PeerId, Reputation, ReputationDelta};

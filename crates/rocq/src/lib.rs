@@ -28,7 +28,8 @@
 //! ## Replication and churn
 //!
 //! Each subject has `numSM` replicas hosted at the DHT successors of
-//! its salted replica keys (see [`replend_dht::managers`]). Joins and
+//! its salted replica keys (the private `ring` module: a Chord-style
+//! identifier ring plus the replica-key function). Joins and
 //! leaves of overlay nodes re-home replicas; a re-homed replica copies
 //! state from a surviving sibling (anti-entropy), or loses it entirely
 //! with a configurable crash probability — *"redundancy is introduced
@@ -62,6 +63,7 @@ pub mod inspect;
 pub mod params;
 mod quality;
 pub mod reference;
+mod ring;
 mod score;
 mod slab;
 pub mod snapshot;

@@ -30,9 +30,8 @@ use crate::credibility::CredibilityTable;
 use crate::engine::{crash_roll, ReputationEngine};
 use crate::params::RocqParams;
 use crate::quality::{quality_from_count, InteractionLog};
+use crate::ring::{replica_key, HandoffEvent, Ring};
 use crate::score::ScoreState;
-use replend_dht::managers::replica_key;
-use replend_dht::ring::{HandoffEvent, Ring};
 use replend_types::{Feedback, NodeId, PeerId, Reputation, ReputationDelta};
 use std::collections::{BTreeMap, HashMap, HashSet};
 

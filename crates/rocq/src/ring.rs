@@ -1,21 +1,44 @@
-//! The identifier ring: membership, successor ownership, churn.
+//! The overlay: a Chord-style identifier ring and score-manager
+//! placement.
 //!
-//! The ring is the ground truth of the overlay. Each key (a 64-bit
-//! [`NodeId`]) is *owned* by its clockwise successor among the live
-//! nodes — the standard consistent-hashing rule Chord uses. Joins and
-//! leaves shift ownership of a contiguous arc, which the ring reports
-//! as a [`HandoffEvent`] so higher layers (the ROCQ score managers)
-//! can migrate their per-key state.
+//! The paper assumes *"a structured overlay that uses distributed hash
+//! tables for routing and for selecting score managers that keep track
+//! of all feedback pertaining to a peer"* (§2). The overlay is
+//! simulated in-process: there are no sockets, and "messages" are
+//! delivered instantly, exactly as in the paper's simulator (§3).
+//!
+//! Each key (a 64-bit [`NodeId`]) is *owned* by its clockwise
+//! successor among the live nodes — the standard consistent-hashing
+//! rule Chord uses. Joins and leaves shift ownership of a contiguous
+//! arc, which the ring reports as a [`HandoffEvent`] so the engine can
+//! migrate its per-key replica state.
+//!
+//! Replica `i` of peer `p` lives at the ring key [`replica_key`]`(p,
+//! i)`; its score manager is that key's successor, and two replicas
+//! whose keys share an owner share that manager. Independent salted
+//! keys (rather than the successor list of a single key) spread a
+//! peer's managers across the whole ring, which is what makes the
+//! `numSM`-fold redundancy meaningful: *"Since each score manager of
+//! the introducer sends messages to each score manager of the new
+//! peer, redundancy is introduced in the system in case a score
+//! manager crashes"* (§2).
 
-use replend_types::NodeId;
+use replend_types::hash::salted;
+use replend_types::{NodeId, PeerId};
 use std::collections::BTreeMap;
+
+/// The replica key of peer `peer`'s `i`-th score manager.
+#[inline]
+pub(crate) fn replica_key(peer: PeerId, i: usize) -> NodeId {
+    NodeId(salted(peer.raw(), i as u64))
+}
 
 /// Ownership transfer caused by churn.
 ///
 /// After the event, every key in the half-open clockwise interval
 /// `(range_start, range_end]` is owned by `to` instead of `from`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct HandoffEvent {
+pub(crate) struct HandoffEvent {
     /// Previous owner (`None` when the ring was empty).
     pub from: Option<NodeId>,
     /// New owner.
@@ -31,13 +54,13 @@ pub struct HandoffEvent {
 /// Internally a `BTreeMap<NodeId, ()>` over live node ids; successor
 /// queries are `O(log n)`.
 #[derive(Clone, Debug, Default)]
-pub struct Ring {
+pub(crate) struct Ring {
     nodes: BTreeMap<NodeId, ()>,
 }
 
 impl Ring {
     /// An empty ring.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Ring::default()
     }
 
@@ -46,31 +69,22 @@ impl Ring {
     /// where ownership state is restored separately. `BTreeMap`'s
     /// bulk construction makes this `O(n)` for sorted input (which is
     /// how checkpoints store the ring).
-    pub fn from_sorted_nodes(nodes: impl IntoIterator<Item = NodeId>) -> Self {
+    pub(crate) fn from_sorted_nodes(nodes: impl IntoIterator<Item = NodeId>) -> Self {
         Ring {
             nodes: nodes.into_iter().map(|n| (n, ())).collect(),
         }
     }
 
     /// Number of live nodes.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// True if no nodes are live.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// True if `node` is currently a member.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.nodes.contains_key(&node)
     }
 
     /// The clockwise successor of `key` — the live node owning `key`.
     ///
     /// Returns `None` only when the ring is empty.
-    pub fn successor(&self, key: NodeId) -> Option<NodeId> {
+    pub(crate) fn successor(&self, key: NodeId) -> Option<NodeId> {
         self.nodes
             .range(key..)
             .next()
@@ -78,27 +92,11 @@ impl Ring {
             .map(|(id, _)| *id)
     }
 
-    /// The `k`-th distinct successor of `key` (0-based): the owner,
-    /// then the next live node clockwise, and so on, wrapping.
-    ///
-    /// Returns `None` when the ring has fewer than `k + 1` nodes.
-    #[cfg(test)]
-    pub(crate) fn successor_nth(&self, key: NodeId, k: usize) -> Option<NodeId> {
-        if self.nodes.len() <= k {
-            return None;
-        }
-        self.nodes
-            .range(key..)
-            .map(|(id, _)| *id)
-            .chain(self.nodes.keys().copied())
-            .nth(k)
-    }
-
     /// The closest live predecessor of `node` (exclusive), i.e. the
     /// node counter-clockwise of it. `None` if `node` is the only
     /// member or the ring is empty.
     pub(crate) fn predecessor(&self, node: NodeId) -> Option<NodeId> {
-        if self.nodes.len() < 2 && self.contains(node) {
+        if self.nodes.len() < 2 && self.nodes.contains_key(&node) {
             return None;
         }
         if self.nodes.is_empty() {
@@ -117,8 +115,8 @@ impl Ring {
     /// `(predecessor, node]` from its successor.
     ///
     /// Joining an id that is already live is a no-op returning `None`.
-    pub fn join(&mut self, node: NodeId) -> Option<HandoffEvent> {
-        if self.contains(node) {
+    pub(crate) fn join(&mut self, node: NodeId) -> Option<HandoffEvent> {
+        if self.nodes.contains_key(&node) {
             return None;
         }
         self.nodes.insert(node, ());
@@ -149,8 +147,8 @@ impl Ring {
     /// successor. Removing an unknown node is a no-op returning
     /// `None`; removing the last node empties the ring (also `None`,
     /// since there is no surviving owner).
-    pub fn leave(&mut self, node: NodeId) -> Option<HandoffEvent> {
-        if !self.contains(node) {
+    pub(crate) fn leave(&mut self, node: NodeId) -> Option<HandoffEvent> {
+        if !self.nodes.contains_key(&node) {
             return None;
         }
         let pred = self.predecessor(node);
@@ -165,7 +163,7 @@ impl Ring {
     }
 
     /// Collects all live nodes into a vector (ring order).
-    pub fn to_vec(&self) -> Vec<NodeId> {
+    pub(crate) fn to_vec(&self) -> Vec<NodeId> {
         self.nodes.keys().copied().collect()
     }
 }
@@ -174,7 +172,6 @@ impl Ring {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use replend_types::PeerId;
 
     fn ring_of(ids: &[u64]) -> Ring {
         let mut r = Ring::new();
@@ -204,16 +201,6 @@ mod tests {
         assert_eq!(r.successor(NodeId(10)), Some(NodeId(10)));
         assert_eq!(r.successor(NodeId(11)), Some(NodeId(20)));
         assert_eq!(r.successor(NodeId(31)), Some(NodeId(10)), "wraps past max");
-    }
-
-    #[test]
-    fn successor_nth_walks_clockwise() {
-        let r = ring_of(&[10, 20, 30]);
-        assert_eq!(r.successor_nth(NodeId(5), 0), Some(NodeId(10)));
-        assert_eq!(r.successor_nth(NodeId(5), 1), Some(NodeId(20)));
-        assert_eq!(r.successor_nth(NodeId(5), 2), Some(NodeId(30)));
-        assert_eq!(r.successor_nth(NodeId(5), 3), None, "only 3 nodes");
-        assert_eq!(r.successor_nth(NodeId(25), 1), Some(NodeId(10)), "wraps");
     }
 
     #[test]
@@ -250,7 +237,7 @@ mod tests {
         assert_eq!(ev.to, NodeId(30));
         assert_eq!(ev.range_start, NodeId(10));
         assert_eq!(ev.range_end, NodeId(20));
-        assert!(!r.contains(NodeId(20)));
+        assert_eq!(r.to_vec(), vec![NodeId(10), NodeId(30)]);
     }
 
     #[test]
@@ -264,7 +251,7 @@ mod tests {
     fn leave_last_node_empties_ring() {
         let mut r = ring_of(&[10]);
         assert!(r.leave(NodeId(10)).is_none());
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
     }
 
     #[test]
@@ -301,6 +288,16 @@ mod tests {
     }
 
     proptest! {
+        /// Replica keys are deterministic and distinct per replica.
+        #[test]
+        fn replica_keys_distinct(peer in proptest::num::u64::ANY) {
+            let keys: Vec<NodeId> = (0..6).map(|i| replica_key(PeerId(peer), i)).collect();
+            let mut dedup = keys.clone();
+            dedup.sort();
+            dedup.dedup();
+            prop_assert_eq!(dedup.len(), keys.len());
+        }
+
         /// The successor function equals the naive definition.
         #[test]
         fn successor_matches_naive(
@@ -318,21 +315,6 @@ mod tests {
             prop_assert_eq!(r.successor(NodeId(key)), naive);
         }
 
-        /// successor_nth yields k distinct nodes in clockwise order.
-        #[test]
-        fn successor_nth_distinct(
-            ids in proptest::collection::btree_set(proptest::num::u64::ANY, 3..32),
-            key in proptest::num::u64::ANY,
-        ) {
-            let r = ring_of(&ids.iter().copied().collect::<Vec<_>>());
-            let n = ids.len().min(6);
-            let got: Vec<_> = (0..n).map(|k| r.successor_nth(NodeId(key), k).unwrap()).collect();
-            let mut dedup = got.clone();
-            dedup.sort();
-            dedup.dedup();
-            prop_assert_eq!(dedup.len(), got.len(), "successors must be distinct");
-        }
-
         /// Join handoff invariant: after a join, every key in the
         /// reported arc is owned by the new node.
         #[test]
@@ -342,7 +324,7 @@ mod tests {
             probes in proptest::collection::vec(proptest::num::u64::ANY, 8),
         ) {
             let mut r = ring_of(&ids.iter().copied().collect::<Vec<_>>());
-            prop_assume!(!r.contains(NodeId(newcomer)));
+            prop_assume!(!ids.contains(&newcomer));
             let ev = r.join(NodeId(newcomer)).unwrap();
             for p in probes {
                 let key = NodeId(p);

@@ -26,7 +26,7 @@
 //!   registry; a partition-set checkpoint's membership is the union of
 //!   its partitions' subjects.
 //! * **Replica keys are never stored.** `meta.key` is the pure
-//!   function [`replica_key`](replend_dht::managers::replica_key) of
+//!   function `replica_key` (in the engine's private `ring` module) of
 //!   `(subject, slot)`; import recomputes it. (Export asserts this in
 //!   debug builds; the engine never mutates a stored key.)
 //! * **Replica hosts are stored as exceptions.** The engine maintains

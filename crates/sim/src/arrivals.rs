@@ -33,11 +33,6 @@ impl PoissonProcess {
         PoissonProcess { rate, next_arrival }
     }
 
-    /// The configured rate λ.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Changes the rate to `rate` effective at continuous time `now`
     /// (scenario arrival curves). Poisson processes are memoryless,
     /// so the correct semantics of a rate change is to discard the

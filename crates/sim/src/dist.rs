@@ -11,7 +11,7 @@ use rand::Rng;
 ///
 /// # Panics
 /// If `rate` is not strictly positive and finite.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+pub(crate) fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
     let u: f64 = rng.gen(); // [0, 1)
     -(1.0 - u).ln() / rate
@@ -25,7 +25,8 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 ///
 /// # Panics
 /// If `mean` is negative or not finite.
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
+#[cfg(test)]
+pub(crate) fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
     assert!(mean.is_finite() && mean >= 0.0, "mean must be >= 0");
     if mean == 0.0 {
         return 0;
@@ -49,7 +50,8 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
 }
 
 /// Samples a standard normal via Box–Muller.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+#[cfg(test)]
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by mapping u1 into (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
@@ -62,7 +64,8 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 ///
 /// # Panics
 /// If `alpha <= 1`, or `k_min` is zero, or `k_min > k_max`.
-pub fn power_law<R: Rng + ?Sized>(rng: &mut R, alpha: f64, k_min: u64, k_max: u64) -> u64 {
+#[cfg(test)]
+pub(crate) fn power_law<R: Rng + ?Sized>(rng: &mut R, alpha: f64, k_min: u64, k_max: u64) -> u64 {
     assert!(alpha > 1.0, "alpha must exceed 1 for a normalizable law");
     assert!(k_min >= 1 && k_min <= k_max, "need 1 <= k_min <= k_max");
     let a = 1.0 - alpha;

@@ -68,12 +68,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
@@ -85,7 +87,8 @@ impl<E> EventQueue<E> {
     }
 
     /// The timestamp of the next event, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
+    #[cfg(test)]
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.at)
     }
 
@@ -100,7 +103,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Drains every event due at or before `now`, in order.
-    pub fn drain_due(&mut self, now: SimTime) -> Vec<(SimTime, E)> {
+    #[cfg(test)]
+    pub(crate) fn drain_due(&mut self, now: SimTime) -> Vec<(SimTime, E)> {
         let mut out = Vec::new();
         while let Some(ev) = self.pop_due(now) {
             out.push(ev);

@@ -16,8 +16,9 @@
 //! * [`arrivals`] — the Poisson arrival process (exponential
 //!   inter-arrival times via inverse-CDF, no external distribution
 //!   crates);
-//! * [`dist`] — small samplers (exponential, Poisson counts, discrete
-//!   power-law) shared by workloads and tests;
+//! * `dist` (crate-private) — the exponential sampler behind the arrival process
+//!   (Poisson-count and discrete power-law samplers exist for tests
+//!   only);
 //! * [`series`] — fixed-interval time-series recording plus averaging
 //!   across runs (the paper samples cooperative reputation every
 //!   5 000 ticks and averages 10 runs);
@@ -27,7 +28,7 @@
 //!   change results).
 
 pub mod arrivals;
-pub mod dist;
+mod dist;
 pub mod events;
 pub mod runner;
 pub mod series;
@@ -37,4 +38,4 @@ pub use arrivals::PoissonProcess;
 pub use events::EventQueue;
 pub use runner::{run_many, run_many_parallel, Summary};
 pub use series::TimeSeries;
-pub use stats::{Histogram, Welford};
+pub use stats::Histogram;

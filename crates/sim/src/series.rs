@@ -30,11 +30,6 @@ impl TimeSeries {
         }
     }
 
-    /// The sampling interval in ticks.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
     /// True at ticks where a sample should be recorded (multiples of
     /// the interval).
     pub fn is_sample_tick(&self, now: SimTime) -> bool {

@@ -1,28 +1,27 @@
-//! Online statistics: Welford mean/variance and fixed-bucket
-//! histograms.
-//!
-//! Used by the experiment harness for streaming metrics that would be
-//! wasteful to buffer (per-tick service decisions, per-lookup hop
-//! counts), and by tests asserting distributional properties.
+//! Online statistics: fixed-bucket histograms (the member-reputation
+//! histogram of communities and clusters), plus a Welford
+//! mean/variance accumulator that only tests use.
 
 use serde::{Deserialize, Serialize};
 
 /// Welford's online mean/variance accumulator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct Welford {
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct Welford {
     n: u64,
     mean: f64,
     m2: f64,
 }
 
+#[cfg(test)]
 impl Welford {
     /// An empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Folds in one observation.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
@@ -30,27 +29,27 @@ impl Welford {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
     /// Sample mean; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.n > 0).then_some(self.mean)
     }
 
     /// Unbiased sample variance; `None` for fewer than 2 samples.
-    pub fn variance(&self) -> Option<f64> {
+    pub(crate) fn variance(&self) -> Option<f64> {
         (self.n >= 2).then(|| self.m2 / (self.n - 1) as f64)
     }
 
     /// Sample standard deviation; `None` for fewer than 2 samples.
-    pub fn std_dev(&self) -> Option<f64> {
+    pub(crate) fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
     }
 
     /// Merges another accumulator (parallel reduction; Chan et al.).
-    pub fn merge(&mut self, other: &Welford) {
+    pub(crate) fn merge(&mut self, other: &Welford) {
         if other.n == 0 {
             return;
         }
@@ -140,7 +139,8 @@ impl Histogram {
 
     /// Approximate quantile `q ∈ [0, 1]` (bucket lower edge); `None`
     /// when empty or the quantile falls outside the range.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         let total = self.count();
         if total == 0 {
             return None;

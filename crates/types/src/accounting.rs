@@ -61,7 +61,8 @@ pub struct ReputationDelta {
 impl ReputationDelta {
     /// The signed change `new − old`.
     #[inline]
-    pub fn change(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn change(&self) -> f64 {
         self.new.value() - self.old.value()
     }
 
@@ -88,14 +89,9 @@ pub struct KahanSum {
 }
 
 impl KahanSum {
-    /// An empty sum.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `x` (use a negative value to subtract).
     #[inline]
-    pub fn add(&mut self, x: f64) {
+    pub(crate) fn add(&mut self, x: f64) {
         let t = self.sum + x;
         // Neumaier's branch: compensate from whichever operand lost
         // precision.
@@ -109,12 +105,12 @@ impl KahanSum {
 
     /// The compensated total.
     #[inline]
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         self.sum + self.c
     }
 
     /// Resets to zero.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = Self::default();
     }
 }
@@ -165,7 +161,8 @@ impl MeanAcc {
 
     /// Number of members included.
     #[inline]
-    pub fn count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> usize {
         self.n
     }
 
@@ -177,7 +174,8 @@ impl MeanAcc {
 
     /// The current (compensated) sum.
     #[inline]
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         self.sum.value()
     }
 }
@@ -217,7 +215,7 @@ mod tests {
         // 1 + 2^-60 added a million times, then -1: the naive sum
         // loses every tiny addend; Kahan keeps them.
         let tiny = (2.0f64).powi(-60);
-        let mut k = KahanSum::new();
+        let mut k = KahanSum::default();
         let mut naive = 0.0f64;
         k.add(1.0);
         naive += 1.0;

@@ -71,7 +71,8 @@ pub enum SlotAlloc {
 impl SlotAlloc {
     /// The allocated handle, fresh or reused.
     #[inline]
-    pub fn handle(self) -> Handle {
+    #[cfg(test)]
+    pub(crate) fn handle(self) -> Handle {
         match self {
             SlotAlloc::Fresh(h) | SlotAlloc::Reused(h) => h,
         }
@@ -164,7 +165,8 @@ impl SlotAllocator {
 
     /// Currently occupied slots.
     #[inline]
-    pub fn live(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
         self.capacity as usize - self.free.len()
     }
 }
@@ -189,7 +191,7 @@ pub struct InlineList<T, const N: usize> {
 
 impl<T: Copy + Default, const N: usize> InlineList<T, N> {
     /// An empty list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InlineList {
             inline: [T::default(); N],
             len: 0,

@@ -62,7 +62,8 @@ pub enum IntroducerPolicy {
 
 impl IntroducerPolicy {
     /// The Table-1 default selective policy (`err_sel` = 10%).
-    pub const fn default_selective() -> Self {
+    #[cfg(test)]
+    pub(crate) const fn default_selective() -> Self {
         IntroducerPolicy::Selective { error_rate: 0.10 }
     }
 

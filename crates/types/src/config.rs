@@ -184,7 +184,7 @@ pub struct SimParams {
 
 impl SimParams {
     /// Validates internal consistency.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.num_init == 0 {
             return Err(ConfigError::Inconsistent {
                 what: "num_init must be at least 1",

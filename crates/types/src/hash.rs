@@ -20,7 +20,7 @@ pub const fn splitmix64(mut z: u64) -> u64 {
 
 /// FNV-1a over a byte slice (64-bit variant).
 #[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;

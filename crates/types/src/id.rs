@@ -69,9 +69,6 @@ impl From<u64> for PeerId {
 pub struct NodeId(pub u64);
 
 impl NodeId {
-    /// Number of bits in the identifier space.
-    pub const BITS: u32 = 64;
-
     /// Returns the raw ring coordinate.
     #[inline]
     pub const fn raw(self) -> u64 {
@@ -82,13 +79,6 @@ impl NodeId {
     #[inline]
     pub const fn distance_to(self, other: NodeId) -> u64 {
         other.0.wrapping_sub(self.0)
-    }
-
-    /// The id exactly `2^k` clockwise of `self` — the k-th Chord finger
-    /// target.
-    #[inline]
-    pub const fn finger_target(self, k: u32) -> NodeId {
-        NodeId(self.0.wrapping_add(1u64 << k))
     }
 
     /// True if `self` lies in the half-open clockwise interval
@@ -133,14 +123,6 @@ impl From<u64> for NodeId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RequestId(pub u64);
 
-impl RequestId {
-    /// Returns the raw request id.
-    #[inline]
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Debug for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "req#{}", self.0)
@@ -164,11 +146,6 @@ pub struct RequestIdGen {
 }
 
 impl RequestIdGen {
-    /// Creates a generator starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Returns a fresh, never-before-issued request id.
     pub fn next_id(&mut self) -> RequestId {
         let id = RequestId(self.next);
@@ -218,20 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn finger_target_powers() {
-        let n = NodeId(0);
-        assert_eq!(n.finger_target(0), NodeId(1));
-        assert_eq!(n.finger_target(10), NodeId(1024));
-        assert_eq!(n.finger_target(63), NodeId(1 << 63));
-    }
-
-    #[test]
-    fn finger_target_wraps() {
-        let n = NodeId(u64::MAX);
-        assert_eq!(n.finger_target(0), NodeId(0));
-    }
-
-    #[test]
     fn interval_simple() {
         // (10, 20]: 15 and 20 are inside, 10 and 25 are not.
         let from = NodeId(10);
@@ -264,7 +227,7 @@ mod tests {
 
     #[test]
     fn request_id_gen_is_monotonic_and_unique() {
-        let mut gen = RequestIdGen::new();
+        let mut gen = RequestIdGen::default();
         let a = gen.next_id();
         let b = gen.next_id();
         let c = gen.next_id();

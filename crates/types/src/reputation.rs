@@ -80,12 +80,14 @@ impl Reputation {
 
     /// True if this reputation is at least `threshold`.
     #[inline]
-    pub fn at_least(self, threshold: Reputation) -> bool {
+    #[cfg(test)]
+    pub(crate) fn at_least(self, threshold: Reputation) -> bool {
         self.0 >= threshold.0
     }
 
     /// The mean of a slice of reputations; `None` when empty.
-    pub fn mean(values: &[Reputation]) -> Option<Reputation> {
+    #[cfg(test)]
+    pub(crate) fn mean(values: &[Reputation]) -> Option<Reputation> {
         if values.is_empty() {
             return None;
         }

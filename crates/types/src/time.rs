@@ -25,7 +25,7 @@ impl SimTime {
 
     /// Saturating difference `self - earlier` in ticks.
     #[inline]
-    pub const fn since(self, earlier: SimTime) -> u64 {
+    pub(crate) const fn since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
 
@@ -33,7 +33,8 @@ impl SimTime {
     ///
     /// Used to test expiry of the waiting period `T` of §2.
     #[inline]
-    pub const fn elapsed_at_least(self, earlier: SimTime, delta: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) const fn elapsed_at_least(self, earlier: SimTime, delta: u64) -> bool {
         self.since(earlier) >= delta
     }
 }

@@ -1,9 +1,9 @@
 //! # replend-wire
 //!
 //! The workspace's deterministic binary wire format, built on the
-//! serde data model: the serialization surface that lets the
-//! multi-community cluster run as **shared-nothing worker processes**
-//! exchanging encoded summaries instead of sharing memory.
+//! serde data model: the encoding of everything the workspace writes
+//! to disk — the reputation service's write-ahead journal, its engine
+//! checkpoints, and `.scn` scenario files.
 //!
 //! ## Encoding
 //!
@@ -12,9 +12,9 @@
 //! * fixed-width integers are little-endian (`usize` travels as
 //!   `u64`, `isize` as `i64`);
 //! * floats are the IEEE-754 bit pattern, little-endian — **bit
-//!   exact**, so a reputation mean decodes to the same `f64` bits it
-//!   was encoded from (the cluster's byte-identity guarantee depends
-//!   on this);
+//!   exact**, so a reputation decodes to the same `f64` bits it was
+//!   encoded from (byte-identical restart from a journal or
+//!   checkpoint depends on this);
 //! * `bool` is one byte (`0`/`1`; anything else is a decode error);
 //! * `Option` is a one-byte tag (`0` = `None`, `1` = `Some`) followed
 //!   by the value;
@@ -27,29 +27,27 @@
 //! There is exactly one encoding for a given value, no alignment, no
 //! padding and no platform dependence, so `encode(x)` is a stable
 //! fingerprint of `x`: equal values encode to equal bytes on every
-//! host, which is what the cross-process determinism tests pin.
+//! host, which is what the checkpoint determinism tests pin.
 //!
 //! ## Versioning
 //!
-//! Everything that crosses a process boundary travels inside a
-//! [`SummaryEnvelope`] `{ version, seed, payload }`. The version is
+//! Everything that outlives the process that wrote it travels inside
+//! a [`SummaryEnvelope`] `{ version, seed, payload }`. The version is
 //! this crate's [`PROTOCOL_VERSION`]; [`SummaryEnvelope::open`]
 //! rejects a mismatch with the typed
 //! [`WireError::VersionMismatch`] *before* touching the payload.
-//! Policy: **any** change to the encoding of a type that crosses the
-//! boundary — field added/removed/reordered, width changed, variant
+//! Policy: **any** change to the encoding of a stored type — field
+//! added/removed/reordered, width changed, variant
 //! added anywhere but the end — must bump [`PROTOCOL_VERSION`].
-//! There is no negotiation: workers are spawned by a coordinator of
-//! the same build in the intended deployment, so a mismatch means a
-//! stale binary and the right response is to fail loudly.
+//! There is no negotiation: a mismatch means a file written by a
+//! different build, and the right response is to fail loudly.
 //!
 //! ## Framing
 //!
-//! Stream transports (the worker's stdio pipes) delimit messages
-//! with [`write_frame`]/[`read_frame`]: a `u32` little-endian byte
-//! length followed by the encoded bytes. `read_frame` distinguishes
-//! a clean end-of-stream (`Ok(None)`) from a truncated frame (an
-//! error).
+//! The journal file delimits records as length-prefixed frames: a
+//! `u32` little-endian byte length followed by the encoded bytes.
+//! Reading distinguishes a clean end-of-stream from a truncated
+//! frame.
 //!
 //! ## Journalling
 //!
@@ -67,11 +65,12 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Version of the worker wire protocol. Bump on **any** encoding
-/// change of a boundary-crossing type (see the crate docs for the
-/// policy).
+/// Version of the wire format. Bump on **any** encoding change of a
+/// type that is journalled, checkpointed or stored in a `.scn` file
+/// (see the crate docs for the policy).
 ///
-/// History: v1 = the original job/report protocol; v2 = the report's
+/// History: v1 = the original cluster job/report protocol (worker
+/// processes, since removed); v2 = the report's
 /// sampled series carries `Option<f64>` per sample (empty cohorts are
 /// no longer conflated with a true zero mean) and the serve layer's
 /// journal records joined the boundary-crossing set; v3 = the engine
@@ -86,7 +85,7 @@ pub const PROTOCOL_VERSION: u32 = 4;
 /// arbitrary wire bytes before any decoding happens, so a corrupt or
 /// misrouted file fails with a typed error instead of a garbage
 /// decode.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RLCK";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"RLCK";
 
 /// Typed encode/decode failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -665,12 +664,13 @@ impl<'de> serde::de::VariantAccess<'de> for VariantDecoder<'_, 'de> {
 // Versioned envelope
 // ---------------------------------------------------------------------------
 
-/// The versioned wrapper every cross-process message travels in.
+/// The versioned wrapper every journal record, checkpoint and `.scn`
+/// payload is stored in.
 ///
-/// `seed` identifies the run the payload belongs to (the cluster's
-/// base seed), letting a coordinator reject summaries from a stale
-/// or misrouted worker; `version` gates decoding entirely — see the
-/// crate docs for the bump policy.
+/// `seed` identifies the run the payload belongs to (the service or
+/// scenario seed), letting a reader reject a record written for a
+/// different run; `version` gates decoding entirely — see the crate
+/// docs for the bump policy.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SummaryEnvelope {
     /// Protocol version of the sender ([`PROTOCOL_VERSION`]).
@@ -765,7 +765,8 @@ pub fn decode_checkpoint<T: serde::de::DeserializeOwned>(
 // ---------------------------------------------------------------------------
 
 /// Writes one length-prefixed frame (`u32` LE byte count + bytes).
-pub fn write_frame<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
+#[cfg(test)]
+pub(crate) fn write_frame<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
     let len = u32::try_from(bytes.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds 4 GiB"))?;
     writer.write_all(&len.to_le_bytes())?;
@@ -779,7 +780,7 @@ pub fn write_frame<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
 /// so the payload buffer grows with the bytes actually read instead
 /// of being allocated up front: a corrupt header claiming 4 GiB costs
 /// only the bytes that follow it.
-pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
+pub(crate) fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < len_bytes.len() {
@@ -928,7 +929,8 @@ impl<W: Write> JournalWriter<W> {
     /// A writer appending records tagged with `seed` to `inner`
     /// (typically a file opened in append mode), flushing every
     /// record ([`SyncPolicy::Always`]).
-    pub fn new(inner: W, seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(inner: W, seed: u64) -> Self {
         Self::with_policy(inner, seed, SyncPolicy::Always)
     }
 
@@ -990,7 +992,8 @@ impl<W: Write> JournalWriter<W> {
     }
 
     /// Records buffered in memory but not yet flushed to the stream.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.pending
     }
 
@@ -1098,7 +1101,8 @@ impl<R: Read> JournalReader<R> {
     /// Intact records decoded so far — alongside
     /// [`JournalReader::consumed`], lets a replaying service report
     /// record counts and byte offsets without counting externally.
-    pub fn records(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn records(&self) -> u64 {
         self.records
     }
 

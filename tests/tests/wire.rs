@@ -1,6 +1,7 @@
 //! Wire-format round-trip property suite: **every type that crosses
-//! the worker boundary must encode→decode bit-identically**, and a
-//! version-bumped envelope must fail decode with the typed error.
+//! a process boundary — in a journal, a checkpoint or a `.scn` file —
+//! must encode→decode bit-identically**, and a version-bumped envelope
+//! must fail decode with the typed error.
 //!
 //! Bit-identity is asserted at the byte level — `encode(decode(
 //! encode(x))) == encode(x)` — which is exactly "the decoded value is
@@ -11,10 +12,9 @@
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
-use replend_core::serve::StatusPolicy;
+use replend_core::serve::{JournalOp, StatusPolicy};
 use replend_core::stats::{CommunityStats, Population};
-use replend_core::{BootstrapPolicy, CommunityReport, CommunitySummary, EngineKind, WorkerJob};
-use replend_rocq::RocqParams;
+use replend_core::BootstrapPolicy;
 use replend_scenario::{
     builtin, decode_scenario, encode_scenario, AdversaryClass, ArrivalPhase, CohortEvent,
     CohortSpec, FaultAction, FaultEvent, MetricsRow, Observation, Scenario, ScenarioError,
@@ -176,104 +176,25 @@ fn any_policy() -> impl Strategy<Value = BootstrapPolicy> {
     })
 }
 
-fn any_engine() -> impl Strategy<Value = EngineKind> {
-    ((0u32..4), proptest::num::f64::ANY).prop_map(|(i, v)| match i {
-        0 => EngineKind::Rocq(RocqParams {
-            crash_prob: v,
-            ..RocqParams::default()
-        }),
-        1 => EngineKind::SimpleAverage,
-        2 => EngineKind::Ewma { alpha: v },
-        _ => EngineKind::Beta,
+/// A journal frame's payload: one opinion batch, the op the service
+/// journals most.
+fn any_journal_op() -> impl Strategy<Value = JournalOp> {
+    proptest::collection::vec(
+        (
+            proptest::num::u64::ANY,
+            proptest::num::u64::ANY,
+            proptest::num::f64::ANY,
+        ),
+        0..24,
+    )
+    .prop_map(|raw| JournalOp::Batch {
+        batch: raw
+            .into_iter()
+            .map(|(reporter, subject, opinion)| {
+                Feedback::new(PeerId(reporter), PeerId(subject), opinion)
+            })
+            .collect(),
     })
-}
-
-fn any_job() -> impl Strategy<Value = WorkerJob> {
-    (
-        any_table1(),
-        any_policy(),
-        any_engine(),
-        (
-            proptest::num::u64::ANY,
-            proptest::num::f64::ANY,
-            proptest::num::f64::ANY,
-            proptest::num::u64::ANY,
-            proptest::num::u64::ANY,
-        ),
-        proptest::collection::vec(proptest::num::u64::ANY, 0..16),
-        (
-            proptest::num::u64::ANY,
-            proptest::num::u64::ANY,
-            proptest::num::u64::ANY,
-        ),
-    )
-        .prop_map(
-            |(
-                config,
-                policy,
-                engine,
-                (ba_attachment, sm_crash_prob, departure_rate, log_capacity, base_seed),
-                indices,
-                (ticks, sample_interval, histogram_buckets),
-            )| WorkerJob {
-                config,
-                policy,
-                engine,
-                ba_attachment,
-                sm_crash_prob,
-                departure_rate,
-                log_capacity,
-                base_seed,
-                indices,
-                ticks,
-                sample_interval,
-                histogram_buckets,
-            },
-        )
-}
-
-fn any_report() -> impl Strategy<Value = CommunityReport> {
-    (
-        proptest::num::u64::ANY,
-        any_population(),
-        any_stats(),
-        any_opt_f64(),
-        any_opt_f64(),
-        proptest::collection::vec(proptest::num::u64::ANY, 0..24),
-        proptest::collection::vec(any_opt_f64(), 0..24),
-    )
-        .prop_map(
-            |(index, population, stats, mean_coop_rep, mean_uncoop_rep, histogram, series)| {
-                CommunityReport {
-                    index,
-                    population,
-                    stats,
-                    mean_coop_rep,
-                    mean_uncoop_rep,
-                    histogram,
-                    series,
-                }
-            },
-        )
-}
-
-fn any_summary() -> impl Strategy<Value = CommunitySummary> {
-    (
-        proptest::num::usize::ANY,
-        any_population(),
-        any_opt_f64(),
-        any_opt_f64(),
-        any_opt_f64(),
-    )
-        .prop_map(
-            |(index, population, mean_coop_rep, mean_uncoop_rep, success_rate)| CommunitySummary {
-                index,
-                population,
-                mean_coop_rep,
-                mean_uncoop_rep,
-                success_rate,
-            },
-        )
 }
 
 fn any_histogram() -> impl Strategy<Value = Histogram> {
@@ -606,12 +527,8 @@ proptest! {
     }
 
     #[test]
-    fn policies_and_engines_round_trip(
-        policy in any_policy(),
-        engine in any_engine(),
-    ) {
+    fn policies_and_engines_round_trip(policy in any_policy()) {
         assert_bit_identical_round_trip(&policy);
-        assert_bit_identical_round_trip(&engine);
     }
 
     #[test]
@@ -625,31 +542,17 @@ proptest! {
     }
 
     #[test]
-    fn worker_jobs_round_trip(job in any_job()) {
-        assert_bit_identical_round_trip(&job);
-    }
-
-    #[test]
-    fn community_reports_round_trip(report in any_report()) {
-        assert_bit_identical_round_trip(&report);
-    }
-
-    #[test]
-    fn community_summaries_round_trip(summary in any_summary()) {
-        assert_bit_identical_round_trip(&summary);
-    }
-
-    #[test]
     fn envelopes_round_trip_but_bumped_versions_fail_typed(
-        report in any_report(),
+        seed in proptest::num::u64::ANY,
+        op in any_journal_op(),
         bump in 1u32..1000,
     ) {
-        let envelope = SummaryEnvelope::wrap(report.index, &report).unwrap();
+        let envelope = SummaryEnvelope::wrap(seed, &op).unwrap();
         let bytes = envelope.encode().unwrap();
         let reopened = SummaryEnvelope::decode(&bytes).unwrap();
         prop_assert_eq!(
-            to_bytes(&reopened.open::<CommunityReport>().unwrap()).unwrap(),
-            to_bytes(&report).unwrap()
+            to_bytes(&reopened.open::<JournalOp>().unwrap()).unwrap(),
+            to_bytes(&op).unwrap()
         );
 
         // Any bumped version must fail decode with the typed error —
