@@ -38,7 +38,7 @@ use std::path::PathBuf;
 
 /// Parsed command line.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Command {
+pub(crate) enum Command {
     /// Run a simulation and print the summary (boxed: the full
     /// Table-1 configuration dwarfs the other variants).
     Run(Box<RunArgs>),
@@ -60,7 +60,7 @@ pub enum Command {
 
 /// Subcommands of `replend scenario`.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ScenarioCmd {
+pub(crate) enum ScenarioCmd {
     /// List the shipped scenarios.
     List,
     /// Run a `.scn` scenario file and write its metrics CSV.
@@ -82,34 +82,34 @@ pub enum ScenarioCmd {
 
 /// Options of `replend serve`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ServeArgs {
+pub(crate) struct ServeArgs {
     /// Subjects registered before ingest starts.
-    pub subjects: u64,
+    pub(crate) subjects: u64,
     /// Ingest batches applied.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Opinions per batch.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// Concurrent reader threads probing the live service.
-    pub readers: usize,
+    pub(crate) readers: usize,
     /// Lock partitions of the concurrent engine.
-    pub partitions: usize,
+    pub(crate) partitions: usize,
     /// Score managers per subject.
-    pub num_sm: usize,
+    pub(crate) num_sm: usize,
     /// Engine + workload seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Write-ahead feedback journal (`None` = in-memory only).
-    pub journal: Option<PathBuf>,
+    pub(crate) journal: Option<PathBuf>,
     /// Journal flush policy: every record, or group-committed.
-    pub journal_sync: SyncPolicy,
+    pub(crate) journal_sync: SyncPolicy,
     /// Auto-checkpoint (and journal-compaction) cadence in journalled
     /// mutations; `None` = only explicit `replend compact` runs.
-    pub checkpoint_every: Option<u64>,
+    pub(crate) checkpoint_every: Option<u64>,
     /// Observations before the status policy trusts a reputation.
-    pub min_observations: u64,
+    pub(crate) min_observations: u64,
     /// Throttle subjects below this reputation.
-    pub throttle_below: f64,
+    pub(crate) throttle_below: f64,
     /// Ban subjects below this reputation.
-    pub ban_below: f64,
+    pub(crate) ban_below: f64,
 }
 
 impl Default for ServeArgs {
@@ -136,7 +136,7 @@ impl Default for ServeArgs {
 
 impl ServeArgs {
     /// The status-tier policy these arguments describe.
-    pub fn policy(&self) -> StatusPolicy {
+    pub(crate) fn policy(&self) -> StatusPolicy {
         StatusPolicy {
             min_observations: self.min_observations,
             throttle_below: self.throttle_below,
@@ -146,7 +146,7 @@ impl ServeArgs {
 
     /// The service configuration these arguments describe (engine
     /// crash model off: the service is an oracle, not a simulation).
-    pub fn service_config(&self) -> ServeConfig {
+    pub(crate) fn service_config(&self) -> ServeConfig {
         ServeConfig {
             num_sm: self.num_sm,
             partitions: self.partitions,
@@ -159,7 +159,7 @@ impl ServeArgs {
     }
 
     /// The synthetic workload these arguments describe.
-    pub fn workload(&self) -> WorkloadConfig {
+    pub(crate) fn workload(&self) -> WorkloadConfig {
         WorkloadConfig {
             subjects: self.subjects,
             rounds: self.rounds,
@@ -172,24 +172,24 @@ impl ServeArgs {
 
 /// Options of `replend run`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RunArgs {
+pub(crate) struct RunArgs {
     /// Full simulation configuration.
-    pub config: Table1,
+    pub(crate) config: Table1,
     /// Bootstrap policy.
-    pub policy: BootstrapPolicy,
+    pub(crate) policy: BootstrapPolicy,
     /// RNG seed of the first run.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of averaged runs.
-    pub runs: usize,
+    pub(crate) runs: usize,
     /// Sampling interval for the reputation series (0 = no series).
-    pub sample: u64,
+    pub(crate) sample: u64,
     /// Print a reputation histogram with this many buckets (0 = off).
-    pub histogram: usize,
+    pub(crate) histogram: usize,
     /// Departure churn rate (extension; 0 = paper model).
-    pub departure_rate: f64,
+    pub(crate) departure_rate: f64,
     /// Independent communities stepped in parallel as one cluster
     /// (1 = the classic single-community run).
-    pub communities: usize,
+    pub(crate) communities: usize,
 }
 
 impl Default for RunArgs {
@@ -209,7 +209,7 @@ impl Default for RunArgs {
 
 /// A parse failure with a user-facing message.
 #[derive(Clone, Debug, PartialEq)]
-pub struct UsageError(pub String);
+pub struct UsageError(pub(crate) String);
 
 impl std::fmt::Display for UsageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -303,7 +303,7 @@ fn parse_topology(raw: &str) -> Result<TopologyKind, UsageError> {
 }
 
 /// Parses a full argument list (without the program name).
-pub fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
+pub(crate) fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
     match args.first().copied() {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
         Some("table1") => Ok(Command::Table1),
@@ -727,7 +727,7 @@ pub fn usage() -> String {
 /// (with [`CliError::Run`]) only on runtime errors — journal or file
 /// I/O — so the shell sees a non-zero exit instead of an "error: ..."
 /// line on stdout with exit 0.
-pub fn execute(command: Command) -> Result<String, CliError> {
+pub(crate) fn execute(command: Command) -> Result<String, CliError> {
     match command {
         Command::Help => Ok(usage()),
         Command::Table1 => {

@@ -276,13 +276,6 @@ impl Community {
         self.bus.counters()
     }
 
-    /// Retained protocol events, oldest first (empty unless
-    /// [`CommunityBuilder::log_capacity`] was set).
-    #[cfg(test)]
-    pub(crate) fn events(&self) -> impl Iterator<Item = &LoggedEvent> + '_ {
-        self.log.iter()
-    }
-
     /// Retained events about one peer, oldest first — a borrowed
     /// iterator over the log's per-peer index (no allocation, no
     /// full-log scan).
@@ -374,20 +367,6 @@ impl Community {
         for _ in 0..ticks {
             self.step();
         }
-    }
-
-    /// Runs `ticks` steps, recording `sampler(self)` every `interval`
-    /// ticks (the paper's Figure-2 protocol: every 5 000 units).
-    #[cfg(test)]
-    pub(crate) fn run_sampled<F>(&mut self, ticks: u64, interval: u64, mut sampler: F) -> TimeSeries
-    where
-        F: FnMut(&Community) -> f64,
-    {
-        let mut series = TimeSeries::new(interval);
-        for value in self.run_sampled_with(ticks, interval, |c| sampler(c)) {
-            series.push(value);
-        }
-        series
     }
 
     /// Advances `ticks` ticks, recording `sampler(self)` every
@@ -877,18 +856,30 @@ impl Community {
         }
         self.sync_engine_deltas();
     }
+}
 
-    // ------------------------------------------------------------------
-    // Test oracle
-    // ------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::peer::PeerStatus;
+    use proptest::prelude::*;
+
+    /// Every peer ever seen, in arrival order.
+    fn records(c: &Community) -> impl Iterator<Item = &PeerRecord> + '_ {
+        (0..c.peers_seen() as u64).filter_map(|p| c.peer(PeerId(p)))
+    }
+
+    /// Every retained protocol event, grouped by subject peer (each
+    /// event is indexed under exactly one peer).
+    fn events(c: &Community) -> impl Iterator<Item = &LoggedEvent> + '_ {
+        (0..c.peers_seen() as u64).flat_map(|p| c.history_of(PeerId(p)))
+    }
 
     /// The seed implementation's full O(n) population scan, kept as
     /// the oracle for the incremental counters.
-    #[cfg(test)]
-    fn recount_population(&self) -> Population {
-        use crate::peer::PeerStatus;
+    fn recount_population(c: &Community) -> Population {
         let mut pop = Population::default();
-        for p in self.table.records() {
+        for p in records(c) {
             match p.status {
                 PeerStatus::Member => {
                     pop.members += 1;
@@ -908,13 +899,12 @@ impl Community {
 
     /// The seed implementation's per-member engine poll, kept as the
     /// oracle for the mean-reputation accumulators.
-    #[cfg(test)]
-    fn recount_mean(&self, cooperative: bool) -> Option<f64> {
+    fn recount_mean(c: &Community, cooperative: bool) -> Option<f64> {
         let mut sum = 0.0;
         let mut n = 0usize;
-        for p in self.table.records() {
+        for p in records(c) {
             if p.status.is_member() && p.profile.behavior.is_cooperative() == cooperative {
-                if let Some(r) = self.engine.reputation(p.id) {
+                if let Some(r) = c.reputation(p.id) {
                     sum += r.value();
                     n += 1;
                 }
@@ -922,13 +912,6 @@ impl Community {
         }
         (n > 0).then(|| sum / n as f64)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::peer::PeerStatus;
-    use proptest::prelude::*;
 
     fn small_config() -> Table1 {
         Table1::paper_defaults()
@@ -1006,12 +989,36 @@ mod tests {
 
     #[test]
     fn admitted_newcomers_start_with_intro_amt() {
+        // One scripted lending admission, resolved in isolation: the
+        // introducer's stake moves to the newcomer, exactly introAmt.
         let mut c = built(5);
+        let intro_amt = c.config().lending.intro_amt;
+        let introducer = PeerId(0);
+        let stake_before = c.reputation(introducer).unwrap();
+        let newcomer = c
+            .arrival_with_chosen_introducer(
+                PeerProfile::cooperative(replend_types::IntroducerPolicy::Naive),
+                introducer,
+            )
+            .unwrap();
+        c.clock += c.config().lending.wait_period;
+        c.resolve_introduction(newcomer);
+        assert!(c.peer(newcomer).unwrap().status.is_member());
+        assert_eq!(c.peer(newcomer).unwrap().introducer, Some(introducer));
+        let granted = c.reputation(newcomer).unwrap().value();
+        assert!(
+            (granted - intro_amt).abs() < 1e-12,
+            "newcomer holds {granted}"
+        );
+        let stake_after = c.reputation(introducer).unwrap().value();
+        assert!(
+            (stake_before.value() - stake_after - intro_amt).abs() < 1e-12,
+            "the admission debits the introducer's stake by introAmt: \
+             {stake_before:?} -> {stake_after}"
+        );
+
         c.run(10_000);
-        let admitted: Vec<_> = c
-            .table
-            .records()
-            .iter()
+        let admitted: Vec<_> = records(&c)
             .filter(|p| p.introducer.is_some())
             .map(|p| p.id)
             .collect();
@@ -1139,11 +1146,11 @@ mod tests {
     #[test]
     fn run_sampled_collects_series() {
         let mut c = built(12);
-        let series = c.run_sampled(2_000, 500, |c| {
+        let samples = c.run_sampled_with(2_000, 500, |c| {
             c.mean_cooperative_reputation().unwrap_or(0.0)
         });
-        assert_eq!(series.len(), 4);
-        for (_, v) in series.points() {
+        assert_eq!(samples.len(), 4);
+        for v in samples {
             assert!((0.0..=1.0).contains(&v));
         }
     }
@@ -1171,10 +1178,7 @@ mod tests {
         let pop = c.population();
         assert_eq!(pop.departed as u64, s.departures);
         // Departed peers are out of the engine and the topology.
-        let departed = c
-            .table
-            .records()
-            .iter()
+        let departed = records(&c)
             .find(|p| p.status == PeerStatus::Departed)
             .expect("at least one departed peer");
         assert_eq!(c.reputation(departed.id), None);
@@ -1209,12 +1213,7 @@ mod tests {
         let mut checked = false;
         for _ in 0..10_000 {
             c.step();
-            if let Some(p) = c
-                .table
-                .records()
-                .iter()
-                .find(|p| p.introducer.is_some() && p.status.is_member())
-            {
+            if let Some(p) = records(&c).find(|p| p.introducer.is_some() && p.status.is_member()) {
                 let at_admission = c.peer(p.id).unwrap().admitted_at.unwrap();
                 if c.time() == at_admission {
                     assert_eq!(
@@ -1266,18 +1265,15 @@ mod tests {
         let s = *c.stats();
         // Every arrival logged a request; every admission/refusal/
         // audit appears.
-        let requests = c
-            .events()
+        let requests = events(&c)
             .filter(|e| matches!(e.event, Event::IntroductionRequested { .. }))
             .count() as u64;
         assert_eq!(requests, s.arrived_total());
-        let admitted = c
-            .events()
+        let admitted = events(&c)
             .filter(|e| matches!(e.event, Event::Admitted { .. }))
             .count() as u64;
         assert_eq!(admitted, s.admitted_total());
-        let audits = c
-            .events()
+        let audits = events(&c)
             .filter(|e| matches!(e.event, Event::AuditSettled { .. }))
             .count() as u64;
         assert_eq!(audits, s.audits_passed + s.audits_failed);
@@ -1285,10 +1281,7 @@ mod tests {
         // A member admitted by lending has a coherent per-peer story:
         // request, then admission by the same introducer, T ticks
         // later.
-        let member = c
-            .table
-            .records()
-            .iter()
+        let member = records(&c)
             .find(|p| p.introducer.is_some() && p.status.is_member())
             .expect("some lending admission");
         let history: Vec<_> = c.history_of(member.id).copied().collect();
@@ -1329,7 +1322,7 @@ mod tests {
     fn event_log_disabled_by_default() {
         let mut c = built(19);
         c.run(3_000);
-        assert_eq!(c.events().count(), 0);
+        assert_eq!(events(&c).count(), 0);
     }
 
     #[test]
@@ -1344,12 +1337,12 @@ mod tests {
     /// seed's from-scratch scans (kept as `recount_*` oracles).
     fn assert_accounting_matches_oracle(c: &Community) {
         // Integer counters must agree exactly.
-        assert_eq!(c.population(), c.recount_population());
+        assert_eq!(c.population(), recount_population(c));
         // Tracked per-member reputations must be bit-identical to the
         // engine's aggregates.
         for p in c.members() {
             let engine_rep = c.reputation(p.id).expect("members are registered");
-            let tracked = c.table.tracked_reputation(p.id).unwrap();
+            let tracked = c.table.tracked[p.id.index()];
             assert_eq!(
                 tracked.to_bits(),
                 engine_rep.value().to_bits(),
@@ -1364,7 +1357,7 @@ mod tests {
             } else {
                 c.mean_uncooperative_reputation()
             };
-            let recount = c.recount_mean(cooperative);
+            let recount = recount_mean(c, cooperative);
             match (incremental, recount) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {

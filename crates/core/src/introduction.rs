@@ -75,18 +75,6 @@ impl IntroductionBook {
         Self::default()
     }
 
-    /// Number of requests currently waiting out `T`.
-    #[cfg(test)]
-    pub(crate) fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The pending request of `newcomer`, if any.
-    #[cfg(test)]
-    pub(crate) fn pending_for(&self, newcomer: PeerId) -> Option<&PendingIntro> {
-        self.pending.get(&newcomer)
-    }
-
     /// Files a new introduction request.
     ///
     /// Errors with [`ProtocolError::WaitingPeriodActive`] if the
@@ -148,12 +136,6 @@ impl IntroductionBook {
         self.granted.insert(newcomer, request);
         Ok(())
     }
-
-    /// True if `newcomer` has been granted an introduction.
-    #[cfg(test)]
-    pub(crate) fn is_granted(&self, newcomer: PeerId) -> bool {
-        self.granted.contains_key(&newcomer)
-    }
 }
 
 #[cfg(test)]
@@ -167,12 +149,12 @@ mod tests {
             .request(PeerId(10), PeerId(1), true, SimTime(5), 1000)
             .unwrap();
         assert_eq!(p.resolve_at, SimTime(1005));
-        assert_eq!(book.pending_count(), 1);
-        assert!(book.pending_for(PeerId(10)).is_some());
+        assert_eq!(book.pending.len(), 1);
+        assert!(book.pending.contains_key(&PeerId(10)));
 
         // Too early — the waiting period is absolute.
         assert_eq!(book.resolve(PeerId(10), SimTime(1004)), None);
-        assert_eq!(book.pending_count(), 1);
+        assert_eq!(book.pending.len(), 1);
 
         match book.resolve(PeerId(10), SimTime(1005)).unwrap() {
             IntroOutcome::Willing { pending } => {
@@ -181,7 +163,7 @@ mod tests {
             }
             other => panic!("expected Willing, got {other:?}"),
         }
-        assert_eq!(book.pending_count(), 0);
+        assert_eq!(book.pending.len(), 0);
     }
 
     #[test]
@@ -243,7 +225,7 @@ mod tests {
             .unwrap();
         assert!(book.resolve(PeerId(10), SimTime(10)).is_some());
         book.record_grant(PeerId(10), r1.request).unwrap();
-        assert!(book.is_granted(PeerId(10)));
+        assert!(book.granted.contains_key(&PeerId(10)));
 
         let r2 = book
             .request(PeerId(10), PeerId(2), true, SimTime(100), 10)
@@ -268,8 +250,8 @@ mod tests {
             .unwrap();
         book.record_grant(PeerId(1), a.request).unwrap();
         book.record_grant(PeerId(2), b.request).unwrap();
-        assert!(book.is_granted(PeerId(1)));
-        assert!(book.is_granted(PeerId(2)));
+        assert!(book.granted.contains_key(&PeerId(1)));
+        assert!(book.granted.contains_key(&PeerId(2)));
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! These functions are deliberately free of simulation state so the
 //! protocol rules can be tested (and property-tested) in isolation:
 //!
-//! * an introducer must hold at least `minIntro` reputation to lend;
-//! * lending transfers exactly `introAmt` from introducer to newcomer;
+//! * an introducer must hold at least `minIntro` reputation to lend
+//!   (the loan itself — `introAmt` debited from the introducer and
+//!   credited to the newcomer — is performed by the community through
+//!   the engine);
 //! * a **satisfactory** audit returns the stake plus `rwd` to the
 //!   introducer (clamped at 1) — *"the introducer is given back the
 //!   reputation that it had lent along with a small reward for
@@ -24,27 +26,6 @@ use replend_types::{LendingParams, Reputation};
 #[inline]
 pub(crate) fn may_introduce(params: &LendingParams, introducer_rep: Reputation) -> bool {
     introducer_rep.value() >= params.min_intro()
-}
-
-/// The reputations after the introducer lends `introAmt` to the
-/// newcomer: `(introducer_after, newcomer_initial)`.
-///
-/// # Panics
-/// In debug builds, if the introducer was below `minIntro` (callers
-/// must gate on [`may_introduce`]).
-#[inline]
-#[cfg(test)]
-pub(crate) fn apply_loan(
-    params: &LendingParams,
-    introducer_rep: Reputation,
-) -> (Reputation, Reputation) {
-    debug_assert!(
-        may_introduce(params, introducer_rep),
-        "loan from an under-threshold introducer"
-    );
-    let after = introducer_rep.saturating_sub(params.intro_amt);
-    let newcomer = Reputation::new(params.intro_amt);
-    (after, newcomer)
 }
 
 /// Is the audited newcomer's performance satisfactory?
@@ -88,24 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn loan_transfers_exactly_intro_amt() {
-        let p = params();
-        let (after, newcomer) = apply_loan(&p, Reputation::new(0.8));
-        assert!((after.value() - 0.7).abs() < 1e-12);
-        assert!((newcomer.value() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn loan_cannot_drive_introducer_negative() {
-        // minIntro > introAmt guarantees this (§3); check at the
-        // boundary.
-        let p = params();
-        let (after, _) = apply_loan(&p, Reputation::new(0.2));
-        assert!(after.value() >= 0.0);
-        assert!((after.value() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn audit_verdict_boundary() {
         let p = params(); // audit_threshold = 0.5
         assert!(audit_verdict(&p, Reputation::new(0.5)));
@@ -126,59 +89,6 @@ mod tests {
     }
 
     proptest! {
-        /// Conservation: on a successful audit the system-wide
-        /// reputation change of the whole episode is exactly `rwd`
-        /// (before the ≤ 1 clamp): introducer pays `introAmt`,
-        /// newcomer receives `introAmt`, introducer is repaid
-        /// `introAmt + rwd`.
-        #[test]
-        fn successful_episode_creates_exactly_the_reward(
-            intro_amt in 0.01f64..=0.45,
-            reward_frac in 0.0f64..=1.0,
-            introducer in 0.9f64..=1.0,
-        ) {
-            let p = LendingParams {
-                intro_amt,
-                reward: reward_frac * intro_amt,
-                ..LendingParams::default()
-            };
-            prop_assume!(p.validate().is_ok());
-            let r0 = Reputation::new(introducer);
-            prop_assume!(may_introduce(&p, r0));
-            let (after, newcomer) = apply_loan(&p, r0);
-            // Unclamped net change:
-            let net = (after.value() - r0.value())       // -introAmt
-                + newcomer.value()                        // +introAmt
-                + settlement_on_success(&p) - intro_amt;  // +rwd
-            prop_assert!((net - p.reward).abs() < 1e-9);
-        }
-
-        /// On a failed audit the episode destroys between introAmt
-        /// and 2·introAmt of reputation (the newcomer may not have
-        /// the full stake left to burn).
-        #[test]
-        fn failed_episode_destroys_reputation(
-            intro_amt in 0.01f64..=0.45,
-            introducer in 0.9f64..=1.0,
-            newcomer_at_audit in 0.0f64..=1.0,
-        ) {
-            let p = LendingParams {
-                intro_amt,
-                reward: 0.2 * intro_amt,
-                ..LendingParams::default()
-            };
-            prop_assume!(p.validate().is_ok());
-            let r0 = Reputation::new(introducer);
-            prop_assume!(may_introduce(&p, r0));
-            let (after, _) = apply_loan(&p, r0);
-            let nc = Reputation::new(newcomer_at_audit);
-            let nc_after = nc.saturating_sub(newcomer_penalty_on_failure(&p));
-            let destroyed =
-                (r0.value() - after.value()) + (nc.value() - nc_after.value());
-            prop_assert!(destroyed >= intro_amt - 1e-9);
-            prop_assert!(destroyed <= 2.0 * intro_amt + 1e-9);
-        }
-
         /// may_introduce is monotone in reputation.
         #[test]
         fn gate_is_monotone(a in 0.0f64..=1.0, b in 0.0f64..=1.0) {

@@ -109,30 +109,6 @@ impl EventLog {
         }
     }
 
-    /// True when recording is disabled.
-    #[cfg(test)]
-    pub(crate) fn is_disabled(&self) -> bool {
-        self.capacity == 0
-    }
-
-    /// Number of retained events.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is retained.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events discarded due to the capacity bound.
-    #[cfg(test)]
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Records an event (no-op when disabled).
     pub(crate) fn record(&mut self, at: SimTime, event: Event) {
         if self.capacity == 0 {
@@ -159,12 +135,6 @@ impl EventLog {
         self.events.push_back(LoggedEvent { at, event });
     }
 
-    /// All retained events, oldest first.
-    #[cfg(test)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &LoggedEvent> + '_ {
-        self.events.iter()
-    }
-
     /// Retained events about one peer, oldest first — a borrowed
     /// iterator over the peer's index entries; events about other
     /// peers are never touched.
@@ -174,12 +144,6 @@ impl EventLog {
             .into_iter()
             .flatten()
             .map(move |&seq| &self.events[(seq - self.dropped) as usize])
-    }
-
-    /// The most recent event of any kind, if retained.
-    #[cfg(test)]
-    pub(crate) fn last(&self) -> Option<&LoggedEvent> {
-        self.events.back()
     }
 }
 
@@ -197,10 +161,10 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = EventLog::new(0);
-        assert!(log.is_disabled());
+        assert_eq!(log.capacity, 0);
         log.record(SimTime(1), ev(1));
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 0);
+        assert!(log.events.is_empty());
+        assert_eq!(log.dropped, 0);
     }
 
     #[test]
@@ -208,9 +172,9 @@ mod tests {
         let mut log = EventLog::new(10);
         log.record(SimTime(1), ev(1));
         log.record(SimTime(2), ev(2));
-        let got: Vec<u64> = log.iter().map(|e| e.event.subject().raw()).collect();
+        let got: Vec<u64> = log.events.iter().map(|e| e.event.subject().raw()).collect();
         assert_eq!(got, vec![1, 2]);
-        assert_eq!(log.last().unwrap().at, SimTime(2));
+        assert_eq!(log.events.back().unwrap().at, SimTime(2));
     }
 
     #[test]
@@ -219,9 +183,9 @@ mod tests {
         for p in 0..5 {
             log.record(SimTime(p), ev(p));
         }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 2);
-        let got: Vec<u64> = log.iter().map(|e| e.event.subject().raw()).collect();
+        assert_eq!(log.events.len(), 3);
+        assert_eq!(log.dropped, 2);
+        let got: Vec<u64> = log.events.iter().map(|e| e.event.subject().raw()).collect();
         assert_eq!(got, vec![2, 3, 4]);
     }
 
@@ -257,7 +221,7 @@ mod tests {
         for round in 0..6u64 {
             log.record(SimTime(round), ev(round % 2));
         }
-        assert_eq!(log.dropped(), 2);
+        assert_eq!(log.dropped, 2);
         let p0: Vec<u64> = log.history_of(PeerId(0)).map(|e| e.at.ticks()).collect();
         let p1: Vec<u64> = log.history_of(PeerId(1)).map(|e| e.at.ticks()).collect();
         assert_eq!(p0, vec![2, 4], "evicted events must leave the index");

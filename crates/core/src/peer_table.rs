@@ -91,8 +91,9 @@ pub struct PeerTable {
     /// Position of each peer in `member_index`, or `NOT_MEMBER`.
     member_pos: Vec<usize>,
     /// Each peer's last engine aggregate — bit-identical to the
-    /// engine's cached value while the peer is a member.
-    tracked: Vec<f64>,
+    /// engine's cached value while the peer is a member (the
+    /// community's accounting checks read it directly).
+    pub(crate) tracked: Vec<f64>,
     /// Live population counters.
     pop: Population,
     /// Mean-reputation accumulator over cooperative members.
@@ -140,12 +141,6 @@ impl PeerTable {
         self.records.get(peer.index())
     }
 
-    /// All records, in arrival order.
-    #[cfg(test)]
-    pub(crate) fn records(&self) -> &[PeerRecord] {
-        &self.records
-    }
-
     /// True when `peer` is an admitted member.
     pub(crate) fn is_member(&self, peer: PeerId) -> bool {
         self.records
@@ -176,13 +171,6 @@ impl PeerTable {
     /// there are none.
     pub(crate) fn mean_uncooperative_reputation(&self) -> Option<f64> {
         self.uncoop.mean()
-    }
-
-    /// The last engine aggregate observed for `peer` (only meaningful
-    /// while `peer` is a member).
-    #[cfg(test)]
-    pub(crate) fn tracked_reputation(&self, peer: PeerId) -> Option<f64> {
-        self.tracked.get(peer.index()).copied()
     }
 
     /// The serving strategy for a bucket count, after the same
@@ -506,7 +494,7 @@ mod tests {
         let mut t = table_with_two_members();
         t.apply_delta(&delta(1, 0.1, 0.4));
         assert!((t.mean_uncooperative_reputation().unwrap() - 0.4).abs() < 1e-12);
-        assert_eq!(t.tracked_reputation(PeerId(1)), Some(0.4));
+        assert_eq!(t.tracked[1], 0.4);
         // Removing after the shift subtracts the shifted value.
         t.flag(PeerId(1));
         assert_eq!(t.mean_uncooperative_reputation(), None);
@@ -519,7 +507,7 @@ mod tests {
         t.flag(PeerId(1));
         t.apply_delta(&delta(1, 0.1, 0.9));
         assert_eq!(t.mean_uncooperative_reputation(), None);
-        assert_eq!(t.tracked_reputation(PeerId(1)), Some(0.9));
+        assert_eq!(t.tracked[1], 0.9);
     }
 
     #[test]
@@ -622,8 +610,7 @@ mod tests {
         t.admit(PeerId(1), SimTime(11), Some(PeerId(0)), Some(9), 0.2);
         assert_eq!(t.population(), before);
         assert_eq!(
-            t.tracked_reputation(PeerId(1)),
-            Some(0.1),
+            t.tracked[1], 0.1,
             "engine state was kept, so the tracked value must be too"
         );
         assert_eq!(t.get(PeerId(1)).unwrap().audit_remaining, Some(9));

@@ -700,12 +700,6 @@ impl ReputationService {
         &self.engine
     }
 
-    /// True when mutations are journalled.
-    #[cfg(test)]
-    pub(crate) fn journalled(&self) -> bool {
-        self.journal.is_some()
-    }
-
     fn apply(&self, op: &JournalOp) {
         match op {
             JournalOp::Register { peer, initial } => {
@@ -889,14 +883,6 @@ impl ReputationService {
         self.engine.reputation(subject)
     }
 
-    /// [`ReputationService::reputation`] through the locked path (one
-    /// partition read lock). The test oracle the snapshot read must
-    /// match bit for bit.
-    #[cfg(test)]
-    fn reputation_locked(&self, subject: PeerId) -> Option<Reputation> {
-        self.engine.reputation_locked(subject)
-    }
-
     /// The subject's full score-manager snapshot.
     pub fn snapshot(&self, subject: PeerId) -> Option<SubjectSnapshot> {
         self.engine.snapshot(subject)
@@ -915,28 +901,9 @@ impl ReputationService {
         Some(SubjectStatus::from_tier(tier))
     }
 
-    /// [`ReputationService::status`] through the locked path (no
-    /// memo): reputation and applied-report count read under one
-    /// partition read lock. The test oracle for the memoized read.
-    #[cfg(test)]
-    fn status_locked(&self, subject: PeerId) -> Option<SubjectStatus> {
-        let policy = self.policy;
-        let tier = self
-            .engine
-            .classify_read_locked(subject, move |r, obs| policy.classify(r, obs).tier())?;
-        Some(SubjectStatus::from_tier(tier))
-    }
-
     /// Registered subjects.
     pub fn subjects(&self) -> usize {
         self.engine.len()
-    }
-
-    /// Member-reputation bucket counts over `buckets` equal bins of
-    /// `[0, 1]`.
-    #[cfg(test)]
-    pub(crate) fn histogram(&self, buckets: usize) -> Vec<u64> {
-        self.engine.reputation_buckets(buckets)
     }
 
     /// Counts subjects per status tier in one sweep.
@@ -1138,6 +1105,17 @@ pub fn run_ingest_workload(
 mod tests {
     use super::*;
 
+    /// [`ReputationService::status`] through the locked path (no
+    /// memo): reputation and applied-report count read under one
+    /// partition read lock. The oracle for the memoized read.
+    fn status_locked(service: &ReputationService, subject: PeerId) -> Option<SubjectStatus> {
+        let policy = service.policy;
+        let tier = service
+            .engine
+            .classify_read_locked(subject, move |r, obs| policy.classify(r, obs).tier())?;
+        Some(SubjectStatus::from_tier(tier))
+    }
+
     fn config() -> ServeConfig {
         ServeConfig {
             partitions: 4,
@@ -1185,7 +1163,7 @@ mod tests {
     #[test]
     fn in_memory_service_serves_status() {
         let service = ReputationService::in_memory(config());
-        assert!(!service.journalled());
+        assert!(service.journal.is_none());
         service
             .register_peer(PeerId(1), Reputation::new(0.9))
             .unwrap();
@@ -1205,7 +1183,7 @@ mod tests {
         let census = service.status_census();
         assert_eq!(census.total(), 2);
         assert_eq!(census.banned, 1);
-        assert_eq!(service.histogram(10).iter().sum::<u64>(), 2);
+        assert_eq!(service.engine.reputation_buckets(10).iter().sum::<u64>(), 2);
     }
 
     #[test]
@@ -1252,13 +1230,14 @@ mod tests {
             assert_eq!(
                 service.reputation(subject).map(|r| r.value().to_bits()),
                 service
+                    .engine
                     .reputation_locked(subject)
                     .map(|r| r.value().to_bits()),
             );
             // Twice: the second probe is served from the tier memo
             // and must not diverge.
-            assert_eq!(service.status(subject), service.status_locked(subject));
-            assert_eq!(service.status(subject), service.status_locked(subject));
+            assert_eq!(service.status(subject), status_locked(&service, subject));
+            assert_eq!(service.status(subject), status_locked(&service, subject));
         }
     }
 

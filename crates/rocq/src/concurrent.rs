@@ -358,14 +358,6 @@ impl ConcurrentEngine {
         self.read(subject).engine.snapshot(subject)
     }
 
-    /// Reports applied to `subject` so far (`None` when unknown) —
-    /// the interaction count the serve layer's status tiers combine
-    /// with the reputation. Lock-free.
-    #[cfg(test)]
-    pub(crate) fn interactions(&self, subject: PeerId) -> Option<u64> {
-        self.home(subject).slab.read(subject).map(|(_, hits)| hits)
-    }
-
     /// The coherent `(reputation, interactions)` pair of `subject`
     /// from one epoch window, classified by `classify` through the
     /// slab's per-subject tier memo: a repeat probe at an unchanged
@@ -527,6 +519,14 @@ impl ConcurrentEngine {
                         engine.subjects_len()
                     )));
                 }
+                // Export writes rows sorted by peer. A repeated peer
+                // would leave another subject without a slab row.
+                if let Some(w) = part.slab.windows(2).find(|w| w[0].0 >= w[1].0) {
+                    return Err(InvalidState(format!(
+                        "slab rows out of order: subject {} after {}",
+                        w[1].0, w[0].0
+                    )));
+                }
                 let slab = SnapshotSlab::new();
                 {
                     let mut w = slab.write();
@@ -579,6 +579,12 @@ mod tests {
         ConcurrentEngine::new(RocqParams::default(), 6, partitions, 42)
     }
 
+    /// Reports applied to `subject` so far (`None` when unknown), read
+    /// lock-free from the slab.
+    fn interactions(e: &ConcurrentEngine, subject: PeerId) -> Option<u64> {
+        e.home(subject).slab.read(subject).map(|(_, hits)| hits)
+    }
+
     #[test]
     #[should_panic(expected = "at least one partition")]
     fn zero_partitions_rejected() {
@@ -593,10 +599,10 @@ mod tests {
         }
         assert_eq!(e.len(), 50);
         assert!(e.contains(PeerId(7)));
-        assert_eq!(e.interactions(PeerId(7)), Some(0));
+        assert_eq!(interactions(&e, PeerId(7)), Some(0));
         assert!((e.reputation(PeerId(7)).unwrap().value() - 0.5).abs() < 1e-12);
         assert_eq!(e.reputation(PeerId(99)), None);
-        assert_eq!(e.interactions(PeerId(99)), None);
+        assert_eq!(interactions(&e, PeerId(99)), None);
         e.remove_peer(PeerId(7));
         assert!(!e.contains(PeerId(7)));
         assert_eq!(e.len(), 49);
@@ -634,13 +640,13 @@ mod tests {
             "got {}",
             e.reputation(PeerId(100)).unwrap()
         );
-        assert_eq!(e.interactions(PeerId(100)), Some(200));
+        assert_eq!(interactions(&e, PeerId(100)), Some(200));
         // Unknown reporters and unknown subjects are not counted.
         e.report_batch(&[
             Feedback::new(PeerId(999), PeerId(100), 0.0),
             Feedback::new(PeerId(0), PeerId(998), 0.0),
         ]);
-        assert_eq!(e.interactions(PeerId(100)), Some(200));
+        assert_eq!(interactions(&e, PeerId(100)), Some(200));
     }
 
     #[test]
@@ -840,6 +846,13 @@ mod tests {
             "slab row for a foreign subject"
         );
 
+        let mut bad = parts.clone();
+        bad[0].slab[1] = bad[0].slab[0];
+        assert!(
+            ConcurrentEngine::import_partitions(&bad).is_err(),
+            "one subject named by two slab rows"
+        );
+
         assert!(
             ConcurrentEngine::import_partitions(&[]).is_err(),
             "no partitions"
@@ -877,7 +890,7 @@ mod tests {
         e.for_each_subject(|peer, rep, hits| {
             seen += 1;
             assert_eq!(Some(rep), e.reputation(peer));
-            assert_eq!(Some(hits), e.interactions(peer));
+            assert_eq!(Some(hits), interactions(&e, peer));
         });
         assert_eq!(seen, 45);
     }

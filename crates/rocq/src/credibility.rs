@@ -57,24 +57,6 @@ impl CredibilityTable {
         self.table.insert(reporter, next);
         next
     }
-
-    /// Forgets a departed reporter.
-    #[cfg(test)]
-    pub(crate) fn forget(&mut self, reporter: PeerId) {
-        self.table.remove(&reporter);
-    }
-
-    /// Number of reporters with explicit state.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True when no reporter has explicit state.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
 }
 
 /// The per-*subject* credibility ledger of the arena engine: one row
@@ -130,12 +112,6 @@ impl CredibilityBook {
             .or_insert_with(|| vec![initial; slots].into_boxed_slice())
     }
 
-    /// Current credibility `slot` assigns to `reporter`.
-    #[cfg(test)]
-    pub fn credibility(&self, reporter: PeerId, slot: usize) -> f64 {
-        self.rows.get(&reporter).map_or(self.initial, |r| r[slot])
-    }
-
     /// Crash recovery from a sibling replica: every reporter's `dst`
     /// credibility becomes its `src` credibility (the column-wise
     /// equivalent of cloning the sibling's table).
@@ -187,6 +163,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Current credibility `slot` assigns to `reporter`.
+    fn credibility(book: &CredibilityBook, reporter: PeerId, slot: usize) -> f64 {
+        book.rows.get(&reporter).map_or(book.initial, |r| r[slot])
+    }
+
     #[test]
     fn unknown_reporter_gets_initial() {
         let t = CredibilityTable::new(0.5, 0.1);
@@ -231,24 +212,14 @@ mod tests {
     }
 
     #[test]
-    fn forget_resets_to_initial() {
-        let mut t = CredibilityTable::new(0.5, 0.1);
-        t.update(PeerId(1), true);
-        assert_eq!(t.len(), 1);
-        t.forget(PeerId(1));
-        assert!(t.is_empty());
-        assert_eq!(t.get(PeerId(1)), 0.5);
-    }
-
-    #[test]
     fn book_starts_at_initial() {
         let mut b = CredibilityBook::new(0.5, 0.1, 3);
-        assert_eq!(b.credibility(PeerId(1), 0), 0.5);
+        assert_eq!(credibility(&b, PeerId(1), 0), 0.5);
         assert_eq!(b.known_reporters(), 0);
         assert_eq!(b.row_mut(PeerId(1)), &[0.5, 0.5, 0.5]);
         assert_eq!(b.known_reporters(), 1);
         b.row_mut(PeerId(1))[2] = 0.9;
-        assert_eq!(b.credibility(PeerId(1), 2), 0.9);
+        assert_eq!(credibility(&b, PeerId(1), 2), 0.9);
         assert_eq!(b.known_reporters(), 1, "rows are reused, not re-created");
     }
 
@@ -285,7 +256,7 @@ mod tests {
         }
         for (slot, t) in tables.iter().enumerate() {
             assert_eq!(
-                book.credibility(reporter, slot).to_bits(),
+                credibility(&book, reporter, slot).to_bits(),
                 t.get(reporter).to_bits(),
                 "slot {slot} diverged from its reference table"
             );

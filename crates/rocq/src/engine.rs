@@ -36,12 +36,12 @@
 //! per-subject [`CredibilityBook`] (one hash probe yielding the
 //! reporter's credibility at **every** replica slot — the reference
 //! layout pays three probes per replica), and the contiguous
-//! `numSM`-strided score slab — since PR 7 a struct-of-arrays
-//! `ScoreSlab` walked by hand-unrolled multi-lane kernels (see the
-//! `slab` module docs for the layout and the
-//! determinism rule); the cache refresh then walks the same slab plus
-//! the `cached`/`touched_seq` arrays. Replica placement metadata (ring
-//! keys, hosts, re-homing counters) is cold and only touched by churn.
+//! `numSM`-strided score slab — a struct-of-arrays `ScoreSlab` walked
+//! by plain per-lane loops (see the `slab` module docs for the layout
+//! and the determinism rule); the cache refresh then walks the same
+//! slab plus the `cached`/`touched_seq` arrays. Replica placement
+//! metadata (ring keys, hosts, re-homing counters) is cold and only
+//! touched by churn.
 //!
 //! ## Allocation-free steady state
 //!
@@ -229,9 +229,8 @@ struct EngineShard {
     /// (O(1) per-batch cache-refresh dedup).
     touched_seq: Vec<u64>,
     /// Replica score states as parallel `r`/`w` arrays, `numSM`
-    /// consecutive lanes per handle — the contiguous slab the
-    /// vectorised report and cache-refresh kernels walk (see
-    /// [`ScoreSlab`]).
+    /// consecutive lanes per handle — the contiguous slab the report
+    /// and cache-refresh walks read (see [`ScoreSlab`]).
     slab: ScoreSlab,
     // ---- cold arrays, one entry per handle ----
     /// Handle → subject id (delta emission, crash rolls).
@@ -372,9 +371,8 @@ impl EngineShard {
         let q = quality_from_count(n, params.eta, params.min_quality);
         let book = &mut self.books[h.index()];
         let gamma = book.gamma();
-        // The fused multi-lane report + credibility kernel (see
-        // [`ScoreSlab::report_span`]) — bit-identical to the scalar
-        // per-replica walk it replaced.
+        // The fused report + credibility walk over the subject's
+        // replica lanes (see [`ScoreSlab::report_span`]).
         self.slab.report_span(
             base,
             self.num_sm,
@@ -393,15 +391,7 @@ impl EngineShard {
     fn refresh_cache(&mut self, h: Handle) {
         let base = h.index() * self.num_sm;
         let new = self.slab.aggregate_span(base, self.num_sm);
-        self.finish_refresh(h, new);
-    }
-
-    /// Publishes a freshly computed aggregate: swaps the cache entry
-    /// and emits a delta when it moved.
-    #[inline]
-    fn finish_refresh(&mut self, h: Handle, new: Reputation) {
-        let old = self.cached[h.index()];
-        self.cached[h.index()] = new;
+        let old = std::mem::replace(&mut self.cached[h.index()], new);
         let delta = ReputationDelta {
             subject: self.peers[h.index()],
             old,
@@ -412,43 +402,13 @@ impl EngineShard {
         }
     }
 
-    /// Refreshes a run of touched subjects with the multi-chain
-    /// aggregate kernel: each chunk of eight handles advances eight
-    /// independent span sums in lockstep ([`ScoreSlab::sum_spans`]),
-    /// the remainder steps down through a four-chain chunk and then
-    /// the scalar refresh. Deltas are emitted in run order, so the
-    /// observable stream is identical to refreshing one handle at a
-    /// time.
-    fn refresh_run(&mut self, run: &[Handle]) {
-        let sm = self.num_sm;
-        let mut chunks = run.chunks_exact(8);
-        for chunk in &mut chunks {
-            let bases: [usize; 8] = std::array::from_fn(|k| chunk[k].index() * sm);
-            let sums = self.slab.sum_spans(bases, sm);
-            for (k, &h) in chunk.iter().enumerate() {
-                self.finish_refresh(h, Reputation::new(sums[k] / sm as f64));
-            }
-        }
-        let mut rest = chunks.remainder().chunks_exact(4);
-        for chunk in &mut rest {
-            let bases: [usize; 4] = std::array::from_fn(|k| chunk[k].index() * sm);
-            let sums = self.slab.sum_spans(bases, sm);
-            for (k, &h) in chunk.iter().enumerate() {
-                self.finish_refresh(h, Reputation::new(sums[k] / sm as f64));
-            }
-        }
-        for &h in rest.remainder() {
-            self.refresh_cache(h);
-        }
-    }
-
     /// Applies `batch` in order as batch `seq`, skipping every
     /// opinion whose reporter fails `is_member` (asked of this shard
     /// before the opinion touches it), then refreshes each touched
-    /// subject's cached aggregate once — the per-subject sequence
-    /// number makes the dedup O(1) regardless of batch size — through
-    /// the multi-chain aggregate kernel, in first-touch order. The
-    /// result is bit-identical to sequential `report` calls.
+    /// subject's cached aggregate once, in first-touch order — the
+    /// per-subject sequence number makes the dedup O(1) regardless of
+    /// batch size. The result is bit-identical to sequential `report`
+    /// calls.
     fn apply_batch(
         &mut self,
         params: &RocqParams,
@@ -469,7 +429,9 @@ impl EngineShard {
                 }
             }
         }
-        self.refresh_run(&touched);
+        for &h in &touched {
+            self.refresh_cache(h);
+        }
         self.touched = touched;
     }
 
@@ -928,12 +890,6 @@ impl RocqEngine {
         }
     }
 
-    /// Live overlay size.
-    #[cfg(test)]
-    pub(crate) fn overlay_len(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Total replica re-homings caused by churn so far.
     pub fn rehomings(&self) -> u64 {
         self.shard.rehomings
@@ -964,13 +920,6 @@ impl RocqEngine {
                 })
                 .collect(),
         )
-    }
-
-    /// Replica 0's credibility for `reporter` (inspection API).
-    #[cfg(test)]
-    pub(crate) fn reporter_credibility(&self, subject: PeerId, reporter: PeerId) -> Option<f64> {
-        let &h = self.shard.index.get(&subject)?;
-        Some(self.shard.books[h.index()].credibility(reporter, 0))
     }
 
     /// Number of registered subjects.
@@ -1225,6 +1174,43 @@ mod tests {
         RocqEngine::new(params, num_sm, 42)
     }
 
+    /// Live overlay size.
+    fn overlay_len(e: &RocqEngine) -> usize {
+        e.ring.to_vec().len()
+    }
+
+    /// Replica 0's credibility for `reporter`; `None` when `subject`
+    /// is unknown.
+    fn credibility_of(e: &RocqEngine, subject: PeerId, reporter: PeerId) -> Option<f64> {
+        let &h = e.shard.index.get(&subject)?;
+        let row = e.shard.books[h.index()]
+            .iter_rows()
+            .find(|&(p, _)| p == reporter);
+        Some(row.map_or(e.params.initial_credibility, |(_, creds)| creds[0]))
+    }
+
+    #[test]
+    fn persistent_liar_loses_credibility() {
+        let mut e = RocqEngine::new(RocqParams::default(), 6, 9);
+        for p in 0..20u64 {
+            e.register_peer(PeerId(p), Reputation::ONE);
+        }
+        // Liar drags against consensus: credibility must sink below
+        // the honest reporters'.
+        for round in 0..100u64 {
+            e.report(PeerId(1 + round % 18), PeerId(0), 1.0);
+            e.report(PeerId(19), PeerId(0), 0.0);
+        }
+        let honest = credibility_of(&e, PeerId(0), PeerId(1)).unwrap();
+        let liar = credibility_of(&e, PeerId(0), PeerId(19)).unwrap();
+        assert!(
+            liar < honest,
+            "liar credibility {liar} should be below honest {honest}"
+        );
+        assert!(liar < 0.1, "persistent liar should be marginalized: {liar}");
+        assert_eq!(credibility_of(&e, PeerId(99), PeerId(1)), None);
+    }
+
     #[test]
     #[should_panic(expected = "at least one score manager")]
     fn zero_sm_rejected() {
@@ -1238,7 +1224,7 @@ mod tests {
         assert!(e.contains(PeerId(1)));
         assert!((e.reputation(PeerId(1)).unwrap().value() - 0.1).abs() < 1e-12);
         assert_eq!(e.reputation(PeerId(99)), None);
-        assert_eq!(e.overlay_len(), 1);
+        assert_eq!(overlay_len(&e), 1);
     }
 
     #[test]
@@ -1353,10 +1339,10 @@ mod tests {
         e.remove_peer(PeerId(3));
         assert!(!e.contains(PeerId(3)));
         assert_eq!(e.reputation(PeerId(3)), None);
-        assert_eq!(e.overlay_len(), 9);
+        assert_eq!(overlay_len(&e), 9);
         // Removing again is a no-op.
         e.remove_peer(PeerId(3));
-        assert_eq!(e.overlay_len(), 9);
+        assert_eq!(overlay_len(&e), 9);
     }
 
     #[test]
@@ -1716,7 +1702,7 @@ mod tests {
         assert_eq!(fingerprint(&original), fingerprint(&restored));
         assert_eq!(original.rehomings(), restored.rehomings());
         assert_eq!(original.crash_losses(), restored.crash_losses());
-        assert_eq!(original.overlay_len(), restored.overlay_len());
+        assert_eq!(overlay_len(&original), overlay_len(&restored));
 
         // Identical suffix ops — registrations reuse freed slots,
         // churn rolls crash losses, reports move scores.

@@ -4,7 +4,7 @@
 //! The [`ReputationEngine`](crate::engine::ReputationEngine) trait
 //! deliberately exposes only the aggregate view a peer would see; this
 //! module opens the score managers' books — per-replica aggregates,
-//! evidence masses, and reporter credibilities — which is how the
+//! evidence masses, and known-reporter counts — which is how the
 //! redundancy tests verify that replicas agree and how a deployment
 //! would debug a disputed reputation.
 
@@ -46,30 +46,12 @@ impl SubjectSnapshot {
     /// [`ReputationEngine::reputation`]:
     ///     crate::engine::ReputationEngine::reputation
     pub fn combined(&self) -> Option<Reputation> {
-        // Same sum-then-divide arithmetic as [`Reputation::mean`],
-        // without materialising the values into a Vec first.
+        // Sum then divide, in slot order: the engine's aggregate.
         if self.replicas.is_empty() {
             return None;
         }
         let sum: f64 = self.replicas.iter().map(|r| r.reputation.value()).sum();
         Some(Reputation::new(sum / self.replicas.len() as f64))
-    }
-
-    /// Largest pairwise disagreement between replicas — 0 in a
-    /// crash-free run, nonzero after unrecovered losses.
-    #[cfg(test)]
-    pub(crate) fn max_divergence(&self) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for r in &self.replicas {
-            lo = lo.min(r.reputation.value());
-            hi = hi.max(r.reputation.value());
-        }
-        if self.replicas.is_empty() {
-            0.0
-        } else {
-            hi - lo
-        }
     }
 }
 
@@ -80,14 +62,6 @@ impl RocqEngine {
         let replicas = self.replica_views(subject)?;
         Some(SubjectSnapshot { subject, replicas })
     }
-
-    /// The credibility one of `subject`'s replicas assigns to
-    /// `reporter` (replica 0's view; all replicas agree in crash-free
-    /// runs). `None` when the subject is unknown.
-    #[cfg(test)]
-    pub(crate) fn credibility_of(&self, subject: PeerId, reporter: PeerId) -> Option<f64> {
-        self.reporter_credibility(subject, reporter)
-    }
 }
 
 #[cfg(test)]
@@ -95,6 +69,19 @@ mod tests {
     use super::*;
     use crate::engine::ReputationEngine;
     use crate::params::RocqParams;
+
+    /// Largest pairwise disagreement between replicas — 0 in a
+    /// crash-free run, nonzero after unrecovered losses.
+    fn max_divergence(snap: &SubjectSnapshot) -> f64 {
+        let values = snap.replicas.iter().map(|r| r.reputation.value());
+        let lo = values.clone().fold(f64::INFINITY, f64::min);
+        let hi = values.fold(f64::NEG_INFINITY, f64::max);
+        if snap.replicas.is_empty() {
+            0.0
+        } else {
+            hi - lo
+        }
+    }
 
     fn engine() -> RocqEngine {
         let mut e = RocqEngine::new(RocqParams::default(), 6, 9);
@@ -118,31 +105,13 @@ mod tests {
         let snap = e.snapshot(PeerId(0)).unwrap();
         assert_eq!(snap.subject, PeerId(0));
         assert_eq!(snap.replicas.len(), 6);
-        assert!(snap.max_divergence() < 1e-12, "crash-free replicas agree");
+        assert!(max_divergence(&snap) < 1e-12, "crash-free replicas agree");
         assert_eq!(snap.combined(), e.reputation(PeerId(0)));
         for (i, r) in snap.replicas.iter().enumerate() {
             assert_eq!(r.slot, i);
             assert!(r.evidence > 0.0);
             assert!(r.known_reporters > 0);
         }
-    }
-
-    #[test]
-    fn credibility_visible_through_inspection() {
-        let mut e = engine();
-        // Liar drags against consensus: credibility must sink below
-        // the honest reporters'.
-        for round in 0..100u64 {
-            e.report(PeerId(1 + round % 18), PeerId(0), 1.0);
-            e.report(PeerId(19), PeerId(0), 0.0);
-        }
-        let honest = e.credibility_of(PeerId(0), PeerId(1)).unwrap();
-        let liar = e.credibility_of(PeerId(0), PeerId(19)).unwrap();
-        assert!(
-            liar < honest,
-            "liar credibility {liar} should be below honest {honest}"
-        );
-        assert!(liar < 0.1, "persistent liar should be marginalized: {liar}");
     }
 
     #[test]

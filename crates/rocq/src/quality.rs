@@ -37,12 +37,6 @@ impl InteractionLog {
         Self::default()
     }
 
-    /// Number of recorded (reporter, subject) interactions.
-    #[cfg(test)]
-    pub fn count(&self, reporter: PeerId, subject: PeerId) -> u32 {
-        self.counts.get(&(reporter, subject)).copied().unwrap_or(0)
-    }
-
     /// Records one more interaction, returning the count *before* the
     /// increment (the evidence backing the current opinion).
     pub fn record(&mut self, reporter: PeerId, subject: PeerId) -> u32 {
@@ -68,24 +62,17 @@ impl InteractionLog {
     pub(crate) fn insert_count(&mut self, reporter: PeerId, subject: PeerId, count: u32) {
         self.counts.insert((reporter, subject), count);
     }
-
-    /// Number of distinct pairs tracked.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True when nothing has been recorded.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Number of recorded (reporter, subject) interactions.
+    fn count(log: &InteractionLog, reporter: PeerId, subject: PeerId) -> u32 {
+        log.counts.get(&(reporter, subject)).copied().unwrap_or(0)
+    }
 
     #[test]
     fn quality_ramp_values() {
@@ -110,13 +97,13 @@ mod tests {
     fn log_records_and_counts() {
         let mut log = InteractionLog::new();
         let (a, b) = (PeerId(1), PeerId(2));
-        assert_eq!(log.count(a, b), 0);
+        assert_eq!(count(&log, a, b), 0);
         assert_eq!(log.record(a, b), 0, "returns pre-increment count");
         assert_eq!(log.record(a, b), 1);
-        assert_eq!(log.count(a, b), 2);
+        assert_eq!(count(&log, a, b), 2);
         // Direction matters: b→a is a separate pair.
-        assert_eq!(log.count(b, a), 0);
-        assert_eq!(log.len(), 1);
+        assert_eq!(count(&log, b, a), 0);
+        assert_eq!(log.counts.len(), 1);
     }
 
     #[test]
@@ -126,10 +113,10 @@ mod tests {
         log.record(PeerId(2), PeerId(1));
         log.record(PeerId(3), PeerId(4));
         log.forget(PeerId(1));
-        assert_eq!(log.count(PeerId(1), PeerId(2)), 0);
-        assert_eq!(log.count(PeerId(2), PeerId(1)), 0);
-        assert_eq!(log.count(PeerId(3), PeerId(4)), 1);
-        assert!(!log.is_empty());
+        assert_eq!(count(&log, PeerId(1), PeerId(2)), 0);
+        assert_eq!(count(&log, PeerId(2), PeerId(1)), 0);
+        assert_eq!(count(&log, PeerId(3), PeerId(4)), 1);
+        assert_eq!(log.counts.len(), 1);
     }
 
     proptest! {

@@ -75,12 +75,6 @@ impl Ring {
         }
     }
 
-    /// Number of live nodes.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The clockwise successor of `key` — the live node owning `key`.
     ///
     /// Returns `None` only when the ring is empty.
@@ -226,7 +220,7 @@ mod tests {
     fn duplicate_join_is_noop() {
         let mut r = ring_of(&[10]);
         assert!(r.join(NodeId(10)).is_none());
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.nodes.len(), 1);
     }
 
     #[test]
@@ -244,14 +238,14 @@ mod tests {
     fn leave_unknown_is_noop() {
         let mut r = ring_of(&[10]);
         assert!(r.leave(NodeId(99)).is_none());
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.nodes.len(), 1);
     }
 
     #[test]
     fn leave_last_node_empties_ring() {
         let mut r = ring_of(&[10]);
         assert!(r.leave(NodeId(10)).is_none());
-        assert_eq!(r.len(), 0);
+        assert_eq!(r.nodes.len(), 0);
     }
 
     #[test]
@@ -272,7 +266,7 @@ mod tests {
         for p in 0..128u64 {
             r.join(PeerId(p).node_id());
         }
-        assert_eq!(r.len(), 128, "no collisions among 128 peers");
+        assert_eq!(r.nodes.len(), 128, "no collisions among 128 peers");
         // Max gap should be far below the whole ring: with 128 random
         // points the expected max arc is ~ (ln 128 / 128) of the ring.
         let ids = r.to_vec();

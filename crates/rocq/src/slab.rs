@@ -1,26 +1,19 @@
-//! The vectorised score slab: [`ScoreState`]s stored as parallel
-//! `r`/`w` arrays (struct-of-arrays), plus the two multi-lane f64
-//! kernels the engine hot path runs over them.
+//! The score slab: [`ScoreState`]s stored as parallel `r`/`w` arrays
+//! (struct-of-arrays), plus the two per-lane walks the engine hot
+//! path runs over them.
 //!
-//! PR 5 made the per-subject replica states a contiguous,
-//! `numSM`-strided slab precisely so a vectorised pass would be
-//! reachable; this module is that pass. Two walks dominate the
-//! feedback hot path:
+//! The per-subject replica states are a contiguous, `numSM`-strided
+//! slab. Two walks dominate the feedback hot path:
 //!
-//! 1. **The report kernel** ([`ScoreSlab::report_span`]): one opinion
+//! 1. **The report walk** ([`ScoreSlab::report_span`]): one opinion
 //!    folded into all `numSM` replicas of a subject, fused with the
-//!    per-replica credibility update. The lanes (replica slots) are
-//!    mathematically independent, so the kernel is hand-unrolled in
-//!    chunks of 4 with a scalar tail: four independent divides in
-//!    flight instead of one per loop-carried iteration, and branchless
-//!    selects instead of the scalar path's per-lane early return.
-//! 2. **The aggregate kernel** ([`ScoreSlab::sum_spans`]): the cached
-//!    replica-mean refresh. A *single* subject's sum must stay a
-//!    sequential left-to-right chain — reassociating it would change
-//!    result bits, and the golden CSVs pin bit-identity — so the
-//!    vector shape runs **across** subjects instead: eight touched
-//!    subjects' chains advance in lockstep, hiding the add latency
-//!    without reordering any subject's own sum.
+//!    per-replica credibility update. It is one loop over
+//!    [`report_lane`], whose branchless selects replace the scalar
+//!    path's per-lane early return.
+//! 2. **The aggregate walk** ([`ScoreSlab::sum_span`]): the cached
+//!    replica-mean refresh, one subject at a time. A subject's sum is
+//!    a sequential left-to-right chain — reassociating it would
+//!    change result bits, and the golden CSVs pin bit-identity.
 //!
 //! ## Determinism rule
 //!
@@ -33,19 +26,18 @@
 //! churn oracle in `replend-tests` diffs the two bit-for-bit; if a
 //! future change *does* reassociate, it must become a new shared
 //! definition across `RocqEngine`, `ReferenceEngine` and
-//! `ConcurrentEngine` — not a silent drift of this kernel.
+//! `ConcurrentEngine` — not a silent drift of this slab.
 //!
-//! The split layout is also why the kernels pay off: the aggregate
-//! refresh reads only `r` values, and with `r` split from `w` those
-//! loads are contiguous — half the memory traffic of the interleaved
-//! `(r, w)` pair layout PR 5 shipped.
+//! The split layout keeps the aggregate refresh cheap: it reads only
+//! `r` values, and with `r` split from `w` those loads are contiguous
+//! — half the memory traffic of an interleaved `(r, w)` pair layout.
 
 use crate::score::ScoreState;
 use replend_types::Reputation;
 
 /// `Reputation::new(raw).value()` as a plain f64 function — the
 /// clamped read the scalar path performs on every `reputation()`
-/// call. Kept bit-exact (including the NaN → 0 mapping) so kernel
+/// call. Kept bit-exact (including the NaN → 0 mapping) so slab
 /// sums see exactly the values the scalar walk summed.
 #[inline(always)]
 fn rep_value(raw: f64) -> f64 {
@@ -108,8 +100,7 @@ fn report_lane(
 }
 
 /// Replica score states as parallel `r`/`w` arrays, `numSM`
-/// consecutive lanes per subject handle (the engine's stride
-/// discipline is unchanged — only the interleaving moved).
+/// consecutive lanes per subject handle.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ScoreSlab {
     r: Vec<f64>,
@@ -120,18 +111,6 @@ impl ScoreSlab {
     /// An empty slab.
     pub fn new() -> Self {
         ScoreSlab::default()
-    }
-
-    /// Number of replica lanes (subjects × numSM).
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.r.len()
-    }
-
-    /// True when no lane exists.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.r.is_empty()
     }
 
     /// Appends one lane.
@@ -171,11 +150,10 @@ impl ScoreSlab {
         }
     }
 
-    /// The fused report + credibility kernel over `n` consecutive
+    /// The fused report + credibility walk over `n` consecutive
     /// lanes from `base`, with the reporter's credibility row `creds`
-    /// advancing in lockstep. Hand-unrolled by 4 with a scalar tail;
-    /// bit-identical to the scalar per-lane walk (see [`report_lane`]
-    /// and the module docs).
+    /// advancing in lockstep; bit-identical to the scalar per-lane
+    /// walk (see [`report_lane`] and the module docs).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn report_span(
         &mut self,
@@ -194,67 +172,8 @@ impl ScoreSlab {
         // Loop-invariant pieces of `ScoreState::report`, hoisted.
         let op = opinion.clamp(0.0, 1.0);
         let cap = weight_cap.max(1.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            report_lane(
-                &mut r[i],
-                &mut w[i],
-                &mut creds[i],
-                opinion,
-                op,
-                q,
-                gamma,
-                agreement_threshold,
-                cap,
-            );
-            report_lane(
-                &mut r[i + 1],
-                &mut w[i + 1],
-                &mut creds[i + 1],
-                opinion,
-                op,
-                q,
-                gamma,
-                agreement_threshold,
-                cap,
-            );
-            report_lane(
-                &mut r[i + 2],
-                &mut w[i + 2],
-                &mut creds[i + 2],
-                opinion,
-                op,
-                q,
-                gamma,
-                agreement_threshold,
-                cap,
-            );
-            report_lane(
-                &mut r[i + 3],
-                &mut w[i + 3],
-                &mut creds[i + 3],
-                opinion,
-                op,
-                q,
-                gamma,
-                agreement_threshold,
-                cap,
-            );
-            i += 4;
-        }
-        while i < n {
-            report_lane(
-                &mut r[i],
-                &mut w[i],
-                &mut creds[i],
-                opinion,
-                op,
-                q,
-                gamma,
-                agreement_threshold,
-                cap,
-            );
-            i += 1;
+        for ((r, w), cred) in r.iter_mut().zip(w.iter_mut()).zip(creds.iter_mut()) {
+            report_lane(r, w, cred, opinion, op, q, gamma, agreement_threshold, cap);
         }
     }
 
@@ -273,30 +192,6 @@ impl ScoreSlab {
     pub(crate) fn aggregate_span(&self, base: usize, n: usize) -> Reputation {
         Reputation::new(self.sum_span(base, n) / n as f64)
     }
-
-    /// `K` subjects' span sums advanced in lockstep: each subject's
-    /// chain stays sequential in slot order (bit-identical to
-    /// [`ScoreSlab::sum_span`]); the `K` chains are independent, so
-    /// the adds pipeline instead of serialising — the vector shape of
-    /// the cache refresh. The engine runs `K = 8` (enough chains to
-    /// cover the f64 add latency on current cores) with a `K = 4`
-    /// then scalar tail.
-    #[inline]
-    #[allow(clippy::needless_range_loop)] // lockstep index over `spans` and `acc`
-    pub(crate) fn sum_spans<const K: usize>(&self, bases: [usize; K], n: usize) -> [f64; K] {
-        // Pre-slicing the subspans lets the compiler hoist every
-        // bounds check out of the loop (`j < n == len` is provable),
-        // leaving pure pipelined adds in the body; the inner loop is
-        // over a const-length array, so it fully unrolls.
-        let spans: [&[f64]; K] = std::array::from_fn(|k| &self.r[bases[k]..bases[k] + n]);
-        let mut acc = [0.0f64; K];
-        for j in 0..n {
-            for k in 0..K {
-                acc[k] += rep_value(spans[k][j]);
-            }
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -305,8 +200,8 @@ mod tests {
     use crate::credibility::credibility_update;
     use proptest::prelude::*;
 
-    /// The scalar walk the kernel replaces, verbatim from the PR 5
-    /// engine loop — the in-module bit-identity oracle.
+    /// The scalar `ScoreState` walk over an interleaved layout — the
+    /// in-module bit-identity oracle.
     #[allow(clippy::too_many_arguments)]
     fn scalar_walk(
         states: &mut [ScoreState],
@@ -340,8 +235,8 @@ mod tests {
         let s = ScoreState::new(Reputation::new(0.375), 12.5);
         slab.push(s);
         slab.push(ScoreState::default());
-        assert_eq!(slab.len(), 2);
-        assert!(!slab.is_empty());
+        assert_eq!(slab.r.len(), 2);
+        assert_eq!(slab.w.len(), 2);
         assert_eq!(slab.get(0), s);
         assert_eq!(slab.get(1), ScoreState::default());
         slab.set(1, s);
@@ -349,30 +244,10 @@ mod tests {
         assert_eq!(slab.get(0), s);
     }
 
-    #[test]
-    fn sum_spans_matches_sequential_sums() {
-        let states: Vec<ScoreState> = (0..32)
-            .map(|i| ScoreState::new(Reputation::new(i as f64 / 31.0), i as f64))
-            .collect();
-        let slab = slab_of(&states);
-        let bases = [0usize, 8, 16, 24];
-        let quad = slab.sum_spans::<4>(bases, 8);
-        for (k, &b) in bases.iter().enumerate() {
-            assert_eq!(quad[k].to_bits(), slab.sum_span(b, 8).to_bits());
-        }
-        // Overlapping bases at the wide width: every chain is an
-        // independent read, so aliasing spans are fine.
-        let bases8 = [0usize, 4, 8, 12, 16, 20, 24, 28];
-        let oct = slab.sum_spans::<8>(bases8, 4);
-        for (k, &b) in bases8.iter().enumerate() {
-            assert_eq!(oct[k].to_bits(), slab.sum_span(b, 4).to_bits());
-        }
-    }
-
     proptest! {
-        /// The kernel is bit-identical to the scalar walk across lane
-        /// counts (covering every unroll remainder), arbitrary lane
-        /// values, and zero-weight lanes (cred or q zero).
+        /// The report walk is bit-identical to the scalar walk across
+        /// lane counts, arbitrary lane values, and zero-weight lanes
+        /// (cred or q zero).
         #[test]
         fn report_span_matches_scalar_walk(
             n in 1usize..=9,

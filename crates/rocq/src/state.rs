@@ -186,7 +186,8 @@ pub struct PartitionCheckpoint {
     /// partition (`splitmix64(peer) % partitions` is its index), so no
     /// peer lives in two partitions.
     pub engine: EngineState,
-    /// Snapshot-slab rows: `(peer, applied reports)`, sorted by peer.
+    /// Snapshot-slab rows: `(peer, applied reports)`, strictly
+    /// ascending by peer (import rejects any other order).
     /// Must list exactly the partition's registered subjects.
     pub slab: Vec<(u64, u64)>,
 }

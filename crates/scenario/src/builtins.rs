@@ -57,7 +57,7 @@ pub fn builtins() -> Vec<Scenario> {
 
 /// Where the shipped `.scn` files live
 /// (`examples/scenarios/<name>.scn` at the workspace root).
-pub fn shipped_dir() -> PathBuf {
+pub(crate) fn shipped_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")

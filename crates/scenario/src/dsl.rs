@@ -152,7 +152,7 @@ impl AdversaryClass {
     }
 
     /// The tick at which the cohort first acts.
-    pub fn start_tick(&self) -> u64 {
+    pub(crate) fn start_tick(&self) -> u64 {
         match *self {
             AdversaryClass::CollusionRing { at_tick, .. }
             | AdversaryClass::Whitewash { at_tick, .. }
@@ -208,7 +208,7 @@ pub enum FaultAction {
 
 impl FaultAction {
     /// Stable lowercase name of the action (errors, docs).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultAction::KillFraction { .. } => "kill-fraction",
             FaultAction::Partition { .. } => "partition",

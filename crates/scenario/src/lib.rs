@@ -20,24 +20,22 @@
 //!   classification rates under the scenario's `StatusPolicy`.
 //!
 //! The legacy `collusion_attack`, `whitewashing` and `file_sharing`
-//! examples are shipped as scenario files (see [`builtins`]) whose
+//! examples are shipped as scenario files (see [`builtins()`]) whose
 //! runs reproduce the old outputs bit-for-bit; the old example
 //! binaries are thin wrappers that load them and print
 //! [`report`]-rendered text.
 
-pub mod builtins;
-pub mod dsl;
-pub mod file;
-pub mod metrics;
+mod builtins;
+mod dsl;
+mod file;
+mod metrics;
 pub mod report;
-pub mod runner;
+mod runner;
 
-pub use builtins::{builtin, builtins, shipped_dir, shipped_path, BUILTIN_NAMES};
+pub use builtins::{builtin, builtins, shipped_path, BUILTIN_NAMES};
 pub use dsl::{
     AdversaryClass, ArrivalPhase, CohortSpec, FaultAction, FaultEvent, Scenario, ScenarioError,
 };
 pub use file::{decode_scenario, encode_scenario, load_scenario, SCENARIO_MAGIC};
-pub use metrics::{
-    results_dir, write_metrics_csv, CohortEvent, MetricsRow, Observation, ScenarioOutcome,
-};
-pub use runner::{capped_options, env_ticks, RunOptions, ScenarioRunner};
+pub use metrics::{write_metrics_csv, CohortEvent, MetricsRow, Observation, ScenarioOutcome};
+pub use runner::{capped_options, RunOptions, ScenarioRunner};

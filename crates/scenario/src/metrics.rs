@@ -44,7 +44,7 @@ pub struct MetricsRow {
 }
 
 /// Column headers of the metrics CSV, in order.
-pub const CSV_HEADERS: [&str; 11] = [
+pub(crate) const CSV_HEADERS: [&str; 11] = [
     "tick",
     "members",
     "honest",
@@ -68,7 +68,7 @@ fn fmt_mean(v: Option<f64>) -> String {
 impl MetricsRow {
     /// The row as a CSV line (no trailing newline). Fixed six-decimal
     /// formatting keeps golden files byte-stable.
-    pub fn to_csv_line(&self) -> String {
+    pub(crate) fn to_csv_line(self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{}",
             self.tick,
@@ -213,7 +213,10 @@ impl ScenarioOutcome {
     }
 
     /// Events recorded by the cohort with the given label, in order.
-    pub fn events_of<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a CohortEvent> + 'a {
+    pub(crate) fn events_of<'a>(
+        &'a self,
+        label: &'a str,
+    ) -> impl Iterator<Item = &'a CohortEvent> + 'a {
         self.observations
             .iter()
             .filter(move |o| o.cohort == label)
@@ -224,7 +227,7 @@ impl ScenarioOutcome {
 /// The workspace `results/` directory (same resolution as the bench
 /// crate: relative to this crate's manifest, so it works from any
 /// working directory).
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")

@@ -2,7 +2,7 @@
 //!
 //! The three attack examples used to print their findings while
 //! running hard-coded scripts; now the scripts are data and the
-//! findings are [`Observation`]s, these functions render the *same
+//! findings are [`Observation`](crate::Observation)s, these functions render the *same
 //! text, byte for byte* from a [`ScenarioOutcome`] — the example
 //! wrappers print them, and the parity tests diff them against the
 //! legacy code paths.

@@ -34,7 +34,7 @@ pub struct RunOptions {
 }
 
 /// The `REPLEND_TICKS` environment cap, if set and parseable.
-pub fn env_ticks() -> Option<u64> {
+pub(crate) fn env_ticks() -> Option<u64> {
     std::env::var("REPLEND_TICKS").ok()?.parse().ok()
 }
 
@@ -101,11 +101,6 @@ impl ScenarioRunner {
             observations: Vec::new(),
             schedule,
         })
-    }
-
-    /// Read access to the driven community (tests, reports).
-    pub fn community(&self) -> &Community {
-        &self.community
     }
 
     /// Runs the full scenario horizon.

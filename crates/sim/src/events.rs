@@ -67,29 +67,11 @@ impl<E> EventQueue<E> {
         Self::default()
     }
 
-    /// Number of pending events.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `payload` to fire at time `at`.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled { at, seq, payload });
-    }
-
-    /// The timestamp of the next event, if any.
-    #[cfg(test)]
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
     }
 
     /// Pops the next event if it is due at or before `now`.
@@ -101,16 +83,6 @@ impl<E> EventQueue<E> {
             None
         }
     }
-
-    /// Drains every event due at or before `now`, in order.
-    #[cfg(test)]
-    pub(crate) fn drain_due(&mut self, now: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.pop_due(now) {
-            out.push(ev);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -118,12 +90,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Every event due at or before `now`, in pop order.
+    fn drain_due<E>(q: &mut EventQueue<E>, now: SimTime) -> Vec<(SimTime, E)> {
+        std::iter::from_fn(|| q.pop_due(now)).collect()
+    }
+
     #[test]
     fn empty_queue() {
         let mut q: EventQueue<u32> = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.next_time(), None);
-        assert_eq!(q.pop_due(SimTime(100)), None);
+        assert_eq!(q.pop_due(SimTime(u64::MAX)), None);
     }
 
     #[test]
@@ -132,11 +107,10 @@ mod tests {
         q.schedule(SimTime(30), "c");
         q.schedule(SimTime(10), "a");
         q.schedule(SimTime(20), "b");
-        assert_eq!(q.next_time(), Some(SimTime(10)));
         assert_eq!(q.pop_due(SimTime(100)), Some((SimTime(10), "a")));
         assert_eq!(q.pop_due(SimTime(100)), Some((SimTime(20), "b")));
         assert_eq!(q.pop_due(SimTime(100)), Some((SimTime(30), "c")));
-        assert!(q.is_empty());
+        assert_eq!(q.pop_due(SimTime(u64::MAX)), None);
     }
 
     #[test]
@@ -145,8 +119,7 @@ mod tests {
         for i in 0..10u32 {
             q.schedule(SimTime(5), i);
         }
-        let popped: Vec<u32> = q
-            .drain_due(SimTime(5))
+        let popped: Vec<u32> = drain_due(&mut q, SimTime(5))
             .into_iter()
             .map(|(_, e)| e)
             .collect();
@@ -158,8 +131,8 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime(50), ());
         assert_eq!(q.pop_due(SimTime(49)), None);
-        assert_eq!(q.len(), 1);
         assert_eq!(q.pop_due(SimTime(50)), Some((SimTime(50), ())));
+        assert_eq!(q.pop_due(SimTime(u64::MAX)), None);
     }
 
     #[test]
@@ -168,9 +141,9 @@ mod tests {
         q.schedule(SimTime(1), 1);
         q.schedule(SimTime(2), 2);
         q.schedule(SimTime(3), 3);
-        let due = q.drain_due(SimTime(2));
-        assert_eq!(due.len(), 2);
-        assert_eq!(q.len(), 1);
+        let due = drain_due(&mut q, SimTime(2));
+        assert_eq!(due, [(SimTime(1), 1), (SimTime(2), 2)]);
+        assert_eq!(drain_due(&mut q, SimTime(u64::MAX)), [(SimTime(3), 3)]);
     }
 
     proptest! {
@@ -181,7 +154,7 @@ mod tests {
             for (i, &t) in times.iter().enumerate() {
                 q.schedule(SimTime(t), i);
             }
-            let drained = q.drain_due(SimTime(1000));
+            let drained = drain_due(&mut q, SimTime(1000));
             let mut expected: Vec<(u64, usize)> =
                 times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
             expected.sort();

@@ -16,9 +16,7 @@
 //! * [`arrivals`] — the Poisson arrival process (exponential
 //!   inter-arrival times via inverse-CDF, no external distribution
 //!   crates);
-//! * `dist` (crate-private) — the exponential sampler behind the arrival process
-//!   (Poisson-count and discrete power-law samplers exist for tests
-//!   only);
+//! * `dist` (crate-private) — the exponential sampler behind the arrival process;
 //! * [`series`] — fixed-interval time-series recording plus averaging
 //!   across runs (the paper samples cooperative reputation every
 //!   5 000 ticks and averages 10 runs);

@@ -30,27 +30,6 @@ impl Fenwick {
         Fenwick::default()
     }
 
-    /// A tree with `n` zero-weight slots.
-    #[cfg(test)]
-    pub(crate) fn with_len(n: usize) -> Self {
-        Fenwick {
-            tree: vec![0; n + 1],
-            len: n,
-        }
-    }
-
-    /// Number of slots (including zero-weight ones).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the tree has no slots.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Appends a new slot with the given weight, returning its index.
     pub(crate) fn push(&mut self, weight: u64) -> usize {
         if self.tree.is_empty() {
@@ -149,11 +128,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// A tree with `n` zero-weight slots.
+    fn with_len(n: usize) -> Fenwick {
+        let mut f = Fenwick::new();
+        for _ in 0..n {
+            f.push(0);
+        }
+        f
+    }
+
     #[test]
     fn empty_tree() {
         let f = Fenwick::new();
-        assert_eq!(f.len(), 0);
-        assert!(f.is_empty());
         assert_eq!(f.total(), 0);
         assert_eq!(f.sample_index(0), None);
     }
@@ -172,7 +158,7 @@ mod tests {
 
     #[test]
     fn add_and_prefix_sums() {
-        let mut f = Fenwick::with_len(4);
+        let mut f = with_len(4);
         f.add(0, 1);
         f.add(1, 2);
         f.add(2, 3);
@@ -238,7 +224,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn add_out_of_bounds_panics() {
-        let mut f = Fenwick::with_len(2);
+        let mut f = with_len(2);
         f.add(2, 1);
     }
 

@@ -24,16 +24,10 @@
 //!   and the distribution must stay current;
 //! * `ZipfTopology` — rank-based power-law sampling over arrival
 //!   order, on the same Fenwick tree.
-//!
-//! The test-only `stats` module provides degree-distribution
-//! diagnostics (including a maximum-likelihood power-law exponent)
-//! that verify the BA graph really is scale-free.
 
 mod fenwick;
 mod random;
 mod scale_free;
-#[cfg(test)]
-mod stats;
 mod zipf;
 
 use random::RandomTopology;

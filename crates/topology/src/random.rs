@@ -18,12 +18,6 @@ pub(crate) struct RandomTopology {
 }
 
 impl RandomTopology {
-    /// An empty population.
-    #[cfg(test)]
-    pub(crate) fn new() -> Self {
-        RandomTopology::default()
-    }
-
     /// An empty population with pre-allocated capacity.
     pub(crate) fn with_capacity(n: usize) -> Self {
         RandomTopology {
@@ -109,7 +103,7 @@ mod tests {
 
     fn topo_of(n: u64) -> (RandomTopology, StdRng) {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut t = RandomTopology::new();
+        let mut t = RandomTopology::default();
         for p in 0..n {
             t.add_peer(PeerId(p), &mut rng);
         }

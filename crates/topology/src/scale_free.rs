@@ -16,7 +16,7 @@
 //!   initial attractiveness, so isolated seed nodes remain
 //!   reachable); the resulting degree distribution is power-law with
 //!   exponent `γ ≈ 3 + 1/m` (verified by a statistical test against
-//!   the Clauset–Shalizi–Newman MLE in [`stats`](crate::stats)).
+//!   the Clauset–Shalizi–Newman MLE).
 //! * Degree weights live in a [`Fenwick`](crate::fenwick::Fenwick)
 //!   tree: O(log n) per attachment and per sample, so the topology
 //!   stays exact while the population grows tick by tick.
@@ -54,15 +54,8 @@ pub(crate) struct ScaleFreeTopology {
 }
 
 impl ScaleFreeTopology {
-    /// A new topology with `m` attachment edges per arrival.
-    ///
-    /// `m` is clamped to at least 1.
-    #[cfg(test)]
-    pub(crate) fn new(m: usize) -> Self {
-        Self::with_capacity(0, m)
-    }
-
-    /// A new topology with pre-allocated capacity.
+    /// A new topology with `m` attachment edges per arrival (clamped
+    /// to at least 1) and pre-allocated capacity.
     pub(crate) fn with_capacity(n: usize, m: usize) -> Self {
         ScaleFreeTopology {
             m: m.max(1),
@@ -75,25 +68,6 @@ impl ScaleFreeTopology {
             live: Vec::with_capacity(n),
             live_pos: HashMap::with_capacity(n),
         }
-    }
-
-    /// The configured attachment parameter `m`.
-    #[cfg(test)]
-    pub(crate) fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Current degree of `peer` (0 if absent).
-    #[cfg(test)]
-    pub(crate) fn degree_of(&self, peer: PeerId) -> u32 {
-        self.slots.get(&peer).map(|&s| self.degree[s]).unwrap_or(0)
-    }
-
-    /// Degrees of all live peers — input for the power-law
-    /// diagnostics in [`stats`](crate::stats).
-    #[cfg(test)]
-    pub(crate) fn live_degrees(&self) -> Vec<u32> {
-        self.live.iter().map(|&s| self.degree[s as usize]).collect()
     }
 
     /// Draws one live slot with probability ∝ `degree + 1`,
@@ -268,13 +242,48 @@ impl Topology for ScaleFreeTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Current degree of `peer` (0 if absent).
+    fn degree_of(t: &ScaleFreeTopology, peer: PeerId) -> u32 {
+        t.slots.get(&peer).map(|&s| t.degree[s]).unwrap_or(0)
+    }
+
+    /// Degrees of all live peers.
+    fn live_degrees(t: &ScaleFreeTopology) -> Vec<u32> {
+        t.live.iter().map(|&s| t.degree[s as usize]).collect()
+    }
+
+    /// Maximum-likelihood estimate of the power-law exponent `α` for
+    /// the discrete tail `d >= d_min`, per Clauset, Shalizi & Newman
+    /// (2009):
+    ///
+    /// `α ≈ 1 + n_tail / Σ ln(d_i / (d_min − 1/2))`
+    ///
+    /// Returns `None` when fewer than 10 observations lie in the tail
+    /// (too little data for a meaningful fit).
+    fn power_law_alpha_mle(degrees: &[u32], d_min: u32) -> Option<f64> {
+        let d_min = d_min.max(1);
+        let tail: Vec<f64> = degrees
+            .iter()
+            .copied()
+            .filter(|&d| d >= d_min)
+            .map(|d| d as f64)
+            .collect();
+        if tail.len() < 10 {
+            return None;
+        }
+        let denom: f64 = tail.iter().map(|&d| (d / (d_min as f64 - 0.5)).ln()).sum();
+        if denom <= 0.0 {
+            return None;
+        }
+        Some(1.0 + tail.len() as f64 / denom)
+    }
 
     fn grown(n: u64, m: usize, seed: u64) -> (ScaleFreeTopology, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = ScaleFreeTopology::new(m);
+        let mut t = ScaleFreeTopology::with_capacity(0, m);
         for p in 0..n {
             t.add_peer(PeerId(p), &mut rng);
         }
@@ -284,7 +293,7 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut t = ScaleFreeTopology::new(3);
+        let mut t = ScaleFreeTopology::with_capacity(0, 3);
         assert!(t.is_empty());
         assert_eq!(t.sample(&mut rng, None), None);
         t.add_peer(PeerId(0), &mut rng);
@@ -296,7 +305,7 @@ mod tests {
 
     #[test]
     fn m_is_clamped_to_one() {
-        assert_eq!(ScaleFreeTopology::new(0).m(), 1);
+        assert_eq!(ScaleFreeTopology::with_capacity(0, 0).m, 1);
     }
 
     #[test]
@@ -312,7 +321,7 @@ mod tests {
         // Each arrival past the 4th adds exactly 3 edges, so total
         // degree = 2 * edges; check newcomer 49 has degree >= 3 is not
         // guaranteed (it has exactly m unless it arrived early).
-        let total_degree: u64 = t.live_degrees().iter().map(|&d| d as u64).sum();
+        let total_degree: u64 = live_degrees(&t).iter().map(|&d| d as u64).sum();
         // Edges: arrivals 1..50 each add min(m, existing) edges:
         // 1 + 2 + 3*47 = 144 edges.
         assert_eq!(total_degree, 2 * 144);
@@ -321,7 +330,7 @@ mod tests {
     #[test]
     fn degrees_sum_even() {
         let (t, _) = grown(200, 2, 3);
-        let total: u64 = t.live_degrees().iter().map(|&d| d as u64).sum();
+        let total: u64 = live_degrees(&t).iter().map(|&d| d as u64).sum();
         assert_eq!(total % 2, 0, "handshake lemma");
     }
 
@@ -339,10 +348,14 @@ mod tests {
     fn sampling_prefers_hubs() {
         let (t, mut rng) = grown(300, 2, 5);
         // Find the max-degree hub and a min-degree leaf.
-        let degs = t.live_degrees();
-        let hub = (0..300u64).max_by_key(|&p| t.degree_of(PeerId(p))).unwrap();
-        let leaf = (0..300u64).min_by_key(|&p| t.degree_of(PeerId(p))).unwrap();
-        assert!(t.degree_of(PeerId(hub)) > t.degree_of(PeerId(leaf)));
+        let degs = live_degrees(&t);
+        let hub = (0..300u64)
+            .max_by_key(|&p| degree_of(&t, PeerId(p)))
+            .unwrap();
+        let leaf = (0..300u64)
+            .min_by_key(|&p| degree_of(&t, PeerId(p)))
+            .unwrap();
+        assert!(degree_of(&t, PeerId(hub)) > degree_of(&t, PeerId(leaf)));
         let trials = 100_000;
         let (mut hub_hits, mut leaf_hits) = (0u32, 0u32);
         for _ in 0..trials {
@@ -364,8 +377,8 @@ mod tests {
     #[test]
     fn degree_distribution_is_power_law() {
         let (t, _) = grown(3000, 3, 6);
-        let degrees = t.live_degrees();
-        let alpha = stats::power_law_alpha_mle(&degrees, 3).expect("enough tail data");
+        let degrees = live_degrees(&t);
+        let alpha = power_law_alpha_mle(&degrees, 3).expect("enough tail data");
         // BA with unit attractiveness: γ ≈ 3 + 1/m ≈ 3.33; the MLE on
         // a finite graph lands roughly in [2.3, 4.2].
         assert!(
@@ -379,7 +392,7 @@ mod tests {
         // Sanity check of the diagnostic itself: degrees of a uniform
         // random selection don't produce the heavy tail.
         let (t, _) = grown(3000, 3, 7);
-        let degrees = t.live_degrees();
+        let degrees = live_degrees(&t);
         let max = *degrees.iter().max().unwrap();
         let mean = degrees.iter().map(|&d| d as f64).sum::<f64>() / degrees.len() as f64;
         // Scale-free: max degree is a large multiple of the mean.
@@ -393,12 +406,12 @@ mod tests {
     fn removal_updates_neighbours_and_sampling() {
         let (mut t, mut rng) = grown(30, 2, 8);
         let victim = PeerId(7);
-        let before_total: u64 = t.live_degrees().iter().map(|&d| d as u64).sum();
-        let victim_deg = t.degree_of(victim) as u64;
+        let before_total: u64 = live_degrees(&t).iter().map(|&d| d as u64).sum();
+        let victim_deg = degree_of(&t, victim) as u64;
         t.remove_peer(victim);
         assert!(!t.contains(victim));
         assert_eq!(t.len(), 29);
-        let after_total: u64 = t.live_degrees().iter().map(|&d| d as u64).sum();
+        let after_total: u64 = live_degrees(&t).iter().map(|&d| d as u64).sum();
         assert_eq!(after_total, before_total - 2 * victim_deg);
         for _ in 0..2000 {
             assert_ne!(t.sample(&mut rng, None), Some(victim));
@@ -426,7 +439,9 @@ mod tests {
     #[test]
     fn uniform_sampling_ignores_degree() {
         let (t, mut rng) = grown(100, 3, 10);
-        let hub = (0..100u64).max_by_key(|&p| t.degree_of(PeerId(p))).unwrap();
+        let hub = (0..100u64)
+            .max_by_key(|&p| degree_of(&t, PeerId(p)))
+            .unwrap();
         let trials = 200_000;
         let mut hub_hits = 0u32;
         for _ in 0..trials {
@@ -439,5 +454,43 @@ mod tests {
             (hub_hits as f64 - expected).abs() < 6.0 * expected.sqrt(),
             "hub drawn {hub_hits} times under uniform, expected {expected}"
         );
+    }
+
+    #[test]
+    fn mle_rejects_tiny_tails() {
+        assert_eq!(power_law_alpha_mle(&[5; 5], 3), None);
+        assert_eq!(power_law_alpha_mle(&[], 3), None);
+    }
+
+    #[test]
+    fn mle_recovers_known_exponent() {
+        // Sample a discrete power law with α = 2.5 via inverse
+        // transform on the continuous approximation, then check the
+        // MLE lands near 2.5.
+        let alpha = 2.5f64;
+        let d_min = 3u32;
+        let mut rng = StdRng::seed_from_u64(1234);
+        let degrees: Vec<u32> = (0..20_000)
+            .map(|_| {
+                let u: f64 = rng.gen::<f64>();
+                let x = (d_min as f64 - 0.5) * (1.0 - u).powf(-1.0 / (alpha - 1.0));
+                x.round().min(1e7) as u32
+            })
+            .collect();
+        let est = power_law_alpha_mle(&degrees, d_min).unwrap();
+        assert!(
+            (est - alpha).abs() < 0.15,
+            "MLE {est} too far from true α = {alpha}"
+        );
+    }
+
+    #[test]
+    fn mle_on_constant_degrees_is_none_or_large() {
+        // All mass at d_min ⇒ ln-ratio sum is 0-ish ⇒ None (or huge α).
+        let res = power_law_alpha_mle(&[3; 100], 3);
+        match res {
+            None => {}
+            Some(a) => assert!(a > 5.0, "uniform degrees should not look scale-free"),
+        }
     }
 }

@@ -43,13 +43,8 @@ pub(crate) struct ZipfTopology {
 }
 
 impl ZipfTopology {
-    /// A new topology with exponent `s` (clamped to at least 0.01).
-    #[cfg(test)]
-    pub(crate) fn new(s: f64) -> Self {
-        Self::with_capacity(0, s)
-    }
-
-    /// A new topology with pre-allocated capacity.
+    /// A new topology with exponent `s` (clamped to at least 0.01)
+    /// and pre-allocated capacity.
     pub(crate) fn with_capacity(n: usize, s: f64) -> Self {
         ZipfTopology {
             s: s.max(0.01),
@@ -59,12 +54,6 @@ impl ZipfTopology {
             live: Vec::with_capacity(n),
             live_pos: HashMap::with_capacity(n),
         }
-    }
-
-    /// The configured exponent.
-    #[cfg(test)]
-    pub(crate) fn exponent(&self) -> f64 {
-        self.s
     }
 
     /// The fixed-point weight of arrival rank `rank` (0-based).
@@ -186,7 +175,7 @@ mod tests {
 
     fn grown(n: u64, s: f64) -> (ZipfTopology, StdRng) {
         let mut rng = StdRng::seed_from_u64(31);
-        let mut t = ZipfTopology::new(s);
+        let mut t = ZipfTopology::with_capacity(0, s);
         for p in 0..n {
             t.add_peer(PeerId(p), &mut rng);
         }
@@ -196,7 +185,7 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut t = ZipfTopology::new(1.0);
+        let mut t = ZipfTopology::with_capacity(0, 1.0);
         assert_eq!(t.sample(&mut rng, None), None);
         t.add_peer(PeerId(0), &mut rng);
         assert_eq!(t.sample(&mut rng, None), Some(PeerId(0)));
@@ -289,6 +278,6 @@ mod tests {
 
     #[test]
     fn exponent_clamped() {
-        assert!(ZipfTopology::new(-3.0).exponent() > 0.0);
+        assert!(ZipfTopology::with_capacity(0, -3.0).s > 0.0);
     }
 }

@@ -59,13 +59,6 @@ pub struct ReputationDelta {
 }
 
 impl ReputationDelta {
-    /// The signed change `new − old`.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn change(&self) -> f64 {
-        self.new.value() - self.old.value()
-    }
-
     /// True when the mutation left the aggregate bit-identical (such
     /// deltas may be skipped by consumers).
     #[inline]
@@ -159,24 +152,10 @@ impl MeanAcc {
         self.sum.add(new - old);
     }
 
-    /// Number of members included.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn count(&self) -> usize {
-        self.n
-    }
-
     /// The current mean; `None` when empty.
     #[inline]
     pub fn mean(&self) -> Option<f64> {
         (self.n > 0).then(|| self.sum.value() / self.n as f64)
-    }
-
-    /// The current (compensated) sum.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn sum(&self) -> f64 {
-        self.sum.value()
     }
 }
 
@@ -199,7 +178,6 @@ mod tests {
             old: Reputation::new(0.25),
             new: Reputation::new(0.75),
         };
-        assert!((d.change() - 0.5).abs() < 1e-12);
         assert!(!d.is_noop());
         let same = ReputationDelta {
             subject: PeerId(3),
@@ -207,7 +185,6 @@ mod tests {
             new: Reputation::new(0.5),
         };
         assert!(same.is_noop());
-        assert_eq!(same.change(), 0.0);
     }
 
     #[test]
@@ -239,7 +216,7 @@ mod tests {
         assert_eq!(m.mean(), None);
         m.insert(1.0);
         m.insert(0.5);
-        assert_eq!(m.count(), 2);
+        assert_eq!(m.n, 2);
         assert!((m.mean().unwrap() - 0.75).abs() < 1e-12);
         m.shift(0.5, 0.9);
         assert!((m.mean().unwrap() - 0.95).abs() < 1e-12);
@@ -247,7 +224,7 @@ mod tests {
         assert!((m.mean().unwrap() - 1.0).abs() < 1e-12);
         m.remove(1.0);
         assert_eq!(m.mean(), None);
-        assert_eq!(m.sum(), 0.0, "emptied accumulator resets exactly");
+        assert_eq!(m.sum.value(), 0.0, "emptied accumulator resets exactly");
     }
 
     #[test]
@@ -286,11 +263,11 @@ mod tests {
             }
         }
         let recount: f64 = live.iter().sum();
-        assert_eq!(m.count(), live.len());
+        assert_eq!(m.n, live.len());
         assert!(
-            (m.sum() - recount).abs() <= 1e-9 * recount.abs().max(1.0),
+            (m.sum.value() - recount).abs() <= 1e-9 * recount.abs().max(1.0),
             "sum {} vs recount {recount}",
-            m.sum()
+            m.sum.value()
         );
     }
 }

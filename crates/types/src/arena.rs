@@ -68,17 +68,6 @@ pub enum SlotAlloc {
     Reused(Handle),
 }
 
-impl SlotAlloc {
-    /// The allocated handle, fresh or reused.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn handle(self) -> Handle {
-        match self {
-            SlotAlloc::Fresh(h) | SlotAlloc::Reused(h) => h,
-        }
-    }
-}
-
 /// The free-list behind a dense slot arena.
 ///
 /// The allocator tracks only slot occupancy — the data lives in
@@ -161,13 +150,6 @@ impl SlotAllocator {
     #[inline]
     pub fn capacity(&self) -> usize {
         self.capacity as usize
-    }
-
-    /// Currently occupied slots.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn live(&self) -> usize {
-        self.capacity as usize - self.free.len()
     }
 }
 
@@ -269,6 +251,18 @@ impl<T: Copy + Default, const N: usize> Default for InlineList<T, N> {
 mod tests {
     use super::*;
 
+    /// The allocated handle, fresh or reused.
+    fn handle(alloc: SlotAlloc) -> Handle {
+        match alloc {
+            SlotAlloc::Fresh(h) | SlotAlloc::Reused(h) => h,
+        }
+    }
+
+    /// Currently occupied slots.
+    fn live(a: &SlotAllocator) -> usize {
+        a.capacity() - a.free_handles().len()
+    }
+
     #[test]
     fn handles_are_dense_and_fresh_first() {
         let mut a = SlotAllocator::new();
@@ -276,18 +270,18 @@ mod tests {
         assert_eq!(a.alloc(), SlotAlloc::Fresh(Handle(1)));
         assert_eq!(a.alloc(), SlotAlloc::Fresh(Handle(2)));
         assert_eq!(a.capacity(), 3);
-        assert_eq!(a.live(), 3);
+        assert_eq!(live(&a), 3);
     }
 
     #[test]
     fn release_recycles_lifo() {
         let mut a = SlotAllocator::new();
-        let h0 = a.alloc().handle();
-        let h1 = a.alloc().handle();
-        let _h2 = a.alloc().handle();
+        let h0 = handle(a.alloc());
+        let h1 = handle(a.alloc());
+        let _h2 = handle(a.alloc());
         a.release(h0);
         a.release(h1);
-        assert_eq!(a.live(), 1);
+        assert_eq!(live(&a), 1);
         // LIFO: the most recently released slot comes back first.
         assert_eq!(a.alloc(), SlotAlloc::Reused(h1));
         assert_eq!(a.alloc(), SlotAlloc::Reused(h0));
@@ -299,15 +293,15 @@ mod tests {
     #[test]
     fn from_parts_restores_recycle_order() {
         let mut a = SlotAllocator::new();
-        let h0 = a.alloc().handle();
-        let h1 = a.alloc().handle();
-        let _h2 = a.alloc().handle();
+        let h0 = handle(a.alloc());
+        let h1 = handle(a.alloc());
+        let _h2 = handle(a.alloc());
         a.release(h0);
         a.release(h1);
 
         let mut b = SlotAllocator::from_parts(a.capacity() as u32, a.free_handles().to_vec());
         assert_eq!(b.capacity(), a.capacity());
-        assert_eq!(b.live(), a.live());
+        assert_eq!(live(&b), live(&a));
         // Identical future allocation sequence.
         for _ in 0..3 {
             assert_eq!(a.alloc(), b.alloc());

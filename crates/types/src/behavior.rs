@@ -61,12 +61,6 @@ pub enum IntroducerPolicy {
 }
 
 impl IntroducerPolicy {
-    /// The Table-1 default selective policy (`err_sel` = 10%).
-    #[cfg(test)]
-    pub(crate) const fn default_selective() -> Self {
-        IntroducerPolicy::Selective { error_rate: 0.10 }
-    }
-
     /// Whether this policy would *want* to introduce an applicant of
     /// the given behaviour, given a uniform random draw `u ∈ [0, 1)`.
     ///
@@ -182,7 +176,7 @@ mod tests {
 
     #[test]
     fn selective_rejects_uncooperative_outside_error_rate() {
-        let p = IntroducerPolicy::default_selective();
+        let p = IntroducerPolicy::Selective { error_rate: 0.10 };
         // u >= err_sel  →  correctly refused
         assert!(!p.would_introduce(Behavior::Uncooperative, 0.10));
         assert!(!p.would_introduce(Behavior::Uncooperative, 0.50));
@@ -220,7 +214,7 @@ mod tests {
     fn display_strings() {
         assert_eq!(Behavior::Cooperative.to_string(), "cooperative");
         assert_eq!(
-            IntroducerPolicy::default_selective().to_string(),
+            IntroducerPolicy::Selective { error_rate: 0.10 }.to_string(),
             "selective(err=10%)"
         );
         assert_eq!(IntroducerPolicy::Naive.to_string(), "naive");

@@ -77,23 +77,6 @@ impl Reputation {
         let a = alpha.clamp(0.0, 1.0);
         Reputation::new(self.0 + a * (target.0 - self.0))
     }
-
-    /// True if this reputation is at least `threshold`.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn at_least(self, threshold: Reputation) -> bool {
-        self.0 >= threshold.0
-    }
-
-    /// The mean of a slice of reputations; `None` when empty.
-    #[cfg(test)]
-    pub(crate) fn mean(values: &[Reputation]) -> Option<Reputation> {
-        if values.is_empty() {
-            return None;
-        }
-        let sum: f64 = values.iter().map(|r| r.0).sum();
-        Some(Reputation::new(sum / values.len() as f64))
-    }
 }
 
 impl Default for Reputation {
@@ -178,23 +161,6 @@ mod tests {
         assert_eq!(r.lerp_toward(Reputation::ONE, 1.0), Reputation::ONE);
     }
 
-    #[test]
-    fn at_least_boundary() {
-        assert!(Reputation::new(0.5).at_least(Reputation::HALF));
-        assert!(!Reputation::new(0.4999).at_least(Reputation::HALF));
-    }
-
-    #[test]
-    fn mean_of_empty_is_none() {
-        assert_eq!(Reputation::mean(&[]), None);
-    }
-
-    #[test]
-    fn mean_of_values() {
-        let vals = [Reputation::new(0.0), Reputation::new(1.0)];
-        assert_eq!(Reputation::mean(&vals), Some(Reputation::HALF));
-    }
-
     proptest! {
         #[test]
         fn constructor_always_in_range(v in proptest::num::f64::ANY) {
@@ -237,13 +203,5 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&r.value()));
         }
 
-        #[test]
-        fn mean_is_bounded_by_extremes(vals in proptest::collection::vec(0.0f64..=1.0, 1..32)) {
-            let reps: Vec<Reputation> = vals.iter().copied().map(Reputation::new).collect();
-            let m = Reputation::mean(&reps).unwrap().value();
-            let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(m >= lo - 1e-12 && m <= hi + 1e-12);
-        }
     }
 }

@@ -28,15 +28,6 @@ impl SimTime {
     pub(crate) const fn since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
-
-    /// True if at least `delta` ticks have elapsed since `earlier`.
-    ///
-    /// Used to test expiry of the waiting period `T` of §2.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) const fn elapsed_at_least(self, earlier: SimTime, delta: u64) -> bool {
-        self.since(earlier) >= delta
-    }
 }
 
 impl Add<u64> for SimTime {
@@ -97,9 +88,9 @@ mod tests {
     fn waiting_period_expiry() {
         // The introduction waiting period T = 1000 of Table 1.
         let requested = SimTime(500);
-        assert!(!SimTime(1499).elapsed_at_least(requested, 1000));
-        assert!(SimTime(1500).elapsed_at_least(requested, 1000));
-        assert!(SimTime(1501).elapsed_at_least(requested, 1000));
+        assert!(SimTime(1499) - requested < 1000);
+        assert!(SimTime(1500) - requested >= 1000);
+        assert!(SimTime(1501) - requested >= 1000);
     }
 
     #[test]

@@ -764,16 +764,6 @@ pub fn decode_checkpoint<T: serde::de::DeserializeOwned>(
 // Stream framing
 // ---------------------------------------------------------------------------
 
-/// Writes one length-prefixed frame (`u32` LE byte count + bytes).
-#[cfg(test)]
-pub(crate) fn write_frame<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds 4 GiB"))?;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(bytes)?;
-    writer.flush()
-}
-
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean
 /// end-of-stream (EOF exactly at a frame boundary); a mid-frame EOF
 /// is an `UnexpectedEof` error. The length prefix is untrusted input,
@@ -927,14 +917,7 @@ pub struct JournalWriter<W: Write> {
 
 impl<W: Write> JournalWriter<W> {
     /// A writer appending records tagged with `seed` to `inner`
-    /// (typically a file opened in append mode), flushing every
-    /// record ([`SyncPolicy::Always`]).
-    #[cfg(test)]
-    pub(crate) fn new(inner: W, seed: u64) -> Self {
-        Self::with_policy(inner, seed, SyncPolicy::Always)
-    }
-
-    /// A writer with an explicit [`SyncPolicy`].
+    /// (typically a file opened in append mode) under `policy`.
     pub fn with_policy(inner: W, seed: u64, policy: SyncPolicy) -> Self {
         JournalWriter {
             inner,
@@ -991,12 +974,6 @@ impl<W: Write> JournalWriter<W> {
         Ok(())
     }
 
-    /// Records buffered in memory but not yet flushed to the stream.
-    #[cfg(test)]
-    pub(crate) fn pending(&self) -> usize {
-        self.pending
-    }
-
     /// Retags subsequently appended records with `seed`. Used by
     /// journal compaction: after a checkpoint is durable the log is
     /// truncated and restarted under a new generation-salted seed, so
@@ -1043,7 +1020,6 @@ pub struct JournalReader<R: Read> {
     inner: R,
     seed: u64,
     consumed: u64,
-    records: u64,
     torn: bool,
 }
 
@@ -1054,7 +1030,6 @@ impl<R: Read> JournalReader<R> {
             inner,
             seed,
             consumed: 0,
-            records: 0,
             torn: false,
         }
     }
@@ -1088,7 +1063,6 @@ impl<R: Read> JournalReader<R> {
         }
         let record = envelope.open()?;
         self.consumed += 4 + frame.len() as u64;
-        self.records += 1;
         Ok(Some(record))
     }
 
@@ -1096,14 +1070,6 @@ impl<R: Read> JournalReader<R> {
     /// the length to truncate a torn journal to.
     pub fn consumed(&self) -> u64 {
         self.consumed
-    }
-
-    /// Intact records decoded so far — alongside
-    /// [`JournalReader::consumed`], lets a replaying service report
-    /// record counts and byte offsets without counting externally.
-    #[cfg(test)]
-    pub(crate) fn records(&self) -> u64 {
-        self.records
     }
 
     /// True when iteration stopped at a truncated final frame rather
@@ -1119,6 +1085,12 @@ mod tests {
     use serde::de::DeserializeOwned;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// Writes one length-prefixed frame (`u32` LE byte count + bytes).
+    fn write_frame(writer: &mut Vec<u8>, bytes: &[u8]) {
+        writer.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        writer.extend_from_slice(bytes);
+    }
 
     fn round_trip<T>(value: &T) -> T
     where
@@ -1315,9 +1287,9 @@ mod tests {
     #[test]
     fn framing_round_trips_and_detects_truncation() {
         let mut stream = Vec::new();
-        write_frame(&mut stream, b"alpha").unwrap();
-        write_frame(&mut stream, b"").unwrap();
-        write_frame(&mut stream, b"omega").unwrap();
+        write_frame(&mut stream, b"alpha");
+        write_frame(&mut stream, b"");
+        write_frame(&mut stream, b"omega");
 
         let mut reader = stream.as_slice();
         assert_eq!(
@@ -1378,7 +1350,7 @@ mod tests {
     fn journal_round_trips_records_in_order() {
         let mut log = Vec::new();
         {
-            let mut writer = JournalWriter::new(&mut log, 9);
+            let mut writer = JournalWriter::with_policy(&mut log, 9, SyncPolicy::Always);
             for i in 0..5u64 {
                 writer
                     .append(&Record {
@@ -1408,10 +1380,10 @@ mod tests {
             let mut writer = JournalWriter::with_policy(&mut log, 9, SyncPolicy::Batch(3));
             writer.append(&1u64).unwrap();
             writer.append(&2u64).unwrap();
-            assert_eq!(writer.pending(), 2);
+            assert_eq!(writer.pending, 2);
             assert!(writer.get_mut().is_empty(), "nothing flushed mid-batch");
             writer.append(&3u64).unwrap();
-            assert_eq!(writer.pending(), 0, "third append completed the batch");
+            assert_eq!(writer.pending, 0, "third append completed the batch");
             assert!(!writer.get_mut().is_empty());
             let flushed = writer.get_mut().len();
             writer.append(&4u64).unwrap();
@@ -1439,7 +1411,7 @@ mod tests {
         let mut reference = Vec::new();
         for r in &records {
             let envelope = SummaryEnvelope::wrap(5, r).unwrap();
-            write_frame(&mut reference, &envelope.encode().unwrap()).unwrap();
+            write_frame(&mut reference, &envelope.encode().unwrap());
         }
         for policy in [
             SyncPolicy::Always,
@@ -1495,7 +1467,7 @@ mod tests {
         let mut reference = Vec::new();
         for r in &records {
             let envelope = SummaryEnvelope::wrap(3, r).unwrap();
-            write_frame(&mut reference, &envelope.encode().unwrap()).unwrap();
+            write_frame(&mut reference, &envelope.encode().unwrap());
         }
         let frame = reference.len() / records.len();
         for policy in [SyncPolicy::Always, SyncPolicy::Batch(2)] {
@@ -1595,12 +1567,14 @@ mod tests {
     fn journal_reader_stops_cleanly_at_a_torn_tail() {
         let mut log = Vec::new();
         {
-            let mut writer = JournalWriter::new(&mut log, 4);
+            let mut writer = JournalWriter::with_policy(&mut log, 4, SyncPolicy::Always);
             writer.append(&1u64).unwrap();
             writer.append(&2u64).unwrap();
         }
         let intact = log.len();
-        JournalWriter::new(&mut log, 4).append(&3u64).unwrap();
+        JournalWriter::with_policy(&mut log, 4, SyncPolicy::Always)
+            .append(&3u64)
+            .unwrap();
         // Crash mid-append: the last frame is truncated.
         log.truncate(intact + 7);
 
@@ -1622,24 +1596,27 @@ mod tests {
     fn journal_reader_counts_records_and_bytes_in_step() {
         let mut log = Vec::new();
         {
-            let mut writer = JournalWriter::new(&mut log, 6);
+            let mut writer = JournalWriter::with_policy(&mut log, 6, SyncPolicy::Always);
             for i in 0..4u64 {
                 writer.append(&i).unwrap();
             }
         }
         let intact = log.len();
-        JournalWriter::new(&mut log, 6).append(&99u64).unwrap();
+        JournalWriter::with_policy(&mut log, 6, SyncPolicy::Always)
+            .append(&99u64)
+            .unwrap();
         log.truncate(intact + 5); // torn fifth record
 
+        let frame = intact as u64 / 4;
         let mut reader = JournalReader::new(log.as_slice(), 6);
-        assert_eq!(reader.records(), 0);
+        assert_eq!(reader.consumed(), 0);
         let mut expected = 0u64;
         while let Some(r) = reader.next::<u64>().unwrap() {
             assert_eq!(r, expected);
             expected += 1;
-            assert_eq!(reader.records(), expected, "counter tracks each record");
+            assert_eq!(reader.consumed(), expected * frame, "one frame per record");
         }
-        assert_eq!(reader.records(), 4, "the torn record is not counted");
+        assert_eq!(expected, 4, "the torn record is not read");
         assert_eq!(reader.consumed(), intact as u64);
         assert!(reader.torn_tail());
     }
@@ -1652,7 +1629,7 @@ mod tests {
         // mismatch (which is exactly how a stale pre-truncation
         // journal is fenced off after a crash).
         let mut log = Vec::new();
-        let mut writer = JournalWriter::new(&mut log, 10);
+        let mut writer = JournalWriter::with_policy(&mut log, 10, SyncPolicy::Always);
         writer.append(&1u64).unwrap();
         writer.get_mut().clear(); // "truncate" the Vec-backed log
         writer.set_seed(11);
@@ -1678,7 +1655,9 @@ mod tests {
     fn journal_reader_rejects_foreign_and_stale_records() {
         // Wrong seed: a hard error, not a silent skip.
         let mut log = Vec::new();
-        JournalWriter::new(&mut log, 1).append(&7u64).unwrap();
+        JournalWriter::with_policy(&mut log, 1, SyncPolicy::Always)
+            .append(&7u64)
+            .unwrap();
         let mut reader = JournalReader::new(log.as_slice(), 2);
         assert!(matches!(
             reader.next::<u64>(),
@@ -1692,7 +1671,7 @@ mod tests {
         let mut envelope = SummaryEnvelope::wrap(3, &7u64).unwrap();
         envelope.version += 1;
         let mut log = Vec::new();
-        write_frame(&mut log, &envelope.encode().unwrap()).unwrap();
+        write_frame(&mut log, &envelope.encode().unwrap());
         let mut reader = JournalReader::new(log.as_slice(), 3);
         assert!(matches!(
             reader.next::<u64>(),

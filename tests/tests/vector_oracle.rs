@@ -1,13 +1,14 @@
-//! ISSUE 7 vectorisation oracle: the multi-lane slab kernels of
-//! [`RocqEngine`] (unrolled report spans, four-chain cached-aggregate
-//! refresh) must be **byte-identical** to the scalar seed layout
-//! ([`ReferenceEngine`]) for every replication factor — especially
-//! the non-multiple-of-4 `numSM` values whose spans end in scalar
-//! remainder tails — and under the inputs that exercise the kernels'
-//! edge lanes:
+//! Score-slab oracle: the struct-of-arrays slab walks of
+//! [`RocqEngine`] (the fused report span with its branchless lanes,
+//! the per-subject cached-aggregate refresh) must be
+//! **byte-identical** to the scalar seed layout ([`ReferenceEngine`])
+//! for every replication factor, and under the inputs that exercise
+//! the lanes' edge cases:
 //!
-//! * `numSM ∈ {1, 2, 3, 4, 7, 8}`: below, at and above the unroll
-//!   width, odd and even, covering every tail length 0..=3;
+//! * `numSM ∈ {1, 2, 3, 4, 7, 8}`: a single lane, small and large
+//!   spans, odd and even (the span length is the only per-subject
+//!   loop bound, so a future unrolled or SIMD walk has its remainder
+//!   lengths covered here);
 //! * zero-weight feedbacks (`min_quality = 0`, so a reporter's first
 //!   report carries weight exactly 0 and its lane must keep the old
 //!   bits through the branchless select);
@@ -21,8 +22,8 @@ use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
 /// Peer-id universe — small, so reports pile onto the same subjects.
 const POP: u64 = 32;
 
-/// Every replication factor the oracle sweeps: the unroll width (4),
-/// both sides of it, and both tail parities above it.
+/// Every replication factor the oracle sweeps: 1 through 4, then one
+/// odd and one even span above them.
 const NUM_SM: &[usize] = &[1, 2, 3, 4, 7, 8];
 
 /// One decoded engine operation.
@@ -120,7 +121,7 @@ fn drive(e: &mut dyn ReputationEngine, ops: &[Op]) -> Observed {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// The tentpole contract at every tail length: vectorised arena
+    /// The core contract at every span length: slab-walking arena
     /// engine == scalar reference, bit for bit, with the crash model
     /// active (column copy/reset lanes included).
     #[test]
@@ -147,9 +148,9 @@ proptest! {
 
     /// Zero-weight lanes: with `min_quality = 0` a reporter's first
     /// report has quality 0 → weight exactly 0. The scalar reference
-    /// skips the mix via an early return; the vectorised kernel must
+    /// skips the mix via an early return; the slab's report lane must
     /// keep the identical old bits through its branchless select
-    /// (while still updating credibility) at every tail length.
+    /// (while still updating credibility) at every span length.
     #[test]
     fn zero_weight_feedbacks_are_byte_identical(
         raw in proptest::collection::vec(
@@ -173,7 +174,7 @@ proptest! {
 }
 
 /// Deterministic (non-proptest) spot check: a crash-heavy churn storm
-/// at the tail-heavy numSM=7, vectorised vs reference — a fixed
+/// at every swept numSM, slab engine vs reference — a fixed
 /// regression anchor that fails loudly without shrinking.
 #[test]
 fn crash_recovery_column_ops_stay_identical() {
