@@ -32,9 +32,14 @@
 //! community-wide: it is the union of the partitions' slabs. A peer
 //! registers in its home partition alone, and `report_batch` gates
 //! each reporter by a lock-free probe of the reporter's home slab.
-//! Removal still visits every partition to forget interactions: each
-//! partition counts the (reporter, subject) pairs of its own subjects,
-//! and a departed reporter's pairs must go with it.
+//! That probe also reads the reporter's registration incarnation,
+//! which travels with the opinion to the subject's partition: the
+//! interaction count there is tagged with it and reads as 0 once the
+//! reporter re-registers. So removal takes only the home partition's
+//! lock — a departed reporter's counts in other partitions go stale
+//! without being visited. The tag also settles the race of a
+//! `report_batch` that passed the gate before a concurrent removal:
+//! the count it records belongs to the old incarnation.
 //!
 //! ## Consistency model
 //!
@@ -207,12 +212,14 @@ impl ConcurrentEngine {
                 let mut w = cell.slab.write();
                 for &(peer, initial) in group {
                     p.engine.register_peer(peer, initial);
-                    // Engine value, not `initial`: re-registration
-                    // keeps the existing score, and the slab must stay
-                    // bit-identical to the engine either way.
+                    // Engine values, not `initial`: re-registration
+                    // keeps the existing score and incarnation, and the
+                    // slab must stay bit-identical to the engine either
+                    // way.
                     let published = p.engine.reputation(peer).expect("registered subject");
                     let slot = w.insert(peer);
                     w.set_reputation(slot, published.value().to_bits());
+                    w.set_incarnation(slot, p.engine.incarnation_of(peer).expect("registered"));
                 }
             }
             p.engine.drain_deltas(&mut p.delta_scratch);
@@ -220,33 +227,21 @@ impl ConcurrentEngine {
         }
     }
 
-    /// Removes a subject: its state from its home partition, and its
-    /// interaction counts as a reporter from every other partition,
-    /// so a re-registered peer restarts at interaction count 0 exactly
-    /// as in one engine. Takes the partition locks one at a time.
+    /// Removes a subject from its home partition — the only lock
+    /// taken. Its interaction counts as a reporter, held in other
+    /// partitions, go stale with its incarnation, so a re-registered
+    /// peer restarts at interaction count 0 exactly as in one engine.
     pub fn remove_peer(&self, peer: PeerId) {
-        let home = partition_of(peer, self.cells.len());
-        {
-            let cell = &self.cells[home];
-            let mut p = cell.lock.write().expect("partition lock poisoned");
-            let p = &mut *p;
-            if !p.engine.contains(peer) {
-                return;
-            }
-            p.engine.remove_peer(peer);
-            cell.slab.write().remove(peer);
-            p.engine.drain_deltas(&mut p.delta_scratch);
-            p.delta_scratch.clear();
+        let cell = self.home(peer);
+        let mut p = cell.lock.write().expect("partition lock poisoned");
+        let p = &mut *p;
+        if !p.engine.contains(peer) {
+            return;
         }
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i != home {
-                cell.lock
-                    .write()
-                    .expect("partition lock poisoned")
-                    .engine
-                    .forget_interactions(peer);
-            }
-        }
+        p.engine.remove_peer(peer);
+        cell.slab.write().remove(peer);
+        p.engine.drain_deltas(&mut p.delta_scratch);
+        p.delta_scratch.clear();
     }
 
     /// True when `peer` is a registered subject — a lock-free slab
@@ -273,14 +268,14 @@ impl ConcurrentEngine {
     /// epoch window after the engine has applied it.
     pub fn report_batch(&self, batch: &[Feedback]) {
         let n = self.cells.len();
-        let mut groups: Vec<Vec<Feedback>> = vec![Vec::new(); n];
+        let mut groups: Vec<Vec<(Feedback, u64)>> = vec![Vec::new(); n];
         for f in batch {
             // The membership gate: a lock-free probe of the reporter's
-            // home slab, taken here before any slab write window opens
-            // (a seqlock read of a slab inside its own write window
-            // would spin forever).
-            if self.contains(f.reporter) {
-                groups[partition_of(f.subject, n)].push(*f);
+            // home slab for its incarnation, taken here before any slab
+            // write window opens (a seqlock read of a slab inside its
+            // own write window would spin forever).
+            if let Some(tag) = self.home(f.reporter).slab.incarnation(f.reporter) {
+                groups[partition_of(f.subject, n)].push((*f, tag));
             }
         }
         for (cell, group) in self.cells.iter().zip(&groups) {
@@ -305,7 +300,7 @@ impl ConcurrentEngine {
                 // Count what was actually applied: the group holds
                 // only member reporters, so a known subject completes
                 // the pair.
-                for f in group {
+                for (f, _) in group {
                     if let Some(slot) = w.slot_of(f.subject) {
                         w.add_hits(slot, 1);
                     }
@@ -439,14 +434,18 @@ impl ConcurrentEngine {
     /// internally consistent; for a globally consistent checkpoint
     /// the caller must exclude mutators for the duration (the serve
     /// layer holds its journal lock, which every mutation path takes
-    /// first).
+    /// first). A book row's interaction count is exported as its
+    /// reporter reads it, asking the reporter's home slab (lock-free)
+    /// for the current incarnation.
     pub fn export_partitions(&self) -> Vec<PartitionCheckpoint> {
         use rayon::prelude::*;
         self.cells
             .par_iter()
             .map(|cell| {
                 let p = cell.lock.read().expect("partition lock poisoned");
-                let engine = p.engine.export_state();
+                let engine = p
+                    .engine
+                    .export_state(|reporter| self.home(reporter).slab.incarnation(reporter));
                 // The read lock excludes every slab writer, so one
                 // sweep attempt observes a quiescent slab. Only the
                 // applied-report counts travel: the reputation bits
@@ -541,6 +540,8 @@ impl ConcurrentEngine {
                         let slot = w.insert(PeerId(peer));
                         w.set_reputation(slot, bits);
                         w.add_hits(slot, hits);
+                        let incarnation = engine.incarnation_of(PeerId(peer));
+                        w.set_incarnation(slot, incarnation.expect("live subject"));
                     }
                 }
                 Ok(Cell {
@@ -574,6 +575,7 @@ impl ConcurrentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::EngineState;
 
     fn engine(partitions: usize) -> ConcurrentEngine {
         ConcurrentEngine::new(RocqParams::default(), 6, partitions, 42)
@@ -872,6 +874,179 @@ mod tests {
             ConcurrentEngine::import_partitions(&bad).is_err(),
             "partitions swapped out of their home slots"
         );
+    }
+
+    /// A departure takes only the home partition's lock: with another
+    /// partition write-locked by this thread, `remove_peer` of a peer
+    /// homed elsewhere still returns.
+    #[test]
+    fn remove_peer_locks_only_the_home_partition() {
+        let e = engine(4);
+        for p in 0..40u64 {
+            e.register_peer(PeerId(p), Reputation::HALF);
+        }
+        // The peer reports on subjects in every partition first, so
+        // each partition holds its interaction counts.
+        let peer = PeerId(3);
+        let batch: Vec<Feedback> = (0..40u64)
+            .map(|s| Feedback::new(peer, PeerId(s), 1.0))
+            .collect();
+        e.report_batch(&batch);
+        let home = partition_of(peer, 4);
+        let foreign = (home + 1) % 4;
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let guard = e.cells[foreign].lock.write().unwrap();
+            scope.spawn(|| {
+                e.remove_peer(peer);
+                done.send(()).unwrap();
+            });
+            let returned = finished.recv_timeout(std::time::Duration::from_secs(10));
+            drop(guard);
+            assert!(
+                returned.is_ok(),
+                "remove_peer waited for partition {foreign}'s lock"
+            );
+        });
+        assert!(!e.contains(peer));
+        assert_eq!(e.len(), 39);
+    }
+
+    /// One step of the departure-and-return workload, applied alike to
+    /// every engine layout.
+    enum Op {
+        Register(PeerId),
+        Remove(PeerId),
+        Report(Vec<Feedback>),
+    }
+
+    fn apply_to_engine(e: &mut dyn ReputationEngine, ops: &[Op]) {
+        for op in ops {
+            match op {
+                Op::Register(p) => e.register_peer(*p, Reputation::new(0.4)),
+                Op::Remove(p) => e.remove_peer(*p),
+                Op::Report(batch) => e.report_batch(batch),
+            }
+        }
+    }
+
+    fn apply_to_facade(e: &ConcurrentEngine, ops: &[Op]) {
+        for op in ops {
+            match op {
+                Op::Register(p) => e.register_peer(*p, Reputation::new(0.4)),
+                Op::Remove(p) => e.remove_peer(*p),
+                Op::Report(batch) => e.report_batch(batch),
+            }
+        }
+    }
+
+    /// The departed reporter's exported rows: one per subject, each
+    /// with its stale count written as 0.
+    fn assert_stale_rows(states: &[&EngineState], reporter: PeerId, subjects: usize) {
+        let rows: Vec<u32> = states
+            .iter()
+            .flat_map(|s| s.shard.book_reporters.iter().zip(&s.shard.book_counts))
+            .filter(|&(&r, _)| r == reporter)
+            .map(|(_, &count)| count)
+            .collect();
+        assert_eq!(rows.len(), subjects, "one stale row per subject");
+        assert!(rows.iter().all(|&c| c == 0), "stale counts export as 0");
+    }
+
+    /// Reputation bits of subjects `0..n` and of the reporter.
+    fn bits(rep: impl Fn(PeerId) -> Option<Reputation>, n: u64, reporter: PeerId) -> Vec<u64> {
+        (0..n)
+            .chain([reporter.raw()])
+            .map(|p| rep(PeerId(p)).expect("live").value().to_bits())
+            .collect()
+    }
+
+    /// A checkpoint taken between a reporter's departure and its
+    /// return: its rows are still in every partition's books but their
+    /// counts are stale. Restoring from it must give the same final
+    /// bits as an un-checkpointed twin and the reference layout, and
+    /// re-exporting the restored state must give the same bytes.
+    #[test]
+    fn checkpoint_between_departure_and_return_is_exact() {
+        use crate::reference::ReferenceEngine;
+        use replend_wire::to_bytes;
+
+        let (n, reporter) = (40u64, PeerId(1_000));
+        assert!(
+            (0..5).all(|i| (0..n).any(|s| partition_of(PeerId(s), 5) == i)),
+            "subjects cover every partition of 5"
+        );
+        // The reporter sends 3 opinions on every subject, every other
+        // member 3 on its neighbour, then the reporter departs. Counts
+        // below 3 do not show: the quality ramp is floored until then.
+        let mut before: Vec<Op> = (0..n).map(|p| Op::Register(PeerId(p))).collect();
+        before.push(Op::Register(reporter));
+        for round in 0..3u64 {
+            let mut batch: Vec<Feedback> = (0..n)
+                .map(|s| Feedback::new(reporter, PeerId(s), ((s + round) % 2) as f64))
+                .collect();
+            batch.extend((0..n).map(|r| Feedback::new(PeerId(r), PeerId((r + 1) % n), 1.0)));
+            before.push(Op::Report(batch));
+        }
+        before.push(Op::Remove(reporter));
+        // After the checkpoint: the reporter returns and reports again,
+        // and the members resume their counted pairs.
+        let after = vec![
+            Op::Register(reporter),
+            Op::Report(
+                (0..2 * n)
+                    .map(|i| Feedback::new(reporter, PeerId(i % n), 0.0))
+                    .chain((0..n).map(|r| Feedback::new(PeerId(r), PeerId((r + 1) % n), 0.0)))
+                    .chain((0..n).map(|r| Feedback::new(PeerId(r), reporter, 1.0)))
+                    .collect(),
+            ),
+        ];
+
+        let mut reference = ReferenceEngine::new(RocqParams::default(), 6, 42);
+        apply_to_engine(&mut reference, &before);
+        apply_to_engine(&mut reference, &after);
+        let expected = bits(|p| reference.reputation(p), n, reporter);
+
+        let mut twin = RocqEngine::new(RocqParams::default(), 6, 42);
+        apply_to_engine(&mut twin, &before);
+        apply_to_engine(&mut twin, &after);
+        assert_eq!(bits(|p| twin.reputation(p), n, reporter), expected);
+
+        let mut monolith = RocqEngine::new(RocqParams::default(), 6, 42);
+        apply_to_engine(&mut monolith, &before);
+        monolith.drain_deltas(&mut Vec::new());
+        let state = monolith.export_state(|p| monolith.incarnation_of(p));
+        assert_stale_rows(&[&state], reporter, n as usize);
+        let mut restored = RocqEngine::import_state(&state).expect("state imports");
+        let again = restored.export_state(|p| restored.incarnation_of(p));
+        assert_eq!(to_bytes(&state).unwrap(), to_bytes(&again).unwrap());
+        apply_to_engine(&mut restored, &after);
+        assert_eq!(bits(|p| restored.reputation(p), n, reporter), expected);
+
+        for partitions in [1, 5] {
+            let twin = ConcurrentEngine::new(RocqParams::default(), 6, partitions, 42);
+            apply_to_facade(&twin, &before);
+            apply_to_facade(&twin, &after);
+            assert_eq!(bits(|p| twin.reputation(p), n, reporter), expected);
+
+            let live = ConcurrentEngine::new(RocqParams::default(), 6, partitions, 42);
+            apply_to_facade(&live, &before);
+            let parts = live.export_partitions();
+            let states: Vec<&EngineState> = parts.iter().map(|p| &p.engine).collect();
+            assert_stale_rows(&states, reporter, n as usize);
+            let restored = ConcurrentEngine::import_partitions(&parts).expect("partitions import");
+            assert_eq!(
+                to_bytes(&parts).unwrap(),
+                to_bytes(&restored.export_partitions()).unwrap(),
+                "{partitions} partitions: re-export changed the bytes"
+            );
+            apply_to_facade(&restored, &after);
+            assert_eq!(
+                bits(|p| restored.reputation(p), n, reporter),
+                expected,
+                "{partitions} partitions"
+            );
+        }
     }
 
     /// The census sweep agrees with per-subject probes — one coherent

@@ -7,6 +7,10 @@
 //! who always report 0 about partners the rest of the community rates
 //! near 1 — therefore see their influence wither, which is what keeps
 //! the paper's reputation values honest.
+//!
+//! The arena engine's [`CredibilityBook`] rows also carry the
+//! reporter's interaction count with the subject, tagged with the
+//! reporter's registration incarnation.
 
 use replend_types::PeerId;
 use std::collections::HashMap;
@@ -74,18 +78,48 @@ impl CredibilityTable {
 /// [`CredibilityBook::reset_column`]) with the same arithmetic as the
 /// table-per-replica layout.
 ///
+/// Each row also carries the reporter's first-hand **interaction
+/// count** with the subject (the `n` of the quality ramp
+/// [`quality_from_count`](crate::quality::quality_from_count)) behind
+/// a **registration tag**: the incarnation number the engine handed
+/// the reporter when it registered. A row whose tag differs from the
+/// reporter's current incarnation reads as count 0, so a departure
+/// forgets the reporter's counts without visiting any row — the next
+/// opinion from a re-registered reporter re-tags the row and restarts
+/// at 0.
+///
 /// Rows are **never removed on reporter departure**, mirroring the
-/// replica tables of the reference layout (a departed reporter's
+/// replica tables of the reference layout: a departed reporter's
 /// earned credibility survives and resumes if it re-joins; only its
-/// interaction *counts* are forgotten — those live in the engine's
-/// [`InteractionLog`](crate::quality::InteractionLog), which the
-/// engine's `remove_peer` still purges).
+/// interaction count goes stale.
 #[derive(Clone, Debug)]
 pub(crate) struct CredibilityBook {
     initial: f64,
     gamma: f64,
     slots: usize,
-    rows: HashMap<PeerId, Box<[f64]>>,
+    rows: HashMap<PeerId, Row>,
+}
+
+/// One reporter's row: per-slot credibilities plus the tagged
+/// interaction count.
+#[derive(Clone, Debug)]
+struct Row {
+    creds: Box<[f64]>,
+    /// The reporter incarnation `count` belongs to.
+    tag: u64,
+    count: u32,
+}
+
+impl Row {
+    /// The count as seen by the reporter's incarnation `tag`.
+    #[inline]
+    fn count_for(&self, tag: u64) -> u32 {
+        if self.tag == tag {
+            self.count
+        } else {
+            0
+        }
+    }
 }
 
 impl CredibilityBook {
@@ -100,16 +134,25 @@ impl CredibilityBook {
         }
     }
 
-    /// The reporter's mutable per-slot credibility column — the
-    /// single hash probe of the engine's report hot path. New
-    /// reporters start every slot at `initial` (the only heap
-    /// allocation, paid once per (reporter, subject) pair).
+    /// Records one more interaction of `reporter` (current
+    /// incarnation `tag`) with the subject — the single hash probe of
+    /// the engine's report hot path. Returns the interaction count
+    /// *before* the increment (the evidence backing the current
+    /// opinion) and the reporter's mutable per-slot credibility
+    /// column. New reporters start every slot at `initial` (the only
+    /// heap allocation, paid once per (reporter, subject) pair).
     #[inline]
-    pub(crate) fn row_mut(&mut self, reporter: PeerId) -> &mut [f64] {
+    pub(crate) fn record(&mut self, reporter: PeerId, tag: u64) -> (u32, &mut [f64]) {
         let (initial, slots) = (self.initial, self.slots);
-        self.rows
-            .entry(reporter)
-            .or_insert_with(|| vec![initial; slots].into_boxed_slice())
+        let row = self.rows.entry(reporter).or_insert_with(|| Row {
+            creds: vec![initial; slots].into_boxed_slice(),
+            tag,
+            count: 0,
+        });
+        let before = row.count_for(tag);
+        row.tag = tag;
+        row.count = before.saturating_add(1);
+        (before, &mut row.creds)
     }
 
     /// Crash recovery from a sibling replica: every reporter's `dst`
@@ -117,7 +160,7 @@ impl CredibilityBook {
     /// equivalent of cloning the sibling's table).
     pub(crate) fn copy_column(&mut self, dst: usize, src: usize) {
         for row in self.rows.values_mut() {
-            row[dst] = row[src];
+            row.creds[dst] = row.creds[src];
         }
     }
 
@@ -127,7 +170,7 @@ impl CredibilityBook {
     /// `initial`).
     pub(crate) fn reset_column(&mut self, slot: usize) {
         for row in self.rows.values_mut() {
-            row[slot] = self.initial;
+            row.creds[slot] = self.initial;
         }
     }
 
@@ -137,18 +180,28 @@ impl CredibilityBook {
         self.rows.len()
     }
 
-    /// Every reporter's explicit per-slot credibility row, in
-    /// arbitrary (hash) order — checkpoint export sorts by reporter
-    /// for canonical bytes.
-    pub(crate) fn iter_rows(&self) -> impl Iterator<Item = (PeerId, &[f64])> {
-        self.rows.iter().map(|(p, r)| (*p, &r[..]))
+    /// Every reporter's explicit row as `(reporter, interaction count,
+    /// per-slot credibilities)`, in arbitrary (hash) order, with each
+    /// count read through `incarnation_of` (the reporter's current
+    /// incarnation, `None` once it departed): a stale tag reads 0.
+    /// Checkpoint export sorts by reporter for canonical bytes.
+    pub(crate) fn iter_rows(
+        &self,
+        incarnation_of: impl Fn(PeerId) -> Option<u64>,
+    ) -> impl Iterator<Item = (PeerId, u32, &[f64])> {
+        self.rows.iter().map(move |(&p, row)| {
+            let count = incarnation_of(p).map_or(0, |tag| row.count_for(tag));
+            (p, count, &row.creds[..])
+        })
     }
 
     /// Checkpoint import: installs a reporter's row verbatim,
-    /// bit-exact. The row length must match the book's slot count.
-    pub(crate) fn insert_row(&mut self, reporter: PeerId, row: Vec<f64>) {
-        assert_eq!(row.len(), self.slots, "credibility row width mismatch");
-        self.rows.insert(reporter, row.into_boxed_slice());
+    /// bit-exact, with its count tagged `tag`. The row length must
+    /// match the book's slot count.
+    pub(crate) fn insert_row(&mut self, reporter: PeerId, creds: Vec<f64>, count: u32, tag: u64) {
+        assert_eq!(creds.len(), self.slots, "credibility row width mismatch");
+        let creds = creds.into_boxed_slice();
+        self.rows.insert(reporter, Row { creds, tag, count });
     }
 
     /// The learning rate, for the engine's inline update loop.
@@ -165,7 +218,9 @@ mod tests {
 
     /// Current credibility `slot` assigns to `reporter`.
     fn credibility(book: &CredibilityBook, reporter: PeerId, slot: usize) -> f64 {
-        book.rows.get(&reporter).map_or(book.initial, |r| r[slot])
+        book.rows
+            .get(&reporter)
+            .map_or(book.initial, |r| r.creds[slot])
     }
 
     #[test]
@@ -216,11 +271,37 @@ mod tests {
         let mut b = CredibilityBook::new(0.5, 0.1, 3);
         assert_eq!(credibility(&b, PeerId(1), 0), 0.5);
         assert_eq!(b.known_reporters(), 0);
-        assert_eq!(b.row_mut(PeerId(1)), &[0.5, 0.5, 0.5]);
+        assert_eq!(b.record(PeerId(1), 1), (0, &mut [0.5, 0.5, 0.5][..]));
         assert_eq!(b.known_reporters(), 1);
-        b.row_mut(PeerId(1))[2] = 0.9;
+        b.record(PeerId(1), 1).1[2] = 0.9;
         assert_eq!(credibility(&b, PeerId(1), 2), 0.9);
         assert_eq!(b.known_reporters(), 1, "rows are reused, not re-created");
+    }
+
+    #[test]
+    fn counts_restart_when_the_reporter_tag_changes() {
+        let mut b = CredibilityBook::new(0.5, 0.1, 2);
+        let (a, r) = (PeerId(1), PeerId(2));
+        assert_eq!(b.record(a, 7).0, 0, "returns the pre-increment count");
+        assert_eq!(b.record(a, 7).0, 1);
+        assert_eq!(b.record(r, 3).0, 0, "counts are per reporter");
+        b.record(a, 7).1[0] = 0.9;
+        let counts = |b: &CredibilityBook, tag_a: Option<u64>| {
+            let mut rows: Vec<(PeerId, u32)> = b
+                .iter_rows(|p| if p == a { tag_a } else { Some(3) })
+                .map(|(p, n, _)| (p, n))
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        assert_eq!(counts(&b, Some(7)), [(a, 3), (r, 1)]);
+        // Departed (no incarnation) or re-registered (new tag): the
+        // count reads 0, the credibility survives.
+        assert_eq!(counts(&b, None), [(a, 0), (r, 1)]);
+        assert_eq!(counts(&b, Some(8)), [(a, 0), (r, 1)]);
+        assert_eq!(b.record(a, 8).0, 0, "a new incarnation restarts at 0");
+        assert_eq!(credibility(&b, a, 0), 0.9);
+        assert_eq!(counts(&b, Some(8)), [(a, 1), (r, 1)]);
     }
 
     #[test]
@@ -235,7 +316,7 @@ mod tests {
             .collect();
         let reporter = PeerId(7);
         let feed = |book: &mut CredibilityBook, tables: &mut [CredibilityTable], agreed: bool| {
-            for c in book.row_mut(reporter).iter_mut() {
+            for c in book.record(reporter, 1).1.iter_mut() {
                 *c = credibility_update(*c, agreed, gamma);
             }
             for t in tables.iter_mut() {

@@ -32,16 +32,29 @@
 //! [`reference`](crate::reference) layout).
 //!
 //! The arrays split **hot from cold**. The `report_batch` inner loop
-//! touches only: the handle index, the pairwise interaction log, the
-//! per-subject [`CredibilityBook`] (one hash probe yielding the
-//! reporter's credibility at **every** replica slot — the reference
-//! layout pays three probes per replica), and the contiguous
+//! touches only: the handle index (probed for the reporter's
+//! incarnation and the subject's handle), the per-subject
+//! [`CredibilityBook`] (one hash probe yielding the reporter's
+//! interaction count with the subject *and* its credibility at
+//! **every** replica slot — the reference layout pays a pair-log
+//! probe plus three probes per replica), and the contiguous
 //! `numSM`-strided score slab — a struct-of-arrays `ScoreSlab` walked
 //! by plain per-lane loops (see the `slab` module docs for the layout
 //! and the determinism rule); the cache refresh then walks the same
 //! slab plus the `cached`/`touched_seq` arrays. Replica placement
 //! metadata (ring keys, hosts, re-homing counters) is cold and only
 //! touched by churn.
+//!
+//! ## Departures touch only the departed peer
+//!
+//! Every registration hands the peer a fresh **incarnation** number,
+//! kept per handle. A book row stores the reporter's interaction count
+//! under the incarnation it was counted for, and a row whose tag is
+//! not the reporter's current incarnation reads as count 0. So
+//! [`ReputationEngine::remove_peer`] forgets the departed peer's
+//! counts without visiting anyone else's state: its counts as a
+//! subject go with its replaced book, its counts as a reporter go
+//! stale by construction.
 //!
 //! ## Allocation-free steady state
 //!
@@ -58,7 +71,7 @@
 
 use crate::credibility::CredibilityBook;
 use crate::params::RocqParams;
-use crate::quality::{quality_from_count, InteractionLog};
+use crate::quality::quality_from_count;
 use crate::ring::{replica_key, HandoffEvent, Ring};
 use crate::score::ScoreState;
 use crate::slab::ScoreSlab;
@@ -144,6 +157,12 @@ pub(crate) fn crash_roll(seed: u64, subject: PeerId, slot: usize, rehomes: u64) 
     (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// The incarnation of every live subject after a checkpoint import.
+/// Incarnations are derived, never stored: only equality with a book
+/// row's tag is observable, so import tags every row with this value
+/// and later registrations count up from it.
+const IMPORTED_INCARNATION: u64 = 1;
+
 /// One `(subject handle, replica slot)` entry of the replica-key
 /// index.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -228,6 +247,9 @@ struct EngineShard {
     /// Sequence number of the last batch that touched the subject
     /// (O(1) per-batch cache-refresh dedup).
     touched_seq: Vec<u64>,
+    /// Registration incarnation: the tag the subject's interaction
+    /// counts carry in other subjects' book rows while it reports.
+    incarnation: Vec<u64>,
     /// Replica score states as parallel `r`/`w` arrays, `numSM`
     /// consecutive lanes per handle — the contiguous slab the report
     /// and cache-refresh walks read (see [`ScoreSlab`]).
@@ -235,13 +257,11 @@ struct EngineShard {
     // ---- cold arrays, one entry per handle ----
     /// Handle → subject id (delta emission, crash rolls).
     peers: Vec<PeerId>,
-    /// Per-subject credibility ledger (all replica slots in one
-    /// row per reporter).
+    /// Per-subject credibility ledger (all replica slots and the
+    /// tagged interaction count in one row per reporter).
     books: Vec<CredibilityBook>,
     /// Replica placement metadata, `numSM` consecutive per handle.
     meta: Vec<ReplicaMeta>,
-    /// Pairwise (reporter, subject) interaction counts.
-    interactions: InteractionLog,
     // ---- index & buffers ----
     /// Replica-key index: key → inline (handle, slot) list, for
     /// O(moved) churn handling instead of O(subjects).
@@ -256,6 +276,8 @@ struct EngineShard {
     rehomings: u64,
     /// Re-homings that lost state under the crash model.
     crash_losses: u64,
+    /// The incarnation the next registration hands out.
+    next_incarnation: u64,
     /// Replication factor (array stride), copied from the engine.
     num_sm: usize,
 }
@@ -267,18 +289,26 @@ impl EngineShard {
             alloc: SlotAllocator::new(),
             cached: Vec::new(),
             touched_seq: Vec::new(),
+            incarnation: Vec::new(),
             slab: ScoreSlab::new(),
             peers: Vec::new(),
             books: Vec::new(),
             meta: Vec::new(),
-            interactions: InteractionLog::new(),
             key_index: BTreeMap::new(),
             deltas: Vec::new(),
             touched: Vec::new(),
             rehomings: 0,
             crash_losses: 0,
+            next_incarnation: IMPORTED_INCARNATION,
             num_sm,
         }
+    }
+
+    /// The current incarnation of `peer`, `None` when it is not a
+    /// member.
+    #[inline]
+    fn incarnation_of(&self, peer: PeerId) -> Option<u64> {
+        self.index.get(&peer).map(|h| self.incarnation[h.index()])
     }
 
     /// Applies a churn handoff: every replica whose key
@@ -350,7 +380,8 @@ impl EngineShard {
     /// Applies one opinion to `subject`'s replicas *without*
     /// refreshing the cached aggregate (shared by [`report`] and
     /// [`report_batch`], which refresh at different granularities).
-    /// The caller has already checked that `reporter` is a member.
+    /// The caller has already checked that `reporter` is a member and
+    /// passes its incarnation `tag`.
     ///
     /// Returns the subject's handle, or `None` when the subject is
     /// unknown.
@@ -362,21 +393,22 @@ impl EngineShard {
         &mut self,
         params: &RocqParams,
         reporter: PeerId,
+        tag: u64,
         subject: PeerId,
         opinion: f64,
     ) -> Option<Handle> {
         let &h = self.index.get(&subject)?;
         let base = h.index() * self.num_sm;
-        let n = self.interactions.record(reporter, subject);
-        let q = quality_from_count(n, params.eta, params.min_quality);
         let book = &mut self.books[h.index()];
         let gamma = book.gamma();
+        let (n, row) = book.record(reporter, tag);
+        let q = quality_from_count(n, params.eta, params.min_quality);
         // The fused report + credibility walk over the subject's
         // replica lanes (see [`ScoreSlab::report_span`]).
         self.slab.report_span(
             base,
             self.num_sm,
-            book.row_mut(reporter),
+            row,
             opinion,
             q,
             gamma,
@@ -403,26 +435,26 @@ impl EngineShard {
     }
 
     /// Applies `batch` in order as batch `seq`, skipping every
-    /// opinion whose reporter fails `is_member` (asked of this shard
-    /// before the opinion touches it), then refreshes each touched
-    /// subject's cached aggregate once, in first-touch order — the
-    /// per-subject sequence number makes the dedup O(1) regardless of
-    /// batch size. The result is bit-identical to sequential `report`
-    /// calls.
-    fn apply_batch(
+    /// element `admit` (asked of this shard before the opinion touches
+    /// it) maps to `None` — otherwise it yields the opinion and its
+    /// reporter's incarnation — then refreshes each touched subject's
+    /// cached aggregate once, in first-touch order. The per-subject
+    /// sequence number makes the dedup O(1) regardless of batch size.
+    /// The result is bit-identical to sequential `report` calls.
+    fn apply_batch<T: Copy>(
         &mut self,
         params: &RocqParams,
         seq: u64,
-        batch: &[Feedback],
-        is_member: impl Fn(&Self, PeerId) -> bool,
+        batch: &[T],
+        admit: impl Fn(&Self, T) -> Option<(Feedback, u64)>,
     ) {
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
-        for f in batch {
-            if !is_member(self, f.reporter) {
+        for &item in batch {
+            let Some((f, tag)) = admit(self, item) else {
                 continue;
-            }
-            if let Some(h) = self.apply_report(params, f.reporter, f.subject, f.opinion) {
+            };
+            if let Some(h) = self.apply_report(params, f.reporter, tag, f.subject, f.opinion) {
                 if self.touched_seq[h.index()] != seq {
                     self.touched_seq[h.index()] = seq;
                     touched.push(h);
@@ -441,10 +473,16 @@ impl EngineShard {
     /// lanes and credibility rows are packed once, and replica
     /// placement collapses to exception lists verified here against
     /// the derivations import will perform (`ring_nodes` is the
-    /// engine ring in ascending order — the host oracle). The delta
-    /// buffer must be drained first — deltas are a transient hand-off
-    /// to the caller, not durable state.
-    fn export(&self, ring_nodes: &[NodeId]) -> ShardState {
+    /// engine ring in ascending order — the host oracle). Interaction
+    /// counts are read through `incarnation_of` (see
+    /// [`RocqEngine::export_state`]), so a stale count exports as 0.
+    /// The delta buffer must be drained first — deltas are a transient
+    /// hand-off to the caller, not durable state.
+    fn export(
+        &self,
+        ring_nodes: &[NodeId],
+        incarnation_of: impl Fn(PeerId) -> Option<u64>,
+    ) -> ShardState {
         debug_assert!(self.deltas.is_empty(), "export with undrained deltas");
         let capacity = self.alloc.capacity();
         let num_sm = self.num_sm;
@@ -489,25 +527,28 @@ impl EngineShard {
         }
 
         // Credibility books, flattened: per-handle row counts, then
-        // reporters and credibilities as single flat runs (uniform
-        // rows — every slot bit-equal — pack to one value).
+        // reporters, interaction counts and credibilities as single
+        // flat runs (uniform rows — every slot bit-equal — pack to one
+        // value).
         let mut book_lens = Vec::with_capacity(capacity);
         let mut book_row_uniform: Vec<u8> = Vec::new();
         let mut book_reporters = Vec::new();
+        let mut book_counts = Vec::new();
         let mut book_rows = Vec::new();
         let mut row_n = 0usize;
-        let mut rows_scratch: Vec<(PeerId, &[f64])> = Vec::new();
+        let mut rows_scratch: Vec<(PeerId, u32, &[f64])> = Vec::new();
         for (h, &live) in occupied.iter().enumerate() {
             if !live {
                 book_lens.push(0);
                 continue;
             }
             rows_scratch.clear();
-            rows_scratch.extend(self.books[h].iter_rows());
-            rows_scratch.sort_unstable_by_key(|&(p, _)| p);
+            rows_scratch.extend(self.books[h].iter_rows(&incarnation_of));
+            rows_scratch.sort_unstable_by_key(|&(p, _, _)| p);
             book_lens.push(rows_scratch.len() as u32);
-            for &(p, row) in &rows_scratch {
+            for &(p, count, row) in &rows_scratch {
                 book_reporters.push(p);
+                book_counts.push(count);
                 if row_n % 8 == 0 {
                     book_row_uniform.push(0);
                 }
@@ -582,13 +623,6 @@ impl EngineShard {
             })
             .collect();
 
-        let mut interactions: Vec<(PeerId, PeerId, u32)> = self
-            .interactions
-            .iter_counts()
-            .map(|((r, s), n)| (r, s, n))
-            .collect();
-        interactions.sort_unstable_by_key(|&(r, s, _)| (r, s));
-
         ShardState {
             capacity: capacity as u32,
             free: self.alloc.free_handles().to_vec(),
@@ -611,12 +645,12 @@ impl EngineShard {
             book_lens,
             book_row_uniform,
             book_reporters,
+            book_counts,
             book_rows,
             rehomes,
             rehomes_wide,
             host_exceptions,
             key_collisions,
-            interactions,
             rehomings: self.rehomings,
             crash_losses: self.crash_losses,
         }
@@ -630,7 +664,10 @@ impl EngineShard {
     /// keys with colliding keys' lists restored verbatim. Scratch
     /// buffers start empty and the touch-sequence array starts at
     /// zero (sound: the batch counter restarts at zero too and dedup
-    /// compares equality only).
+    /// compares equality only). Every subject and every book row gets
+    /// [`IMPORTED_INCARNATION`]: a live reporter's exported counts are
+    /// current again, and a departed reporter's exported 0 reads as 0
+    /// under any tag.
     fn import(
         s: &ShardState,
         num_sm: usize,
@@ -687,6 +724,7 @@ impl EngineShard {
         }
         let rows_total: usize = s.book_lens.iter().map(|&n| n as usize).sum();
         if s.book_reporters.len() != rows_total
+            || s.book_counts.len() != rows_total
             || s.book_row_uniform.len() != rows_total.div_ceil(8)
         {
             return Err(InvalidState(
@@ -702,6 +740,8 @@ impl EngineShard {
         shard.index = s.index.iter().copied().collect();
         shard.cached = s.cached.iter().map(|&v| Reputation::new(v)).collect();
         shard.touched_seq = vec![0; capacity];
+        shard.incarnation = vec![IMPORTED_INCARNATION; capacity];
+        shard.next_incarnation = IMPORTED_INCARNATION + 1;
         shard.peers.clone_from(&s.peers);
 
         let mut i = 0;
@@ -743,7 +783,7 @@ impl EngineShard {
                     val_n += num_sm;
                     run.to_vec()
                 };
-                book.insert_row(reporter, row);
+                book.insert_row(reporter, row, s.book_counts[row_n], IMPORTED_INCARNATION);
                 row_n += 1;
             }
             shard.books.push(book);
@@ -836,9 +876,6 @@ impl EngineShard {
             }
         }
 
-        for &(r, subject, n) in &s.interactions {
-            shard.interactions.insert_count(r, subject, n);
-        }
         shard.rehomings = s.rehomings;
         shard.crash_losses = s.crash_losses;
         Ok(shard)
@@ -934,18 +971,34 @@ impl RocqEngine {
     /// under any further operation stream (see the
     /// [`state`](crate::state) module docs for the invariants).
     ///
+    /// `incarnation_of` answers for every reporter with a book row:
+    /// its current incarnation, or `None` once it departed. For a
+    /// whole engine that is [`RocqEngine::incarnation_of`]; a
+    /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
+    /// partition asks the reporter's home partition. Incarnations
+    /// themselves are never exported.
+    ///
     /// Pending aggregate deltas must be drained first
     /// ([`ReputationEngine::drain_deltas`]); they are a transient
     /// hand-off to the accounting layer, not durable state.
-    pub(crate) fn export_state(&self) -> EngineState {
+    pub(crate) fn export_state(
+        &self,
+        incarnation_of: impl Fn(PeerId) -> Option<u64>,
+    ) -> EngineState {
         let ring = self.ring.to_vec();
         EngineState {
             params: self.params,
             num_sm: self.num_sm as u64,
             seed: self.seed,
-            shard: self.shard.export(&ring),
+            shard: self.shard.export(&ring, incarnation_of),
             ring,
         }
+    }
+
+    /// The registration incarnation of member `peer` (`None` for a
+    /// non-member): the tag its interaction counts carry.
+    pub(crate) fn incarnation_of(&self, peer: PeerId) -> Option<u64> {
+        self.shard.incarnation_of(peer)
     }
 
     /// Rebuilds an engine from exported state — the inverse of
@@ -976,23 +1029,16 @@ impl RocqEngine {
     }
 
     /// [`ReputationEngine::report_batch`] for a caller that has
-    /// already checked every reporter's membership. A
+    /// already checked every reporter's membership and pairs each
+    /// opinion with its reporter's incarnation. A
     /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
     /// partition needs this: its reporters may be homed in other
     /// partitions, so only the facade can answer for them.
-    pub(crate) fn report_member_batch(&mut self, batch: &[Feedback]) {
+    pub(crate) fn report_member_batch(&mut self, batch: &[(Feedback, u64)]) {
         self.batch_seq += 1;
         let params = self.params;
         self.shard
-            .apply_batch(&params, self.batch_seq, batch, |_, _| true);
-    }
-
-    /// Forgets `peer`'s interaction counts as a reporter — the
-    /// reporter-side half of [`ReputationEngine::remove_peer`], for a
-    /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
-    /// partition that is not the departed peer's home.
-    pub(crate) fn forget_interactions(&mut self, peer: PeerId) {
-        self.shard.interactions.forget(peer);
+            .apply_batch(&params, self.batch_seq, batch, |_, tagged| Some(tagged));
     }
 }
 
@@ -1008,10 +1054,13 @@ impl ReputationEngine for RocqEngine {
         }
         let num_sm = self.num_sm;
         let shard = &mut self.shard;
+        let incarnation = shard.next_incarnation;
+        shard.next_incarnation += 1;
         let h = match shard.alloc.alloc() {
             SlotAlloc::Fresh(h) => {
                 shard.cached.push(Reputation::ZERO);
                 shard.touched_seq.push(0);
+                shard.incarnation.push(incarnation);
                 shard.peers.push(peer);
                 shard.books.push(CredibilityBook::new(
                     self.params.initial_credibility,
@@ -1028,6 +1077,7 @@ impl ReputationEngine for RocqEngine {
                 // Overwrite the vacated slot in place; the fresh book
                 // drops the previous occupant's rows.
                 shard.touched_seq[h.index()] = 0;
+                shard.incarnation[h.index()] = incarnation;
                 shard.peers[h.index()] = peer;
                 shard.books[h.index()] = CredibilityBook::new(
                     self.params.initial_credibility,
@@ -1075,15 +1125,15 @@ impl ReputationEngine for RocqEngine {
                 }
             }
         }
-        // Release the subject's heap state; the slot itself is
-        // recycled by the free list. Other subjects' books keep the
-        // departed peer's *credibility* rows (as the reference
-        // layout's replica tables do — earned credibility resumes on
-        // re-join); only the interaction counts are forgotten.
+        // Release the subject's heap state (its book holds its counts
+        // as a subject); the slot itself is recycled by the free list.
+        // Other subjects' books keep the departed peer's rows (as the
+        // reference layout's replica tables keep its credibility —
+        // earned credibility resumes on re-join); the interaction
+        // counts there went stale with its incarnation.
         shard.books[h.index()] =
             CredibilityBook::new(self.params.initial_credibility, self.params.gamma, num_sm);
         shard.alloc.release(h);
-        shard.interactions.forget(peer);
         if let Some(event) = self.ring.leave(peer.node_id()) {
             shard.apply_handoff(event, &self.params, self.seed);
         }
@@ -1094,12 +1144,12 @@ impl ReputationEngine for RocqEngine {
     }
 
     fn report(&mut self, reporter: PeerId, subject: PeerId, opinion: f64) {
-        if !self.contains(reporter) {
+        let Some(tag) = self.shard.incarnation_of(reporter) else {
             return;
-        }
+        };
         let params = self.params;
         let shard = &mut self.shard;
-        if let Some(h) = shard.apply_report(&params, reporter, subject, opinion) {
+        if let Some(h) = shard.apply_report(&params, reporter, tag, subject, opinion) {
             shard.refresh_cache(h);
         }
     }
@@ -1135,8 +1185,8 @@ impl ReputationEngine for RocqEngine {
         self.batch_seq += 1;
         let params = self.params;
         self.shard
-            .apply_batch(&params, self.batch_seq, batch, |shard, r| {
-                shard.index.contains_key(&r)
+            .apply_batch(&params, self.batch_seq, batch, |shard, f: Feedback| {
+                Some((f, shard.incarnation_of(f.reporter)?))
             });
     }
 
@@ -1184,9 +1234,9 @@ mod tests {
     fn credibility_of(e: &RocqEngine, subject: PeerId, reporter: PeerId) -> Option<f64> {
         let &h = e.shard.index.get(&subject)?;
         let row = e.shard.books[h.index()]
-            .iter_rows()
-            .find(|&(p, _)| p == reporter);
-        Some(row.map_or(e.params.initial_credibility, |(_, creds)| creds[0]))
+            .iter_rows(|_| None)
+            .find(|&(p, _, _)| p == reporter);
+        Some(row.map_or(e.params.initial_credibility, |(_, _, creds)| creds[0]))
     }
 
     #[test]
@@ -1661,6 +1711,11 @@ mod tests {
         out
     }
 
+    /// The whole-engine checkpoint: every reporter answers for itself.
+    fn export(e: &RocqEngine) -> EngineState {
+        e.export_state(|p| e.incarnation_of(p))
+    }
+
     /// A churny mixed op stream (crash model on, so replica re-homing
     /// counters and crash recovery state are exercised too).
     fn churny_engine() -> RocqEngine {
@@ -1696,8 +1751,8 @@ mod tests {
     #[test]
     fn export_import_round_trip_preserves_future_behaviour() {
         let mut original = churny_engine();
-        let state = original.export_state();
-        assert_eq!(state, original.export_state(), "export is deterministic");
+        let state = export(&original);
+        assert_eq!(state, export(&original), "export is deterministic");
         let mut restored = RocqEngine::import_state(&state).expect("state imports");
         assert_eq!(fingerprint(&original), fingerprint(&restored));
         assert_eq!(original.rehomings(), restored.rehomings());
@@ -1731,7 +1786,7 @@ mod tests {
 
     #[test]
     fn import_rejects_semantic_defects() {
-        let state = churny_engine().export_state();
+        let state = export(&churny_engine());
 
         let mut bad = state.clone();
         bad.shard.cached.pop();

@@ -29,11 +29,35 @@
 use crate::credibility::CredibilityTable;
 use crate::engine::{crash_roll, ReputationEngine};
 use crate::params::RocqParams;
-use crate::quality::{quality_from_count, InteractionLog};
+use crate::quality::quality_from_count;
 use crate::ring::{replica_key, HandoffEvent, Ring};
 use crate::score::ScoreState;
 use replend_types::{Feedback, NodeId, PeerId, Reputation, ReputationDelta};
 use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// Pairwise first-hand interaction counts, keyed by
+/// `(reporter, subject)` — the seed's layout of the quality ramp's `n`
+/// (the arena engine keeps it in the credibility row instead).
+#[derive(Clone, Debug, Default)]
+struct InteractionLog {
+    counts: HashMap<(PeerId, PeerId), u32>,
+}
+
+impl InteractionLog {
+    /// Records one more interaction, returning the count *before* the
+    /// increment (the evidence backing the current opinion).
+    fn record(&mut self, reporter: PeerId, subject: PeerId) -> u32 {
+        let c = self.counts.entry((reporter, subject)).or_insert(0);
+        let before = *c;
+        *c = c.saturating_add(1);
+        before
+    }
+
+    /// Forgets everything about `peer` (as reporter or subject).
+    fn forget(&mut self, peer: PeerId) {
+        self.counts.retain(|(r, s), _| *r != peer && *s != peer);
+    }
+}
 
 /// One replica of a subject's score, hosted by an overlay node.
 #[derive(Clone, Debug)]
@@ -384,6 +408,37 @@ impl ReputationEngine for ReferenceEngine {
 mod tests {
     use super::*;
     use crate::engine::RocqEngine;
+
+    /// Number of recorded (reporter, subject) interactions.
+    fn count(log: &InteractionLog, reporter: PeerId, subject: PeerId) -> u32 {
+        log.counts.get(&(reporter, subject)).copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn log_records_and_counts() {
+        let mut log = InteractionLog::default();
+        let (a, b) = (PeerId(1), PeerId(2));
+        assert_eq!(count(&log, a, b), 0);
+        assert_eq!(log.record(a, b), 0, "returns pre-increment count");
+        assert_eq!(log.record(a, b), 1);
+        assert_eq!(count(&log, a, b), 2);
+        // Direction matters: b→a is a separate pair.
+        assert_eq!(count(&log, b, a), 0);
+        assert_eq!(log.counts.len(), 1);
+    }
+
+    #[test]
+    fn forget_removes_both_directions() {
+        let mut log = InteractionLog::default();
+        log.record(PeerId(1), PeerId(2));
+        log.record(PeerId(2), PeerId(1));
+        log.record(PeerId(3), PeerId(4));
+        log.forget(PeerId(1));
+        assert_eq!(count(&log, PeerId(1), PeerId(2)), 0);
+        assert_eq!(count(&log, PeerId(2), PeerId(1)), 0);
+        assert_eq!(count(&log, PeerId(3), PeerId(4)), 1);
+        assert_eq!(log.counts.len(), 1);
+    }
 
     /// The smoke version of the cross-layout oracle (the adversarial
     /// proptest lives in `replend-tests`): a fixed workload with

@@ -12,7 +12,9 @@
 //! cached aggregate reputation and the applied-report (interaction)
 //! count — into a slab of plain atomics guarded by a seqlock-style
 //! **epoch counter**, so reads are lock-free loads with a retry rule
-//! and writers publish whole batches atomically.
+//! and writers publish whole batches atomically. Each slot also
+//! carries the subject's registration incarnation, which the facade's
+//! reporter gate reads with the same protocol.
 //!
 //! ## The epoch protocol
 //!
@@ -201,6 +203,9 @@ struct Values {
     peer: Box<[AtomicU64]>,
     /// 1 when the slot holds a live subject.
     live: Box<[AtomicU64]>,
+    /// The subject's registration incarnation (the tag its interaction
+    /// counts carry as a reporter).
+    incarnation: Box<[AtomicU64]>,
     /// Status-tier memo: `(epoch << 2) | (tier + 1)`, 0 = no memo.
     memo: Box<[AtomicU64]>,
 }
@@ -214,6 +219,7 @@ impl Values {
             hits: zeroed(),
             peer: zeroed(),
             live: zeroed(),
+            incarnation: zeroed(),
             memo: zeroed(),
         }
     }
@@ -365,10 +371,10 @@ impl SnapshotSlab {
         self.epoch.load(Ordering::Relaxed) == e1
     }
 
-    /// The coherent `(reputation bits, interaction count)` of `peer`,
-    /// or `None` when it is not a live subject. Lock-free; retries
-    /// while a write is in flight.
-    pub fn read(&self, peer: PeerId) -> Option<(u64, u64)> {
+    /// `load` applied to `peer`'s slot in one coherent read, or `None`
+    /// when it is not a live subject. Lock-free; retries while a write
+    /// is in flight.
+    fn read_slot<T>(&self, peer: PeerId, load: impl Fn(&Values, usize) -> T) -> Option<T> {
         loop {
             let Some((e1, table, values)) = self.begin_read() else {
                 std::hint::spin_loop();
@@ -376,14 +382,8 @@ impl SnapshotSlab {
             };
             let found = table.get(peer.raw()).and_then(|slot| {
                 let slot = slot as usize;
-                if slot >= values.cap {
-                    // Newer table than value array: incoherent.
-                    return None;
-                }
-                Some((
-                    values.rep[slot].load(Ordering::Relaxed),
-                    values.hits[slot].load(Ordering::Relaxed),
-                ))
+                // A newer table than value array is incoherent.
+                (slot < values.cap).then(|| load(values, slot))
             });
             if self.validate_read(e1) {
                 return found;
@@ -391,9 +391,29 @@ impl SnapshotSlab {
         }
     }
 
+    /// The coherent `(reputation bits, interaction count)` of `peer`,
+    /// or `None` when it is not a live subject. Lock-free; retries
+    /// while a write is in flight.
+    pub fn read(&self, peer: PeerId) -> Option<(u64, u64)> {
+        self.read_slot(peer, |values, slot| {
+            (
+                values.rep[slot].load(Ordering::Relaxed),
+                values.hits[slot].load(Ordering::Relaxed),
+            )
+        })
+    }
+
     /// True when `peer` is a live subject (coherent lookup).
     pub fn contains(&self, peer: PeerId) -> bool {
-        self.read(peer).is_some()
+        self.read_slot(peer, |_, _| ()).is_some()
+    }
+
+    /// The registration incarnation of `peer`, or `None` when it is
+    /// not a live subject (coherent lookup).
+    pub(crate) fn incarnation(&self, peer: PeerId) -> Option<u64> {
+        self.read_slot(peer, |values, slot| {
+            values.incarnation[slot].load(Ordering::Relaxed)
+        })
     }
 
     /// The coherent status tier of `peer`, through the per-slot memo:
@@ -525,6 +545,7 @@ impl SlabWriter<'_> {
         values.memo[slot as usize].store(0, Ordering::Relaxed);
         values.peer[slot as usize].store(peer.raw(), Ordering::Relaxed);
         values.live[slot as usize].store(1, Ordering::Relaxed);
+        values.incarnation[slot as usize].store(0, Ordering::Relaxed);
         self.maybe_grow_table();
         self.table().insert(peer.raw(), slot);
         self.state.table_live += 1;
@@ -552,6 +573,11 @@ impl SlabWriter<'_> {
         values.rep[slot as usize].store(bits, Ordering::Relaxed);
         // Reputation moved: any memoized tier is for the old value.
         values.memo[slot as usize].store(0, Ordering::Relaxed);
+    }
+
+    /// Sets the registration incarnation of `slot`.
+    pub(crate) fn set_incarnation(&mut self, slot: u32, incarnation: u64) {
+        self.values().incarnation[slot as usize].store(incarnation, Ordering::Relaxed);
     }
 
     /// Adds `n` to the interaction count of `slot` (wrapping — the
@@ -582,6 +608,10 @@ impl SlabWriter<'_> {
             grown.hits[i].store(old.hits[i].load(Ordering::Relaxed), Ordering::Relaxed);
             grown.peer[i].store(old.peer[i].load(Ordering::Relaxed), Ordering::Relaxed);
             grown.live[i].store(old.live[i].load(Ordering::Relaxed), Ordering::Relaxed);
+            grown.incarnation[i].store(
+                old.incarnation[i].load(Ordering::Relaxed),
+                Ordering::Relaxed,
+            );
             grown.memo[i].store(old.memo[i].load(Ordering::Relaxed), Ordering::Relaxed);
         }
         let retired = self
@@ -636,10 +666,13 @@ mod tests {
             let a = w.insert(PeerId(7));
             w.set_reputation(a, 0.5f64.to_bits());
             w.add_hits(a, 3);
+            w.set_incarnation(a, 9);
         }
         assert_eq!(slab.len(), 1);
         assert_eq!(slab.read(PeerId(7)), Some((0.5f64.to_bits(), 3)));
+        assert_eq!(slab.incarnation(PeerId(7)), Some(9));
         assert_eq!(slab.read(PeerId(8)), None);
+        assert_eq!(slab.incarnation(PeerId(8)), None);
         {
             let mut w = slab.write();
             w.remove(PeerId(7));
@@ -682,6 +715,7 @@ mod tests {
                 let slot = w.insert(PeerId(p));
                 w.set_reputation(slot, (p as f64 / 500.0).to_bits());
                 w.add_hits(slot, p);
+                w.set_incarnation(slot, p + 1);
             }
         }
         assert_eq!(slab.len(), 500);
@@ -691,6 +725,7 @@ mod tests {
                 Some(((p as f64 / 500.0).to_bits(), p)),
                 "peer {p} lost after growth"
             );
+            assert_eq!(slab.incarnation(PeerId(p)), Some(p + 1));
         }
     }
 

@@ -25,6 +25,13 @@
 //!   it is a live subject, so the subject index below is the member
 //!   registry; a partition-set checkpoint's membership is the union of
 //!   its partitions' subjects.
+//! * **Registration incarnations are never stored.** A book row's
+//!   interaction count is tagged with the reporter's incarnation, and
+//!   only the tag's equality with the reporter's *current* incarnation
+//!   is observable. Export writes each row's count as the reporter
+//!   would read it — 0 when the tag is stale — and import tags every
+//!   row and every live subject with one fixed incarnation, so equal
+//!   state still encodes to equal bytes.
 //! * **Replica keys are never stored.** `meta.key` is the pure
 //!   function `replica_key` (in the engine's private `ring` module) of
 //!   `(subject, slot)`; import recomputes it. (Export asserts this in
@@ -67,7 +74,7 @@
 //! ## Invariants the format preserves
 //!
 //! * **Hash-keyed maps are exported sorted** (subject index,
-//!   credibility rows, interaction counts) so the encoded
+//!   credibility rows) so the encoded
 //!   bytes are canonical — two exports of the same engine state are
 //!   byte-identical, which lets tests fingerprint a checkpoint.
 //!   Iteration order of the underlying hash maps is unobservable by
@@ -131,6 +138,10 @@ pub struct ShardState {
     pub book_row_uniform: Vec<u8>,
     /// Flat row reporters, sorted by reporter within each book.
     pub book_reporters: Vec<PeerId>,
+    /// Flat row interaction counts, parallel to `book_reporters`: the
+    /// reporter's first-hand interactions with the book's subject, 0
+    /// when the reporter departed since they were counted.
+    pub book_counts: Vec<u32>,
     /// Flat row credibilities: 1 value for a uniform row, `num_sm`
     /// for a diverged one.
     pub book_rows: Vec<f64>,
@@ -149,9 +160,6 @@ pub struct ShardState {
     /// collisions) — the only case where the rebuilt key index's
     /// list order is not determined by the keys themselves.
     pub key_collisions: Vec<(NodeId, Vec<(Handle, u32)>)>,
-    /// Pairwise interaction counts: `(reporter, subject, count)`,
-    /// sorted by the pair.
-    pub interactions: Vec<(PeerId, PeerId, u32)>,
     /// Replica re-homings processed so far.
     pub rehomings: u64,
     /// Re-homings that lost state under the crash model.
@@ -175,11 +183,15 @@ pub struct EngineState {
 
 /// One [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
 /// partition: its engine plus the wait-free read slab's
-/// applied-report counts (which live *only* in the slab — the engine
-/// forgets interaction counts on reporter departure while the served
-/// count persists). The slab's reputation bits are **not** stored:
-/// the slab is pinned bit-identical to the engine's cached
-/// aggregates, so import republishes them from the restored engine.
+/// applied-report counts (which live *only* in the slab — the
+/// engine's per-reporter interaction counts go stale on reporter
+/// departure while the served per-subject count persists). The engine
+/// rows' counts are written as the reporter's home partition reads
+/// them, so a departed reporter's rows carry 0 here. The slab's
+/// reputation bits and registration incarnations are **not** stored:
+/// the slab is pinned bit-identical to the engine's cached aggregates
+/// and incarnations, so import republishes them from the restored
+/// engine.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PartitionCheckpoint {
     /// The partition's engine. Every subject must hash to this

@@ -77,8 +77,10 @@ use std::io::{self, Read, Write};
 /// shard-count and fan-out fields left the simulation config (worker
 /// jobs, `.scn` files) and the engine checkpoint state; v4 = the
 /// engine checkpoint state no longer stores the member registry
-/// (membership is derived from the subjects).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// (membership is derived from the subjects); v5 = the checkpoint's
+/// pairwise interaction-count list is gone, each credibility book row
+/// carries its count instead.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// The file-magic prefix of an engine checkpoint written by the serve
 /// layer (see [`encode_checkpoint`]): distinguishes a checkpoint from
