@@ -22,9 +22,9 @@
 //! introduce this peer") — the reputation is zeroed and the peer
 //! flagged malicious. [`IntroductionBook`] owns all of this state.
 
+use replend_types::hash::PeerMap;
 use replend_types::id::RequestIdGen;
 use replend_types::{PeerId, ProtocolError, RequestId, SimTime};
-use std::collections::HashMap;
 
 /// A not-yet-resolved introduction request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,10 +63,10 @@ pub enum IntroOutcome {
 #[derive(Debug, Default)]
 pub struct IntroductionBook {
     ids: RequestIdGen,
-    pending: HashMap<PeerId, PendingIntro>,
+    pending: PeerMap<PeerId, PendingIntro>,
     /// newcomer → the request that admitted it (score managers'
     /// duplicate-detection memory).
-    granted: HashMap<PeerId, RequestId>,
+    granted: PeerMap<PeerId, RequestId>,
 }
 
 impl IntroductionBook {

@@ -8,9 +8,10 @@
 //! nothing for it.
 
 use crate::peer::RefusalReason;
+use replend_types::hash::PeerMap;
 use replend_types::{PeerId, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One logged protocol event.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
@@ -95,7 +96,7 @@ pub(crate) struct EventLog {
     /// sequence number of the oldest retained event.
     dropped: u64,
     /// Per-subject sequence numbers of retained events, oldest first.
-    by_peer: HashMap<PeerId, VecDeque<u64>>,
+    by_peer: PeerMap<PeerId, VecDeque<u64>>,
 }
 
 impl EventLog {
@@ -105,7 +106,7 @@ impl EventLog {
             capacity,
             events: VecDeque::with_capacity(capacity.min(4096)),
             dropped: 0,
-            by_peer: HashMap::new(),
+            by_peer: PeerMap::default(),
         }
     }
 

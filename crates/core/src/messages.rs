@@ -22,9 +22,9 @@
 //! applied to the reputation engine exactly once.
 
 use rand::Rng;
+use replend_types::hash::PeerSet;
 use replend_types::{PeerId, RequestId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Per-kind delivery counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,7 +67,7 @@ pub(crate) struct MessageBus {
     counters: MessageCounters,
     /// (receiving replica slot, request) pairs already applied —
     /// the idempotence memory of the newcomer-side score managers.
-    applied: HashSet<(PeerId, usize, RequestId)>,
+    applied: PeerSet<(PeerId, usize, RequestId)>,
 }
 
 impl MessageBus {
@@ -86,7 +86,7 @@ impl MessageBus {
             num_sm,
             sender_crash_prob,
             counters: MessageCounters::default(),
-            applied: HashSet::new(),
+            applied: PeerSet::default(),
         }
     }
 

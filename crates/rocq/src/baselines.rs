@@ -7,8 +7,8 @@
 //! the *lending* mechanism contributes from what *ROCQ* contributes.
 
 use crate::engine::ReputationEngine;
+use replend_types::hash::PeerMap;
 use replend_types::{PeerId, Reputation, ReputationDelta};
-use std::collections::HashMap;
 
 /// Pushes a delta when `old` and `new` differ bitwise (shared by the
 /// three baseline engines).
@@ -23,7 +23,7 @@ fn note(deltas: &mut Vec<ReputationDelta>, subject: PeerId, old: Reputation, new
 /// offset.
 #[derive(Clone, Debug, Default)]
 pub struct SimpleAverageEngine {
-    subjects: HashMap<PeerId, SimpleState>,
+    subjects: PeerMap<PeerId, SimpleState>,
     deltas: Vec<ReputationDelta>,
 }
 
@@ -118,7 +118,7 @@ impl ReputationEngine for SimpleAverageEngine {
 #[derive(Clone, Debug)]
 pub struct EwmaEngine {
     alpha: f64,
-    subjects: HashMap<PeerId, Reputation>,
+    subjects: PeerMap<PeerId, Reputation>,
     deltas: Vec<ReputationDelta>,
 }
 
@@ -131,7 +131,7 @@ impl EwmaEngine {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         EwmaEngine {
             alpha,
-            subjects: HashMap::new(),
+            subjects: PeerMap::default(),
             deltas: Vec::new(),
         }
     }
@@ -199,7 +199,7 @@ impl ReputationEngine for EwmaEngine {
 /// offset for the lending adjustments.
 #[derive(Clone, Debug, Default)]
 pub struct BetaEngine {
-    subjects: HashMap<PeerId, BetaState>,
+    subjects: PeerMap<PeerId, BetaState>,
     deltas: Vec<ReputationDelta>,
 }
 

@@ -12,8 +12,8 @@
 //! reporter's interaction count with the subject, tagged with the
 //! reporter's registration incarnation.
 
+use replend_types::hash::PeerMap;
 use replend_types::PeerId;
-use std::collections::HashMap;
 
 /// The credibility update rule, single-sourced so the replica-local
 /// [`CredibilityTable`] (reference layout) and the arena engine's
@@ -35,7 +35,7 @@ pub(crate) fn credibility_update(c: f64, agreed: bool, gamma: f64) -> f64 {
 pub(crate) struct CredibilityTable {
     initial: f64,
     gamma: f64,
-    table: HashMap<PeerId, f64>,
+    table: PeerMap<PeerId, f64>,
 }
 
 impl CredibilityTable {
@@ -45,7 +45,7 @@ impl CredibilityTable {
         CredibilityTable {
             initial: initial.clamp(0.0, 1.0),
             gamma: gamma.clamp(0.0, 1.0),
-            table: HashMap::new(),
+            table: PeerMap::default(),
         }
     }
 
@@ -69,8 +69,9 @@ impl CredibilityTable {
 ///
 /// This is the hot-path fusion of what the reference layout spreads
 /// over `numSM` separate [`CredibilityTable`]s: the report loop pays
-/// **one** hash probe per feedback for all replica credibilities and
-/// walks the row's slot column inline. Values are identical by
+/// **one** hash probe per feedback (a [`PeerMap`] probe: one
+/// `splitmix64` mix of the reporter id) for all replica credibilities
+/// and walks the row's slot column inline. Values are identical by
 /// construction — replicas of a subject observe the same report
 /// stream, so their per-reporter credibilities only diverge through
 /// crash recovery, which the engine applies column-wise
@@ -97,7 +98,7 @@ pub(crate) struct CredibilityBook {
     initial: f64,
     gamma: f64,
     slots: usize,
-    rows: HashMap<PeerId, Row>,
+    rows: PeerMap<PeerId, Row>,
 }
 
 /// One reporter's row: per-slot credibilities plus the tagged
@@ -130,16 +131,16 @@ impl CredibilityBook {
             initial: initial.clamp(0.0, 1.0),
             gamma: gamma.clamp(0.0, 1.0),
             slots,
-            rows: HashMap::new(),
+            rows: PeerMap::default(),
         }
     }
 
     /// Records one more interaction of `reporter` (current
-    /// incarnation `tag`) with the subject — the single hash probe of
-    /// the engine's report hot path. Returns the interaction count
-    /// *before* the increment (the evidence backing the current
-    /// opinion) and the reporter's mutable per-slot credibility
-    /// column. New reporters start every slot at `initial` (the only
+    /// incarnation `tag`) with the subject — the single book probe
+    /// (one `splitmix64` mix) of the engine's report hot path. Returns
+    /// the interaction count *before* the increment (the evidence
+    /// backing the current opinion) and the reporter's mutable
+    /// per-slot credibility column. New reporters start every slot at `initial` (the only
     /// heap allocation, paid once per (reporter, subject) pair).
     #[inline]
     pub(crate) fn record(&mut self, reporter: PeerId, tag: u64) -> (u32, &mut [f64]) {

@@ -21,10 +21,13 @@
 //!
 //! ## Memory layout: the dense subject arena
 //!
-//! Subjects live in a **dense slot arena** instead of a `HashMap` of
+//! Subjects live in a **dense slot arena** instead of a hash map of
 //! records: a `PeerId → `[`Handle`] hash index is consulted **once**
 //! per feedback, and every per-subject field is a contiguous `Vec`
-//! indexed by the handle. Handles are stable for a subject's lifetime
+//! indexed by the handle. Every hash probe on this path — the index
+//! and the credibility books — goes through a
+//! [`PeerMap`](replend_types::hash::PeerMap), so hashing a key costs
+//! one `splitmix64` mix. Handles are stable for a subject's lifetime
 //! and recycled through a free list ([`SlotAllocator`]) when churn
 //! vacates them — recycling order is deterministic and, because all
 //! state is keyed by handle through the index, unobservable in results
@@ -77,9 +80,9 @@ use crate::score::ScoreState;
 use crate::slab::ScoreSlab;
 use crate::state::{EngineState, InvalidState, ShardState};
 use replend_types::arena::{Handle, InlineList, SlotAlloc, SlotAllocator};
-use replend_types::hash::{salted, splitmix64};
+use replend_types::hash::{salted, splitmix64, PeerMap};
 use replend_types::{Feedback, NodeId, PeerId, Reputation, ReputationDelta};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Abstract reputation backend.
 ///
@@ -235,9 +238,9 @@ fn assignments_in_arc(
 /// docs for the layout).
 #[derive(Clone, Debug)]
 struct EngineShard {
-    /// `PeerId → Handle`: the single hash probe on the feedback hot
-    /// path. Source of truth for slot occupancy.
-    index: HashMap<PeerId, Handle>,
+    /// `PeerId → Handle`: the single index probe on the feedback hot
+    /// path (one `splitmix64` mix). Source of truth for slot occupancy.
+    index: PeerMap<PeerId, Handle>,
     /// Free-list allocator; handles are stable per subject lifetime.
     alloc: SlotAllocator,
     // ---- hot arrays, one entry per handle ----
@@ -285,7 +288,7 @@ struct EngineShard {
 impl EngineShard {
     fn new(num_sm: usize) -> Self {
         EngineShard {
-            index: HashMap::new(),
+            index: PeerMap::default(),
             alloc: SlotAllocator::new(),
             cached: Vec::new(),
             touched_seq: Vec::new(),
@@ -1601,7 +1604,7 @@ mod tests {
         e.drain_deltas(&mut deltas);
         assert!(!deltas.is_empty(), "crash-loss re-homings must emit deltas");
         // The *last* delta per subject must end at the live value.
-        let mut last: HashMap<PeerId, Reputation> = HashMap::new();
+        let mut last: PeerMap<PeerId, Reputation> = PeerMap::default();
         for d in &deltas {
             last.insert(d.subject, d.new);
         }

@@ -6,7 +6,7 @@
 //! deterministic crash rolls, same canonical delta order — but with
 //! the seed's memory layout:
 //!
-//! * subjects in a `HashMap<PeerId, SubjectRecord>` probed per
+//! * subjects in a `PeerMap<PeerId, SubjectRecord>` probed per
 //!   access, replicas as an array-of-structs with one
 //!   [`CredibilityTable`] per replica (three hash probes per replica
 //!   per report),
@@ -32,15 +32,16 @@ use crate::params::RocqParams;
 use crate::quality::quality_from_count;
 use crate::ring::{replica_key, HandoffEvent, Ring};
 use crate::score::ScoreState;
+use replend_types::hash::{PeerMap, PeerSet};
 use replend_types::{Feedback, NodeId, PeerId, Reputation, ReputationDelta};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Pairwise first-hand interaction counts, keyed by
 /// `(reporter, subject)` — the seed's layout of the quality ramp's `n`
 /// (the arena engine keeps it in the credibility row instead).
 #[derive(Clone, Debug, Default)]
 struct InteractionLog {
-    counts: HashMap<(PeerId, PeerId), u32>,
+    counts: PeerMap<(PeerId, PeerId), u32>,
 }
 
 impl InteractionLog {
@@ -104,7 +105,7 @@ impl SubjectRecord {
 /// The reference engine's subject store (the seed's `EngineShard`).
 #[derive(Clone, Debug, Default)]
 struct RefShard {
-    subjects: HashMap<PeerId, SubjectRecord>,
+    subjects: PeerMap<PeerId, SubjectRecord>,
     key_index: BTreeMap<NodeId, Vec<(PeerId, usize)>>,
     interactions: InteractionLog,
     deltas: Vec<ReputationDelta>,
@@ -187,7 +188,7 @@ impl RefShard {
     fn apply_report(
         &mut self,
         params: &RocqParams,
-        members: &HashSet<PeerId>,
+        members: &PeerSet<PeerId>,
         reporter: PeerId,
         subject: PeerId,
         opinion: f64,
@@ -225,7 +226,7 @@ impl RefShard {
     fn apply_batch_item(
         &mut self,
         params: &RocqParams,
-        members: &HashSet<PeerId>,
+        members: &PeerSet<PeerId>,
         seq: u64,
         f: &Feedback,
     ) -> Option<PeerId> {
@@ -250,7 +251,7 @@ pub struct ReferenceEngine {
     seed: u64,
     ring: Ring,
     shard: RefShard,
-    members: HashSet<PeerId>,
+    members: PeerSet<PeerId>,
     batch_seq: u64,
 }
 
@@ -268,7 +269,7 @@ impl ReferenceEngine {
             seed,
             ring: Ring::new(),
             shard: RefShard::default(),
-            members: HashSet::new(),
+            members: PeerSet::default(),
             batch_seq: 0,
         }
     }

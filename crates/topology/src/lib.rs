@@ -26,6 +26,7 @@
 //!   order, on the same Fenwick tree.
 
 mod fenwick;
+mod live;
 mod random;
 mod scale_free;
 mod zipf;

@@ -6,15 +6,15 @@
 
 use crate::Topology;
 use rand::{Rng, RngCore};
+use replend_types::hash::{PeerHash, PeerMap};
 use replend_types::PeerId;
-use std::collections::HashMap;
 
 /// Uniform-choice population.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RandomTopology {
     members: Vec<PeerId>,
     /// Position of each member in `members` (for O(1) removal).
-    pos: HashMap<PeerId, usize>,
+    pos: PeerMap<PeerId, usize>,
 }
 
 impl RandomTopology {
@@ -22,7 +22,7 @@ impl RandomTopology {
     pub(crate) fn with_capacity(n: usize) -> Self {
         RandomTopology {
             members: Vec::with_capacity(n),
-            pos: HashMap::with_capacity(n),
+            pos: PeerMap::with_capacity_and_hasher(n, PeerHash::default()),
         }
     }
 
@@ -160,7 +160,7 @@ mod tests {
         t.remove_peer(PeerId(1));
         assert_eq!(t.len(), 3);
         // Remaining members all reachable.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = replend_types::hash::PeerSet::default();
         for _ in 0..1000 {
             seen.insert(t.sample(&mut rng, None).unwrap());
         }

@@ -25,10 +25,11 @@
 //!   generality and tested.
 
 use crate::fenwick::Fenwick;
+use crate::live::LiveSlots;
 use crate::Topology;
 use rand::{Rng, RngCore};
+use replend_types::hash::{PeerHash, PeerMap};
 use replend_types::PeerId;
-use std::collections::HashMap;
 
 /// Barabási–Albert scale-free population.
 #[derive(Clone, Debug)]
@@ -38,19 +39,16 @@ pub(crate) struct ScaleFreeTopology {
     /// Slot -> peer (never reused; dead slots keep their id).
     slot_peer: Vec<PeerId>,
     /// Peer -> slot.
-    slots: HashMap<PeerId, usize>,
+    slots: PeerMap<PeerId, usize>,
     /// Adjacency lists over slots.
     adj: Vec<Vec<u32>>,
     /// Degree of each slot (0 for dead slots).
     degree: Vec<u32>,
-    /// Liveness flag per slot.
-    alive: Vec<bool>,
     /// Sampling weights: `degree + 1` for live slots, 0 for dead.
     weights: Fenwick,
-    /// Dense list of live slots for O(1) uniform sampling.
-    live: Vec<u32>,
-    /// Position of each live slot in `live`.
-    live_pos: HashMap<u32, usize>,
+    /// Dense list of live slots for O(1) uniform sampling; also the
+    /// per-slot liveness flag.
+    live: LiveSlots,
 }
 
 impl ScaleFreeTopology {
@@ -60,13 +58,11 @@ impl ScaleFreeTopology {
         ScaleFreeTopology {
             m: m.max(1),
             slot_peer: Vec::with_capacity(n),
-            slots: HashMap::with_capacity(n),
+            slots: PeerMap::with_capacity_and_hasher(n, PeerHash::default()),
             adj: Vec::with_capacity(n),
             degree: Vec::with_capacity(n),
-            alive: Vec::with_capacity(n),
             weights: Fenwick::new(),
-            live: Vec::with_capacity(n),
-            live_pos: HashMap::with_capacity(n),
+            live: LiveSlots::with_capacity(n),
         }
     }
 
@@ -79,7 +75,7 @@ impl ScaleFreeTopology {
             return None;
         }
         if self.live.len() < 2 && exclude_slot.is_some() {
-            let only = *self.live.first()? as usize;
+            let only = *self.live.slots().first()? as usize;
             return if Some(only) == exclude_slot {
                 None
             } else {
@@ -93,14 +89,14 @@ impl ScaleFreeTopology {
             let u = rng.gen_range(0..total);
             let s = self.weights.sample_index(u)?;
             if Some(s) != exclude_slot {
-                debug_assert!(self.alive[s]);
+                debug_assert!(self.live.is_live(s));
                 return Some(s);
             }
         }
         // Fallback: uniform over live slots minus the exclusion.
-        let n = self.live.len();
+        let live = self.live.slots();
         for _ in 0..64 {
-            let s = self.live[rng.gen_range(0..n)] as usize;
+            let s = live[rng.gen_range(0..live.len())] as usize;
             if Some(s) != exclude_slot {
                 return Some(s);
             }
@@ -128,12 +124,10 @@ impl Topology for ScaleFreeTopology {
         self.slots.insert(peer, slot);
         self.adj.push(Vec::with_capacity(self.m));
         self.degree.push(0);
-        self.alive.push(true);
         // Weight = degree + 1 (unit attractiveness).
         let pushed = self.weights.push(1);
         debug_assert_eq!(pushed, slot);
-        self.live_pos.insert(slot as u32, self.live.len());
-        self.live.push(slot as u32);
+        self.live.push(slot);
 
         // Preferential attachment: up to m distinct targets among the
         // pre-existing live peers.
@@ -169,7 +163,7 @@ impl Topology for ScaleFreeTopology {
         let neighbours = std::mem::take(&mut self.adj[slot]);
         for nb in neighbours {
             let nb = nb as usize;
-            if !self.alive[nb] {
+            if !self.live.is_live(nb) {
                 continue;
             }
             if let Some(p) = self.adj[nb].iter().position(|&x| x as usize == slot) {
@@ -181,18 +175,7 @@ impl Topology for ScaleFreeTopology {
         // Tombstone: zero the weight (degree + 1 units), mark dead.
         self.weights.add(slot, -((self.degree[slot] + 1) as i64));
         self.degree[slot] = 0;
-        self.alive[slot] = false;
-        // Remove from the dense live list.
-        let pos = self
-            .live_pos
-            .remove(&(slot as u32))
-            .expect("live slot tracked");
-        let last = self.live.len() - 1;
-        self.live.swap(pos, last);
-        self.live.pop();
-        if pos < self.live.len() {
-            self.live_pos.insert(self.live[pos], pos);
-        }
+        self.live.remove(slot);
     }
 
     fn len(&self) -> usize {
@@ -211,31 +194,8 @@ impl Topology for ScaleFreeTopology {
 
     fn sample_uniform(&self, rng: &mut dyn RngCore, exclude: Option<PeerId>) -> Option<PeerId> {
         let ex_slot = exclude.and_then(|p| self.slots.get(&p).copied());
-        let n = self.live.len();
-        if n == 0 {
-            return None;
-        }
-        if n == 1 {
-            let only = self.live[0] as usize;
-            return if Some(only) == ex_slot {
-                None
-            } else {
-                Some(self.slot_peer[only])
-            };
-        }
-        match ex_slot.and_then(|s| self.live_pos.get(&(s as u32)).copied()) {
-            None => {
-                let s = self.live[rng.gen_range(0..n)] as usize;
-                Some(self.slot_peer[s])
-            }
-            Some(ex_pos) => {
-                let mut i = rng.gen_range(0..n - 1);
-                if i >= ex_pos {
-                    i += 1;
-                }
-                Some(self.slot_peer[self.live[i] as usize])
-            }
-        }
+        let s = self.live.sample_uniform(rng, ex_slot)?;
+        Some(self.slot_peer[s])
     }
 }
 
@@ -252,7 +212,11 @@ mod tests {
 
     /// Degrees of all live peers.
     fn live_degrees(t: &ScaleFreeTopology) -> Vec<u32> {
-        t.live.iter().map(|&s| t.degree[s as usize]).collect()
+        t.live
+            .slots()
+            .iter()
+            .map(|&s| t.degree[s as usize])
+            .collect()
     }
 
     /// Maximum-likelihood estimate of the power-law exponent `α` for

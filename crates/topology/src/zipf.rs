@@ -16,10 +16,11 @@
 //! admission figures.
 
 use crate::fenwick::Fenwick;
+use crate::live::LiveSlots;
 use crate::Topology;
 use rand::{Rng, RngCore};
+use replend_types::hash::{PeerHash, PeerMap};
 use replend_types::PeerId;
-use std::collections::HashMap;
 
 /// Fixed-point scale for the Fenwick weights.
 const WEIGHT_SCALE: f64 = 1_000_000.0;
@@ -33,13 +34,11 @@ pub(crate) struct ZipfTopology {
     /// Slot (arrival rank) → peer; never reused.
     slot_peer: Vec<PeerId>,
     /// Peer → slot.
-    slots: HashMap<PeerId, usize>,
+    slots: PeerMap<PeerId, usize>,
     /// Sampling weights (0 for removed peers).
     weights: Fenwick,
     /// Dense list of live slots for O(1) uniform sampling.
-    live: Vec<u32>,
-    /// Position of each live slot in `live`.
-    live_pos: HashMap<u32, usize>,
+    live: LiveSlots,
 }
 
 impl ZipfTopology {
@@ -49,10 +48,9 @@ impl ZipfTopology {
         ZipfTopology {
             s: s.max(0.01),
             slot_peer: Vec::with_capacity(n),
-            slots: HashMap::with_capacity(n),
+            slots: PeerMap::with_capacity_and_hasher(n, PeerHash::default()),
             weights: Fenwick::new(),
-            live: Vec::with_capacity(n),
-            live_pos: HashMap::with_capacity(n),
+            live: LiveSlots::with_capacity(n),
         }
     }
 
@@ -68,7 +66,7 @@ impl ZipfTopology {
             return None;
         }
         if self.live.len() < 2 && exclude_slot.is_some() {
-            let only = *self.live.first()? as usize;
+            let only = *self.live.slots().first()? as usize;
             return if Some(only) == exclude_slot {
                 None
             } else {
@@ -84,9 +82,9 @@ impl ZipfTopology {
                 return Some(slot);
             }
         }
-        let n = self.live.len();
+        let live = self.live.slots();
         for _ in 0..64 {
-            let slot = self.live[rng.gen_range(0..n)] as usize;
+            let slot = live[rng.gen_range(0..live.len())] as usize;
             if Some(slot) != exclude_slot {
                 return Some(slot);
             }
@@ -105,8 +103,7 @@ impl Topology for ZipfTopology {
         self.slots.insert(peer, slot);
         let pushed = self.weights.push(self.rank_weight(slot));
         debug_assert_eq!(pushed, slot);
-        self.live_pos.insert(slot as u32, self.live.len());
-        self.live.push(slot as u32);
+        self.live.push(slot);
     }
 
     fn remove_peer(&mut self, peer: PeerId) {
@@ -115,16 +112,7 @@ impl Topology for ZipfTopology {
         };
         let w = self.weights.weight(slot);
         self.weights.add(slot, -(w as i64));
-        let pos = self
-            .live_pos
-            .remove(&(slot as u32))
-            .expect("live slot tracked");
-        let last = self.live.len() - 1;
-        self.live.swap(pos, last);
-        self.live.pop();
-        if pos < self.live.len() {
-            self.live_pos.insert(self.live[pos], pos);
-        }
+        self.live.remove(slot);
     }
 
     fn len(&self) -> usize {
@@ -142,28 +130,8 @@ impl Topology for ZipfTopology {
 
     fn sample_uniform(&self, rng: &mut dyn RngCore, exclude: Option<PeerId>) -> Option<PeerId> {
         let ex = exclude.and_then(|p| self.slots.get(&p).copied());
-        let n = self.live.len();
-        if n == 0 {
-            return None;
-        }
-        if n == 1 {
-            let only = self.live[0] as usize;
-            return if Some(only) == ex {
-                None
-            } else {
-                Some(self.slot_peer[only])
-            };
-        }
-        match ex.and_then(|s| self.live_pos.get(&(s as u32)).copied()) {
-            None => Some(self.slot_peer[self.live[rng.gen_range(0..n)] as usize]),
-            Some(ex_pos) => {
-                let mut i = rng.gen_range(0..n - 1);
-                if i >= ex_pos {
-                    i += 1;
-                }
-                Some(self.slot_peer[self.live[i] as usize])
-            }
-        }
+        let slot = self.live.sample_uniform(rng, ex)?;
+        Some(self.slot_peer[slot])
     }
 }
 

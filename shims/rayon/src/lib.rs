@@ -19,6 +19,10 @@
 //! Thread count: `RAYON_NUM_THREADS` when set (0 or unset ⇒ all
 //! available cores), capped by the number of items.
 
+// A stand-in for an external crate, so the workspace ban on std hash
+// maps (`clippy.toml`) does not apply here.
+#![allow(clippy::disallowed_types)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

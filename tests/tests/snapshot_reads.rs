@@ -18,9 +18,8 @@
 
 use proptest::prelude::*;
 use replend_rocq::{ConcurrentEngine, RocqParams, SnapshotSlab};
-use replend_types::hash::{salted, splitmix64};
+use replend_types::hash::{salted, splitmix64, PeerMap, PeerSet};
 use replend_types::{Feedback, PeerId, Reputation};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Subject universe: small, so churn keeps recycling the same slots.
@@ -62,11 +61,11 @@ fn stamp(case_seed: u64, k: u64, peer: u64) -> (u64, u64) {
 
 /// Replays `ops` serially over a model map, recording every published
 /// per-peer state (including absence) into the valid set.
-fn slab_valid_states(case_seed: u64, ops: &[SlabOp]) -> HashMap<u64, HashSet<Option<(u64, u64)>>> {
-    let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
-    let mut valid: HashMap<u64, HashSet<Option<(u64, u64)>>> = HashMap::new();
-    let publish = |model: &HashMap<u64, (u64, u64)>,
-                   valid: &mut HashMap<u64, HashSet<Option<(u64, u64)>>>| {
+fn slab_valid_states(case_seed: u64, ops: &[SlabOp]) -> PeerMap<u64, PeerSet<Option<(u64, u64)>>> {
+    let mut model: PeerMap<u64, (u64, u64)> = PeerMap::default();
+    let mut valid: PeerMap<u64, PeerSet<Option<(u64, u64)>>> = PeerMap::default();
+    let publish = |model: &PeerMap<u64, (u64, u64)>,
+                   valid: &mut PeerMap<u64, PeerSet<Option<(u64, u64)>>>| {
         for p in 0..POP {
             valid.entry(p).or_default().insert(model.get(&p).copied());
         }
@@ -302,7 +301,7 @@ proptest! {
         // Half the cases also cross the epoch wraparound mid-ingest.
         let epoch0 = if wrap { u64::MAX - 7 } else { 0 };
         let serial = serial_fingerprints(subjects, seed, epoch0, &batches);
-        let valid: HashSet<&Fingerprint> = serial.iter().collect();
+        let valid: PeerSet<&Fingerprint> = serial.iter().collect();
 
         let live = ConcurrentEngine::with_read_epoch(serve_params(), 3, 1, seed, epoch0);
         for s in 0..subjects {
