@@ -24,9 +24,9 @@
 //!   interaction floor keeps a newcomer with two low reports from
 //!   being banned on no evidence — below `min_observations` the
 //!   policy stays permissive and lets the lending protocol's own
-//!   stake bear the risk. The common whitelist probe is served from a
-//!   per-subject tier memo keyed by the partition epoch: a repeat
-//!   `status()` at an unchanged epoch is a single load + compare.
+//!   stake bear the risk. `status()` is one lock-free read of the
+//!   coherent `(reputation, interactions)` pair plus the policy's
+//!   three compares.
 //! * **Write-ahead journal.** With a journal attached, every mutation
 //!   is appended to an append-only log of length-prefixed
 //!   `replend-wire` frames *before* it touches the engine. The
@@ -107,24 +107,6 @@ impl SubjectStatus {
             SubjectStatus::Whitelisted => "whitelisted",
             SubjectStatus::Throttled => "throttled",
             SubjectStatus::Banned => "banned",
-        }
-    }
-
-    /// Dense tier code for the engine-side status memo (must stay
-    /// `< 4`: the memo packs it into two bits).
-    const fn tier(self) -> u8 {
-        match self {
-            SubjectStatus::Whitelisted => 0,
-            SubjectStatus::Throttled => 1,
-            SubjectStatus::Banned => 2,
-        }
-    }
-
-    const fn from_tier(tier: u8) -> SubjectStatus {
-        match tier {
-            0 => SubjectStatus::Whitelisted,
-            1 => SubjectStatus::Throttled,
-            _ => SubjectStatus::Banned,
         }
     }
 }
@@ -330,9 +312,11 @@ impl From<io::Error> for ServeError {
     }
 }
 
-/// Refuses a non-finite credit/debit amount before it is journalled.
+/// Refuses a non-finite or negative credit/debit amount before it is
+/// journalled: the engine applies the magnitude, so a negative credit
+/// would raise the subject.
 fn check_amount(amount: f64) -> Result<(), ServeError> {
-    if amount.is_finite() {
+    if amount.is_finite() && amount >= 0.0 {
         Ok(())
     } else {
         Err(ServeError::InvalidInput {
@@ -863,15 +847,15 @@ impl ReputationService {
         })
     }
 
-    /// Raises `subject`'s reputation (journalled). A non-finite
-    /// `amount` is refused with [`ServeError::InvalidInput`].
+    /// Raises `subject`'s reputation (journalled). A non-finite or
+    /// negative `amount` is refused with [`ServeError::InvalidInput`].
     pub fn credit(&self, subject: PeerId, amount: f64) -> Result<(), ServeError> {
         check_amount(amount)?;
         self.mutate(JournalOp::Credit { subject, amount })
     }
 
-    /// Lowers `subject`'s reputation (journalled). A non-finite
-    /// `amount` is refused with [`ServeError::InvalidInput`].
+    /// Lowers `subject`'s reputation (journalled). A non-finite or
+    /// negative `amount` is refused with [`ServeError::InvalidInput`].
     pub fn debit(&self, subject: PeerId, amount: f64) -> Result<(), ServeError> {
         check_amount(amount)?;
         self.mutate(JournalOp::Debit { subject, amount })
@@ -888,17 +872,11 @@ impl ReputationService {
         self.engine.snapshot(subject)
     }
 
-    /// The subject's operational tier, from a coherent lock-free
-    /// `(reputation, interactions)` snapshot read. Served from the
-    /// per-subject tier memo when the partition epoch is unchanged
-    /// since the last probe — the common whitelist check is then a
-    /// single load + compare.
+    /// The subject's operational tier, classified from a coherent
+    /// lock-free `(reputation, interactions)` snapshot read.
     pub fn status(&self, subject: PeerId) -> Option<SubjectStatus> {
-        let policy = self.policy;
-        let tier = self
-            .engine
-            .classify_read(subject, move |r, obs| policy.classify(r, obs).tier())?;
-        Some(SubjectStatus::from_tier(tier))
+        let (reputation, observations) = self.engine.observe(subject)?;
+        Some(self.policy.classify(reputation, observations))
     }
 
     /// Registered subjects.
@@ -1105,17 +1083,6 @@ pub fn run_ingest_workload(
 mod tests {
     use super::*;
 
-    /// [`ReputationService::status`] through the locked path (no
-    /// memo): reputation and applied-report count read under one
-    /// partition read lock. The oracle for the memoized read.
-    fn status_locked(service: &ReputationService, subject: PeerId) -> Option<SubjectStatus> {
-        let policy = service.policy;
-        let tier = service
-            .engine
-            .classify_read_locked(subject, move |r, obs| policy.classify(r, obs).tier())?;
-        Some(SubjectStatus::from_tier(tier))
-    }
-
     fn config() -> ServeConfig {
         ServeConfig {
             partitions: 4,
@@ -1183,7 +1150,6 @@ mod tests {
         let census = service.status_census();
         assert_eq!(census.total(), 2);
         assert_eq!(census.banned, 1);
-        assert_eq!(service.engine.reputation_buckets(10).iter().sum::<u64>(), 2);
     }
 
     #[test]
@@ -1211,8 +1177,11 @@ mod tests {
         );
     }
 
+    /// Point reads agree with the other two read paths: the census
+    /// sweep (reputation bits and the tier of each swept pair) and the
+    /// per-replica snapshot taken under the partition lock.
     #[test]
-    fn snapshot_and_locked_reads_agree_including_status_memo() {
+    fn point_reads_agree_with_sweep_and_locked_snapshot() {
         let service = ReputationService::in_memory(config());
         run_ingest_workload(
             &service,
@@ -1225,20 +1194,24 @@ mod tests {
             },
         )
         .unwrap();
-        for s in 0..120u64 {
-            let subject = PeerId(s);
-            assert_eq!(
-                service.reputation(subject).map(|r| r.value().to_bits()),
-                service
-                    .engine
-                    .reputation_locked(subject)
-                    .map(|r| r.value().to_bits()),
-            );
-            // Twice: the second probe is served from the tier memo
-            // and must not diverge.
-            assert_eq!(service.status(subject), status_locked(&service, subject));
-            assert_eq!(service.status(subject), status_locked(&service, subject));
-        }
+        let bits = |r: Reputation| r.value().to_bits();
+        let mut swept = 0;
+        service
+            .engine
+            .for_each_subject(|subject, reputation, observations| {
+                swept += 1;
+                assert_eq!(
+                    service.reputation(subject).map(bits),
+                    Some(bits(reputation))
+                );
+                assert_eq!(
+                    service.status(subject),
+                    Some(service.policy.classify(reputation, observations))
+                );
+                let locked = service.snapshot(subject).and_then(|s| s.combined());
+                assert_eq!(locked.map(bits), Some(bits(reputation)));
+            });
+        assert_eq!(swept, 120);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! applied-report count) guarded by a seqlock-style epoch counter. A
 //! subject's entire state lives in exactly one partition, so:
 //!
-//! * `reputation()` / `interactions()` / status and census reads go
+//! * `reputation()` / `observe()` / status and census reads go
 //!   to the slab **without taking the partition lock at all**: they
 //!   load the epoch, read, and re-validate the epoch, retrying on a
 //!   torn window (see the [`snapshot`](crate::snapshot) module docs
@@ -24,9 +24,8 @@
 //!   copies the drained aggregate deltas and interaction increments
 //!   in, and publishes (epoch even) — so the slab jumps atomically
 //!   from the pre-batch to the post-batch state.
-//! * `snapshot()` (full replica state) and the `*_locked` read
-//!   variants still take the partition read lock; the locked path is
-//!   kept as the bit-identity test oracle for the slab.
+//! * `snapshot()` (full replica state) still takes the partition read
+//!   lock: it walks engine state the slab does not carry.
 //!
 //! Any member may report on any subject, so membership is
 //! community-wide: it is the union of the partitions' slabs. A peer
@@ -62,8 +61,8 @@
 //! on. With the crash model off (`crash_prob == 0`, the serve
 //! default) the facade's aggregates are bit-identical to a monolithic
 //! [`RocqEngine`] fed the same operation stream, and the slab read
-//! path returns bit-identical values to the locked read path — both
-//! pinned by the serve suite in `replend-tests`.
+//! path returns the engine's cached aggregate bits — pinned by the
+//! serve and snapshot-read suites in `replend-tests`.
 
 use crate::engine::{ReputationEngine, RocqEngine};
 use crate::inspect::SubjectSnapshot;
@@ -329,21 +328,20 @@ impl ConcurrentEngine {
     }
 
     /// The aggregate reputation of `subject` — a lock-free,
-    /// epoch-validated slab read, bit-identical to
-    /// [`ConcurrentEngine::reputation_locked`].
+    /// epoch-validated slab read of the engine's cached aggregate bits.
     pub fn reputation(&self, subject: PeerId) -> Option<Reputation> {
+        self.observe(subject).map(|(reputation, _)| reputation)
+    }
+
+    /// The coherent `(reputation, interactions)` pair of `subject` from
+    /// one epoch window — the evidence admission control classifies —
+    /// or `None` when it is not a subject. Lock-free, like
+    /// [`ConcurrentEngine::reputation`].
+    pub fn observe(&self, subject: PeerId) -> Option<(Reputation, u64)> {
         self.home(subject)
             .slab
             .read(subject)
-            .map(|(bits, _)| Reputation::new(f64::from_bits(bits)))
-    }
-
-    /// The aggregate reputation of `subject` read from the engine
-    /// under its partition's read lock, bypassing the slab. A test
-    /// oracle: the lock-free [`ConcurrentEngine::reputation`] must
-    /// match it bit for bit.
-    pub fn reputation_locked(&self, subject: PeerId) -> Option<Reputation> {
-        self.read(subject).engine.reputation(subject)
+            .map(|(bits, hits)| (Reputation::new(f64::from_bits(bits)), hits))
     }
 
     /// The full score-manager snapshot of `subject`, taken atomically
@@ -351,46 +349,6 @@ impl ConcurrentEngine {
     /// live in the read slab).
     pub fn snapshot(&self, subject: PeerId) -> Option<SubjectSnapshot> {
         self.read(subject).engine.snapshot(subject)
-    }
-
-    /// The coherent `(reputation, interactions)` pair of `subject`
-    /// from one epoch window, classified by `classify` through the
-    /// slab's per-subject tier memo: a repeat probe at an unchanged
-    /// epoch is a single load + compare. `classify` must be a pure
-    /// function returning a tier `< 4`.
-    pub fn classify_read(
-        &self,
-        subject: PeerId,
-        classify: impl Fn(Reputation, u64) -> u8,
-    ) -> Option<u8> {
-        self.home(subject)
-            .slab
-            .read_classified(subject, |bits, hits| classify(Reputation::new(bits), hits))
-    }
-
-    /// The locked-path equivalent of [`ConcurrentEngine::classify_read`]
-    /// (no memo): reputation and interaction count read under one
-    /// partition read lock. A test oracle for the memoized read.
-    pub fn classify_read_locked(
-        &self,
-        subject: PeerId,
-        classify: impl Fn(Reputation, u64) -> u8,
-    ) -> Option<u8> {
-        let cell = self.home(subject);
-        let p = cell.lock.read().expect("partition lock poisoned");
-        let reputation = p.engine.reputation(subject)?;
-        // The partition read lock excludes slab writers, so a single
-        // coherent read cannot fail mid-window; `read` won't retry.
-        let (_, hits) = cell.slab.read(subject)?;
-        Some(classify(reputation, hits))
-    }
-
-    /// Visits every subject with its cached aggregate — the lock-free
-    /// census sweep minus the interaction counts. Same per-partition
-    /// coherence and ordering caveats as
-    /// [`ConcurrentEngine::for_each_subject`].
-    fn for_each_reputation(&self, mut f: impl FnMut(PeerId, Reputation)) {
-        self.for_each_subject(|peer, rep, _| f(peer, rep));
     }
 
     /// Visits every subject with its cached aggregate *and* its
@@ -557,19 +515,6 @@ impl ConcurrentEngine {
             cells: cells.into_iter().collect::<Result<_, _>>()?,
         })
     }
-
-    /// Member-reputation bucket counts over `buckets` equal bins of
-    /// `[0, 1]` (the serve layer's histogram read; values of exactly
-    /// 1.0 land in the top bucket).
-    pub fn reputation_buckets(&self, buckets: usize) -> Vec<u64> {
-        let buckets = buckets.max(1);
-        let mut out = vec![0u64; buckets];
-        self.for_each_reputation(|_, r| {
-            let bin = ((r.value() * buckets as f64) as usize).min(buckets - 1);
-            out[bin] += 1;
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -584,7 +529,15 @@ mod tests {
     /// Reports applied to `subject` so far (`None` when unknown), read
     /// lock-free from the slab.
     fn interactions(e: &ConcurrentEngine, subject: PeerId) -> Option<u64> {
-        e.home(subject).slab.read(subject).map(|(_, hits)| hits)
+        e.observe(subject).map(|(_, hits)| hits)
+    }
+
+    /// The aggregate reputation of `subject` read from the engine under
+    /// its partition's read lock, bypassing the slab — the oracle the
+    /// lock-free [`ConcurrentEngine::reputation`] must match bit for
+    /// bit.
+    fn locked_reputation(e: &ConcurrentEngine, subject: PeerId) -> Option<Reputation> {
+        e.read(subject).engine.reputation(subject)
     }
 
     #[test]
@@ -665,17 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn buckets_cover_every_subject() {
-        let e = engine(4);
-        for p in 0..30u64 {
-            e.register_peer(PeerId(p), Reputation::new(p as f64 / 29.0));
-        }
-        let bins = e.reputation_buckets(10);
-        assert_eq!(bins.iter().sum::<u64>(), 30);
-        assert!(bins[9] >= 1, "reputation 1.0 lands in the top bucket");
-    }
-
-    #[test]
     fn same_ops_same_bits_across_instances() {
         let run = || {
             let e = engine(4);
@@ -690,10 +632,7 @@ mod tests {
             }
             e.remove_peer(PeerId(3));
             e.credit(PeerId(5), 0.1);
-            let mut state: Vec<(u64, u64)> = Vec::new();
-            e.for_each_reputation(|p, r| state.push((p.raw(), r.value().to_bits())));
-            state.sort_unstable();
-            state
+            census(&e)
         };
         assert_eq!(run(), run());
     }
@@ -725,17 +664,11 @@ mod tests {
         e.remove_peer(PeerId(5));
         for p in 0..80u64 {
             let snap = e.reputation(PeerId(p));
-            let locked = e.reputation_locked(PeerId(p));
+            let locked = locked_reputation(&e, PeerId(p));
             assert_eq!(
                 snap.map(|r| r.value().to_bits()),
                 locked.map(|r| r.value().to_bits()),
                 "peer {p} diverged between slab and locked reads"
-            );
-            let tier = |r: Reputation, h: u64| u8::from(r.value() < 0.5) + u8::from(h > 100);
-            assert_eq!(
-                e.classify_read(PeerId(p), tier),
-                e.classify_read_locked(PeerId(p), tier),
-                "peer {p} classified differently between slab and locked reads"
             );
         }
     }
@@ -814,9 +747,7 @@ mod tests {
         for p in 0..90u64 {
             assert_eq!(
                 restored.reputation(PeerId(p)).map(|r| r.value().to_bits()),
-                restored
-                    .reputation_locked(PeerId(p))
-                    .map(|r| r.value().to_bits()),
+                locked_reputation(&restored, PeerId(p)).map(|r| r.value().to_bits()),
                 "slab and locked reads diverged after restore for peer {p}"
             );
         }

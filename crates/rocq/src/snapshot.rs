@@ -48,12 +48,21 @@
 //!   possible while a write is in flight, but every load is an atomic
 //!   load — no data race, no UB — and the epoch check discards the
 //!   result.
-//! * Growth never reallocates in place: the writer builds a bigger
-//!   table/array, publishes it through an `AtomicPtr`, and **retires**
-//!   the old allocation into a keep-alive list freed only on drop. A
-//!   reader holding a stale pointer reads stale-but-valid memory and
-//!   fails its epoch check. (The retired tail is bounded by geometric
-//!   growth: at most ~1× the final allocation size in total.)
+//! * Removal is **backward-shift deletion**: the entries after the
+//!   vacated bucket that may move back along their probe path do, and
+//!   the chain ends where the last one left. The table never holds a
+//!   tombstone, so a table's load is exactly its live count. A reader
+//!   racing a shift can miss a key or see one twice; the shift runs
+//!   inside the write window, so that reader fails its epoch check,
+//!   and its probe loop is bounded by the capacity either way.
+//! * Growth never reallocates in place: the writer builds a table or
+//!   value array twice the size, publishes it through an `AtomicPtr`,
+//!   and **retires** the old allocation into a keep-alive list freed
+//!   only on drop. A reader holding a stale pointer reads
+//!   stale-but-valid memory and fails its epoch check. Only doublings
+//!   retire anything, so the retired tail is less than the live
+//!   allocation in total and does not grow under churn at a constant
+//!   live count (pinned by `churn_retires_only_doubled_tables`).
 //! * A slot index obtained from a *newer* table than the value array
 //!   a reader happens to hold may be out of bounds; reads are
 //!   bounds-checked and out-of-range indices count as incoherent.
@@ -62,43 +71,26 @@
 //! crossbeam's `SeqLock`): readers pair an `Acquire` epoch load with
 //! an `Acquire` fence before re-validating; writers pair a `Release`
 //! fence after the odd bump with a `Release` store to re-even.
-//!
-//! ## The tier memo
-//!
-//! `read_classified` layers a per-slot **status-tier memo** on top:
-//! a single `AtomicU64` packing `(epoch << 2) | (tier + 1)`. When the
-//! memo's epoch tag matches the current epoch the common whitelist
-//! probe is one load + compare; otherwise the caller's classifier
-//! runs on the coherent `(reputation, hits)` pair and the result is
-//! memoized for every later reader of the same epoch. Racing
-//! memoizers at the same epoch write the same value (classification
-//! is a pure function of slab state), and a memo tagged by a stale
-//! epoch simply misses. The tag keeps the low 62 bits of the epoch —
-//! a false hit would need two reads exactly `2^62` publishes apart.
 
+use replend_types::arena::{Handle, SlotAlloc, SlotAllocator};
 use replend_types::PeerId;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Slot value meaning "probe chain ends here" in the index table.
 const EMPTY: u64 = 0;
-/// Slot value meaning "a key was removed here; keep probing".
-const TOMBSTONE: u64 = 1;
 /// Occupied table slots store `slot_index + SLOT_BASE`.
-const SLOT_BASE: u64 = 2;
+const SLOT_BASE: u64 = 1;
 
-/// The low 62 bits of the epoch, as packed into a tier memo word.
-const MEMO_EPOCH_MASK: u64 = u64::MAX >> 2;
-
-/// Open-addressing peer→slot index with linear probing. Published via
-/// `AtomicPtr`; rebuilt (never mutated in place) when load exceeds
-/// 3/4, dropping tombstones.
+/// Open-addressing peer→slot index with linear probing and
+/// backward-shift deletion. Published via `AtomicPtr`; rebuilt at
+/// twice the capacity (never resized in place) when load passes 3/4.
 struct Table {
     /// Capacity mask (`capacity - 1`; capacity is a power of two).
     mask: usize,
     /// Peer ids; meaningful only where `slots` is occupied.
     keys: Box<[AtomicU64]>,
-    /// `EMPTY`, `TOMBSTONE`, or `slot + SLOT_BASE`.
+    /// `EMPTY` or `slot + SLOT_BASE`.
     slots: Box<[AtomicU64]>,
 }
 
@@ -118,75 +110,69 @@ impl Table {
         replend_types::hash::splitmix64(peer) as usize & self.mask
     }
 
-    /// Looks `peer` up. Callers must validate the epoch afterwards: a
-    /// concurrent rebuild can make this return `None` or a stale slot.
-    /// The probe count is bounded by the capacity, so the scan
-    /// terminates even on a table observed mid-rebuild.
-    fn get(&self, peer: u64) -> Option<u32> {
+    /// The bucket holding `peer` and its slot word. Readers must
+    /// validate the epoch afterwards: a concurrent shift or rebuild can
+    /// make this miss or return a stale slot. The probe count is
+    /// bounded by the capacity, so the scan terminates even on a table
+    /// observed mid-write.
+    fn find(&self, peer: u64) -> Option<(usize, u64)> {
         let mut i = self.start(peer);
         for _ in 0..=self.mask {
-            match self.slots[i].load(Ordering::Acquire) {
-                EMPTY => return None,
-                TOMBSTONE => {}
-                occupied => {
-                    if self.keys[i].load(Ordering::Acquire) == peer {
-                        return Some((occupied - SLOT_BASE) as u32);
-                    }
-                }
+            let occupied = self.slots[i].load(Ordering::Acquire);
+            if occupied == EMPTY {
+                return None;
+            }
+            if self.keys[i].load(Ordering::Acquire) == peer {
+                return Some((i, occupied));
             }
             i = (i + 1) & self.mask;
         }
         None
     }
 
-    /// Inserts `peer → slot` (writer-only; epoch is odd). Reuses the
-    /// first tombstone on the probe path. The key is stored before
-    /// the slot so a concurrent reader can never match a fresh slot
-    /// against a stale key (harmless anyway — the epoch check catches
-    /// it — but cheap to rule out).
-    fn insert(&self, peer: u64, slot: u32) {
-        let mut i = self.start(peer);
-        let mut reuse: Option<usize> = None;
-        loop {
-            match self.slots[i].load(Ordering::Relaxed) {
-                EMPTY => {
-                    let at = reuse.unwrap_or(i);
-                    self.keys[at].store(peer, Ordering::Relaxed);
-                    self.slots[at].store(slot as u64 + SLOT_BASE, Ordering::Release);
-                    return;
-                }
-                TOMBSTONE => {
-                    if reuse.is_none() {
-                        reuse = Some(i);
-                    }
-                }
-                _ => {
-                    if self.keys[i].load(Ordering::Relaxed) == peer {
-                        self.slots[i].store(slot as u64 + SLOT_BASE, Ordering::Release);
-                        return;
-                    }
-                }
-            }
-            i = (i + 1) & self.mask;
-        }
+    /// The slot `peer` maps to, under the same caveats as `find`.
+    fn get(&self, peer: u64) -> Option<u32> {
+        self.find(peer)
+            .map(|(_, occupied)| (occupied - SLOT_BASE) as u32)
     }
 
-    /// Removes `peer`, leaving a tombstone. Returns the slot it held.
-    fn remove(&self, peer: u64) -> Option<u32> {
+    /// Inserts an absent `peer → slot` (writer-only; epoch is odd). The
+    /// key is stored before the slot so a concurrent reader can never
+    /// match a fresh slot against a stale key (harmless anyway — the
+    /// epoch check catches it — but cheap to rule out).
+    fn insert(&self, peer: u64, slot: u32) {
         let mut i = self.start(peer);
+        while self.slots[i].load(Ordering::Relaxed) != EMPTY {
+            i = (i + 1) & self.mask;
+        }
+        self.keys[i].store(peer, Ordering::Relaxed);
+        self.slots[i].store(slot as u64 + SLOT_BASE, Ordering::Release);
+    }
+
+    /// Removes `peer` by backward-shift deletion (writer-only; epoch
+    /// is odd). Returns the slot it held.
+    fn remove(&self, peer: u64) -> Option<u32> {
+        let (mut hole, removed) = self.find(peer)?;
+        // Walk the rest of the cluster. An entry moves back into the
+        // hole when the hole lies on its probe path, i.e. its home is
+        // at least as far behind it as the hole is.
+        let mut i = (hole + 1) & self.mask;
         loop {
-            match self.slots[i].load(Ordering::Relaxed) {
-                EMPTY => return None,
-                TOMBSTONE => {}
-                occupied => {
-                    if self.keys[i].load(Ordering::Relaxed) == peer {
-                        self.slots[i].store(TOMBSTONE, Ordering::Release);
-                        return Some((occupied - SLOT_BASE) as u32);
-                    }
-                }
+            let occupied = self.slots[i].load(Ordering::Relaxed);
+            if occupied == EMPTY {
+                break;
+            }
+            let key = self.keys[i].load(Ordering::Relaxed);
+            let behind = i.wrapping_sub(self.start(key)) & self.mask;
+            if behind >= (i.wrapping_sub(hole) & self.mask) {
+                self.keys[hole].store(key, Ordering::Relaxed);
+                self.slots[hole].store(occupied, Ordering::Release);
+                hole = i;
             }
             i = (i + 1) & self.mask;
         }
+        self.slots[hole].store(EMPTY, Ordering::Release);
+        Some((removed - SLOT_BASE) as u32)
     }
 }
 
@@ -199,15 +185,9 @@ struct Values {
     rep: Box<[AtomicU64]>,
     /// Applied-report (interaction) count.
     hits: Box<[AtomicU64]>,
-    /// Slot → peer id, for coherent full-slab sweeps.
-    peer: Box<[AtomicU64]>,
-    /// 1 when the slot holds a live subject.
-    live: Box<[AtomicU64]>,
     /// The subject's registration incarnation (the tag its interaction
     /// counts carry as a reporter).
     incarnation: Box<[AtomicU64]>,
-    /// Status-tier memo: `(epoch << 2) | (tier + 1)`, 0 = no memo.
-    memo: Box<[AtomicU64]>,
 }
 
 impl Values {
@@ -217,27 +197,17 @@ impl Values {
             cap,
             rep: zeroed(),
             hits: zeroed(),
-            peer: zeroed(),
-            live: zeroed(),
             incarnation: zeroed(),
-            memo: zeroed(),
         }
     }
 }
 
-/// Writer-side bookkeeping: slot free list and the keep-alive lists
-/// of retired allocations. Only touched under the writer mutex.
+/// Writer-side bookkeeping: the slot allocator and the keep-alive
+/// lists of retired allocations. Only touched under the writer mutex.
 struct WriterState {
-    /// Slots released by removals, reused LIFO (newest first) — the
-    /// same recycling discipline as the engine arena's
-    /// `SlotAllocator`, so churn keeps the slab dense.
-    free: Vec<u32>,
-    /// High-water mark: slots handed out so far.
-    len: u32,
-    /// Live entries in the index table.
-    table_live: usize,
-    /// Live entries + tombstones in the index table.
-    table_used: usize,
+    /// Hands out value slots; removals recycle them LIFO, so churn
+    /// keeps the slab dense.
+    slots: SlotAllocator,
     /// Superseded tables, kept alive for stale readers. The boxes are
     /// the very allocations stale readers still point into, so they
     /// must be stored as boxes — moving the payload into the `Vec`
@@ -259,7 +229,7 @@ pub struct SnapshotSlab {
     epoch: AtomicU64,
     table: AtomicPtr<Table>,
     values: AtomicPtr<Values>,
-    /// Live subjects, for lock-free `len()`.
+    /// Live subjects, for lock-free `len()` (and the table's load).
     count: AtomicU64,
     writer: Mutex<WriterState>,
 }
@@ -307,10 +277,7 @@ impl SnapshotSlab {
             values: AtomicPtr::new(Box::into_raw(Box::new(Values::with_capacity(16)))),
             count: AtomicU64::new(0),
             writer: Mutex::new(WriterState {
-                free: Vec::new(),
-                len: 0,
-                table_live: 0,
-                table_used: 0,
+                slots: SlotAllocator::new(),
                 retired_tables: Vec::new(),
                 retired_values: Vec::new(),
             }),
@@ -416,69 +383,33 @@ impl SnapshotSlab {
         })
     }
 
-    /// The coherent status tier of `peer`, through the per-slot memo:
-    /// when the memo is tagged with the current epoch the answer is a
-    /// single extra load; otherwise `classify` runs on the coherent
-    /// `(reputation, hits)` pair and the result is memoized for this
-    /// epoch. `classify` must be a pure function of its inputs and
-    /// return a tier `< 4`.
-    pub(crate) fn read_classified(
-        &self,
-        peer: PeerId,
-        classify: impl Fn(f64, u64) -> u8,
-    ) -> Option<u8> {
-        loop {
-            let Some((e1, table, values)) = self.begin_read() else {
-                std::hint::spin_loop();
-                continue;
-            };
-            let probed = table.get(peer.raw()).and_then(|slot| {
-                let slot = slot as usize;
-                if slot >= values.cap {
-                    return None;
-                }
-                Some((
-                    slot,
-                    values.memo[slot].load(Ordering::Relaxed),
-                    values.rep[slot].load(Ordering::Relaxed),
-                    values.hits[slot].load(Ordering::Relaxed),
-                ))
-            });
-            if !self.validate_read(e1) {
-                continue;
-            }
-            let (slot, memo, rep, hits) = probed?;
-            let tag = (e1 & MEMO_EPOCH_MASK) << 2;
-            if memo != 0 && memo & !3 == tag {
-                return Some((memo & 3) as u8 - 1);
-            }
-            let tier = classify(f64::from_bits(rep), hits);
-            debug_assert!(tier < 4, "tier must fit the 2-bit memo field");
-            // Stale memoizations (a writer moved the epoch since the
-            // validate above) carry a stale tag and simply never hit.
-            values.memo[slot].store(tag | (tier as u64 + 1), Ordering::Relaxed);
-            return Some(tier);
-        }
-    }
-
     /// One attempt at a coherent full-slab sweep into `out` as
-    /// `(peer, reputation bits, interaction count)` triples. Returns
-    /// false (with `out` cleared) when a write intervened. The facade
-    /// retries a few times and then falls back to sweeping under the
-    /// partition read lock, where a single attempt cannot fail.
+    /// `(peer, reputation bits, interaction count)` triples, walking
+    /// the index table. Returns false (with `out` cleared) when a
+    /// write intervened. The facade retries a few times and then falls
+    /// back to sweeping under the partition read lock, where a single
+    /// attempt cannot fail.
     pub(crate) fn try_sweep(&self, out: &mut Vec<(u64, u64, u64)>) -> bool {
         out.clear();
-        let Some((e1, _table, values)) = self.begin_read() else {
+        let Some((e1, table, values)) = self.begin_read() else {
             return false;
         };
-        for slot in 0..values.cap {
-            if values.live[slot].load(Ordering::Relaxed) == 1 {
-                out.push((
-                    values.peer[slot].load(Ordering::Relaxed),
-                    values.rep[slot].load(Ordering::Relaxed),
-                    values.hits[slot].load(Ordering::Relaxed),
-                ));
+        for (key, slot) in table.keys.iter().zip(&table.slots) {
+            let slot = slot.load(Ordering::Relaxed);
+            if slot == EMPTY {
+                continue;
             }
+            let slot = (slot - SLOT_BASE) as usize;
+            if slot >= values.cap {
+                // A newer table than value array is incoherent.
+                out.clear();
+                return false;
+            }
+            out.push((
+                key.load(Ordering::Relaxed),
+                values.rep[slot].load(Ordering::Relaxed),
+                values.hits[slot].load(Ordering::Relaxed),
+            ));
         }
         if self.validate_read(e1) {
             true
@@ -524,55 +455,38 @@ impl SlabWriter<'_> {
     }
 
     /// Ensures `peer` has a live slot and returns it. A fresh slot
-    /// starts with zero hits and a cleared memo; an existing slot is
-    /// returned untouched (idempotent, like engine registration).
+    /// starts with zero reputation bits, hits and incarnation; an
+    /// existing slot is returned untouched (idempotent, like engine
+    /// registration).
     pub fn insert(&mut self, peer: PeerId) -> u32 {
         if let Some(slot) = self.table().get(peer.raw()) {
             return slot;
         }
-        let slot = match self.state.free.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot = self.state.len;
-                self.state.len += 1;
-                slot
-            }
-        };
-        self.ensure_capacity(slot as usize + 1);
+        let (SlotAlloc::Fresh(handle) | SlotAlloc::Reused(handle)) = self.state.slots.alloc();
+        let slot = handle.index();
+        self.ensure_capacity(slot + 1);
         let values = self.values();
-        values.rep[slot as usize].store(0, Ordering::Relaxed);
-        values.hits[slot as usize].store(0, Ordering::Relaxed);
-        values.memo[slot as usize].store(0, Ordering::Relaxed);
-        values.peer[slot as usize].store(peer.raw(), Ordering::Relaxed);
-        values.live[slot as usize].store(1, Ordering::Relaxed);
-        values.incarnation[slot as usize].store(0, Ordering::Relaxed);
+        values.rep[slot].store(0, Ordering::Relaxed);
+        values.hits[slot].store(0, Ordering::Relaxed);
+        values.incarnation[slot].store(0, Ordering::Relaxed);
         self.maybe_grow_table();
-        self.table().insert(peer.raw(), slot);
-        self.state.table_live += 1;
-        self.state.table_used += 1;
+        self.table().insert(peer.raw(), slot as u32);
         self.slab.count.fetch_add(1, Ordering::AcqRel);
-        slot
+        slot as u32
     }
 
-    /// Removes `peer`, releasing its slot to the LIFO free list.
+    /// Removes `peer`, returning its slot to the allocator.
     pub fn remove(&mut self, peer: PeerId) {
         let Some(slot) = self.table().remove(peer.raw()) else {
             return;
         };
-        let values = self.values();
-        values.live[slot as usize].store(0, Ordering::Relaxed);
-        values.memo[slot as usize].store(0, Ordering::Relaxed);
-        self.state.free.push(slot);
-        self.state.table_live -= 1;
+        self.state.slots.release(Handle::from_index(slot as usize));
         self.slab.count.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Sets the published reputation bits of `slot`.
     pub fn set_reputation(&mut self, slot: u32, bits: u64) {
-        let values = self.values();
-        values.rep[slot as usize].store(bits, Ordering::Relaxed);
-        // Reputation moved: any memoized tier is for the old value.
-        values.memo[slot as usize].store(0, Ordering::Relaxed);
+        self.values().rep[slot as usize].store(bits, Ordering::Relaxed);
     }
 
     /// Sets the registration incarnation of `slot`.
@@ -586,7 +500,6 @@ impl SlabWriter<'_> {
         let values = self.values();
         let hits = values.hits[slot as usize].load(Ordering::Relaxed);
         values.hits[slot as usize].store(hits.wrapping_add(n), Ordering::Relaxed);
-        values.memo[slot as usize].store(0, Ordering::Relaxed);
     }
 
     /// The current interaction count of `slot` (writer-side read; the
@@ -606,13 +519,10 @@ impl SlabWriter<'_> {
         for i in 0..old.cap {
             grown.rep[i].store(old.rep[i].load(Ordering::Relaxed), Ordering::Relaxed);
             grown.hits[i].store(old.hits[i].load(Ordering::Relaxed), Ordering::Relaxed);
-            grown.peer[i].store(old.peer[i].load(Ordering::Relaxed), Ordering::Relaxed);
-            grown.live[i].store(old.live[i].load(Ordering::Relaxed), Ordering::Relaxed);
             grown.incarnation[i].store(
                 old.incarnation[i].load(Ordering::Relaxed),
                 Ordering::Relaxed,
             );
-            grown.memo[i].store(old.memo[i].load(Ordering::Relaxed), Ordering::Relaxed);
         }
         let retired = self
             .slab
@@ -625,27 +535,23 @@ impl SlabWriter<'_> {
             .push(unsafe { Box::from_raw(retired) });
     }
 
-    /// Rebuilds the index table (dropping tombstones) when load
-    /// passes 3/4, publishing the rebuild and retiring the old table.
+    /// Rebuilds the index table at twice its capacity when one more
+    /// entry would bring its load to 3/4, publishing the rebuild and
+    /// retiring the old table.
     fn maybe_grow_table(&mut self) {
         let old = self.table();
         let capacity = old.mask + 1;
-        if (self.state.table_used + 1) * 4 < capacity * 3 {
+        let live = self.slab.count.load(Ordering::Relaxed) as usize;
+        if (live + 1) * 4 < capacity * 3 {
             return;
         }
-        let target = ((self.state.table_live + 1) * 2)
-            .next_power_of_two()
-            .max(capacity);
-        let fresh = Box::new(Table::with_capacity(target));
-        let mut live = 0usize;
-        for i in 0..capacity {
-            let v = old.slots[i].load(Ordering::Relaxed);
-            if v >= SLOT_BASE {
-                fresh.insert(old.keys[i].load(Ordering::Relaxed), (v - SLOT_BASE) as u32);
-                live += 1;
+        let fresh = Box::new(Table::with_capacity(capacity * 2));
+        for (key, slot) in old.keys.iter().zip(&old.slots) {
+            let slot = slot.load(Ordering::Relaxed);
+            if slot != EMPTY {
+                fresh.insert(key.load(Ordering::Relaxed), (slot - SLOT_BASE) as u32);
             }
         }
-        self.state.table_used = live;
         let retired = self.slab.table.swap(Box::into_raw(fresh), Ordering::AcqRel);
         self.state
             .retired_tables
@@ -747,31 +653,90 @@ mod tests {
         assert!(out.iter().all(|&(p, _, _)| p != 50));
     }
 
+    /// Capacity of the slab's current index table.
+    fn table_capacity(slab: &SnapshotSlab) -> usize {
+        unsafe { &*slab.table.load(Ordering::Relaxed) }.mask + 1
+    }
+
+    /// Remove+insert churn at a constant live count retires nothing:
+    /// the only retired tables are the doublings that reached the
+    /// live count.
     #[test]
-    fn memo_caches_within_an_epoch_and_invalidates_across() {
-        use std::sync::atomic::AtomicUsize;
+    fn churn_retires_only_doubled_tables() {
+        const LIVE: u64 = 1_000;
         let slab = SnapshotSlab::new();
         {
             let mut w = slab.write();
-            let s = w.insert(PeerId(1));
-            w.set_reputation(s, 0.9f64.to_bits());
-            w.add_hits(s, 20);
+            for p in 0..LIVE {
+                w.insert(PeerId(p));
+            }
         }
-        let calls = AtomicUsize::new(0);
-        let classify = |r: f64, _h: u64| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            u8::from(r < 0.5)
-        };
-        assert_eq!(slab.read_classified(PeerId(1), classify), Some(0));
-        assert_eq!(slab.read_classified(PeerId(1), classify), Some(0));
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "second read memo-hits");
-        {
+        let capacity = table_capacity(&slab);
+        let doublings = (capacity / 16).trailing_zeros() as usize;
+        let retired_values = slab.writer.lock().unwrap().retired_values.len();
+        for step in 0..200_000u64 {
             let mut w = slab.write();
-            let s = w.slot_of(PeerId(1)).unwrap();
-            w.set_reputation(s, 0.1f64.to_bits());
+            w.remove(PeerId(step));
+            let slot = w.insert(PeerId(step + LIVE));
+            w.add_hits(slot, 1);
         }
-        assert_eq!(slab.read_classified(PeerId(1), classify), Some(1));
-        assert_eq!(calls.load(Ordering::Relaxed), 2, "new epoch reclassifies");
+        assert_eq!(slab.len(), LIVE as usize);
+        assert_eq!(table_capacity(&slab), capacity);
+        let state = slab.writer.lock().unwrap();
+        assert_eq!(state.retired_tables.len(), doublings);
+        assert_eq!(state.retired_values.len(), retired_values);
+        drop(state);
+        let newest = 200_000 + LIVE - 1;
+        assert_eq!(slab.read(PeerId(newest)), Some((0, 1)));
+        assert_eq!(slab.read(PeerId(0)), None);
+    }
+
+    /// Random inserts and removes over keys whose probe chains collide
+    /// at the end of a 16-bucket table and wrap past it, checked after
+    /// every op against a model map: every key reads as the model says
+    /// and a sweep sees each live key exactly once.
+    #[test]
+    fn backward_shift_matches_a_map_model() {
+        use replend_types::hash::{splitmix64, PeerMap};
+        // Homes 13, 14, 15 and 0 of a 16-bucket table, so clusters
+        // form at the end and wrap to the front.
+        let mut keys: Vec<u64> = Vec::new();
+        for (home, n) in [(13, 3), (14, 3), (15, 6), (0, 3)] {
+            keys.extend((0u64..).filter(|&k| splitmix64(k) & 15 == home).take(n));
+        }
+        let slab = SnapshotSlab::new();
+        let mut model: PeerMap<u64, (u64, u64)> = PeerMap::default();
+        let mut rng = 0x5EED_u64;
+        let mut sweep = Vec::new();
+        for step in 0..20_000u64 {
+            rng = splitmix64(rng);
+            let key = keys[(rng % keys.len() as u64) as usize];
+            {
+                let mut w = slab.write();
+                // Stay below the 3/4 growth line: the table keeps its
+                // 16 buckets, so the clusters keep wrapping.
+                if model.contains_key(&key) || model.len() == 11 {
+                    w.remove(PeerId(key));
+                    model.remove(&key);
+                } else {
+                    let slot = w.insert(PeerId(key));
+                    w.set_reputation(slot, step);
+                    w.add_hits(slot, key);
+                    model.insert(key, (step, key));
+                }
+            }
+            assert_eq!(table_capacity(&slab), 16);
+            assert_eq!(slab.len(), model.len());
+            for &k in &keys {
+                assert_eq!(slab.read(PeerId(k)), model.get(&k).copied(), "step {step}");
+            }
+            assert!(slab.try_sweep(&mut sweep));
+            sweep.sort_unstable();
+            let mut expected: Vec<(u64, u64, u64)> =
+                model.iter().map(|(&k, &(r, h))| (k, r, h)).collect();
+            expected.sort_unstable();
+            assert_eq!(sweep, expected, "step {step}");
+        }
     }
 
     #[test]

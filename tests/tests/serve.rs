@@ -226,9 +226,10 @@ fn journalled_workload_survives_restart_with_census_intact() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The input-validation boundary: a NaN opinion and a NaN debit are
-/// refused with typed errors *before* they are journalled, so they can
-/// neither zero the subject live nor on replay. The subject still
+/// The input-validation boundary: a NaN opinion, a NaN debit and a
+/// negative credit or debit are refused with typed errors *before*
+/// they are journalled, so they can move the subject neither live nor
+/// on replay. The subject still
 /// climbs under positive reports afterwards, and reopening the journal
 /// (which holds only the accepted ops) reproduces the same census.
 #[test]
@@ -283,6 +284,18 @@ fn invalid_inputs_are_refused_before_the_journal() {
             ..
         })
     ));
+    // The engine applies an amount's magnitude, so a negative credit
+    // would raise the subject and a negative debit would lower it.
+    for refused in [service.credit(subject, -0.3), service.debit(subject, -0.2)] {
+        assert!(matches!(
+            refused,
+            Err(ServeError::InvalidInput {
+                field: "amount",
+                index: None,
+                ..
+            })
+        ));
+    }
     assert_eq!(
         service.reputation(subject).map(|r| r.value().to_bits()),
         Some(before.value().to_bits()),

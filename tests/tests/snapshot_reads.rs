@@ -17,7 +17,7 @@
 //! fingerprints exactly.
 
 use proptest::prelude::*;
-use replend_rocq::{ConcurrentEngine, RocqParams, SnapshotSlab};
+use replend_rocq::{ConcurrentEngine, ReputationEngine, RocqEngine, RocqParams, SnapshotSlab};
 use replend_types::hash::{salted, splitmix64, PeerMap, PeerSet};
 use replend_types::{Feedback, PeerId, Reputation};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -336,14 +336,21 @@ proptest! {
         prop_assert_eq!(sweep_failure, None);
 
         // Quiesced: the live engine landed on the last serial state,
-        // and the lock-free reads agree with the locked oracle bit
-        // for bit.
+        // and the lock-free reads agree bit for bit with a monolithic
+        // engine fed the same ops (the crash model is off).
         prop_assert_eq!(&fingerprint_of(&live), serial.last().unwrap());
+        let mut monolith = RocqEngine::new(serve_params(), 3, seed);
+        for s in 0..subjects {
+            monolith.register_peer(PeerId(s), Reputation::HALF);
+        }
+        for batch in &batches {
+            monolith.report_batch(batch);
+        }
         for s in 0..subjects {
             let subject = PeerId(s);
             prop_assert_eq!(
                 live.reputation(subject).map(|r| r.value().to_bits()),
-                live.reputation_locked(subject).map(|r| r.value().to_bits())
+                monolith.reputation(subject).map(|r| r.value().to_bits())
             );
         }
     }
