@@ -666,8 +666,9 @@ impl Community {
             .record(self.clock, Event::Departed { peer: victim });
         self.topology.remove_peer(victim);
         self.engine.remove_peer(victim);
-        // Crash-recovery deltas from the overlay leave affect only
-        // *other* subjects; the victim's tracked value is final.
+        // With the engine's crash model on, the overlay leave may
+        // surface crash-recovery deltas; they affect only *other*
+        // subjects, and the victim's tracked value is final.
         self.sync_engine_deltas();
         self.table.depart(victim);
         self.stats.departures += 1;

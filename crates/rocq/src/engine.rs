@@ -4,7 +4,8 @@
 //! through this trait: register/remove peers, deliver post-transaction
 //! opinions, query aggregates, and apply the lending protocol's direct
 //! credits and debits. [`RocqEngine`] implements it with full
-//! score-manager replication over the Chord ring; the simpler engines
+//! score-manager replication, simulating the Chord overlay only when
+//! its crash model can change a value; the simpler engines
 //! in [`baselines`](crate::baselines) implement it centrally for
 //! ablation comparisons, and [`reference`](crate::reference) preserves
 //! the pre-arena memory layout as a semantic oracle.
@@ -44,9 +45,13 @@
 //! `numSM`-strided score slab — a struct-of-arrays `ScoreSlab` walked
 //! by plain per-lane loops (see the `slab` module docs for the layout
 //! and the determinism rule); the cache refresh then walks the same
-//! slab plus the `cached`/`touched_seq` arrays. Replica placement
-//! metadata (ring keys, hosts, re-homing counters) is cold and only
-//! touched by churn.
+//! slab plus the `cached`/`touched_seq` arrays.
+//!
+//! Replica placement (ring, replica-key index, re-home counters) is
+//! the private `overlay` module's `Overlay`. It can change a value only
+//! through the crash model, so the engine holds one exactly when
+//! `params.crash_prob > 0`; without it, as in the service and every
+//! figure and scenario, registration and removal touch only the arena.
 //!
 //! ## Departures touch only the departed peer
 //!
@@ -68,21 +73,18 @@
 //! grown to the workload's working set, a steady-state
 //! `report_batch` + `drain_deltas` cycle performs **zero heap
 //! allocations** (asserted by a counting-allocator test in
-//! `replend-tests` and a capacity-stability test below). Churn
-//! handoffs borrow the key index's inline assignment lists in place
-//! instead of cloning them.
+//! `replend-tests` and a capacity-stability test below).
 
 use crate::credibility::CredibilityBook;
+use crate::overlay::Overlay;
 use crate::params::RocqParams;
 use crate::quality::quality_from_count;
-use crate::ring::{replica_key, HandoffEvent, Ring};
 use crate::score::ScoreState;
 use crate::slab::ScoreSlab;
 use crate::state::{EngineState, InvalidState, ShardState};
-use replend_types::arena::{Handle, InlineList, SlotAlloc, SlotAllocator};
-use replend_types::hash::{salted, splitmix64, PeerMap};
-use replend_types::{Feedback, NodeId, PeerId, Reputation, ReputationDelta};
-use std::collections::BTreeMap;
+use replend_types::arena::{Handle, SlotAlloc, SlotAllocator};
+use replend_types::hash::PeerMap;
+use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
 
 /// Abstract reputation backend.
 ///
@@ -92,7 +94,8 @@ pub trait ReputationEngine {
     /// Introduces a new subject with the given starting reputation
     /// (0 for un-introduced entrants, `introAmt` once credited, …).
     /// The peer also joins the score-manager overlay where the engine
-    /// has one.
+    /// simulates one — for [`RocqEngine`], only with the crash model
+    /// on.
     fn register_peer(&mut self, peer: PeerId, initial: Reputation);
 
     /// Removes a subject and its overlay presence.
@@ -144,95 +147,11 @@ pub trait ReputationEngine {
     fn name(&self) -> &'static str;
 }
 
-/// The deterministic crash-loss roll: a uniform `[0, 1)` value hashed
-/// from the engine seed and the replica's identity and re-homing
-/// count. Independent of the order in which re-homings are
-/// processed. Shared with the
-/// [`reference`](crate::reference) layout so both engines roll
-/// identically.
-#[inline]
-pub(crate) fn crash_roll(seed: u64, subject: PeerId, slot: usize, rehomes: u64) -> f64 {
-    // slot < numSM (single digits) and rehomes grow slowly; packing
-    // them into one salt keeps the tuple collision-free in practice.
-    let salt = ((slot as u64) << 48) ^ rehomes;
-    let bits = splitmix64(seed ^ salted(subject.raw(), salt));
-    // 53 high bits → the same [0, 1) grid rand uses for f64.
-    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// The incarnation of every live subject after a checkpoint import.
 /// Incarnations are derived, never stored: only equality with a book
 /// row's tag is observable, so import tags every row with this value
 /// and later registrations count up from it.
 const IMPORTED_INCARNATION: u64 = 1;
-
-/// One `(subject handle, replica slot)` entry of the replica-key
-/// index.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Assignment {
-    subject: Handle,
-    slot: u32,
-}
-
-/// The replica assignments of one ring key. Nearly always a single
-/// entry (replica keys are salted per slot), so two inline slots keep
-/// the whole index heap-allocation-free in the common case.
-type AssignList = InlineList<Assignment, 2>;
-
-/// Cold replica placement metadata, `numSM` consecutive entries per
-/// subject handle; only the churn path reads or writes it.
-#[derive(Clone, Copy, Debug)]
-struct ReplicaMeta {
-    /// Ring key that determines the host.
-    key: NodeId,
-    /// Current host node.
-    host: NodeId,
-    /// Times this replica has been re-homed by churn — the counter
-    /// that (with the engine seed, subject and slot) determines the
-    /// deterministic crash-loss roll of the *next* re-homing.
-    rehomes: u64,
-}
-
-impl ReplicaMeta {
-    /// Placeholder for a freshly pushed, not-yet-initialised slot.
-    fn vacant() -> Self {
-        ReplicaMeta {
-            key: NodeId(0),
-            host: NodeId(0),
-            rehomes: 0,
-        }
-    }
-}
-
-/// All replica keys of `index` lying in the clockwise interval
-/// `(start, end]`, with their assignment lists **borrowed in place**
-/// (the crash-recovery path used to clone each list; see ISSUE 5).
-/// `start == end` denotes the whole ring (first join). A free
-/// function over the map field so callers can mutate sibling fields
-/// while iterating.
-fn assignments_in_arc(
-    index: &BTreeMap<NodeId, AssignList>,
-    start: NodeId,
-    end: NodeId,
-) -> impl Iterator<Item = (&NodeId, &AssignList)> {
-    use std::ops::Bound::{Excluded, Included, Unbounded};
-    // Express all three arc shapes as one range plus an optional
-    // wrap-around range, so the return type is a single chain.
-    let (first, wrap) = if start == end {
-        ((Unbounded, Unbounded), None)
-    } else if start < end {
-        ((Excluded(start), Included(end)), None)
-    } else {
-        // Wrapping arc: (start, MAX] ∪ [MIN, end].
-        (
-            (Excluded(start), Unbounded),
-            Some((Unbounded, Included(end))),
-        )
-    };
-    index
-        .range(first)
-        .chain(wrap.map(|r| index.range(r)).into_iter().flatten())
-}
 
 /// The engine's subject store, a dense slot arena (see the module
 /// docs for the layout).
@@ -263,22 +182,13 @@ struct EngineShard {
     /// Per-subject credibility ledger (all replica slots and the
     /// tagged interaction count in one row per reporter).
     books: Vec<CredibilityBook>,
-    /// Replica placement metadata, `numSM` consecutive per handle.
-    meta: Vec<ReplicaMeta>,
-    // ---- index & buffers ----
-    /// Replica-key index: key → inline (handle, slot) list, for
-    /// O(moved) churn handling instead of O(subjects).
-    key_index: BTreeMap<NodeId, AssignList>,
+    // ---- buffers ----
     /// Aggregate changes since the last drain, in mutation order.
     /// Drained with capacity retained.
     deltas: Vec<ReputationDelta>,
     /// Reusable first-touch scratch of
     /// [`ReputationEngine::report_batch`] (cleared, never freed).
     touched: Vec<Handle>,
-    /// Replica re-homings processed so far.
-    rehomings: u64,
-    /// Re-homings that lost state under the crash model.
-    crash_losses: u64,
     /// The incarnation the next registration hands out.
     next_incarnation: u64,
     /// Replication factor (array stride), copied from the engine.
@@ -296,12 +206,8 @@ impl EngineShard {
             slab: ScoreSlab::new(),
             peers: Vec::new(),
             books: Vec::new(),
-            meta: Vec::new(),
-            key_index: BTreeMap::new(),
             deltas: Vec::new(),
             touched: Vec::new(),
-            rehomings: 0,
-            crash_losses: 0,
             next_incarnation: IMPORTED_INCARNATION,
             num_sm,
         }
@@ -314,70 +220,23 @@ impl EngineShard {
         self.index.get(&peer).map(|h| self.incarnation[h.index()])
     }
 
-    /// Applies a churn handoff: every replica whose key
-    /// lies in the moved arc is re-homed to `event.to`; with
-    /// probability `crash_prob` (decided by the deterministic
-    /// [`crash_roll`]) its state is lost and recovered from a
-    /// surviving sibling replica (or reset when none exists). The
-    /// key index is borrowed in place — no per-key clone, no moved-key
-    /// buffer.
-    fn apply_handoff(&mut self, event: HandoffEvent, params: &RocqParams, seed: u64) {
-        let EngineShard {
-            key_index,
-            cached,
-            slab,
-            peers,
-            books,
-            meta,
-            deltas,
-            rehomings,
-            crash_losses,
-            num_sm,
-            ..
-        } = self;
-        let sm = *num_sm;
-        for (_key, assignments) in assignments_in_arc(key_index, event.range_start, event.range_end)
-        {
-            for &Assignment { subject, slot } in assignments.as_slice() {
-                *rehomings += 1;
-                let slot = slot as usize;
-                let base = subject.index() * sm;
-                let rehomes = meta[base + slot].rehomes;
-                meta[base + slot].rehomes += 1;
-                let peer = peers[subject.index()];
-                let crash = params.crash_prob > 0.0
-                    && crash_roll(seed, peer, slot, rehomes) < params.crash_prob;
-                if crash {
-                    *crash_losses += 1;
-                    // Recover from the first sibling replica hosted
-                    // elsewhere; reset when this is the only replica.
-                    match (0..sm).find(|&i| i != slot) {
-                        Some(sibling) => {
-                            slab.copy_lane(base + slot, base + sibling);
-                            books[subject.index()].copy_column(slot, sibling);
-                        }
-                        None => {
-                            slab.set(base + slot, ScoreState::new(Reputation::ZERO, 0.0));
-                            books[subject.index()].reset_column(slot);
-                        }
-                    }
-                    // Recovery rewrote replica state: refresh the
-                    // cached aggregate and surface the change.
-                    let old = cached[subject.index()];
-                    let new = slab.aggregate_span(base, sm);
-                    cached[subject.index()] = new;
-                    let delta = ReputationDelta {
-                        subject: peer,
-                        old,
-                        new,
-                    };
-                    if !delta.is_noop() {
-                        deltas.push(delta);
-                    }
-                }
-                meta[base + slot].host = event.to;
+    /// Recovers replica `slot` of `h` after the crash model lost its
+    /// state: it copies the first sibling replica, or resets when it
+    /// is the only one, then refreshes the cached aggregate.
+    fn recover_lane(&mut self, h: Handle, slot: usize) {
+        let base = h.index() * self.num_sm;
+        match (0..self.num_sm).find(|&i| i != slot) {
+            Some(sibling) => {
+                self.slab.copy_lane(base + slot, base + sibling);
+                self.books[h.index()].copy_column(slot, sibling);
+            }
+            None => {
+                self.slab
+                    .set(base + slot, ScoreState::new(Reputation::ZERO, 0.0));
+                self.books[h.index()].reset_column(slot);
             }
         }
+        self.refresh_cache(h);
     }
 
     /// Applies one opinion to `subject`'s replicas *without*
@@ -472,20 +331,13 @@ impl EngineShard {
 
     /// Exports the complete subject arena in the
     /// derive-don't-store layout (see the [`state`](crate::state)
-    /// module docs). Vacant slots are canonicalised, uniform score
-    /// lanes and credibility rows are packed once, and replica
-    /// placement collapses to exception lists verified here against
-    /// the derivations import will perform (`ring_nodes` is the
-    /// engine ring in ascending order — the host oracle). Interaction
-    /// counts are read through `incarnation_of` (see
+    /// module docs). Vacant slots are canonicalised and uniform score
+    /// lanes and credibility rows are packed once. Interaction counts
+    /// are read through `incarnation_of` (see
     /// [`RocqEngine::export_state`]), so a stale count exports as 0.
     /// The delta buffer must be drained first — deltas are a transient
     /// hand-off to the caller, not durable state.
-    fn export(
-        &self,
-        ring_nodes: &[NodeId],
-        incarnation_of: impl Fn(PeerId) -> Option<u64>,
-    ) -> ShardState {
+    fn export(&self, incarnation_of: impl Fn(PeerId) -> Option<u64>) -> ShardState {
         debug_assert!(self.deltas.is_empty(), "export with undrained deltas");
         let capacity = self.alloc.capacity();
         let num_sm = self.num_sm;
@@ -565,67 +417,6 @@ impl EngineShard {
             }
         }
 
-        // Replica placement. Keys are pure derivations (asserted);
-        // hosts are diffed against the ring-successor derivation via
-        // one merge-walk over the key-sorted live lanes, leaving only
-        // the disagreements (normally none) in the state.
-        let lanes = capacity * num_sm;
-        let mut keyed: Vec<(NodeId, u32)> = Vec::with_capacity(index.len() * num_sm);
-        let mut rehomes = vec![0u32; lanes];
-        let mut rehomes_wide = Vec::new();
-        for (h, &live) in occupied.iter().enumerate() {
-            if !live {
-                continue;
-            }
-            for slot in 0..num_sm {
-                let lane = h * num_sm + slot;
-                let m = &self.meta[lane];
-                debug_assert_eq!(
-                    m.key,
-                    replica_key(self.peers[h], slot),
-                    "stored replica key diverged from its derivation"
-                );
-                keyed.push((m.key, lane as u32));
-                match u32::try_from(m.rehomes) {
-                    Ok(v) => rehomes[lane] = v,
-                    Err(_) => {
-                        rehomes[lane] = u32::MAX;
-                        rehomes_wide.push((lane as u32, m.rehomes));
-                    }
-                }
-            }
-        }
-        keyed.sort_unstable();
-        let mut host_exceptions = Vec::new();
-        let mut j = 0;
-        for &(k, lane) in &keyed {
-            while j < ring_nodes.len() && ring_nodes[j] < k {
-                j += 1;
-            }
-            let canonical = ring_nodes.get(j).or_else(|| ring_nodes.first());
-            if canonical != Some(&self.meta[lane as usize].host) {
-                host_exceptions.push((lane, self.meta[lane as usize].host));
-            }
-        }
-        host_exceptions.sort_unstable_by_key(|&(lane, _)| lane);
-
-        // The key index is rebuilt from the derived keys on import;
-        // only colliding keys' lists are order-bearing and travel.
-        let key_collisions = self
-            .key_index
-            .iter()
-            .filter(|(_, list)| list.len() > 1)
-            .map(|(&k, list)| {
-                (
-                    k,
-                    list.as_slice()
-                        .iter()
-                        .map(|a| (a.subject, a.slot))
-                        .collect(),
-                )
-            })
-            .collect();
-
         ShardState {
             capacity: capacity as u32,
             free: self.alloc.free_handles().to_vec(),
@@ -650,44 +441,24 @@ impl EngineShard {
             book_reporters,
             book_counts,
             book_rows,
-            rehomes,
-            rehomes_wide,
-            host_exceptions,
-            key_collisions,
-            rehomings: self.rehomings,
-            crash_losses: self.crash_losses,
         }
     }
 
     /// Rebuilds the store from exported state — the exact inverse of
     /// [`EngineShard::export`]. Packed lanes and rows are re-expanded
-    /// bit-for-bit; replica keys are recomputed, hosts re-derived by
-    /// merge-walking `ring_nodes` (ascending) and patched from the
-    /// exception list; the key index is rebuilt from the recomputed
-    /// keys with colliding keys' lists restored verbatim. Scratch
+    /// bit-for-bit. Scratch
     /// buffers start empty and the touch-sequence array starts at
     /// zero (sound: the batch counter restarts at zero too and dedup
     /// compares equality only). Every subject and every book row gets
     /// [`IMPORTED_INCARNATION`]: a live reporter's exported counts are
     /// current again, and a departed reporter's exported 0 reads as 0
     /// under any tag.
-    fn import(
-        s: &ShardState,
-        num_sm: usize,
-        params: &RocqParams,
-        ring_nodes: &[NodeId],
-    ) -> Result<Self, InvalidState> {
+    fn import(s: &ShardState, num_sm: usize, params: &RocqParams) -> Result<Self, InvalidState> {
         let capacity = s.capacity as usize;
-        let lanes = capacity * num_sm;
         if s.cached.len() != capacity || s.peers.len() != capacity || s.book_lens.len() != capacity
         {
             return Err(InvalidState(format!(
                 "handle arrays disagree with capacity {capacity}"
-            )));
-        }
-        if s.rehomes.len() != lanes {
-            return Err(InvalidState(format!(
-                "re-home array disagrees with {capacity} slots x {num_sm} score managers"
             )));
         }
         if s.slab_uniform.len() != capacity.div_ceil(8) {
@@ -797,109 +568,29 @@ impl EngineShard {
             ));
         }
 
-        // Replica placement: keys are pure derivations of
-        // (subject, slot); hosts come from one merge-walk over the
-        // key-sorted lanes against the ring, then the exception list.
-        shard.meta = vec![ReplicaMeta::vacant(); lanes];
-        let mut keyed: Vec<(NodeId, u32)> = Vec::with_capacity(s.index.len() * num_sm);
-        for &(peer, h) in &s.index {
-            for slot in 0..num_sm {
-                let lane = h.index() * num_sm + slot;
-                keyed.push((replica_key(peer, slot), lane as u32));
-            }
-        }
-        keyed.sort_unstable();
-        if !keyed.is_empty() && ring_nodes.is_empty() {
-            return Err(InvalidState("live replicas with an empty ring".into()));
-        }
-        let mut j = 0;
-        for &(k, lane) in &keyed {
-            while j < ring_nodes.len() && ring_nodes[j] < k {
-                j += 1;
-            }
-            let host = *ring_nodes.get(j).unwrap_or(&ring_nodes[0]);
-            let lane = lane as usize;
-            shard.meta[lane] = ReplicaMeta {
-                key: k,
-                host,
-                rehomes: s.rehomes[lane] as u64,
-            };
-        }
-        let live_lane = |lane: u32| (lane as usize) < lanes && occupied[lane as usize / num_sm];
-        for &(lane, n) in &s.rehomes_wide {
-            if !live_lane(lane) {
-                return Err(InvalidState("wide re-home counter on a dead lane".into()));
-            }
-            shard.meta[lane as usize].rehomes = n;
-        }
-        for &(lane, host) in &s.host_exceptions {
-            if !live_lane(lane) {
-                return Err(InvalidState("host exception on a dead lane".into()));
-            }
-            shard.meta[lane as usize].host = host;
-        }
-
-        // Key index: group the already-sorted lanes, then restore the
-        // order-bearing collision lists verbatim.
-        let mut entries: Vec<(NodeId, AssignList)> = Vec::with_capacity(keyed.len());
-        for &(k, lane) in &keyed {
-            let a = Assignment {
-                subject: Handle::from_index(lane as usize / num_sm),
-                slot: (lane as usize % num_sm) as u32,
-            };
-            match entries.last_mut() {
-                Some((last, list)) if *last == k => list.push(a),
-                _ => {
-                    let mut list = AssignList::default();
-                    list.push(a);
-                    entries.push((k, list));
-                }
-            }
-        }
-        shard.key_index = entries.into_iter().collect();
-        for (key, list) in &s.key_collisions {
-            let mut rebuilt = AssignList::default();
-            for &(h, slot) in list {
-                if h.index() >= capacity
-                    || !occupied[h.index()]
-                    || (slot as usize) >= num_sm
-                    || replica_key(s.peers[h.index()], slot as usize) != *key
-                {
-                    return Err(InvalidState("collision list names a foreign lane".into()));
-                }
-                rebuilt.push(Assignment { subject: h, slot });
-            }
-            match shard.key_index.get_mut(key) {
-                Some(entry) if entry.len() == rebuilt.len() => *entry = rebuilt,
-                _ => {
-                    return Err(InvalidState(
-                        "collision list disagrees with derived keys".into(),
-                    ))
-                }
-            }
-        }
-
-        shard.rehomings = s.rehomings;
-        shard.crash_losses = s.crash_losses;
         Ok(shard)
     }
 }
 
 /// The replicated ROCQ engine.
 ///
-/// Every registered peer is simultaneously an overlay node (in the
-/// paper, peers *are* the DHT nodes that act as score managers), so
-/// registration causes a ring join, removal a ring leave, and both
-/// trigger replica re-homing with optional crash loss. Subjects live
-/// in one dense-arena store (see the module docs); concurrent
-/// partitioning is [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)'s
-/// job.
+/// Every subject has `numSM` score-manager replicas. With the crash
+/// model on (`crash_prob > 0`), every registered peer is also an
+/// overlay node (in the paper, peers *are* the DHT nodes that act as
+/// score managers), so registration causes a ring join, removal a
+/// ring leave, and both re-home replicas that may lose their state.
+/// With it off, re-homing could change nothing, so the engine keeps no
+/// overlay (see the module docs). Subjects live in one dense-arena
+/// store; concurrent partitioning is
+/// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)'s job.
 pub struct RocqEngine {
     params: RocqParams,
     num_sm: usize,
     /// Engine seed — the source of the deterministic crash rolls.
     seed: u64,
-    ring: Ring,
+    /// The simulated overlay, present exactly when
+    /// `params.crash_prob > 0`.
+    overlay: Option<Overlay>,
     /// The subject store. Its index is also the member registry: a
     /// peer is a member exactly while it has subject state here.
     shard: EngineShard,
@@ -923,21 +614,23 @@ impl RocqEngine {
             params,
             num_sm,
             seed,
-            ring: Ring::new(),
+            overlay: (params.crash_prob > 0.0)
+                .then(|| Overlay::new(num_sm, seed, params.crash_prob)),
             shard: EngineShard::new(num_sm),
             batch_seq: 0,
             drain_order: Vec::new(),
         }
     }
 
-    /// Total replica re-homings caused by churn so far.
+    /// Total replica re-homings caused by churn so far — always 0
+    /// with the crash model off, when the engine simulates no overlay.
     pub fn rehomings(&self) -> u64 {
-        self.shard.rehomings
+        self.overlay.as_ref().map_or(0, |o| o.rehomings)
     }
 
     /// Re-homings that lost state under the crash model.
     pub fn crash_losses(&self) -> u64 {
-        self.shard.crash_losses
+        self.overlay.as_ref().map_or(0, |o| o.crash_losses)
     }
 
     /// Per-replica views of `subject` for the inspection API.
@@ -953,7 +646,6 @@ impl RocqEngine {
             (0..self.num_sm)
                 .map(|slot| crate::inspect::ReplicaSnapshot {
                     slot,
-                    host: shard.meta[base + slot].host,
                     reputation: shard.slab.get(base + slot).reputation(),
                     evidence: shard.slab.get(base + slot).weight(),
                     known_reporters: known,
@@ -988,13 +680,12 @@ impl RocqEngine {
         &self,
         incarnation_of: impl Fn(PeerId) -> Option<u64>,
     ) -> EngineState {
-        let ring = self.ring.to_vec();
         EngineState {
             params: self.params,
             num_sm: self.num_sm as u64,
             seed: self.seed,
-            shard: self.shard.export(&ring, incarnation_of),
-            ring,
+            shard: self.shard.export(incarnation_of),
+            overlay: self.overlay.as_ref().map(Overlay::export),
         }
     }
 
@@ -1007,7 +698,8 @@ impl RocqEngine {
     /// Rebuilds an engine from exported state — the inverse of
     /// [`RocqEngine::export_state`]. Semantic defects (lengths
     /// disagreeing with the declared capacity, out-of-range handles,
-    /// invalid parameters) surface as [`InvalidState`] so a corrupt
+    /// invalid parameters, an overlay whose presence disagrees with
+    /// `params.crash_prob`) surface as [`InvalidState`] so a corrupt
     /// checkpoint can fall back to full journal replay instead of
     /// aborting.
     pub(crate) fn import_state(state: &EngineState) -> Result<Self, InvalidState> {
@@ -1019,15 +711,24 @@ impl RocqEngine {
             .ok()
             .filter(|&n| n > 0)
             .ok_or_else(|| InvalidState(format!("invalid numSM {}", state.num_sm)))?;
-        let mut engine = RocqEngine::new(state.params, num_sm, state.seed);
-        // The export writes the ring in ascending order; the host
-        // derivation merge-walks it, so enforce the order here rather
-        // than trusting the bytes.
-        if !state.ring.windows(2).all(|w| w[0] < w[1]) {
-            return Err(InvalidState("ring nodes not strictly ascending".into()));
+        let crash_prob = state.params.crash_prob;
+        if state.overlay.is_some() != (crash_prob > 0.0) {
+            return Err(InvalidState(format!(
+                "overlay presence disagrees with crash_prob {crash_prob}"
+            )));
         }
-        engine.ring = Ring::from_sorted_nodes(state.ring.iter().copied());
-        engine.shard = EngineShard::import(&state.shard, num_sm, &state.params, &state.ring)?;
+        let mut engine = RocqEngine::new(state.params, num_sm, state.seed);
+        engine.shard = EngineShard::import(&state.shard, num_sm, &state.params)?;
+        engine.overlay = match &state.overlay {
+            Some(o) => Some(Overlay::import(
+                o,
+                &state.shard,
+                num_sm,
+                state.seed,
+                crash_prob,
+            )?),
+            None => None,
+        };
         Ok(engine)
     }
 
@@ -1052,8 +753,10 @@ impl ReputationEngine for RocqEngine {
         }
         // The peer becomes an overlay node first (it may end up
         // hosting some of its own replicas on tiny rings — harmless).
-        if let Some(event) = self.ring.join(peer.node_id()) {
-            self.shard.apply_handoff(event, &self.params, self.seed);
+        if let Some(overlay) = &mut self.overlay {
+            for &(lost, slot) in overlay.join(peer, &self.shard.peers) {
+                self.shard.recover_lane(lost, slot);
+            }
         }
         let num_sm = self.num_sm;
         let shard = &mut self.shard;
@@ -1072,7 +775,6 @@ impl ReputationEngine for RocqEngine {
                 ));
                 for _ in 0..num_sm {
                     shard.slab.push(ScoreState::default());
-                    shard.meta.push(ReplicaMeta::vacant());
                 }
                 h
             }
@@ -1092,53 +794,39 @@ impl ReputationEngine for RocqEngine {
         };
         let base = h.index() * num_sm;
         for slot in 0..num_sm {
-            let key = replica_key(peer, slot);
-            let host = self.ring.successor(key).expect("ring non-empty after join");
             shard.slab.set(
                 base + slot,
                 ScoreState::new(initial, self.params.prior_weight),
             );
-            shard.meta[base + slot] = ReplicaMeta {
-                key,
-                host,
-                rehomes: 0,
-            };
-            shard.key_index.entry(key).or_default().push(Assignment {
-                subject: h,
-                slot: slot as u32,
-            });
         }
         shard.cached[h.index()] = shard.slab.aggregate_span(base, num_sm);
         shard.index.insert(peer, h);
+        if let Some(overlay) = &mut self.overlay {
+            overlay.place(peer, h);
+        }
     }
 
     fn remove_peer(&mut self, peer: PeerId) {
-        let num_sm = self.num_sm;
         let shard = &mut self.shard;
         let Some(h) = shard.index.remove(&peer) else {
             return;
         };
-        let base = h.index() * num_sm;
-        for slot in 0..num_sm {
-            let key = shard.meta[base + slot].key;
-            if let Some(list) = shard.key_index.get_mut(&key) {
-                list.retain(|a| !(a.subject == h && a.slot == slot as u32));
-                if list.is_empty() {
-                    shard.key_index.remove(&key);
-                }
-            }
-        }
         // Release the subject's heap state (its book holds its counts
         // as a subject); the slot itself is recycled by the free list.
         // Other subjects' books keep the departed peer's rows (as the
         // reference layout's replica tables keep its credibility —
         // earned credibility resumes on re-join); the interaction
         // counts there went stale with its incarnation.
-        shard.books[h.index()] =
-            CredibilityBook::new(self.params.initial_credibility, self.params.gamma, num_sm);
+        shard.books[h.index()] = CredibilityBook::new(
+            self.params.initial_credibility,
+            self.params.gamma,
+            self.num_sm,
+        );
         shard.alloc.release(h);
-        if let Some(event) = self.ring.leave(peer.node_id()) {
-            shard.apply_handoff(event, &self.params, self.seed);
+        if let Some(overlay) = &mut self.overlay {
+            for &(lost, slot) in overlay.leave(peer, h, &shard.peers) {
+                shard.recover_lane(lost, slot);
+            }
         }
     }
 
@@ -1218,6 +906,7 @@ impl ReputationEngine for RocqEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlay::crash_roll;
 
     fn engine() -> RocqEngine {
         RocqEngine::new(RocqParams::default(), 6, 42)
@@ -1227,9 +916,22 @@ mod tests {
         RocqEngine::new(params, num_sm, 42)
     }
 
-    /// Live overlay size.
-    fn overlay_len(e: &RocqEngine) -> usize {
-        e.ring.to_vec().len()
+    /// A crash-model engine: the only kind that simulates the overlay.
+    fn crash_engine(crash_prob: f64) -> RocqEngine {
+        engine_with(
+            RocqParams {
+                crash_prob,
+                ..Default::default()
+            },
+            6,
+        )
+    }
+
+    /// Live overlay size, read through the checkpoint; `None` when the
+    /// engine simulates no overlay.
+    fn overlay_len(e: &mut RocqEngine) -> Option<usize> {
+        e.drain_deltas(&mut Vec::new());
+        export(e).overlay.map(|o| o.ring.len())
     }
 
     /// Replica 0's credibility for `reporter`; `None` when `subject`
@@ -1277,7 +979,12 @@ mod tests {
         assert!(e.contains(PeerId(1)));
         assert!((e.reputation(PeerId(1)).unwrap().value() - 0.1).abs() < 1e-12);
         assert_eq!(e.reputation(PeerId(99)), None);
-        assert_eq!(overlay_len(&e), 1);
+        assert_eq!(overlay_len(&mut e), None, "no crash model, no overlay");
+
+        let mut e = crash_engine(0.5);
+        e.register_peer(PeerId(1), Reputation::new(0.1));
+        assert!((e.reputation(PeerId(1)).unwrap().value() - 0.1).abs() < 1e-12);
+        assert_eq!(overlay_len(&mut e), Some(1));
     }
 
     #[test]
@@ -1385,22 +1092,31 @@ mod tests {
 
     #[test]
     fn remove_peer_cleans_up() {
-        let mut e = engine();
-        for p in 0..10u64 {
-            e.register_peer(PeerId(p), Reputation::HALF);
+        for mut e in [engine(), crash_engine(0.5)] {
+            for p in 0..10u64 {
+                e.register_peer(PeerId(p), Reputation::HALF);
+            }
+            let overlay = e.overlay.is_some();
+            e.remove_peer(PeerId(3));
+            assert!(!e.contains(PeerId(3)));
+            assert_eq!(e.reputation(PeerId(3)), None);
+            assert_eq!(overlay_len(&mut e), overlay.then_some(9));
+            // Removing again is a no-op.
+            e.remove_peer(PeerId(3));
+            assert_eq!(overlay_len(&mut e), overlay.then_some(9));
         }
-        e.remove_peer(PeerId(3));
-        assert!(!e.contains(PeerId(3)));
-        assert_eq!(e.reputation(PeerId(3)), None);
-        assert_eq!(overlay_len(&e), 9);
-        // Removing again is a no-op.
-        e.remove_peer(PeerId(3));
-        assert_eq!(overlay_len(&e), 9);
     }
 
     #[test]
     fn churn_without_crashes_preserves_reputation() {
-        let mut e = engine();
+        // Crash model off (no overlay), and on with a probability no
+        // roll reaches (overlay re-homing without state loss).
+        for mut e in [engine(), crash_engine(1e-12)] {
+            churn_preserves_reputation(&mut e);
+        }
+    }
+
+    fn churn_preserves_reputation(e: &mut RocqEngine) {
         for p in 0..50u64 {
             e.register_peer(PeerId(p), Reputation::ONE);
         }
@@ -1421,7 +1137,11 @@ mod tests {
             (before - after).abs() < 1e-9,
             "graceful churn must not change stored reputations: {before} -> {after}"
         );
-        assert!(e.rehomings() > 0, "churn should have re-homed replicas");
+        assert_eq!(
+            e.rehomings() > 0,
+            e.overlay.is_some(),
+            "churn re-homes replicas exactly when the overlay is simulated"
+        );
         assert_eq!(e.crash_losses(), 0);
     }
 
@@ -1719,11 +1439,11 @@ mod tests {
         e.export_state(|p| e.incarnation_of(p))
     }
 
-    /// A churny mixed op stream (crash model on, so replica re-homing
-    /// counters and crash recovery state are exercised too).
-    fn churny_engine() -> RocqEngine {
+    /// A churny mixed op stream. With the crash model on, replica
+    /// re-homing counters and crash recovery state are exercised too.
+    fn churny_engine(crash_prob: f64) -> RocqEngine {
         let params = RocqParams {
-            crash_prob: 0.3,
+            crash_prob,
             ..RocqParams::default()
         };
         let mut e = RocqEngine::new(params, 3, 42);
@@ -1753,14 +1473,25 @@ mod tests {
     /// re-homing counts surviving the round trip).
     #[test]
     fn export_import_round_trip_preserves_future_behaviour() {
-        let mut original = churny_engine();
+        assert_round_trip_preserves_future_behaviour(churny_engine(0.3));
+    }
+
+    /// The same contract without the crash model: a checkpoint with no
+    /// overlay restores an engine with none that behaves identically.
+    #[test]
+    fn crash_off_export_import_round_trip_preserves_future_behaviour() {
+        assert_round_trip_preserves_future_behaviour(churny_engine(0.0));
+    }
+
+    fn assert_round_trip_preserves_future_behaviour(mut original: RocqEngine) {
         let state = export(&original);
         assert_eq!(state, export(&original), "export is deterministic");
+        assert_eq!(state.overlay.is_some(), original.params.crash_prob > 0.0);
         let mut restored = RocqEngine::import_state(&state).expect("state imports");
         assert_eq!(fingerprint(&original), fingerprint(&restored));
         assert_eq!(original.rehomings(), restored.rehomings());
         assert_eq!(original.crash_losses(), restored.crash_losses());
-        assert_eq!(overlay_len(&original), overlay_len(&restored));
+        assert_eq!(overlay_len(&mut original), overlay_len(&mut restored));
 
         // Identical suffix ops — registrations reuse freed slots,
         // churn rolls crash losses, reports move scores.
@@ -1785,11 +1516,12 @@ mod tests {
         original.drain_deltas(&mut a);
         restored.drain_deltas(&mut b);
         assert_eq!(a, b, "delta streams diverged after restore");
+        assert_eq!(export(&original), export(&restored));
     }
 
     #[test]
     fn import_rejects_semantic_defects() {
-        let state = export(&churny_engine());
+        let state = export(&churny_engine(0.3));
 
         let mut bad = state.clone();
         bad.shard.cached.pop();
@@ -1814,18 +1546,29 @@ mod tests {
         );
 
         let mut bad = state.clone();
-        bad.shard.rehomes.pop();
+        bad.overlay.as_mut().unwrap().rehomes.pop();
         assert!(
             RocqEngine::import_state(&bad).is_err(),
             "short re-home array"
         );
 
         let mut bad = state.clone();
-        bad.ring.reverse();
+        bad.overlay.as_mut().unwrap().ring.reverse();
         assert!(RocqEngine::import_state(&bad).is_err(), "unsorted ring");
 
-        let mut bad = state;
+        let mut bad = state.clone();
         bad.num_sm = 0;
         assert!(RocqEngine::import_state(&bad).is_err(), "zero numSM");
+
+        // An overlay travels exactly when the crash model is on, so
+        // its presence must agree with the params in both directions.
+        let mut missing = state.clone();
+        missing.overlay = None;
+        let err = RocqEngine::import_state(&missing).err().expect("refused");
+        assert!(err.0.contains("overlay"), "{err}");
+        let mut stray = export(&churny_engine(0.0));
+        stray.overlay = state.overlay;
+        let err = RocqEngine::import_state(&stray).err().expect("refused");
+        assert!(err.0.contains("overlay"), "{err}");
     }
 }

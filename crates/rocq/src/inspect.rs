@@ -9,7 +9,7 @@
 //! would debug a disputed reputation.
 
 use crate::engine::RocqEngine;
-use replend_types::{NodeId, PeerId, Reputation};
+use replend_types::{PeerId, Reputation};
 use serde::{Deserialize, Serialize};
 
 /// One replica's view of a subject.
@@ -17,8 +17,6 @@ use serde::{Deserialize, Serialize};
 pub struct ReplicaSnapshot {
     /// Replica slot (0-based).
     pub slot: usize,
-    /// Host node currently responsible for this replica.
-    pub host: NodeId,
     /// The replica's aggregate reputation.
     pub reputation: Reputation,
     /// The replica's accumulated evidence mass.

@@ -29,12 +29,15 @@
 //!
 //! Each subject has `numSM` replicas hosted at the DHT successors of
 //! its salted replica keys (the private `ring` module: a Chord-style
-//! identifier ring plus the replica-key function). Joins and
-//! leaves of overlay nodes re-home replicas; a re-homed replica copies
-//! state from a surviving sibling (anti-entropy), or loses it entirely
-//! with a configurable crash probability — *"redundancy is introduced
-//! in the system in case a score manager crashes"* (§2). Reads combine
-//! the live replicas' values.
+//! identifier ring plus the replica-key function; the private `overlay`
+//! module adds the replica-key index and the crash model).
+//! Joins and leaves of overlay nodes re-home replicas; with a
+//! configurable crash probability a re-homed replica loses its state
+//! and copies it back from a surviving sibling (anti-entropy) —
+//! *"redundancy is introduced in the system in case a score manager
+//! crashes"* (§2). Reads combine the live replicas' values. A
+//! re-homing without a crash changes nothing, so [`RocqEngine`]
+//! simulates the overlay only when the crash probability is positive.
 //!
 //! ## Engines
 //!
@@ -60,6 +63,7 @@ pub mod concurrent;
 mod credibility;
 pub mod engine;
 pub mod inspect;
+mod overlay;
 pub mod params;
 mod quality;
 pub mod reference;

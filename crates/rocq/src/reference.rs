@@ -27,7 +27,8 @@
 //! alone — that is the point of it.
 
 use crate::credibility::CredibilityTable;
-use crate::engine::{crash_roll, ReputationEngine};
+use crate::engine::ReputationEngine;
+use crate::overlay::crash_roll;
 use crate::params::RocqParams;
 use crate::quality::quality_from_count;
 use crate::ring::{replica_key, HandoffEvent, Ring};
@@ -65,8 +66,6 @@ impl InteractionLog {
 struct Replica {
     /// Ring key that determines the host.
     key: NodeId,
-    /// Current host node.
-    host: NodeId,
     /// Aggregate state.
     state: ScoreState,
     /// Per-reporter credibility, local to this replica.
@@ -180,7 +179,6 @@ impl RefShard {
                         self.deltas.push(delta);
                     }
                 }
-                record.replicas[slot].host = event.to;
             }
         }
     }
@@ -296,10 +294,8 @@ impl ReputationEngine for ReferenceEngine {
         let mut replicas = Vec::with_capacity(self.num_sm);
         for i in 0..self.num_sm {
             let key = replica_key(peer, i);
-            let host = self.ring.successor(key).expect("ring non-empty after join");
             replicas.push(Replica {
                 key,
-                host,
                 state: ScoreState::new(initial, self.params.prior_weight),
                 creds: CredibilityTable::new(self.params.initial_credibility, self.params.gamma),
                 rehomes: 0,

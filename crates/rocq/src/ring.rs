@@ -10,8 +10,9 @@
 //! Each key (a 64-bit [`NodeId`]) is *owned* by its clockwise
 //! successor among the live nodes — the standard consistent-hashing
 //! rule Chord uses. Joins and leaves shift ownership of a contiguous
-//! arc, which the ring reports as a [`HandoffEvent`] so the engine can
-//! migrate its per-key replica state.
+//! arc, which the ring reports as a [`HandoffEvent`] so the
+//! [`Overlay`](crate::overlay::Overlay) can re-home the replicas whose
+//! keys lie in it.
 //!
 //! Replica `i` of peer `p` lives at the ring key [`replica_key`]`(p,
 //! i)`; its score manager is that key's successor, and two replicas
@@ -33,16 +34,11 @@ pub(crate) fn replica_key(peer: PeerId, i: usize) -> NodeId {
     NodeId(salted(peer.raw(), i as u64))
 }
 
-/// Ownership transfer caused by churn.
-///
-/// After the event, every key in the half-open clockwise interval
-/// `(range_start, range_end]` is owned by `to` instead of `from`.
+/// Ownership transfer caused by churn: every key in the half-open
+/// clockwise interval `(range_start, range_end]` changed owner (to the
+/// joining node, or to the leaving node's successor).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct HandoffEvent {
-    /// Previous owner (`None` when the ring was empty).
-    pub from: Option<NodeId>,
-    /// New owner.
-    pub to: NodeId,
     /// Exclusive start of the transferred arc.
     pub range_start: NodeId,
     /// Inclusive end of the transferred arc.
@@ -75,17 +71,6 @@ impl Ring {
         }
     }
 
-    /// The clockwise successor of `key` — the live node owning `key`.
-    ///
-    /// Returns `None` only when the ring is empty.
-    pub(crate) fn successor(&self, key: NodeId) -> Option<NodeId> {
-        self.nodes
-            .range(key..)
-            .next()
-            .or_else(|| self.nodes.iter().next())
-            .map(|(id, _)| *id)
-    }
-
     /// The closest live predecessor of `node` (exclusive), i.e. the
     /// node counter-clockwise of it. `None` if `node` is the only
     /// member or the ring is empty.
@@ -114,25 +99,10 @@ impl Ring {
             return None;
         }
         self.nodes.insert(node, ());
-        if self.nodes.len() == 1 {
-            // First node owns the whole ring; nothing to hand off.
-            return Some(HandoffEvent {
-                from: None,
-                to: node,
-                range_start: node,
-                range_end: node,
-            });
-        }
-        let pred = self
-            .predecessor(node)
-            .expect("ring has >= 2 nodes, predecessor exists");
-        let old_owner = self
-            .successor(NodeId(node.raw().wrapping_add(1)))
-            .expect("non-empty ring");
+        // The first node has no predecessor and takes the whole ring
+        // (`range_start == range_end`).
         Some(HandoffEvent {
-            from: Some(old_owner),
-            to: node,
-            range_start: pred,
+            range_start: self.predecessor(node).unwrap_or(node),
             range_end: node,
         })
     }
@@ -142,16 +112,10 @@ impl Ring {
     /// `None`; removing the last node empties the ring (also `None`,
     /// since there is no surviving owner).
     pub(crate) fn leave(&mut self, node: NodeId) -> Option<HandoffEvent> {
-        if !self.nodes.contains_key(&node) {
-            return None;
-        }
-        let pred = self.predecessor(node);
-        self.nodes.remove(&node);
-        let heir = self.successor(node)?;
+        self.nodes.remove(&node)?;
+        // The survivors' predecessor of `node`; none once it is empty.
         Some(HandoffEvent {
-            from: Some(node),
-            to: heir,
-            range_start: pred.unwrap_or(node),
+            range_start: self.predecessor(node)?,
             range_end: node,
         })
     }
@@ -166,6 +130,19 @@ impl Ring {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Ring {
+        /// The clockwise successor of `key` — the live node owning
+        /// `key`, the rule every reported handoff must agree with.
+        /// `None` only when the ring is empty.
+        fn successor(&self, key: NodeId) -> Option<NodeId> {
+            self.nodes
+                .range(key..)
+                .next()
+                .or_else(|| self.nodes.iter().next())
+                .map(|(id, _)| *id)
+        }
+    }
 
     fn ring_of(ids: &[u64]) -> Ring {
         let mut r = Ring::new();
@@ -210,8 +187,6 @@ mod tests {
         let mut r = ring_of(&[10, 30]);
         let ev = r.join(NodeId(20)).unwrap();
         // 20 takes (10, 20] from 30.
-        assert_eq!(ev.from, Some(NodeId(30)));
-        assert_eq!(ev.to, NodeId(20));
         assert_eq!(ev.range_start, NodeId(10));
         assert_eq!(ev.range_end, NodeId(20));
     }
@@ -227,11 +202,10 @@ mod tests {
     fn leave_reports_arc_to_successor() {
         let mut r = ring_of(&[10, 20, 30]);
         let ev = r.leave(NodeId(20)).unwrap();
-        assert_eq!(ev.from, Some(NodeId(20)));
-        assert_eq!(ev.to, NodeId(30));
         assert_eq!(ev.range_start, NodeId(10));
         assert_eq!(ev.range_end, NodeId(20));
         assert_eq!(r.to_vec(), vec![NodeId(10), NodeId(30)]);
+        assert_eq!(r.successor(NodeId(20)), Some(NodeId(30)), "30 inherits");
     }
 
     #[test]
@@ -323,7 +297,7 @@ mod tests {
             for p in probes {
                 let key = NodeId(p);
                 if key.in_interval(ev.range_start, ev.range_end) {
-                    prop_assert_eq!(r.successor(key), Some(ev.to));
+                    prop_assert_eq!(r.successor(key), Some(NodeId(newcomer)));
                 }
             }
         }
@@ -339,10 +313,11 @@ mod tests {
             let mut r = ring_of(&list);
             let leaver = NodeId(list[list.len() / 2]);
             let ev = r.leave(leaver).unwrap();
+            let heir = r.successor(leaver);
             for p in probes {
                 let key = NodeId(p);
                 if key.in_interval(ev.range_start, ev.range_end) {
-                    prop_assert_eq!(r.successor(key), Some(ev.to));
+                    prop_assert_eq!(r.successor(key), heir);
                 }
             }
         }

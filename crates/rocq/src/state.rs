@@ -14,12 +14,7 @@
 //! ## Derive, don't store
 //!
 //! Restart cost is dominated by decoding and rebuilding the
-//! checkpoint, so the format stores only what cannot be recomputed
-//! and **verifies derivability at export time** instead of assuming
-//! it — every compression below is an observation about the exported
-//! engine, checked bit-for-bit while exporting, with an explicit
-//! exception list for the (rare or impossible) cases where the
-//! observation does not hold:
+//! checkpoint, so the format stores only what cannot be recomputed:
 //!
 //! * **Membership is never stored.** A peer is a member exactly while
 //!   it is a live subject, so the subject index below is the member
@@ -32,23 +27,20 @@
 //!   would read it — 0 when the tag is stale — and import tags every
 //!   row and every live subject with one fixed incarnation, so equal
 //!   state still encodes to equal bytes.
-//! * **Replica keys are never stored.** `meta.key` is the pure
-//!   function `replica_key` (in the engine's private `ring` module) of
-//!   `(subject, slot)`; import recomputes it. (Export asserts this in
-//!   debug builds; the engine never mutates a stored key.)
-//! * **Replica hosts are stored as exceptions.** The engine maintains
-//!   `host == ring.successor(key)` at every quiescent point
-//!   (registration sets it, every churn handoff re-establishes it),
-//!   so import re-derives hosts from the restored ring with one
-//!   sorted merge-walk. Export diffs each live replica's actual host
-//!   against the derived one and records the disagreeing lanes in
-//!   [`ShardState::host_exceptions`] — normally empty.
-//! * **The replica-key index is rebuilt, not shipped.** `key →
-//!   (handle, slot)` is the inverse of the recomputed keys. The one
-//!   order-bearing case — two lanes colliding on one 64-bit key,
-//!   where the engine's insertion order decides churn processing
-//!   order — is detected at export and those keys' assignment lists
-//!   travel verbatim in [`ShardState::key_collisions`].
+//! * **The overlay is stored only where it exists.** The simulated
+//!   overlay (ring, replica-key index, re-home counters) can change a
+//!   value only through the crash model, so an engine keeps one
+//!   exactly when `params.crash_prob > 0`, and
+//!   [`EngineState::overlay`] is `Some` exactly then — import refuses
+//!   a state where the two disagree.
+//! * **Replica keys and the key index are never stored.** A replica's
+//!   ring key is the pure function `replica_key(subject, slot)`, and
+//!   import rebuilds the `key → (handle, slot)` index from it. Even
+//!   when two lanes collide on one 64-bit key, the order of their
+//!   shared list is unobservable: one subject's lanes are in slot
+//!   order either way, and different subjects' crash recoveries touch
+//!   disjoint state. Replica hosts are not modelled at all: nothing
+//!   reads which node manages a replica.
 //! * **Uniform score lanes are stored once.** A subject's `num_sm`
 //!   replicas see the same report stream with the same per-slot
 //!   credibilities, so their `(r, w)` states stay bit-identical until
@@ -57,19 +49,15 @@
 //!   [`ShardState::slab_uniform`] bitmap says which), all `num_sm`
 //!   otherwise. Credibility rows get the same treatment per row
 //!   ([`ShardState::book_row_uniform`]).
-//! * **Re-home counters are narrowed to `u32`** (a replica re-homes
-//!   `O(log n)` expected times; `u32::MAX` is unreachable in
-//!   practice), with [`ShardState::rehomes_wide`] carrying the exact
-//!   `u64` for any lane that somehow overflows.
 //! * **Vacant-slot residue is canonicalised, not exported.** The
 //!   registration slot-reuse path overwrites every per-handle field
-//!   before any read (cached, peer, book, score lanes, meta — see
-//!   `RocqEngine::register_peer`), so vacant slots export as zeros /
-//!   empty and import as the same canonical residue. The *slot
-//!   assignment itself* is observable through future recycling, which
-//!   is why the free list is exported in release order and restored
-//!   verbatim: the restored engine recycles slots in the same LIFO
-//!   order the original would have.
+//!   before any read (cached, peer, book, score lanes — see
+//!   `RocqEngine::register_peer`; removal zeroes a slot's re-home
+//!   counters), so vacant slots export as zeros / empty and import as
+//!   the same canonical residue. The *slot assignment itself* is observable through
+//!   future recycling, which is why the free list is exported in
+//!   release order and restored verbatim: the restored engine
+//!   recycles slots in the same LIFO order the original would have.
 //!
 //! ## Invariants the format preserves
 //!
@@ -104,7 +92,7 @@ use std::fmt;
 /// layout described in the [module docs](self).
 ///
 /// Handle-indexed arrays (`cached`, `peers`, `book_lens`, the packed
-/// slab, per-lane `rehomes`) run to `capacity`, with vacant slots
+/// slab) run to `capacity`, with vacant slots
 /// canonicalised (zeros / empty); occupancy is defined by `index`
 /// (live) and `free` (vacant), which must partition `0..capacity`.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -145,21 +133,18 @@ pub struct ShardState {
     /// Flat row credibilities: 1 value for a uniform row, `num_sm`
     /// for a diverged one.
     pub book_rows: Vec<f64>,
+}
+
+/// The simulated overlay of a crash-model engine (see the
+/// [module docs](self)): everything the deterministic crash rolls of
+/// future churn depend on.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct OverlayState {
+    /// Ring membership in ring (ascending `NodeId`) order.
+    pub ring: Vec<NodeId>,
     /// Per-lane re-home counters (`capacity × num_sm`, handle-major);
-    /// vacant lanes canonicalised to 0.
-    pub rehomes: Vec<u32>,
-    /// Exact counters for lanes whose re-home count exceeds
-    /// `u32::MAX` (unreachable in practice; kept for exactness).
-    pub rehomes_wide: Vec<(u32, u64)>,
-    /// Live lanes whose replica host differs from
-    /// `ring.successor(replica_key(peer, slot))` — normally empty,
-    /// see the module docs.
-    pub host_exceptions: Vec<(u32, NodeId)>,
-    /// Assignment lists, in true insertion order, for replica keys
-    /// carrying more than one `(handle, slot)` assignment (64-bit key
-    /// collisions) — the only case where the rebuilt key index's
-    /// list order is not determined by the keys themselves.
-    pub key_collisions: Vec<(NodeId, Vec<(Handle, u32)>)>,
+    /// 0 on vacant lanes.
+    pub rehomes: Vec<u64>,
     /// Replica re-homings processed so far.
     pub rehomings: u64,
     /// Re-homings that lost state under the crash model.
@@ -175,10 +160,11 @@ pub struct EngineState {
     pub num_sm: u64,
     /// Engine seed — source of the deterministic crash rolls.
     pub seed: u64,
-    /// Overlay ring membership in ring (ascending `NodeId`) order.
-    pub ring: Vec<NodeId>,
     /// The subject arena (its index doubles as the member registry).
     pub shard: ShardState,
+    /// The simulated overlay: present exactly when
+    /// `params.crash_prob > 0`.
+    pub overlay: Option<OverlayState>,
 }
 
 /// One [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)

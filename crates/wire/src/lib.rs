@@ -79,8 +79,10 @@ use std::io::{self, Read, Write};
 /// engine checkpoint state no longer stores the member registry
 /// (membership is derived from the subjects); v5 = the checkpoint's
 /// pairwise interaction-count list is gone, each credibility book row
-/// carries its count instead.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// carries its count instead; v6 = the engine checkpoint's ring,
+/// re-home counters and replica hosts left the arena state for one
+/// optional overlay state, present only with the crash model.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// The file-magic prefix of an engine checkpoint written by the serve
 /// layer (see [`encode_checkpoint`]): distinguishes a checkpoint from

@@ -13,7 +13,9 @@
 //!   report carries weight exactly 0 and its lane must keep the old
 //!   bits through the branchless select);
 //! * crash-recovery column ops (the per-replica copy/reset path that
-//!   writes single lanes of the split `r`/`w` arrays mid-span).
+//!   writes single lanes of the split `r`/`w` arrays mid-span);
+//! * the crash model off, where the arena engine simulates no overlay
+//!   at all while the reference still runs its ring and re-homings.
 
 use proptest::prelude::*;
 use replend_rocq::{ReferenceEngine, ReputationEngine, RocqEngine, RocqParams};
@@ -173,47 +175,70 @@ proptest! {
     }
 }
 
+/// Drives the arena engine and the reference through a fixed churn
+/// storm (joins, leaves, single reports, batches and credits) at every
+/// swept numSM, asserting identical delta streams and reputation bits,
+/// then hands each pair to `check`.
+fn churn_storm_matches_reference(crash_prob: f64, check: impl Fn(&RocqEngine, &ReferenceEngine)) {
+    let params = RocqParams {
+        crash_prob,
+        ..Default::default()
+    };
+    let ops: Vec<Op> = (0..120u64)
+        .map(|i| match i % 5 {
+            0 => Op::Join(PeerId(i % POP), 0.6),
+            1 => Op::Report(PeerId(i % POP), PeerId((i + 3) % POP), (i % 2) as f64),
+            2 => Op::Leave(PeerId((i * 3) % POP)),
+            3 => Op::Batch(
+                (0..8)
+                    .map(|j| {
+                        Feedback::new(
+                            PeerId((i + j * 5) % POP),
+                            PeerId((i + j * 11) % POP),
+                            ((i + j) % 2) as f64,
+                        )
+                    })
+                    .collect(),
+            ),
+            _ => Op::Credit(PeerId(i % POP), 0.05),
+        })
+        .collect();
+    for &sm in NUM_SM {
+        let mut arena = RocqEngine::new(params, sm, 0xC0FFEE);
+        let mut seed = ReferenceEngine::new(params, sm, 0xC0FFEE);
+        let baseline = drive(&mut seed, &ops);
+        let vectored = drive(&mut arena, &ops);
+        assert_eq!(
+            baseline, vectored,
+            "arena diverged from reference at numSM={sm}, crash_prob={crash_prob}"
+        );
+        check(&arena, &seed);
+    }
+}
+
 /// Deterministic (non-proptest) spot check: a crash-heavy churn storm
 /// at every swept numSM, slab engine vs reference — a fixed
 /// regression anchor that fails loudly without shrinking.
 #[test]
 fn crash_recovery_column_ops_stay_identical() {
-    let params = RocqParams {
-        crash_prob: 0.5,
-        ..Default::default()
-    };
-    for &sm in NUM_SM {
-        let mut arena = RocqEngine::new(params, sm, 0xC0FFEE);
-        let mut seed = ReferenceEngine::new(params, sm, 0xC0FFEE);
-        let ops: Vec<Op> = (0..120u64)
-            .map(|i| match i % 5 {
-                0 => Op::Join(PeerId(i % POP), 0.6),
-                1 => Op::Report(PeerId(i % POP), PeerId((i + 3) % POP), (i % 2) as f64),
-                2 => Op::Leave(PeerId((i * 3) % POP)),
-                3 => Op::Batch(
-                    (0..8)
-                        .map(|j| {
-                            Feedback::new(
-                                PeerId((i + j * 5) % POP),
-                                PeerId((i + j * 11) % POP),
-                                ((i + j) % 2) as f64,
-                            )
-                        })
-                        .collect(),
-                ),
-                _ => Op::Credit(PeerId(i % POP), 0.05),
-            })
-            .collect();
-        let baseline = drive(&mut seed, &ops);
-        let vectored = drive(&mut arena, &ops);
-        assert_eq!(
-            baseline, vectored,
-            "crash-recovery column ops diverged at numSM={sm}"
-        );
+    churn_storm_matches_reference(0.5, |arena, seed| {
         assert_eq!(
             (arena.rehomings(), arena.crash_losses()),
             (seed.rehomings(), seed.crash_losses()),
-            "churn counters diverged at numSM={sm}"
+            "churn counters diverged"
         );
-    }
+    });
+}
+
+/// The crash-off equivalence: with `crash_prob = 0` the arena engine
+/// keeps no overlay (no ring, no replica-key index, no re-homing),
+/// while the reference still joins, leaves and re-homes every replica.
+/// A re-homing without the crash model must change nothing.
+#[test]
+fn overlay_free_engine_matches_reference_without_crashes() {
+    churn_storm_matches_reference(0.0, |arena, seed| {
+        assert!(seed.rehomings() > 0, "the reference re-homed replicas");
+        assert_eq!(seed.crash_losses(), 0);
+        assert_eq!((arena.rehomings(), arena.crash_losses()), (0, 0));
+    });
 }
