@@ -436,11 +436,6 @@ pub(crate) fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
                         out.seed = parse_value(flag, value)?;
                         i += 2;
                     }
-                    "--journal-sync" => {
-                        let raw: String = parse_value(flag, value)?;
-                        out.journal_sync = parse_sync_policy(&raw)?;
-                        i += 2;
-                    }
                     "--min-observations" => {
                         out.min_observations = parse_value(flag, value)?;
                         i += 2;
@@ -660,7 +655,8 @@ pub fn usage() -> String {
      \x20                         checkpoint a journalled service's full state\n\
      \x20                         and truncate its journal; the next open\n\
      \x20                         restores the checkpoint and replays only ops\n\
-     \x20                         written after it (config flags as for serve)\n\
+     \x20                         written after it (--partitions, --num-sm,\n\
+     \x20                         --seed and the status-policy flags as for serve)\n\
      \x20 replend scenario list   list the shipped attack scenarios\n\
      \x20 replend scenario run <file> [--out PATH]\n\
      \x20                         run a .scn scenario file deterministically and\n\
@@ -1709,6 +1705,12 @@ mod tests {
         // Workload flags belong to serve, not compact.
         assert!(matches!(
             parse_args(&["compact", "--journal", "x.wal", "--subjects", "5"]),
+            Err(UsageError(_))
+        ));
+        // compact never appends, and a checkpoint syncs the journal
+        // whatever the flush policy, so the policy flag is serve's.
+        assert!(matches!(
+            parse_args(&["compact", "--journal", "x.wal", "--journal-sync", "batch:4"]),
             Err(UsageError(_))
         ));
         let Ok(Command::Compact(args)) =

@@ -29,7 +29,7 @@ use crate::policy::{BootstrapPolicy, EngineKind};
 use crate::stats::{CommunityStats, Population};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use replend_rocq::ReputationEngine;
+use replend_rocq::{ReputationEngine, RocqEngine};
 use replend_sim::arrivals::PoissonProcess;
 use replend_sim::events::EventQueue;
 use replend_sim::series::TimeSeries;
@@ -94,7 +94,9 @@ impl CommunityBuilder {
         self
     }
 
-    /// Selects the reputation engine.
+    /// Sets the ROCQ engine's parameters. The engine's score-manager
+    /// count is the configuration's `numSM`, and its crash rolls are
+    /// keyed by the community seed.
     #[must_use]
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
@@ -144,7 +146,9 @@ impl CommunityBuilder {
             .validate()
             .expect("invalid Table-1 configuration");
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let engine = self.engine.build(&self.config.sim, splitmix64(self.seed));
+        let engine = self
+            .engine
+            .new_engine(&self.config.sim, splitmix64(self.seed));
         let expected = self.config.sim.num_init
             + (self.config.sim.arrival_rate * self.config.sim.num_trans as f64) as usize
             + 16;
@@ -180,7 +184,7 @@ impl CommunityBuilder {
 pub struct Community {
     config: Table1,
     policy: BootstrapPolicy,
-    engine: Box<dyn ReputationEngine + Send>,
+    engine: RocqEngine,
     topology: Box<dyn Topology + Send>,
     table: PeerTable,
     book: IntroductionBook,
@@ -1427,27 +1431,19 @@ mod tests {
     }
 
     #[test]
-    fn accounting_matches_oracle_across_policies_and_engines() {
+    fn accounting_matches_oracle_across_policies() {
         for policy in [
             BootstrapPolicy::ReputationLending,
             BootstrapPolicy::OpenAdmission { initial: 0.5 },
             BootstrapPolicy::FixedCredit { credit: 0.1 },
         ] {
-            for engine in [
-                EngineKind::default(),
-                EngineKind::SimpleAverage,
-                EngineKind::Ewma { alpha: 0.1 },
-                EngineKind::Beta,
-            ] {
-                let mut c = CommunityBuilder::new(small_config())
-                    .policy(policy)
-                    .engine(engine)
-                    .departure_rate(0.005)
-                    .seed(21)
-                    .build();
-                c.run(4_000);
-                assert_accounting_matches_oracle(&c);
-            }
+            let mut c = CommunityBuilder::new(small_config())
+                .policy(policy)
+                .departure_rate(0.005)
+                .seed(21)
+                .build();
+            c.run(4_000);
+            assert_accounting_matches_oracle(&c);
         }
     }
 }

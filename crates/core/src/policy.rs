@@ -7,7 +7,6 @@
 //! alternative. All five are implemented so the ablation bench
 //! (`ablation_policies`) can compare them under identical workloads.
 
-use replend_rocq::baselines::{BetaEngine, EwmaEngine, SimpleAverageEngine};
 use replend_rocq::{ReputationEngine, RocqEngine, RocqParams};
 use replend_types::SimParams;
 use serde::{Deserialize, Serialize};
@@ -67,33 +66,29 @@ impl BootstrapPolicy {
     }
 }
 
-/// Which reputation engine backs the community.
+/// The reputation engine that backs the community: the replicated
+/// ROCQ engine with the given parameters.
+///
+/// `Rocq` is the only engine. The benchmark package spells the engine
+/// as an `EngineKind`, so collapsing this type into [`RocqParams`] is
+/// left to a change that also updates the benchmark (ROADMAP item 6).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum EngineKind {
     /// The replicated ROCQ engine (the paper's).
     Rocq(RocqParams),
-    /// Plain running average (ablation).
-    SimpleAverage,
-    /// Exponentially weighted moving average (ablation).
-    Ewma {
-        /// Smoothing factor in `(0, 1]`.
-        alpha: f64,
-    },
-    /// Beta reputation (ablation).
-    Beta,
 }
 
 impl EngineKind {
-    /// Instantiates the engine for a simulation configuration.
-    /// `num_sm` and `seed` only affect the replicated ROCQ engine (the
-    /// baselines are centralised single structures).
+    /// The engine for a simulation configuration: `sim.num_sm` score
+    /// managers per subject, crash rolls keyed by `seed`.
+    pub fn new_engine(self, sim: &SimParams, seed: u64) -> RocqEngine {
+        let EngineKind::Rocq(params) = self;
+        RocqEngine::new(params, sim.num_sm, seed)
+    }
+
+    /// [`EngineKind::new_engine`], boxed behind the engine trait.
     pub fn build(self, sim: &SimParams, seed: u64) -> Box<dyn ReputationEngine + Send> {
-        match self {
-            EngineKind::Rocq(params) => Box::new(RocqEngine::new(params, sim.num_sm, seed)),
-            EngineKind::SimpleAverage => Box::new(SimpleAverageEngine::new()),
-            EngineKind::Ewma { alpha } => Box::new(EwmaEngine::new(alpha)),
-            EngineKind::Beta => Box::new(BetaEngine::new()),
-        }
+        Box::new(self.new_engine(sim, seed))
     }
 }
 
@@ -106,6 +101,7 @@ impl Default for EngineKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replend_types::{PeerId, Reputation};
 
     #[test]
     fn lending_defers_admission() {
@@ -145,15 +141,8 @@ mod tests {
     #[test]
     fn engines_build() {
         let sim = SimParams::default();
-        assert_eq!(EngineKind::default().build(&sim, 1).name(), "rocq");
-        assert_eq!(
-            EngineKind::SimpleAverage.build(&sim, 1).name(),
-            "simple-average"
-        );
-        assert_eq!(
-            EngineKind::Ewma { alpha: 0.2 }.build(&sim, 1).name(),
-            "ewma"
-        );
-        assert_eq!(EngineKind::Beta.build(&sim, 1).name(), "beta");
+        let mut engine = EngineKind::default().build(&sim, 1);
+        engine.register_peer(PeerId(1), Reputation::new(0.25));
+        assert_eq!(engine.reputation(PeerId(1)), Some(Reputation::new(0.25)));
     }
 }

@@ -71,7 +71,6 @@
 
 use rayon::prelude::*;
 use replend_rocq::concurrent::ConcurrentEngine;
-use replend_rocq::inspect::SubjectSnapshot;
 use replend_rocq::state::PartitionCheckpoint;
 use replend_rocq::RocqParams;
 use replend_types::hash::{salted, splitmix64};
@@ -263,15 +262,17 @@ pub enum ServeError {
     /// missing or unreadable. (A merely torn/corrupt checkpoint is
     /// *not* an error — `open` falls back to full journal replay.)
     Checkpoint(String),
-    /// A mutation carried a value outside its domain: an opinion that
-    /// is not in `[0, 1]` (NaN included) or a non-finite credit/debit
-    /// amount. Refused before it reaches the journal, so neither the
-    /// journal nor the engine changed.
+    /// A mutation carried a value outside its domain: an opinion or
+    /// initial reputation not in `[0, 1]` (NaN included), or a
+    /// non-finite or negative credit/debit amount. A live mutation is
+    /// refused before it reaches the journal, so neither the journal
+    /// nor the engine changed; a journal record is refused on replay
+    /// before it reaches the engine, so `open` fails.
     InvalidInput {
-        /// The offending field: `"opinion"` or `"amount"`.
+        /// The offending field: `"opinion"`, `"initial"` or `"amount"`.
         field: &'static str,
-        /// Position of the offending feedback within its batch
-        /// (`None` for the single-value `credit`/`debit`).
+        /// Position of the offending element within its batch
+        /// (`None` for a single-value op).
         index: Option<usize>,
         /// The refused value.
         value: f64,
@@ -312,17 +313,38 @@ impl From<io::Error> for ServeError {
     }
 }
 
-/// Refuses a non-finite or negative credit/debit amount before it is
-/// journalled: the engine applies the magnitude, so a negative credit
-/// would raise the subject.
-fn check_amount(amount: f64) -> Result<(), ServeError> {
-    if amount.is_finite() && amount >= 0.0 {
-        Ok(())
-    } else {
+impl JournalOp {
+    /// Refuses a value outside the API's input domain: an opinion or
+    /// an initial reputation not in `[0, 1]` (NaN included), or a
+    /// non-finite or negative credit/debit amount (the engine applies
+    /// the magnitude, so a negative credit would raise the subject).
+    /// Live mutations are checked before they are journalled, and
+    /// journal records before they are replayed.
+    fn check(&self) -> Result<(), ServeError> {
+        let unit = |v: f64| (0.0..=1.0).contains(&v);
+        let (field, index, value) = match self {
+            JournalOp::Register { initial, .. } if !unit(*initial) => ("initial", None, *initial),
+            JournalOp::RegisterBatch { batch } => {
+                match batch.iter().position(|&(_, initial)| !unit(initial)) {
+                    Some(i) => ("initial", Some(i), batch[i].1),
+                    None => return Ok(()),
+                }
+            }
+            JournalOp::Batch { batch } => match batch.iter().position(|f| !unit(f.opinion)) {
+                Some(i) => ("opinion", Some(i), batch[i].opinion),
+                None => return Ok(()),
+            },
+            JournalOp::Credit { amount, .. } | JournalOp::Debit { amount, .. }
+                if !(amount.is_finite() && *amount >= 0.0) =>
+            {
+                ("amount", None, *amount)
+            }
+            _ => return Ok(()),
+        };
         Err(ServeError::InvalidInput {
-            field: "amount",
-            index: None,
-            value: amount,
+            field,
+            index,
+            value,
         })
     }
 }
@@ -517,7 +539,9 @@ impl ReputationService {
     ///
     /// Both restore and replay run through the same apply path live
     /// mutations use, so the rebuilt engine is byte-identical to the
-    /// pre-restart one — the determinism suite pins this.
+    /// pre-restart one — the determinism suite pins this. Replay checks
+    /// each record against the live API's input domain first and
+    /// refuses one outside it with [`ServeError::InvalidInput`].
     pub fn open(config: ServeConfig, path: &Path) -> Result<(Self, ReplaySummary), ServeError> {
         let ckpt_path = checkpoint_path(path);
         let mut summary = ReplaySummary::default();
@@ -558,6 +582,7 @@ impl ReputationService {
         loop {
             match reader.next::<JournalOp>() {
                 Ok(Some(op)) => {
+                    op.check()?;
                     service.apply(&op);
                     summary.records += 1;
                 }
@@ -703,11 +728,12 @@ impl ReputationService {
         }
     }
 
-    /// Journal-then-apply. Holding the journal lock across both steps
-    /// makes journal order identical to apply order; the
-    /// `checkpoint_every` trigger fires here, under the same lock, so
-    /// an auto-checkpoint is a clean cut of the op stream.
+    /// Check, journal, then apply. Holding the journal lock across the
+    /// last two steps makes journal order identical to apply order;
+    /// the `checkpoint_every` trigger fires here, under the same lock,
+    /// so an auto-checkpoint is a clean cut of the op stream.
     fn mutate(&self, op: JournalOp) -> Result<(), ServeError> {
+        op.check()?;
         match &self.journal {
             Some(journal) => {
                 let mut state = journal.lock().expect("journal lock poisoned");
@@ -835,13 +861,6 @@ impl ReputationService {
     /// the whole batch with [`ServeError::InvalidInput`] when any
     /// opinion lies outside `[0, 1]`.
     pub fn report_batch(&self, batch: &[Feedback]) -> Result<(), ServeError> {
-        if let Some(index) = batch.iter().position(|f| !(0.0..=1.0).contains(&f.opinion)) {
-            return Err(ServeError::InvalidInput {
-                field: "opinion",
-                index: Some(index),
-                value: batch[index].opinion,
-            });
-        }
         self.mutate(JournalOp::Batch {
             batch: batch.to_vec(),
         })
@@ -850,14 +869,12 @@ impl ReputationService {
     /// Raises `subject`'s reputation (journalled). A non-finite or
     /// negative `amount` is refused with [`ServeError::InvalidInput`].
     pub fn credit(&self, subject: PeerId, amount: f64) -> Result<(), ServeError> {
-        check_amount(amount)?;
         self.mutate(JournalOp::Credit { subject, amount })
     }
 
     /// Lowers `subject`'s reputation (journalled). A non-finite or
     /// negative `amount` is refused with [`ServeError::InvalidInput`].
     pub fn debit(&self, subject: PeerId, amount: f64) -> Result<(), ServeError> {
-        check_amount(amount)?;
         self.mutate(JournalOp::Debit { subject, amount })
     }
 
@@ -865,11 +882,6 @@ impl ReputationService {
     /// epoch-validated snapshot read; never waits on ingest.
     pub fn reputation(&self, subject: PeerId) -> Option<Reputation> {
         self.engine.reputation(subject)
-    }
-
-    /// The subject's full score-manager snapshot.
-    pub fn snapshot(&self, subject: PeerId) -> Option<SubjectSnapshot> {
-        self.engine.snapshot(subject)
     }
 
     /// The subject's operational tier, classified from a coherent
@@ -1177,11 +1189,10 @@ mod tests {
         );
     }
 
-    /// Point reads agree with the other two read paths: the census
-    /// sweep (reputation bits and the tier of each swept pair) and the
-    /// per-replica snapshot taken under the partition lock.
+    /// Point reads agree with the census sweep: reputation bits and
+    /// the tier of each swept pair.
     #[test]
-    fn point_reads_agree_with_sweep_and_locked_snapshot() {
+    fn point_reads_agree_with_sweep() {
         let service = ReputationService::in_memory(config());
         run_ingest_workload(
             &service,
@@ -1208,8 +1219,6 @@ mod tests {
                     service.status(subject),
                     Some(service.policy.classify(reputation, observations))
                 );
-                let locked = service.snapshot(subject).and_then(|s| s.combined());
-                assert_eq!(locked.map(bits), Some(bits(reputation)));
             });
         assert_eq!(swept, 120);
     }

@@ -24,8 +24,6 @@
 //!   copies the drained aggregate deltas and interaction increments
 //!   in, and publishes (epoch even) — so the slab jumps atomically
 //!   from the pre-batch to the post-batch state.
-//! * `snapshot()` (full replica state) still takes the partition read
-//!   lock: it walks engine state the slab does not carry.
 //!
 //! Any member may report on any subject, so membership is
 //! community-wide: it is the union of the partitions' slabs. A peer
@@ -65,7 +63,6 @@
 //! serve and snapshot-read suites in `replend-tests`.
 
 use crate::engine::{ReputationEngine, RocqEngine};
-use crate::inspect::SubjectSnapshot;
 use crate::params::RocqParams;
 use crate::snapshot::SnapshotSlab;
 use crate::state::{InvalidState, PartitionCheckpoint};
@@ -170,13 +167,6 @@ impl ConcurrentEngine {
 
     fn home(&self, peer: PeerId) -> &Cell {
         &self.cells[partition_of(peer, self.cells.len())]
-    }
-
-    fn read(&self, peer: PeerId) -> std::sync::RwLockReadGuard<'_, Partition> {
-        self.home(peer)
-            .lock
-            .read()
-            .expect("partition lock poisoned")
     }
 
     /// Registers a subject with `initial` reputation in its home
@@ -342,13 +332,6 @@ impl ConcurrentEngine {
             .slab
             .read(subject)
             .map(|(bits, hits)| (Reputation::new(f64::from_bits(bits)), hits))
-    }
-
-    /// The full score-manager snapshot of `subject`, taken atomically
-    /// under its partition's read lock (replica-level state does not
-    /// live in the read slab).
-    pub fn snapshot(&self, subject: PeerId) -> Option<SubjectSnapshot> {
-        self.read(subject).engine.snapshot(subject)
     }
 
     /// Visits every subject with its cached aggregate *and* its
@@ -537,7 +520,8 @@ mod tests {
     /// lock-free [`ConcurrentEngine::reputation`] must match bit for
     /// bit.
     fn locked_reputation(e: &ConcurrentEngine, subject: PeerId) -> Option<Reputation> {
-        e.read(subject).engine.reputation(subject)
+        let partition = e.home(subject).lock.read().unwrap();
+        partition.engine.reputation(subject)
     }
 
     #[test]
@@ -612,9 +596,7 @@ mod tests {
         assert!((e.reputation(PeerId(1)).unwrap().value() - 0.3).abs() < 1e-12);
         e.credit(PeerId(1), 0.4);
         assert!((e.reputation(PeerId(1)).unwrap().value() - 0.7).abs() < 1e-12);
-        let snap = e.snapshot(PeerId(1)).unwrap();
-        assert_eq!(snap.replicas.len(), 6);
-        assert_eq!(snap.combined(), e.reputation(PeerId(1)));
+        assert_eq!(locked_reputation(&e, PeerId(1)), e.reputation(PeerId(1)));
     }
 
     #[test]

@@ -175,12 +175,6 @@ impl CredibilityBook {
         }
     }
 
-    /// Number of reporters with explicit state (identical for every
-    /// slot — the book is shared by all replicas of the subject).
-    pub(crate) fn known_reporters(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Every reporter's explicit row as `(reporter, interaction count,
     /// per-slot credibilities)`, in arbitrary (hash) order, with each
     /// count read through `incarnation_of` (the reporter's current
@@ -271,12 +265,12 @@ mod tests {
     fn book_starts_at_initial() {
         let mut b = CredibilityBook::new(0.5, 0.1, 3);
         assert_eq!(credibility(&b, PeerId(1), 0), 0.5);
-        assert_eq!(b.known_reporters(), 0);
+        assert_eq!(b.rows.len(), 0);
         assert_eq!(b.record(PeerId(1), 1), (0, &mut [0.5, 0.5, 0.5][..]));
-        assert_eq!(b.known_reporters(), 1);
+        assert_eq!(b.rows.len(), 1);
         b.record(PeerId(1), 1).1[2] = 0.9;
         assert_eq!(credibility(&b, PeerId(1), 2), 0.9);
-        assert_eq!(b.known_reporters(), 1, "rows are reused, not re-created");
+        assert_eq!(b.rows.len(), 1, "rows are reused, not re-created");
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The [`ReputationEngine`] trait and the replicated [`RocqEngine`].
 //!
-//! The lending layer (crate `replend-core`) talks to reputation purely
-//! through this trait: register/remove peers, deliver post-transaction
-//! opinions, query aggregates, and apply the lending protocol's direct
-//! credits and debits. [`RocqEngine`] implements it with full
-//! score-manager replication, simulating the Chord overlay only when
-//! its crash model can change a value; the simpler engines
-//! in [`baselines`](crate::baselines) implement it centrally for
-//! ablation comparisons, and [`reference`](crate::reference) preserves
-//! the pre-arena memory layout as a semantic oracle.
+//! The trait is the engine's operation set: register/remove peers,
+//! deliver post-transaction opinions, query aggregates, and apply the
+//! lending protocol's direct credits and debits. [`RocqEngine`]
+//! implements it with full score-manager replication, simulating the
+//! Chord overlay only when its crash model can change a value;
+//! [`reference`](crate::reference) implements it with the pre-arena
+//! memory layout as a semantic oracle, and the oracle suites drive
+//! both engines through the trait.
 //!
 //! ## Determinism
 //!
@@ -86,10 +85,9 @@ use replend_types::arena::{Handle, SlotAlloc, SlotAllocator};
 use replend_types::hash::PeerMap;
 use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
 
-/// Abstract reputation backend.
-///
-/// Object-safe so the community can hold
-/// `Box<dyn ReputationEngine + Send>`.
+/// The reputation engine's operations: the seam through which the
+/// oracle suites drive [`RocqEngine`] and
+/// [`ReferenceEngine`](crate::reference::ReferenceEngine) identically.
 pub trait ReputationEngine {
     /// Introduces a new subject with the given starting reputation
     /// (0 for un-introduced entrants, `introAmt` once credited, …).
@@ -122,14 +120,9 @@ pub trait ReputationEngine {
 
     /// Delivers a tick's worth of opinions in one call, applied in
     /// order with semantics identical to calling
-    /// [`ReputationEngine::report`] per element. Engines may override
-    /// this to amortise per-subject bookkeeping across the batch or
-    /// to fan independent partitions out over threads.
-    fn report_batch(&mut self, batch: &[Feedback]) {
-        for f in batch {
-            self.report(f.reporter, f.subject, f.opinion);
-        }
-    }
+    /// [`ReputationEngine::report`] per element, with per-subject
+    /// bookkeeping (the cache refresh) amortised across the batch.
+    fn report_batch(&mut self, batch: &[Feedback]);
 
     /// Appends to `out` every aggregate change since the last drain
     /// and clears the internal buffer. Within one subject, deltas
@@ -142,9 +135,6 @@ pub trait ReputationEngine {
     /// member: reports, lending credits/debits and crash-recovery
     /// re-homings all surface here as [`ReputationDelta`]s.
     fn drain_deltas(&mut self, out: &mut Vec<ReputationDelta>);
-
-    /// Engine name for reports and experiment output.
-    fn name(&self) -> &'static str;
 }
 
 /// The incarnation of every live subject after a checkpoint import.
@@ -633,27 +623,6 @@ impl RocqEngine {
         self.overlay.as_ref().map_or(0, |o| o.crash_losses)
     }
 
-    /// Per-replica views of `subject` for the inspection API.
-    pub(crate) fn replica_views(
-        &self,
-        subject: PeerId,
-    ) -> Option<Vec<crate::inspect::ReplicaSnapshot>> {
-        let shard = &self.shard;
-        let &h = shard.index.get(&subject)?;
-        let base = h.index() * self.num_sm;
-        let known = shard.books[h.index()].known_reporters();
-        Some(
-            (0..self.num_sm)
-                .map(|slot| crate::inspect::ReplicaSnapshot {
-                    slot,
-                    reputation: shard.slab.get(base + slot).reputation(),
-                    evidence: shard.slab.get(base + slot).weight(),
-                    known_reporters: known,
-                })
-                .collect(),
-        )
-    }
-
     /// Number of registered subjects.
     pub(crate) fn subjects_len(&self) -> usize {
         self.shard.index.len()
@@ -897,10 +866,6 @@ impl ReputationEngine for RocqEngine {
         out.extend(drain_order.iter().map(|&i| deltas[i as usize]));
         shard.deltas.clear();
     }
-
-    fn name(&self) -> &'static str {
-        "rocq"
-    }
 }
 
 #[cfg(test)]
@@ -942,6 +907,45 @@ mod tests {
             .iter_rows(|_| None)
             .find(|&(p, _, _)| p == reporter);
         Some(row.map_or(e.params.initial_credibility, |(_, _, creds)| creds[0]))
+    }
+
+    /// `subject`'s replica score states, read from its slab lanes in
+    /// slot order; `None` when it is not a subject.
+    fn replicas(e: &RocqEngine, subject: PeerId) -> Option<Vec<ScoreState>> {
+        let &h = e.shard.index.get(&subject)?;
+        let base = h.index() * e.num_sm;
+        Some(
+            (base..base + e.num_sm)
+                .map(|i| e.shard.slab.get(i))
+                .collect(),
+        )
+    }
+
+    /// The replica mean recomputed from the lanes (sum then divide, in
+    /// slot order): the value the cached aggregate must equal.
+    fn replica_mean(e: &RocqEngine, subject: PeerId) -> Option<Reputation> {
+        let lanes = replicas(e, subject)?;
+        let sum: f64 = lanes.iter().map(|s| s.reputation().value()).sum();
+        Some(Reputation::new(sum / lanes.len() as f64))
+    }
+
+    #[test]
+    fn crash_free_replicas_agree() {
+        let mut e = RocqEngine::new(RocqParams::default(), 6, 9);
+        for p in 0..20u64 {
+            e.register_peer(PeerId(p), Reputation::ONE);
+        }
+        for r in 0..50u64 {
+            e.report(PeerId(r % 19 + 1), PeerId(0), 1.0);
+        }
+        let lanes = replicas(&e, PeerId(0)).unwrap();
+        assert_eq!(lanes.len(), 6);
+        assert!(lanes[0].raw_parts().1 > 0.0, "reports add evidence");
+        assert!(
+            lanes.iter().all(|s| *s == lanes[0]),
+            "crash-free replicas agree"
+        );
+        assert_eq!(replica_mean(&e, PeerId(0)), e.reputation(PeerId(0)));
     }
 
     #[test]
@@ -1197,11 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_name() {
-        assert_eq!(engine().name(), "rocq");
-    }
-
-    #[test]
     fn crash_roll_is_uniform_enough() {
         // The deterministic roll replaces an RNG stream; it must
         // still look uniform over [0, 1) across replica identities.
@@ -1224,9 +1223,8 @@ mod tests {
         }
         e.credit(PeerId(0), 0.05);
         e.debit(PeerId(0), 0.01);
-        let snap = e.snapshot(PeerId(0)).unwrap();
         assert_eq!(
-            snap.combined().unwrap().value().to_bits(),
+            replica_mean(&e, PeerId(0)).unwrap().value().to_bits(),
             e.reputation(PeerId(0)).unwrap().value().to_bits(),
             "cache must stay bit-identical to the replica mean"
         );
@@ -1365,9 +1363,8 @@ mod tests {
         // cached aggregate equals the replica mean for every live
         // subject, and the arena stayed dense (live slots ≤ peak).
         for p in (0..40u64).filter(|p| ![3, 17, 5, 29, 11, 23].contains(p)) {
-            let snap = churned.snapshot(PeerId(p)).unwrap();
             assert_eq!(
-                snap.combined().unwrap().value().to_bits(),
+                replica_mean(&churned, PeerId(p)).unwrap().value().to_bits(),
                 churned.reputation(PeerId(p)).unwrap().value().to_bits(),
                 "peer {p}: cache diverged from replica mean after handle reuse"
             );

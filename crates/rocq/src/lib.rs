@@ -3,8 +3,7 @@
 //! A from-scratch implementation of **ROCQ** — the Reputation /
 //! Opinion / Credibility / Quality scheme of Garg, Battiti & Cascella
 //! (refs [7, 8, 10] of the paper) — plus the score-manager replication
-//! layer it runs on and three simpler baseline engines used for
-//! ablations.
+//! layer it runs on.
 //!
 //! ## The ROCQ model, as implemented
 //!
@@ -41,28 +40,24 @@
 //!
 //! ## Engines
 //!
-//! Everything above sits behind the object-safe [`ReputationEngine`]
-//! trait so the lending layer is engine-agnostic. Besides
-//! [`RocqEngine`], the [`baselines`] module provides
-//! [`SimpleAverageEngine`](baselines::SimpleAverageEngine),
-//! [`EwmaEngine`](baselines::EwmaEngine) and
-//! [`BetaEngine`](baselines::BetaEngine), and the [`reference`]
-//! module preserves the pre-arena memory layout as a semantic oracle.
+//! [`RocqEngine`] is the engine the community and the service run.
+//! The [`reference`] module preserves the pre-arena memory layout as a
+//! semantic oracle, and the [`ReputationEngine`] trait is the seam
+//! through which the oracle suites drive both engines identically.
 //!
 //! ## Hot-path layout
 //!
-//! [`RocqEngine`] stores subjects in a dense slot arena (hot fields
-//! split struct-of-arrays from cold replica metadata) and keeps every
-//! batch-path buffer as reusable scratch, so a steady-state
+//! [`RocqEngine`] stores subjects in a dense slot arena (the hot score
+//! lanes and cached aggregates split struct-of-arrays from the cold
+//! subject ids and credibility books) and keeps every batch-path
+//! buffer as reusable scratch, so a steady-state
 //! [`ReputationEngine::report_batch`] performs zero heap allocations
 //! — see the crate README and the `engine` module docs for the
 //! layout, the invariants, and where it is measured.
 
-pub mod baselines;
 pub mod concurrent;
 mod credibility;
 pub mod engine;
-pub mod inspect;
 mod overlay;
 pub mod params;
 mod quality;

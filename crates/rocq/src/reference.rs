@@ -395,10 +395,6 @@ impl ReputationEngine for ReferenceEngine {
         // The seed's canonical merge: stable sort by subject.
         out[start..].sort_by_key(|d| d.subject);
     }
-
-    fn name(&self) -> &'static str {
-        "rocq-reference"
-    }
 }
 
 #[cfg(test)]
@@ -525,14 +521,6 @@ mod tests {
         assert!(
             resumed > params.initial_credibility,
             "re-joined reporter lost its earned credibility: {resumed}"
-        );
-    }
-
-    #[test]
-    fn reference_engine_name() {
-        assert_eq!(
-            ReferenceEngine::new(RocqParams::default(), 3, 1).name(),
-            "rocq-reference"
         );
     }
 }

@@ -37,12 +37,6 @@ impl ScoreState {
         Reputation::new(self.r)
     }
 
-    /// The current evidence mass.
-    #[inline]
-    pub fn weight(&self) -> f64 {
-        self.w
-    }
-
     /// Folds in one report with the given opinion and weight
     /// (`credibility × quality`), capping the evidence mass at
     /// `weight_cap`. On the engine's batch hot path this runs once
@@ -111,7 +105,7 @@ mod tests {
     fn fresh_state_reports_initial() {
         let s = ScoreState::new(Reputation::new(0.1), 10.0);
         assert!((s.reputation().value() - 0.1).abs() < 1e-12);
-        assert_eq!(s.weight(), 10.0);
+        assert_eq!(s.w, 10.0);
     }
 
     #[test]
@@ -147,7 +141,7 @@ mod tests {
         for _ in 0..500 {
             s.report(1.0, 1.0, 40.0);
         }
-        assert!(s.weight() <= 40.0 + 1e-9);
+        assert!(s.w <= 40.0 + 1e-9);
         // Now the subject turns bad: reputation must fall below 0.5
         // within ~40 bad reports despite the long good history.
         for _ in 0..40 {
@@ -199,7 +193,7 @@ mod tests {
                 }
                 let r = s.reputation().value();
                 prop_assert!((0.0..=1.0).contains(&r));
-                prop_assert!(s.weight() <= cap.max(prior) + 1e-9);
+                prop_assert!(s.w <= cap.max(prior) + 1e-9);
             }
         }
 

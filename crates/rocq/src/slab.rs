@@ -277,12 +277,12 @@ mod tests {
             }
             for i in 0..n {
                 let (sr, sw) = (states[i].reputation().value(),
-                                states[i].weight());
+                                states[i].raw_parts().1);
                 let k = slab.get(i);
                 prop_assert_eq!(sr.to_bits(),
                                 k.reputation().value().to_bits(),
                                 "lane {} r", i);
-                prop_assert_eq!(sw.to_bits(), k.weight().to_bits(),
+                prop_assert_eq!(sw.to_bits(), k.raw_parts().1.to_bits(),
                                 "lane {} w", i);
                 prop_assert_eq!(creds_a[i].to_bits(),
                                 creds_b[i].to_bits(), "lane {} cred", i);

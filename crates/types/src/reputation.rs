@@ -32,8 +32,7 @@ impl Reputation {
     /// The maximum reputation — a fully trusted peer.
     pub const ONE: Reputation = Reputation(1.0);
 
-    /// Mid-scale reputation, used as the neutral prior in engines that
-    /// count both positive and negative feedback.
+    /// Mid-scale reputation: neither trusted nor distrusted.
     pub const HALF: Reputation = Reputation(0.5);
 
     /// Creates a reputation, clamping the argument into `[0, 1]`.
@@ -66,16 +65,6 @@ impl Reputation {
     #[must_use]
     pub fn saturating_sub(self, delta: f64) -> Self {
         Reputation::new(self.0 - delta)
-    }
-
-    /// Linear interpolation toward `target` by weight `alpha ∈ [0,1]`.
-    ///
-    /// Used by the EWMA baseline engine.
-    #[inline]
-    #[must_use]
-    pub fn lerp_toward(self, target: Reputation, alpha: f64) -> Self {
-        let a = alpha.clamp(0.0, 1.0);
-        Reputation::new(self.0 + a * (target.0 - self.0))
     }
 }
 
@@ -154,13 +143,6 @@ mod tests {
         assert!((r.saturating_add(-0.2).value() - 0.3).abs() < 1e-12);
     }
 
-    #[test]
-    fn lerp_endpoints() {
-        let r = Reputation::new(0.2);
-        assert_eq!(r.lerp_toward(Reputation::ONE, 0.0), r);
-        assert_eq!(r.lerp_toward(Reputation::ONE, 1.0), Reputation::ONE);
-    }
-
     proptest! {
         #[test]
         fn constructor_always_in_range(v in proptest::num::f64::ANY) {
@@ -192,16 +174,5 @@ mod tests {
             prop_assert!(roundtrip.value() <= 1.0 + 1e-12);
             prop_assert!(roundtrip.value() + 1e-12 >= base.min(1.0).min(roundtrip.value() + 1.0));
         }
-
-        #[test]
-        fn lerp_stays_in_range(
-            base in 0.0f64..=1.0,
-            target in 0.0f64..=1.0,
-            alpha in 0.0f64..=1.0,
-        ) {
-            let r = Reputation::new(base).lerp_toward(Reputation::new(target), alpha);
-            prop_assert!((0.0..=1.0).contains(&r.value()));
-        }
-
     }
 }

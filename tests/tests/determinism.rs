@@ -4,7 +4,6 @@
 
 use replend_core::community::CommunityBuilder;
 use replend_core::{BootstrapPolicy, EngineKind};
-use replend_rocq::RocqParams;
 use replend_sim::runner::{run_many, run_many_parallel};
 use replend_tests::{run_community, steady_config};
 
@@ -23,32 +22,6 @@ fn identical_seeds_identical_runs() {
             a.mean_cooperative_reputation(),
             b.mean_cooperative_reputation()
         );
-    }
-}
-
-#[test]
-fn identical_seeds_identical_runs_across_engines() {
-    for engine in [
-        EngineKind::Rocq(RocqParams::default()),
-        EngineKind::SimpleAverage,
-        EngineKind::Ewma { alpha: 0.1 },
-        EngineKind::Beta,
-    ] {
-        let a = run_community(
-            steady_config(),
-            BootstrapPolicy::ReputationLending,
-            engine,
-            12,
-            5_000,
-        );
-        let b = run_community(
-            steady_config(),
-            BootstrapPolicy::ReputationLending,
-            engine,
-            12,
-            5_000,
-        );
-        assert_eq!(a.stats(), b.stats());
     }
 }
 

@@ -15,14 +15,8 @@
 //! operations so the arena's free list is already populated and
 //! recycled out of id order — fresh ids then land on reused handles
 //! while old subjects keep theirs.
-//!
-//! The three baseline engines ride along with a double-run
-//! determinism check over the same sequences (their storage is
-//! hash-mapped too; their delta contract must not depend on run
-//! identity).
 
 use proptest::prelude::*;
-use replend_rocq::baselines::{BetaEngine, EwmaEngine, SimpleAverageEngine};
 use replend_rocq::{ReferenceEngine, ReputationEngine, RocqEngine, RocqParams};
 use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
 
@@ -159,28 +153,6 @@ proptest! {
                 (seed.rehomings(), seed.crash_losses()),
                 "churn counters diverged"
             );
-        }
-    }
-
-    #[test]
-    fn baseline_engines_are_deterministic_under_churn(
-        raw in proptest::collection::vec(
-            (proptest::num::u8::ANY, proptest::num::u64::ANY,
-             proptest::num::u64::ANY, 0.0f64..1.0),
-            1..64),
-    ) {
-        let ops = decode(&raw);
-        let engines: [fn() -> Box<dyn ReputationEngine>; 3] = [
-            || Box::new(SimpleAverageEngine::new()),
-            || Box::new(EwmaEngine::new(0.3)),
-            || Box::new(BetaEngine::new()),
-        ];
-        for make in engines {
-            let mut first = make();
-            let mut second = make();
-            let a = drive(first.as_mut(), &ops);
-            let b = drive(second.as_mut(), &ops);
-            prop_assert_eq!(&a, &b, "{} is not run-deterministic", first.name());
         }
     }
 }

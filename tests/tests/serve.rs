@@ -7,12 +7,13 @@
 
 use proptest::prelude::*;
 use replend_core::serve::{
-    run_ingest_workload, JournalOp, ReputationService, ServeConfig, ServeError, SubjectStatus,
-    SyncPolicy, WorkloadConfig,
+    journal_seed, run_ingest_workload, JournalOp, ReputationService, ServeConfig, ServeError,
+    SubjectStatus, SyncPolicy, WorkloadConfig,
 };
 use replend_rocq::{ConcurrentEngine, ReputationEngine, RocqEngine, RocqParams};
 use replend_types::hash::{salted, splitmix64};
 use replend_types::{Feedback, PeerId, Reputation};
+use replend_wire::JournalWriter;
 
 /// A deterministic mixed op stream: registrations at varied initial
 /// reputations, feedback batches, direct credits/debits, removals.
@@ -118,10 +119,7 @@ fn concurrent_engine_is_bitwise_identical_to_monolith() {
 }
 
 /// Reads issued while ingest is live must be coherent: every observed
-/// reputation is in [0, 1], every snapshot is internally consistent
-/// (its combined value recomputes from its own replicas), and the
-/// status tier always agrees with the policy applied to a
-/// reputation the subject actually held.
+/// reputation is in [0, 1], and every status read yields a tier.
 #[test]
 fn concurrent_reads_stay_coherent_during_live_ingest() {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -153,12 +151,6 @@ fn concurrent_reads_stay_coherent_during_live_ingest() {
                     let subject = PeerId(k % PEERS);
                     let rep = service.reputation(subject).expect("registered");
                     assert!((0.0..=1.0).contains(&rep.value()), "torn read: {rep:?}");
-                    let snap = service.snapshot(subject).expect("registered");
-                    let combined = snap.combined().expect("snapshot has replicas");
-                    assert!(
-                        (0.0..=1.0).contains(&combined.value()),
-                        "torn snapshot: {combined:?}"
-                    );
                     let status = service.status(subject).expect("registered");
                     assert!(matches!(
                         status,
@@ -325,6 +317,61 @@ fn invalid_inputs_are_refused_before_the_journal() {
     );
     assert_eq!(fingerprint(&reopened), census);
     drop(reopened);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Replay enforces the live API's input domain: a well-framed journal
+/// record whose opinion, initial reputation or amount the live API
+/// would refuse is refused by `open` with `InvalidInput`, never
+/// applied or clamped.
+#[test]
+fn replay_refuses_records_outside_the_input_domain() {
+    let path =
+        std::env::temp_dir().join(format!("replend-serve-domain-{}.wal", std::process::id()));
+    let config = ServeConfig {
+        partitions: 4,
+        seed: 23,
+        ..ServeConfig::default()
+    };
+    let founders = JournalOp::RegisterBatch {
+        batch: (0..4).map(|p| (PeerId(p), 0.5)).collect(),
+    };
+    // 1.0 with one mantissa bit flipped: 1.0625.
+    let flipped = f64::from_bits(1.0f64.to_bits() ^ (1 << 48));
+    for (bad, field) in [
+        (
+            JournalOp::Batch {
+                batch: vec![Feedback::new(PeerId(1), PeerId(0), flipped)],
+            },
+            "opinion",
+        ),
+        (
+            JournalOp::Credit {
+                subject: PeerId(0),
+                amount: -0.3,
+            },
+            "amount",
+        ),
+        (
+            JournalOp::Register {
+                peer: PeerId(9),
+                initial: f64::NAN,
+            },
+            "initial",
+        ),
+    ] {
+        let file = std::fs::File::create(&path).unwrap();
+        let mut writer =
+            JournalWriter::with_policy(file, journal_seed(config.seed, 0), SyncPolicy::Always);
+        writer.append(&founders).unwrap();
+        writer.append(&bad).unwrap();
+        drop(writer);
+        match ReputationService::open(config, &path) {
+            Err(ServeError::InvalidInput { field: f, .. }) => assert_eq!(f, field),
+            Err(e) => panic!("{bad:?}: wrong error {e}"),
+            Ok(_) => panic!("{bad:?} was replayed"),
+        }
+    }
     let _ = std::fs::remove_file(&path);
 }
 
