@@ -8,9 +8,11 @@
 //! near 1 — therefore see their influence wither, which is what keeps
 //! the paper's reputation values honest.
 //!
-//! The arena engine's [`CredibilityBook`] rows also carry the
-//! reporter's interaction count with the subject, tagged with the
-//! reporter's registration incarnation.
+//! The arena engine's [`CredibilityBook`] rows hold one credibility
+//! per reporter for all of a subject's replicas (they can never
+//! differ, see the `slab` module docs), next to the reporter's
+//! interaction count with the subject, tagged with the reporter's
+//! registration incarnation.
 
 use replend_types::hash::PeerMap;
 use replend_types::PeerId;
@@ -64,20 +66,19 @@ impl CredibilityTable {
 }
 
 /// The per-*subject* credibility ledger of the arena engine: one row
-/// per reporter holding that reporter's credibility at **every**
-/// replica slot.
+/// per reporter holding that reporter's credibility, which stands for
+/// its credibility at **every** replica of the subject.
 ///
 /// This is the hot-path fusion of what the reference layout spreads
 /// over `numSM` separate [`CredibilityTable`]s: the report loop pays
 /// **one** hash probe per feedback (a [`PeerMap`] probe: one
-/// `splitmix64` mix of the reporter id) for all replica credibilities
-/// and walks the row's slot column inline. Values are identical by
-/// construction — replicas of a subject observe the same report
-/// stream, so their per-reporter credibilities only diverge through
-/// crash recovery, which the engine applies column-wise
-/// ([`CredibilityBook::copy_column`] /
-/// [`CredibilityBook::reset_column`]) with the same arithmetic as the
-/// table-per-replica layout.
+/// `splitmix64` mix of the reporter id) and reads the row inline, with
+/// no per-row heap allocation. Values are identical by construction —
+/// replicas of a subject observe the same report stream with the same
+/// credibilities, and crash recovery copies a sibling that is already
+/// equal, so the only crash that changes a credibility is a lost
+/// replica with no sibling (`numSM = 1`), which the engine applies as
+/// a whole-book [`CredibilityBook::reset`].
 ///
 /// Each row also carries the reporter's first-hand **interaction
 /// count** with the subject (the `n` of the quality ramp
@@ -93,19 +94,19 @@ impl CredibilityTable {
 /// replica tables of the reference layout: a departed reporter's
 /// earned credibility survives and resumes if it re-joins; only its
 /// interaction count goes stale.
-#[derive(Clone, Debug)]
+///
+/// The book stores no parameters: the engine passes the initial
+/// credibility from its `RocqParams` where a row is created or reset.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct CredibilityBook {
-    initial: f64,
-    gamma: f64,
-    slots: usize,
     rows: PeerMap<PeerId, Row>,
 }
 
-/// One reporter's row: per-slot credibilities plus the tagged
-/// interaction count.
-#[derive(Clone, Debug)]
+/// One reporter's row: its credibility plus the tagged interaction
+/// count.
+#[derive(Clone, Copy, Debug)]
 struct Row {
-    creds: Box<[f64]>,
+    cred: f64,
     /// The reporter incarnation `count` belongs to.
     tag: u64,
     count: u32,
@@ -124,85 +125,54 @@ impl Row {
 }
 
 impl CredibilityBook {
-    /// A book for `slots` replicas where unknown reporters start at
-    /// `initial` and updates use learning rate `gamma`.
-    pub fn new(initial: f64, gamma: f64, slots: usize) -> Self {
-        CredibilityBook {
-            initial: initial.clamp(0.0, 1.0),
-            gamma: gamma.clamp(0.0, 1.0),
-            slots,
-            rows: PeerMap::default(),
-        }
-    }
-
     /// Records one more interaction of `reporter` (current
     /// incarnation `tag`) with the subject — the single book probe
     /// (one `splitmix64` mix) of the engine's report hot path. Returns
     /// the interaction count *before* the increment (the evidence
     /// backing the current opinion) and the reporter's mutable
-    /// per-slot credibility column. New reporters start every slot at `initial` (the only
-    /// heap allocation, paid once per (reporter, subject) pair).
+    /// credibility. A new reporter starts at `initial`.
     #[inline]
-    pub(crate) fn record(&mut self, reporter: PeerId, tag: u64) -> (u32, &mut [f64]) {
-        let (initial, slots) = (self.initial, self.slots);
-        let row = self.rows.entry(reporter).or_insert_with(|| Row {
-            creds: vec![initial; slots].into_boxed_slice(),
+    pub(crate) fn record(&mut self, reporter: PeerId, tag: u64, initial: f64) -> (u32, &mut f64) {
+        let row = self.rows.entry(reporter).or_insert(Row {
+            cred: initial,
             tag,
             count: 0,
         });
         let before = row.count_for(tag);
         row.tag = tag;
         row.count = before.saturating_add(1);
-        (before, &mut row.creds)
+        (before, &mut row.cred)
     }
 
-    /// Crash recovery from a sibling replica: every reporter's `dst`
-    /// credibility becomes its `src` credibility (the column-wise
-    /// equivalent of cloning the sibling's table).
-    pub(crate) fn copy_column(&mut self, dst: usize, src: usize) {
+    /// Crash without a surviving sibling: every reporter's credibility
+    /// resets to `initial` (the equivalent of a fresh table — unknown
+    /// and reset reporters are indistinguishable at `initial`). The
+    /// interaction counts are not replica state and stay.
+    pub(crate) fn reset(&mut self, initial: f64) {
         for row in self.rows.values_mut() {
-            row.creds[dst] = row.creds[src];
-        }
-    }
-
-    /// Crash without a surviving sibling: the `slot` column resets to
-    /// the initial credibility (the column-wise equivalent of a fresh
-    /// table — unknown and reset reporters are indistinguishable at
-    /// `initial`).
-    pub(crate) fn reset_column(&mut self, slot: usize) {
-        for row in self.rows.values_mut() {
-            row.creds[slot] = self.initial;
+            row.cred = initial;
         }
     }
 
     /// Every reporter's explicit row as `(reporter, interaction count,
-    /// per-slot credibilities)`, in arbitrary (hash) order, with each
-    /// count read through `incarnation_of` (the reporter's current
-    /// incarnation, `None` once it departed): a stale tag reads 0.
-    /// Checkpoint export sorts by reporter for canonical bytes.
-    pub(crate) fn iter_rows(
-        &self,
-        incarnation_of: impl Fn(PeerId) -> Option<u64>,
-    ) -> impl Iterator<Item = (PeerId, u32, &[f64])> {
+    /// credibility)`, in arbitrary (hash) order, with each count read
+    /// through `incarnation_of` (the reporter's current incarnation,
+    /// `None` once it departed): a stale tag reads 0. Checkpoint
+    /// export sorts by reporter for canonical bytes.
+    pub(crate) fn iter_rows<'a>(
+        &'a self,
+        incarnation_of: impl Fn(PeerId) -> Option<u64> + 'a,
+    ) -> impl Iterator<Item = (PeerId, u32, f64)> + 'a {
         self.rows.iter().map(move |(&p, row)| {
             let count = incarnation_of(p).map_or(0, |tag| row.count_for(tag));
-            (p, count, &row.creds[..])
+            (p, count, row.cred)
         })
     }
 
     /// Checkpoint import: installs a reporter's row verbatim,
-    /// bit-exact, with its count tagged `tag`. The row length must
-    /// match the book's slot count.
-    pub(crate) fn insert_row(&mut self, reporter: PeerId, creds: Vec<f64>, count: u32, tag: u64) {
-        assert_eq!(creds.len(), self.slots, "credibility row width mismatch");
-        let creds = creds.into_boxed_slice();
-        self.rows.insert(reporter, Row { creds, tag, count });
-    }
-
-    /// The learning rate, for the engine's inline update loop.
-    #[inline]
-    pub(crate) fn gamma(&self) -> f64 {
-        self.gamma
+    /// bit-exact, with its count tagged `tag`.
+    pub(crate) fn insert_row(&mut self, reporter: PeerId, cred: f64, count: u32, tag: u64) {
+        self.rows.insert(reporter, Row { cred, tag, count });
     }
 }
 
@@ -211,11 +181,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Current credibility `slot` assigns to `reporter`.
-    fn credibility(book: &CredibilityBook, reporter: PeerId, slot: usize) -> f64 {
-        book.rows
-            .get(&reporter)
-            .map_or(book.initial, |r| r.creds[slot])
+    /// The initial credibility the tests create rows with.
+    const INITIAL: f64 = 0.5;
+
+    /// Current credibility the book assigns to `reporter`.
+    fn credibility(book: &CredibilityBook, reporter: PeerId) -> f64 {
+        book.rows.get(&reporter).map_or(INITIAL, |r| r.cred)
     }
 
     #[test]
@@ -263,24 +234,28 @@ mod tests {
 
     #[test]
     fn book_starts_at_initial() {
-        let mut b = CredibilityBook::new(0.5, 0.1, 3);
-        assert_eq!(credibility(&b, PeerId(1), 0), 0.5);
+        let mut b = CredibilityBook::default();
+        assert_eq!(credibility(&b, PeerId(1)), 0.5);
         assert_eq!(b.rows.len(), 0);
-        assert_eq!(b.record(PeerId(1), 1), (0, &mut [0.5, 0.5, 0.5][..]));
+        assert_eq!(b.record(PeerId(1), 1, INITIAL), (0, &mut 0.5));
         assert_eq!(b.rows.len(), 1);
-        b.record(PeerId(1), 1).1[2] = 0.9;
-        assert_eq!(credibility(&b, PeerId(1), 2), 0.9);
+        *b.record(PeerId(1), 1, INITIAL).1 = 0.9;
+        assert_eq!(credibility(&b, PeerId(1)), 0.9);
         assert_eq!(b.rows.len(), 1, "rows are reused, not re-created");
     }
 
     #[test]
     fn counts_restart_when_the_reporter_tag_changes() {
-        let mut b = CredibilityBook::new(0.5, 0.1, 2);
+        let mut b = CredibilityBook::default();
         let (a, r) = (PeerId(1), PeerId(2));
-        assert_eq!(b.record(a, 7).0, 0, "returns the pre-increment count");
-        assert_eq!(b.record(a, 7).0, 1);
-        assert_eq!(b.record(r, 3).0, 0, "counts are per reporter");
-        b.record(a, 7).1[0] = 0.9;
+        assert_eq!(
+            b.record(a, 7, INITIAL).0,
+            0,
+            "returns the pre-increment count"
+        );
+        assert_eq!(b.record(a, 7, INITIAL).0, 1);
+        assert_eq!(b.record(r, 3, INITIAL).0, 0, "counts are per reporter");
+        *b.record(a, 7, INITIAL).1 = 0.9;
         let counts = |b: &CredibilityBook, tag_a: Option<u64>| {
             let mut rows: Vec<(PeerId, u32)> = b
                 .iter_rows(|p| if p == a { tag_a } else { Some(3) })
@@ -294,26 +269,33 @@ mod tests {
         // count reads 0, the credibility survives.
         assert_eq!(counts(&b, None), [(a, 0), (r, 1)]);
         assert_eq!(counts(&b, Some(8)), [(a, 0), (r, 1)]);
-        assert_eq!(b.record(a, 8).0, 0, "a new incarnation restarts at 0");
-        assert_eq!(credibility(&b, a, 0), 0.9);
+        assert_eq!(
+            b.record(a, 8, INITIAL).0,
+            0,
+            "a new incarnation restarts at 0"
+        );
+        assert_eq!(credibility(&b, a), 0.9);
         assert_eq!(counts(&b, Some(8)), [(a, 1), (r, 1)]);
     }
 
     #[test]
-    fn book_columns_match_per_replica_tables() {
-        // The book must be value-identical to numSM independent
-        // tables fed the same agreement stream, including across a
-        // crash copy and a crash reset.
-        let (initial, gamma, slots) = (0.5, 0.1, 3);
-        let mut book = CredibilityBook::new(initial, gamma, slots);
-        let mut tables: Vec<CredibilityTable> = (0..slots)
-            .map(|_| CredibilityTable::new(initial, gamma))
-            .collect();
+    fn book_matches_per_replica_tables() {
+        // The book must be value-identical to every one of numSM
+        // independent tables fed the same agreement stream, including
+        // across a crash with no sibling (fresh tables, book reset),
+        // and the reset must keep the interaction counts.
+        let (gamma, slots) = (0.1, 3);
+        let mut book = CredibilityBook::default();
+        let fresh = || -> Vec<CredibilityTable> {
+            (0..slots)
+                .map(|_| CredibilityTable::new(INITIAL, gamma))
+                .collect()
+        };
+        let mut tables = fresh();
         let reporter = PeerId(7);
         let feed = |book: &mut CredibilityBook, tables: &mut [CredibilityTable], agreed: bool| {
-            for c in book.record(reporter, 1).1.iter_mut() {
-                *c = credibility_update(*c, agreed, gamma);
-            }
+            let c = book.record(reporter, 1, INITIAL).1;
+            *c = credibility_update(*c, agreed, gamma);
             for t in tables.iter_mut() {
                 t.update(reporter, agreed);
             }
@@ -321,18 +303,16 @@ mod tests {
         for step in 0..40 {
             feed(&mut book, &mut tables, step % 3 != 0);
         }
-        // Crash at slot 1 with sibling 0.
-        book.copy_column(1, 0);
-        tables[1] = tables[0].clone();
-        // Crash at slot 2 with no sibling: fresh state.
-        book.reset_column(2);
-        tables[2] = CredibilityTable::new(initial, gamma);
+        book.reset(INITIAL);
+        tables = fresh();
+        assert_eq!(credibility(&book, reporter), INITIAL);
+        assert_eq!(book.iter_rows(|_| Some(1)).next().unwrap().1, 40);
         for step in 0..40 {
             feed(&mut book, &mut tables, step % 2 == 0);
         }
         for (slot, t) in tables.iter().enumerate() {
             assert_eq!(
-                credibility(&book, reporter, slot).to_bits(),
+                credibility(&book, reporter).to_bits(),
                 t.get(reporter).to_bits(),
                 "slot {slot} diverged from its reference table"
             );

@@ -38,13 +38,26 @@
 //! touches only: the handle index (probed for the reporter's
 //! incarnation and the subject's handle), the per-subject
 //! [`CredibilityBook`] (one hash probe yielding the reporter's
-//! interaction count with the subject *and* its credibility at
-//! **every** replica slot — the reference layout pays a pair-log
-//! probe plus three probes per replica), and the contiguous
-//! `numSM`-strided score slab — a struct-of-arrays `ScoreSlab` walked
-//! by plain per-lane loops (see the `slab` module docs for the layout
-//! and the determinism rule); the cache refresh then walks the same
-//! slab plus the `cached`/`touched_seq` arrays.
+//! interaction count with the subject *and* its credibility, inline in
+//! the row — the reference layout pays a pair-log probe plus three
+//! probes per replica), and the subject's one `(r, w)` lane of the
+//! `ScoreSlab`; the cache refresh then reads the same lane plus the
+//! `cached`/`touched_seq` arrays.
+//!
+//! ## One lane for `numSM` replicas
+//!
+//! Every subject has `numSM` score-manager replicas, but they can
+//! never differ: each sees the same reports with the same
+//! credibilities, and crash recovery copies a sibling that is already
+//! bit-equal. So the engine stores **one** score lane per subject and
+//! **one** credibility per (reporter, subject) row whatever `numSM`
+//! is, and a crash loss changes state only when `numSM = 1` (no
+//! sibling: the lane and the book reset). The aggregate keeps the
+//! historical replica-mean definition, `numSM` copies summed left to
+//! right and divided by `numSM`, so every result bit matches the
+//! [`reference`](crate::reference) layout, which keeps real per-replica
+//! tables (see the `slab` module docs for the layout and the
+//! determinism rule).
 //!
 //! Replica placement (ring, replica-key index, re-home counters) is
 //! the private `overlay` module's `Overlay`. It can change a value only
@@ -162,15 +175,15 @@ struct EngineShard {
     /// Registration incarnation: the tag the subject's interaction
     /// counts carry in other subjects' book rows while it reports.
     incarnation: Vec<u64>,
-    /// Replica score states as parallel `r`/`w` arrays, `numSM`
-    /// consecutive lanes per handle — the contiguous slab the report
-    /// and cache-refresh walks read (see [`ScoreSlab`]).
+    /// Score states, one `(r, w)` lane per handle standing for all
+    /// `numSM` replicas — the slab the report and the cache refresh
+    /// read (see [`ScoreSlab`]).
     slab: ScoreSlab,
     // ---- cold arrays, one entry per handle ----
     /// Handle → subject id (delta emission, crash rolls).
     peers: Vec<PeerId>,
-    /// Per-subject credibility ledger (all replica slots and the
-    /// tagged interaction count in one row per reporter).
+    /// Per-subject credibility ledger (the credibility and the tagged
+    /// interaction count in one row per reporter).
     books: Vec<CredibilityBook>,
     // ---- buffers ----
     /// Aggregate changes since the last drain, in mutation order.
@@ -181,7 +194,8 @@ struct EngineShard {
     touched: Vec<Handle>,
     /// The incarnation the next registration hands out.
     next_incarnation: u64,
-    /// Replication factor (array stride), copied from the engine.
+    /// Replication factor (the aggregate's replica count), copied from
+    /// the engine.
     num_sm: usize,
 }
 
@@ -210,22 +224,19 @@ impl EngineShard {
         self.index.get(&peer).map(|h| self.incarnation[h.index()])
     }
 
-    /// Recovers replica `slot` of `h` after the crash model lost its
-    /// state: it copies the first sibling replica, or resets when it
-    /// is the only one, then refreshes the cached aggregate.
-    fn recover_lane(&mut self, h: Handle, slot: usize) {
-        let base = h.index() * self.num_sm;
-        match (0..self.num_sm).find(|&i| i != slot) {
-            Some(sibling) => {
-                self.slab.copy_lane(base + slot, base + sibling);
-                self.books[h.index()].copy_column(slot, sibling);
-            }
-            None => {
-                self.slab
-                    .set(base + slot, ScoreState::new(Reputation::ZERO, 0.0));
-                self.books[h.index()].reset_column(slot);
-            }
+    /// Recovers a replica of `h` after the crash model lost its state.
+    /// With a sibling to copy (`numSM > 1`) the copy is bit-for-bit a
+    /// no-op — every sibling already equals the lost replica — so
+    /// nothing is written. With none, the subject's lane resets, its
+    /// book resets to `initial_credibility`, and the cached aggregate
+    /// refreshes.
+    fn recover_lane(&mut self, h: Handle, initial_credibility: f64) {
+        if self.num_sm > 1 {
+            return;
         }
+        self.slab
+            .set(h.index(), ScoreState::new(Reputation::ZERO, 0.0));
+        self.books[h.index()].reset(initial_credibility);
         self.refresh_cache(h);
     }
 
@@ -250,20 +261,16 @@ impl EngineShard {
         opinion: f64,
     ) -> Option<Handle> {
         let &h = self.index.get(&subject)?;
-        let base = h.index() * self.num_sm;
-        let book = &mut self.books[h.index()];
-        let gamma = book.gamma();
-        let (n, row) = book.record(reporter, tag);
+        let (n, cred) = self.books[h.index()].record(reporter, tag, params.initial_credibility);
         let q = quality_from_count(n, params.eta, params.min_quality);
-        // The fused report + credibility walk over the subject's
-        // replica lanes (see [`ScoreSlab::report_span`]).
-        self.slab.report_span(
-            base,
-            self.num_sm,
-            row,
+        // The fused report + credibility update of the subject's lane
+        // (see [`ScoreSlab::report`]).
+        self.slab.report(
+            h.index(),
+            cred,
             opinion,
             q,
-            gamma,
+            params.gamma,
             params.agreement_threshold,
             params.weight_cap,
         );
@@ -273,8 +280,7 @@ impl EngineShard {
     /// Refreshes `subject`'s cached aggregate, emitting a delta when
     /// it moved.
     fn refresh_cache(&mut self, h: Handle) {
-        let base = h.index() * self.num_sm;
-        let new = self.slab.aggregate_span(base, self.num_sm);
+        let new = self.slab.aggregate(h.index(), self.num_sm);
         let old = std::mem::replace(&mut self.cached[h.index()], new);
         let delta = ReputationDelta {
             subject: self.peers[h.index()],
@@ -321,8 +327,9 @@ impl EngineShard {
 
     /// Exports the complete subject arena in the
     /// derive-don't-store layout (see the [`state`](crate::state)
-    /// module docs). Vacant slots are canonicalised and uniform score
-    /// lanes and credibility rows are packed once. Interaction counts
+    /// module docs). Vacant slots are canonicalised, and every handle
+    /// and credibility row is flagged uniform with its one value (the
+    /// replicas never differ). Interaction counts
     /// are read through `incarnation_of` (see
     /// [`RocqEngine::export_state`]), so a stale count exports as 0.
     /// The delta buffer must be drained first — deltas are a transient
@@ -330,7 +337,6 @@ impl EngineShard {
     fn export(&self, incarnation_of: impl Fn(PeerId) -> Option<u64>) -> ShardState {
         debug_assert!(self.deltas.is_empty(), "export with undrained deltas");
         let capacity = self.alloc.capacity();
-        let num_sm = self.num_sm;
         let mut index: Vec<(PeerId, Handle)> = self.index.iter().map(|(&p, &h)| (p, h)).collect();
         index.sort_unstable_by_key(|&(p, _)| p);
         let mut occupied = vec![false; capacity];
@@ -338,50 +344,29 @@ impl EngineShard {
             occupied[h.index()] = true;
         }
 
-        // Score slab: one lane when all of a handle's lanes agree
-        // bit-for-bit (the steady state — replicas diverge only under
-        // crash loss), the canonical default for vacant handles.
+        // Score slab: one lane per handle, the canonical default for
+        // vacant handles.
         let (vacant_r, vacant_w) = ScoreState::default().raw_parts();
-        let mut slab_uniform = vec![0u8; capacity.div_ceil(8)];
         let mut slab_r = Vec::with_capacity(capacity);
         let mut slab_w = Vec::with_capacity(capacity);
-        for h in 0..capacity {
-            if !occupied[h] {
-                slab_uniform[h / 8] |= 1 << (h % 8);
-                slab_r.push(vacant_r);
-                slab_w.push(vacant_w);
-                continue;
-            }
-            let base = h * num_sm;
-            let (r0, w0) = self.slab.get(base).raw_parts();
-            let uniform = (1..num_sm).all(|s| {
-                let (r, w) = self.slab.get(base + s).raw_parts();
-                r.to_bits() == r0.to_bits() && w.to_bits() == w0.to_bits()
-            });
-            if uniform {
-                slab_uniform[h / 8] |= 1 << (h % 8);
-                slab_r.push(r0);
-                slab_w.push(w0);
+        for (h, &live) in occupied.iter().enumerate() {
+            let (r, w) = if live {
+                self.slab.get(h).raw_parts()
             } else {
-                for s in 0..num_sm {
-                    let (r, w) = self.slab.get(base + s).raw_parts();
-                    slab_r.push(r);
-                    slab_w.push(w);
-                }
-            }
+                (vacant_r, vacant_w)
+            };
+            slab_r.push(r);
+            slab_w.push(w);
         }
 
         // Credibility books, flattened: per-handle row counts, then
         // reporters, interaction counts and credibilities as single
-        // flat runs (uniform rows — every slot bit-equal — pack to one
-        // value).
+        // flat runs.
         let mut book_lens = Vec::with_capacity(capacity);
-        let mut book_row_uniform: Vec<u8> = Vec::new();
         let mut book_reporters = Vec::new();
         let mut book_counts = Vec::new();
         let mut book_rows = Vec::new();
-        let mut row_n = 0usize;
-        let mut rows_scratch: Vec<(PeerId, u32, &[f64])> = Vec::new();
+        let mut rows_scratch: Vec<(PeerId, u32, f64)> = Vec::new();
         for (h, &live) in occupied.iter().enumerate() {
             if !live {
                 book_lens.push(0);
@@ -391,19 +376,10 @@ impl EngineShard {
             rows_scratch.extend(self.books[h].iter_rows(&incarnation_of));
             rows_scratch.sort_unstable_by_key(|&(p, _, _)| p);
             book_lens.push(rows_scratch.len() as u32);
-            for &(p, count, row) in &rows_scratch {
+            for &(p, count, cred) in &rows_scratch {
                 book_reporters.push(p);
                 book_counts.push(count);
-                if row_n % 8 == 0 {
-                    book_row_uniform.push(0);
-                }
-                if row.iter().all(|v| v.to_bits() == row[0].to_bits()) {
-                    book_row_uniform[row_n / 8] |= 1 << (row_n % 8);
-                    book_rows.push(row[0]);
-                } else {
-                    book_rows.extend_from_slice(row);
-                }
-                row_n += 1;
+                book_rows.push(cred);
             }
         }
 
@@ -423,11 +399,11 @@ impl EngineShard {
                 .zip(&occupied)
                 .map(|(&p, &live)| if live { p } else { PeerId(0) })
                 .collect(),
-            slab_uniform,
+            slab_uniform: uniform_bitmap(capacity),
             slab_r,
             slab_w,
             book_lens,
-            book_row_uniform,
+            book_row_uniform: uniform_bitmap(book_rows.len()),
             book_reporters,
             book_counts,
             book_rows,
@@ -435,15 +411,16 @@ impl EngineShard {
     }
 
     /// Rebuilds the store from exported state — the exact inverse of
-    /// [`EngineShard::export`]. Packed lanes and rows are re-expanded
-    /// bit-for-bit. Scratch
+    /// [`EngineShard::export`]. Lanes and rows are installed
+    /// bit-for-bit; a cleared uniformity bit is refused, since no
+    /// engine can write one. Scratch
     /// buffers start empty and the touch-sequence array starts at
     /// zero (sound: the batch counter restarts at zero too and dedup
     /// compares equality only). Every subject and every book row gets
     /// [`IMPORTED_INCARNATION`]: a live reporter's exported counts are
     /// current again, and a departed reporter's exported 0 reads as 0
     /// under any tag.
-    fn import(s: &ShardState, num_sm: usize, params: &RocqParams) -> Result<Self, InvalidState> {
+    fn import(s: &ShardState, num_sm: usize) -> Result<Self, InvalidState> {
         let capacity = s.capacity as usize;
         if s.cached.len() != capacity || s.peers.len() != capacity || s.book_lens.len() != capacity
         {
@@ -451,8 +428,8 @@ impl EngineShard {
                 "handle arrays disagree with capacity {capacity}"
             )));
         }
-        if s.slab_uniform.len() != capacity.div_ceil(8) {
-            return Err(InvalidState("slab uniformity bitmap length".into()));
+        if s.slab_uniform != uniform_bitmap(capacity) {
+            return Err(InvalidState("score lanes not flagged uniform".into()));
         }
         // Occupancy: the live index and the free list must partition
         // the arena exactly.
@@ -477,19 +454,16 @@ impl EngineShard {
         if s.index.len() + s.free.len() != capacity {
             return Err(InvalidState("slots neither live nor free".into()));
         }
-        let uniform = |h: usize| s.slab_uniform[h / 8] >> (h % 8) & 1 == 1;
-        let packed: usize = (0..capacity)
-            .map(|h| if uniform(h) { 1 } else { num_sm })
-            .sum();
-        if s.slab_r.len() != packed || s.slab_w.len() != packed {
-            return Err(InvalidState(
-                "packed slab length disagrees with bitmap".into(),
-            ));
+        if s.slab_r.len() != capacity || s.slab_w.len() != capacity {
+            return Err(InvalidState("slab length disagrees with capacity".into()));
         }
         let rows_total: usize = s.book_lens.iter().map(|&n| n as usize).sum();
+        if s.book_row_uniform != uniform_bitmap(rows_total) {
+            return Err(InvalidState("credibility rows not flagged uniform".into()));
+        }
         if s.book_reporters.len() != rows_total
             || s.book_counts.len() != rows_total
-            || s.book_row_uniform.len() != rows_total.div_ceil(8)
+            || s.book_rows.len() != rows_total
         {
             return Err(InvalidState(
                 "book row arrays disagree with row counts".into(),
@@ -508,58 +482,38 @@ impl EngineShard {
         shard.next_incarnation = IMPORTED_INCARNATION + 1;
         shard.peers.clone_from(&s.peers);
 
-        let mut i = 0;
-        for h in 0..capacity {
-            if uniform(h) {
-                let lane = ScoreState::from_raw_parts(s.slab_r[i], s.slab_w[i]);
-                i += 1;
-                for _ in 0..num_sm {
-                    shard.slab.push(lane);
-                }
-            } else {
-                for _ in 0..num_sm {
-                    shard
-                        .slab
-                        .push(ScoreState::from_raw_parts(s.slab_r[i], s.slab_w[i]));
-                    i += 1;
-                }
-            }
+        for (&r, &w) in s.slab_r.iter().zip(&s.slab_w) {
+            shard.slab.push(ScoreState::from_raw_parts(r, w));
         }
 
-        let row_uniform = |r: usize| s.book_row_uniform[r / 8] >> (r % 8) & 1 == 1;
         let mut row_n = 0usize;
-        let mut val_n = 0usize;
         shard.books = Vec::with_capacity(capacity);
-        for h in 0..capacity {
-            let mut book = CredibilityBook::new(params.initial_credibility, params.gamma, num_sm);
-            for _ in 0..s.book_lens[h] {
-                let reporter = s.book_reporters[row_n];
-                let row = if row_uniform(row_n) {
-                    let v = *s.book_rows.get(val_n).ok_or_else(|| {
-                        InvalidState("flat credibility run shorter than its rows".into())
-                    })?;
-                    val_n += 1;
-                    vec![v; num_sm]
-                } else {
-                    let run = s.book_rows.get(val_n..val_n + num_sm).ok_or_else(|| {
-                        InvalidState("flat credibility run shorter than its rows".into())
-                    })?;
-                    val_n += num_sm;
-                    run.to_vec()
-                };
-                book.insert_row(reporter, row, s.book_counts[row_n], IMPORTED_INCARNATION);
+        for &len in &s.book_lens {
+            let mut book = CredibilityBook::default();
+            for _ in 0..len {
+                book.insert_row(
+                    s.book_reporters[row_n],
+                    s.book_rows[row_n],
+                    s.book_counts[row_n],
+                    IMPORTED_INCARNATION,
+                );
                 row_n += 1;
             }
             shard.books.push(book);
         }
-        if val_n != s.book_rows.len() {
-            return Err(InvalidState(
-                "flat credibility run longer than its rows".into(),
-            ));
-        }
 
         Ok(shard)
     }
+}
+
+/// `n` set bits, padding bits of the last byte clear: the uniformity
+/// bitmap of every export (see [`ShardState::slab_uniform`]).
+fn uniform_bitmap(n: usize) -> Vec<u8> {
+    let mut bits = vec![u8::MAX; n / 8];
+    if n % 8 != 0 {
+        bits.push((1 << (n % 8)) - 1);
+    }
+    bits
 }
 
 /// The replicated ROCQ engine.
@@ -687,7 +641,7 @@ impl RocqEngine {
             )));
         }
         let mut engine = RocqEngine::new(state.params, num_sm, state.seed);
-        engine.shard = EngineShard::import(&state.shard, num_sm, &state.params)?;
+        engine.shard = EngineShard::import(&state.shard, num_sm)?;
         engine.overlay = match &state.overlay {
             Some(o) => Some(Overlay::import(
                 o,
@@ -723,11 +677,11 @@ impl ReputationEngine for RocqEngine {
         // The peer becomes an overlay node first (it may end up
         // hosting some of its own replicas on tiny rings — harmless).
         if let Some(overlay) = &mut self.overlay {
-            for &(lost, slot) in overlay.join(peer, &self.shard.peers) {
-                self.shard.recover_lane(lost, slot);
+            for &(lost, _) in overlay.join(peer, &self.shard.peers) {
+                self.shard
+                    .recover_lane(lost, self.params.initial_credibility);
             }
         }
-        let num_sm = self.num_sm;
         let shard = &mut self.shard;
         let incarnation = shard.next_incarnation;
         shard.next_incarnation += 1;
@@ -737,14 +691,8 @@ impl ReputationEngine for RocqEngine {
                 shard.touched_seq.push(0);
                 shard.incarnation.push(incarnation);
                 shard.peers.push(peer);
-                shard.books.push(CredibilityBook::new(
-                    self.params.initial_credibility,
-                    self.params.gamma,
-                    num_sm,
-                ));
-                for _ in 0..num_sm {
-                    shard.slab.push(ScoreState::default());
-                }
+                shard.books.push(CredibilityBook::default());
+                shard.slab.push(ScoreState::default());
                 h
             }
             SlotAlloc::Reused(h) => {
@@ -753,22 +701,15 @@ impl ReputationEngine for RocqEngine {
                 shard.touched_seq[h.index()] = 0;
                 shard.incarnation[h.index()] = incarnation;
                 shard.peers[h.index()] = peer;
-                shard.books[h.index()] = CredibilityBook::new(
-                    self.params.initial_credibility,
-                    self.params.gamma,
-                    num_sm,
-                );
+                shard.books[h.index()] = CredibilityBook::default();
                 h
             }
         };
-        let base = h.index() * num_sm;
-        for slot in 0..num_sm {
-            shard.slab.set(
-                base + slot,
-                ScoreState::new(initial, self.params.prior_weight),
-            );
-        }
-        shard.cached[h.index()] = shard.slab.aggregate_span(base, num_sm);
+        shard.slab.set(
+            h.index(),
+            ScoreState::new(initial, self.params.prior_weight),
+        );
+        shard.cached[h.index()] = shard.slab.aggregate(h.index(), self.num_sm);
         shard.index.insert(peer, h);
         if let Some(overlay) = &mut self.overlay {
             overlay.place(peer, h);
@@ -786,15 +727,11 @@ impl ReputationEngine for RocqEngine {
         // reference layout's replica tables keep its credibility —
         // earned credibility resumes on re-join); the interaction
         // counts there went stale with its incarnation.
-        shard.books[h.index()] = CredibilityBook::new(
-            self.params.initial_credibility,
-            self.params.gamma,
-            self.num_sm,
-        );
+        shard.books[h.index()] = CredibilityBook::default();
         shard.alloc.release(h);
         if let Some(overlay) = &mut self.overlay {
-            for &(lost, slot) in overlay.leave(peer, h, &shard.peers) {
-                shard.recover_lane(lost, slot);
+            for &(lost, _) in overlay.leave(peer, h, &shard.peers) {
+                shard.recover_lane(lost, self.params.initial_credibility);
             }
         }
     }
@@ -824,9 +761,7 @@ impl ReputationEngine for RocqEngine {
         let Some(&h) = shard.index.get(&subject) else {
             return;
         };
-        shard
-            .slab
-            .adjust_span(h.index() * self.num_sm, self.num_sm, amount.abs());
+        shard.slab.adjust(h.index(), amount.abs());
         shard.refresh_cache(h);
     }
 
@@ -835,9 +770,7 @@ impl ReputationEngine for RocqEngine {
         let Some(&h) = shard.index.get(&subject) else {
             return;
         };
-        shard
-            .slab
-            .adjust_span(h.index() * self.num_sm, self.num_sm, -amount.abs());
+        shard.slab.adjust(h.index(), -amount.abs());
         shard.refresh_cache(h);
     }
 
@@ -906,31 +839,29 @@ mod tests {
         let row = e.shard.books[h.index()]
             .iter_rows(|_| None)
             .find(|&(p, _, _)| p == reporter);
-        Some(row.map_or(e.params.initial_credibility, |(_, _, creds)| creds[0]))
+        Some(row.map_or(e.params.initial_credibility, |(_, _, cred)| cred))
     }
 
-    /// `subject`'s replica score states, read from its slab lanes in
-    /// slot order; `None` when it is not a subject.
-    fn replicas(e: &RocqEngine, subject: PeerId) -> Option<Vec<ScoreState>> {
+    /// `subject`'s score lane, which stands for every replica; `None`
+    /// when it is not a subject.
+    fn lane(e: &RocqEngine, subject: PeerId) -> Option<ScoreState> {
         let &h = e.shard.index.get(&subject)?;
-        let base = h.index() * e.num_sm;
-        Some(
-            (base..base + e.num_sm)
-                .map(|i| e.shard.slab.get(i))
-                .collect(),
-        )
+        Some(e.shard.slab.get(h.index()))
     }
 
-    /// The replica mean recomputed from the lanes (sum then divide, in
-    /// slot order): the value the cached aggregate must equal.
+    /// The replica mean recomputed from `numSM` copies of the lane (sum
+    /// then divide, in slot order): the value the cached aggregate must
+    /// equal.
     fn replica_mean(e: &RocqEngine, subject: PeerId) -> Option<Reputation> {
-        let lanes = replicas(e, subject)?;
-        let sum: f64 = lanes.iter().map(|s| s.reputation().value()).sum();
-        Some(Reputation::new(sum / lanes.len() as f64))
+        let replicas = vec![lane(e, subject)?; e.num_sm];
+        let sum: f64 = replicas.iter().map(|s| s.reputation().value()).sum();
+        Some(Reputation::new(sum / replicas.len() as f64))
     }
 
     #[test]
     fn crash_free_replicas_agree() {
+        // One lane per subject whatever numSM is; the aggregate is the
+        // mean of numSM copies of it.
         let mut e = RocqEngine::new(RocqParams::default(), 6, 9);
         for p in 0..20u64 {
             e.register_peer(PeerId(p), Reputation::ONE);
@@ -938,12 +869,10 @@ mod tests {
         for r in 0..50u64 {
             e.report(PeerId(r % 19 + 1), PeerId(0), 1.0);
         }
-        let lanes = replicas(&e, PeerId(0)).unwrap();
-        assert_eq!(lanes.len(), 6);
-        assert!(lanes[0].raw_parts().1 > 0.0, "reports add evidence");
+        assert_eq!(e.shard.slab.get(19), lane(&e, PeerId(19)).unwrap());
         assert!(
-            lanes.iter().all(|s| *s == lanes[0]),
-            "crash-free replicas agree"
+            lane(&e, PeerId(0)).unwrap().raw_parts().1 > 0.0,
+            "reports add evidence"
         );
         assert_eq!(replica_mean(&e, PeerId(0)), e.reputation(PeerId(0)));
     }
@@ -1169,9 +1098,11 @@ mod tests {
         }
         let after = e.reputation(PeerId(100)).unwrap().value();
         assert!(e.crash_losses() > 0, "crash model must have fired");
-        // Sibling recovery keeps the aggregate close.
-        assert!(
-            (before - after).abs() < 0.05,
+        // Every sibling is bit-equal to the lost replica, so the
+        // recovery copy changes nothing.
+        assert_eq!(
+            before.to_bits(),
+            after.to_bits(),
             "redundancy failed to mask crashes: {before} -> {after}"
         );
     }
@@ -1556,6 +1487,26 @@ mod tests {
         let mut bad = state.clone();
         bad.num_sm = 0;
         assert!(RocqEngine::import_state(&bad).is_err(), "zero numSM");
+
+        // Replicas never diverge, so no engine exports a cleared
+        // uniformity bit: a handle whose numSM lanes are spelled out…
+        let num_sm = state.num_sm as usize;
+        let (_, h) = state.shard.index[0];
+        let h = h.index();
+        let mut bad = state.clone();
+        bad.shard.slab_uniform[h / 8] &= !(1 << (h % 8));
+        let (r, w) = (bad.shard.slab_r[h], bad.shard.slab_w[h]);
+        bad.shard.slab_r.splice(h..=h, vec![r; num_sm]);
+        bad.shard.slab_w.splice(h..=h, vec![w; num_sm]);
+        let err = RocqEngine::import_state(&bad).err().expect("refused");
+        assert!(err.0.contains("uniform"), "{err}");
+        // … or a credibility row whose numSM values are spelled out.
+        let mut bad = state.clone();
+        bad.shard.book_row_uniform[0] &= !1;
+        let cred = bad.shard.book_rows[0];
+        bad.shard.book_rows.splice(0..=0, vec![cred; num_sm]);
+        let err = RocqEngine::import_state(&bad).err().expect("refused");
+        assert!(err.0.contains("uniform"), "{err}");
 
         // An overlay travels exactly when the crash model is on, so
         // its presence must agree with the params in both directions.

@@ -34,9 +34,17 @@
 //! configurable crash probability a re-homed replica loses its state
 //! and copies it back from a surviving sibling (anti-entropy) —
 //! *"redundancy is introduced in the system in case a score manager
-//! crashes"* (§2). Reads combine the live replicas' values. A
-//! re-homing without a crash changes nothing, so [`RocqEngine`]
-//! simulates the overlay only when the crash probability is positive.
+//! crashes"* (§2). Reads combine the replicas' values. A re-homing
+//! without a crash changes nothing, so [`RocqEngine`] simulates the
+//! overlay only when the crash probability is positive.
+//!
+//! The replicas of a subject can never differ: they see the same
+//! reports with the same credibilities, and the sibling a lost replica
+//! copies is already bit-equal. So [`RocqEngine`] stores one score lane
+//! and one credibility per (reporter, subject) whatever `numSM` is,
+//! and a crash loss changes state only when `numSM = 1`. The aggregate
+//! still sums `numSM` copies and divides, so every result bit matches
+//! the [`reference`] layout, which keeps real per-replica tables.
 //!
 //! ## Engines
 //!

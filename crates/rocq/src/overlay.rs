@@ -76,8 +76,10 @@ fn assignments_in_arc(
 /// registration is a ring join and a removal a ring leave. Each join
 /// or leave re-homes the replicas in the moved arc, and each re-homing
 /// rolls [`crash_roll`] against `crash_prob`. The overlay reports the
-/// replica lanes that lost their state; the engine recovers them from
-/// a sibling replica. A replica lane is `handle · numSM + slot`.
+/// `(handle, slot)` replicas that lost their state; the engine
+/// recovers them from a sibling replica, which changes state only when
+/// there is none (`numSM = 1`). A replica's re-home counter sits at
+/// `handle · numSM + slot`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Overlay {
     ring: Ring,
@@ -114,7 +116,7 @@ impl Overlay {
     }
 
     /// `peer` joins the ring, taking over an arc of replicas. Returns
-    /// the lanes whose state the re-homing lost, in processing order.
+    /// the replicas whose state the re-homing lost, in processing order.
     /// `peers` maps a handle to its subject. Call before
     /// [`Overlay::place`] indexes the newcomer's own replicas.
     pub(crate) fn join(&mut self, peer: PeerId, peers: &[PeerId]) -> &[(Handle, usize)] {
@@ -139,7 +141,7 @@ impl Overlay {
 
     /// `peer`, just removed from handle `h`, drops its replica keys and
     /// re-home counters and leaves the ring, handing its arc to its
-    /// successor. Returns the lanes whose state the re-homing lost, in
+    /// successor. Returns the replicas whose state the re-homing lost, in
     /// processing order.
     pub(crate) fn leave(
         &mut self,

@@ -401,6 +401,7 @@ impl ReputationEngine for ReferenceEngine {
 mod tests {
     use super::*;
     use crate::engine::RocqEngine;
+    use replend_types::hash::{salted, splitmix64};
 
     /// Number of recorded (reporter, subject) interactions.
     fn count(log: &InteractionLog, reporter: PeerId, subject: PeerId) -> u32 {
@@ -475,6 +476,85 @@ mod tests {
         }
         assert_eq!(arena.rehomings(), seed.rehomings());
         assert_eq!(arena.crash_losses(), seed.crash_losses());
+    }
+
+    /// Asserts that every replica of every subject equals replica 0:
+    /// `(r, w)` bits, and the credibility bits each table assigns to
+    /// every peer id below `peers`.
+    fn assert_replicas_agree(e: &ReferenceEngine, peers: u64, step: u64) {
+        for (subject, record) in &e.shard.subjects {
+            let first = &record.replicas[0];
+            let (r0, w0) = first.state.raw_parts();
+            for (slot, replica) in record.replicas.iter().enumerate().skip(1) {
+                let (r, w) = replica.state.raw_parts();
+                assert_eq!(
+                    (r.to_bits(), w.to_bits()),
+                    (r0.to_bits(), w0.to_bits()),
+                    "step {step}: subject {subject:?} slot {slot} score diverged"
+                );
+                for p in 0..peers {
+                    assert_eq!(
+                        replica.creds.get(PeerId(p)).to_bits(),
+                        first.creds.get(PeerId(p)).to_bits(),
+                        "step {step}: subject {subject:?} slot {slot} credibility of {p} diverged"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The invariant the arena engine's single score lane rests on: a
+    /// churn storm with crash losses never makes one replica differ
+    /// from another, because every recovery copies a sibling that is
+    /// already bit-equal. Checked after every op, with the arena engine
+    /// driven in lockstep. numSM = 1 has no sibling: there the lockstep
+    /// comparison pins the arena's lane and book reset.
+    #[test]
+    fn replicas_stay_bit_equal_under_crash_churn() {
+        const PEERS: u64 = 16;
+        for crash_prob in [0.3, 1.0] {
+            for num_sm in [1, 2, 3, 6] {
+                let params = RocqParams {
+                    crash_prob,
+                    ..Default::default()
+                };
+                let mut reference = ReferenceEngine::new(params, num_sm, 7);
+                let mut arena = RocqEngine::new(params, num_sm, 7);
+                for p in 0..PEERS {
+                    reference.register_peer(PeerId(p), Reputation::ONE);
+                    arena.register_peer(PeerId(p), Reputation::ONE);
+                }
+                for step in 0..500u64 {
+                    let k = splitmix64(salted(crash_prob.to_bits() ^ num_sm as u64, step));
+                    let (a, b) = (PeerId(k % PEERS), PeerId((k >> 16) % PEERS));
+                    let engines: [&mut dyn ReputationEngine; 2] = [&mut reference, &mut arena];
+                    for e in engines {
+                        match (k >> 32) % 8 {
+                            0 => {
+                                e.register_peer(a, Reputation::new((k >> 40) as f64 / 16_777_216.0))
+                            }
+                            1 => e.remove_peer(a),
+                            2 => e.credit(a, 0.05),
+                            3 => e.debit(a, 0.07),
+                            _ => e.report(a, b, ((k >> 40) & 1) as f64),
+                        }
+                    }
+                    assert_replicas_agree(&reference, PEERS, step);
+                    for p in 0..PEERS {
+                        assert_eq!(
+                            arena.reputation(PeerId(p)).map(|r| r.value().to_bits()),
+                            reference.reputation(PeerId(p)).map(|r| r.value().to_bits()),
+                            "step {step}: peer {p}"
+                        );
+                    }
+                }
+                assert!(
+                    reference.crash_losses() > 0,
+                    "numSM {num_sm}, crash_prob {crash_prob}: no crash fired"
+                );
+                assert_eq!(arena.crash_losses(), reference.crash_losses());
+            }
+        }
     }
 
     #[test]

@@ -39,9 +39,9 @@ impl ScoreState {
 
     /// Folds in one report with the given opinion and weight
     /// (`credibility × quality`), capping the evidence mass at
-    /// `weight_cap`. On the engine's batch hot path this runs once
-    /// per replica per feedback over a contiguous `ScoreState` slab —
-    /// keep it branch-light and allocation-free.
+    /// `weight_cap`. The reference layout runs this once per replica
+    /// per feedback; the arena engine's slab runs a branchless copy
+    /// of it (`ScoreSlab::report`) that must stay bit-identical.
     #[inline]
     pub fn report(&mut self, opinion: f64, weight: f64, weight_cap: f64) {
         let opinion = opinion.clamp(0.0, 1.0);
@@ -73,10 +73,10 @@ impl ScoreState {
         *self = *other;
     }
 
-    /// The raw `(r, w)` pair, bit-for-bit — the slab layout
-    /// ([`crate::slab::ScoreSlab`]) stores states as parallel `r`/`w`
-    /// arrays and must round-trip through this without any clamping
-    /// or renormalisation.
+    /// The raw `(r, w)` pair, bit-for-bit — the slab's branchless
+    /// report ([`crate::slab::ScoreSlab`]) and checkpoint export
+    /// round-trip states through this without any clamping or
+    /// renormalisation.
     #[inline]
     pub(crate) fn raw_parts(&self) -> (f64, f64) {
         (self.r, self.w)

@@ -41,14 +41,16 @@
 //!   order either way, and different subjects' crash recoveries touch
 //!   disjoint state. Replica hosts are not modelled at all: nothing
 //!   reads which node manages a replica.
-//! * **Uniform score lanes are stored once.** A subject's `num_sm`
-//!   replicas see the same report stream with the same per-slot
-//!   credibilities, so their `(r, w)` states stay bit-identical until
-//!   a crash recovery diverges them. Export bit-compares each
-//!   handle's lanes and packs one lane when they all agree (the
-//!   [`ShardState::slab_uniform`] bitmap says which), all `num_sm`
-//!   otherwise. Credibility rows get the same treatment per row
-//!   ([`ShardState::book_row_uniform`]).
+//! * **One score lane and one credibility per row.** A subject's
+//!   `num_sm` replicas see the same report stream with the same
+//!   credibilities, and crash recovery copies a sibling that is
+//!   already bit-equal, so the replicas never differ and the engine
+//!   holds one `(r, w)` lane per handle and one credibility per book
+//!   row. Export writes exactly those. The
+//!   [`ShardState::slab_uniform`] and [`ShardState::book_row_uniform`]
+//!   bitmaps, which once flagged lanes and rows packed to one value,
+//!   are kept for format stability: export sets every bit, and import
+//!   refuses a cleared one, since no engine can produce it.
 //! * **Vacant-slot residue is canonicalised, not exported.** The
 //!   registration slot-reuse path overwrites every per-handle field
 //!   before any read (cached, peer, book, score lanes — see
@@ -91,8 +93,8 @@ use std::fmt;
 /// An engine's complete subject arena, in the derive-don't-store
 /// layout described in the [module docs](self).
 ///
-/// Handle-indexed arrays (`cached`, `peers`, `book_lens`, the packed
-/// slab) run to `capacity`, with vacant slots
+/// Handle-indexed arrays (`cached`, `peers`, `book_lens`, the slab
+/// lanes) run to `capacity`, with vacant slots
 /// canonicalised (zeros / empty); occupancy is defined by `index`
 /// (live) and `free` (vacant), which must partition `0..capacity`.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -109,20 +111,22 @@ pub struct ShardState {
     pub cached: Vec<f64>,
     /// Handle → subject id; vacant slots canonicalised to `PeerId(0)`.
     pub peers: Vec<PeerId>,
-    /// Bitmap over handles: bit `h` set ⇔ all `num_sm` score lanes of
-    /// handle `h` share one bit pattern (always set for vacant
-    /// handles, whose lanes are canonicalised to the default state).
+    /// Bitmap over handles: bit `h` set ⇔ handle `h`'s `num_sm`
+    /// replicas travel as one lane. Every bit is set (the replicas
+    /// never differ; padding bits of the last byte are clear), and
+    /// import refuses any other bitmap. Kept for format stability.
     pub slab_uniform: Vec<u8>,
-    /// Packed score-slab `r` lanes, in handle order: one entry for a
-    /// uniform handle, `num_sm` consecutive entries otherwise.
+    /// Score-slab `r` lanes, one per handle in handle order (vacant
+    /// handles carry the default state).
     pub slab_r: Vec<f64>,
     /// Packed score-slab `w` lanes, parallel to `slab_r`.
     pub slab_w: Vec<f64>,
     /// Credibility rows per handle (0 for vacant handles).
     pub book_lens: Vec<u32>,
     /// Bitmap over emitted rows (concatenated in handle order): bit
-    /// set ⇔ the row's `num_sm` slot credibilities share one bit
-    /// pattern and travel as a single value.
+    /// set ⇔ the row's credibility travels as one value for all
+    /// `num_sm` replicas. Every bit is set, as for
+    /// [`ShardState::slab_uniform`].
     pub book_row_uniform: Vec<u8>,
     /// Flat row reporters, sorted by reporter within each book.
     pub book_reporters: Vec<PeerId>,
@@ -130,8 +134,8 @@ pub struct ShardState {
     /// reporter's first-hand interactions with the book's subject, 0
     /// when the reporter departed since they were counted.
     pub book_counts: Vec<u32>,
-    /// Flat row credibilities: 1 value for a uniform row, `num_sm`
-    /// for a diverged one.
+    /// Flat row credibilities, one per row, parallel to
+    /// `book_reporters`.
     pub book_rows: Vec<f64>,
 }
 
@@ -156,7 +160,8 @@ pub struct OverlayState {
 pub struct EngineState {
     /// Engine parameters (validated again on import).
     pub params: RocqParams,
-    /// Replication factor (array stride of the per-replica vectors).
+    /// Replication factor: the aggregate's replica count and the
+    /// stride of the overlay's per-replica re-home counters.
     pub num_sm: u64,
     /// Engine seed — source of the deterministic crash rolls.
     pub seed: u64,

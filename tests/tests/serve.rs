@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use replend_core::serve::{
     journal_seed, run_ingest_workload, JournalOp, ReputationService, ServeConfig, ServeError,
-    SubjectStatus, SyncPolicy, WorkloadConfig,
+    SyncPolicy, WorkloadConfig,
 };
 use replend_rocq::{ConcurrentEngine, ReputationEngine, RocqEngine, RocqParams};
 use replend_types::hash::{salted, splitmix64};
@@ -140,10 +140,10 @@ fn concurrent_reads_stay_coherent_during_live_ingest() {
     // Each reader has a fixed probe quota rather than a stop flag so
     // the coherence assertions run even when the scheduler serialises
     // the threads (single-core CI).
-    let reads = AtomicU64::new(0);
+    let (reads, checked) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|scope| {
         for t in 0..3u64 {
-            let (service, reads) = (&service, &reads);
+            let (service, reads, checked) = (&service, &reads, &checked);
             scope.spawn(move || {
                 let mut k = salted(0xC0, t);
                 for _ in 0..500 {
@@ -151,13 +151,19 @@ fn concurrent_reads_stay_coherent_during_live_ingest() {
                     let subject = PeerId(k % PEERS);
                     let rep = service.reputation(subject).expect("registered");
                     assert!((0.0..=1.0).contains(&rep.value()), "torn read: {rep:?}");
+                    // Bracket the status read between two coherent
+                    // observations. Hit counts only grow here, so equal
+                    // brackets mean no write landed in between, and the
+                    // status must classify exactly that observation.
+                    let before = service.engine().observe(subject).expect("registered");
                     let status = service.status(subject).expect("registered");
-                    assert!(matches!(
-                        status,
-                        SubjectStatus::Whitelisted
-                            | SubjectStatus::Throttled
-                            | SubjectStatus::Banned
-                    ));
+                    let after = service.engine().observe(subject).expect("registered");
+                    if before.0.value().to_bits() == after.0.value().to_bits()
+                        && before.1 == after.1
+                    {
+                        assert_eq!(status, config.policy.classify(before.0, before.1));
+                        checked.fetch_add(1, Ordering::Relaxed);
+                    }
                     reads.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -172,6 +178,18 @@ fn concurrent_reads_stay_coherent_during_live_ingest() {
         3 * 500,
         "every reader must finish its probe quota"
     );
+    assert!(
+        checked.load(Ordering::Relaxed) > 0,
+        "no status read was bracketed by equal observations"
+    );
+    for i in 0..PEERS {
+        let (rep, hits) = service.engine().observe(PeerId(i)).expect("registered");
+        assert_eq!(
+            service.status(PeerId(i)),
+            Some(config.policy.classify(rep, hits)),
+            "peer {i}"
+        );
+    }
 }
 
 /// End-to-end: the journalled workload path (exactly what the CLI's
