@@ -1,6 +1,6 @@
 //! **Ablation A2** — score-manager redundancy under crash-prone churn
 //! (ours; motivated by §2's redundancy argument and §3's claim that
-//! multiple score managers mask churn, demonstrated in ROCQ ref [7]).
+//! multiple score managers mask churn, demonstrated in ROCQ ref \[7\]).
 //!
 //! Sweeps the number of score managers `numSM` and the probability
 //! that a replica re-homing (caused by DHT churn as peers join) loses

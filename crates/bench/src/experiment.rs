@@ -2,7 +2,7 @@
 //! derived seeds, average the metrics each figure reads out.
 //!
 //! Repeated runs execute as a
-//! [`CommunityCluster`](replend_core::cluster::CommunityCluster) — K
+//! [`CommunityCluster`] — K
 //! independent communities stepped in parallel on the rayon pool,
 //! with the same `seed_for_run` schedule the serial path uses, so
 //! results are bit-identical to running them one after another.

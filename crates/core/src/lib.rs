@@ -28,7 +28,7 @@
 //!   population counters, mean-reputation accumulators and the member
 //!   reputation histogram incrementally, so per-tick sampling is O(1)
 //!   instead of O(members);
-//! * [`policy`] — the [`BootstrapPolicy`](policy::BootstrapPolicy)
+//! * [`policy`] — the [`BootstrapPolicy`]
 //!   alternatives compared in the ablations (open admission, fixed
 //!   credit à la BitTorrent/Scrivener, positive-only,
 //!   complaints-only);

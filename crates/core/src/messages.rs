@@ -12,7 +12,7 @@
 //! > introduced in the system in case a score manager crashes** before
 //! > being able to contact the new peer's score managers."*
 //!
-//! [`MessageBus`] models that flow: `numSM × numSM` credit messages
+//! `MessageBus` models that flow: `numSM × numSM` credit messages
 //! per introduction, per-message loss injection (a crashed sender
 //! never sends), and **idempotent application** at the receiving
 //! score managers — each receiving replica applies a given

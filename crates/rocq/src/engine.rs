@@ -26,7 +26,7 @@
 //! per feedback, and every per-subject field is a contiguous `Vec`
 //! indexed by the handle. Every hash probe on this path — the index
 //! and the credibility books — goes through a
-//! [`PeerMap`](replend_types::hash::PeerMap), so hashing a key costs
+//! [`PeerMap`], so hashing a key costs
 //! one `splitmix64` mix. Handles are stable for a subject's lifetime
 //! and recycled through a free list ([`SlotAllocator`]) when churn
 //! vacates them — recycling order is deterministic and, because all
@@ -37,7 +37,7 @@
 //! The arrays split **hot from cold**. The `report_batch` inner loop
 //! touches only: the handle index (probed for the reporter's
 //! incarnation and the subject's handle), the per-subject
-//! [`CredibilityBook`] (one hash probe yielding the reporter's
+//! `CredibilityBook` (one hash probe yielding the reporter's
 //! interaction count with the subject *and* its credibility, inline in
 //! the row — the reference layout pays a pair-log probe plus three
 //! probes per replica), and the subject's one `(r, w)` lane of the
@@ -61,9 +61,11 @@
 //!
 //! Replica placement (ring, replica-key index, re-home counters) is
 //! the private `overlay` module's `Overlay`. It can change a value only
-//! through the crash model, so the engine holds one exactly when
-//! `params.crash_prob > 0`; without it, as in the service and every
-//! figure and scenario, registration and removal touch only the arena.
+//! through a crash loss with no sibling to recover from, so the engine
+//! holds one exactly when `params.crash_prob > 0` and `numSM = 1`;
+//! without it, as in the service, every figure and scenario and every
+//! `numSM > 1` crash run, registration and removal touch only the
+//! arena.
 //!
 //! ## Departures touch only the departed peer
 //!
@@ -106,7 +108,7 @@ pub trait ReputationEngine {
     /// (0 for un-introduced entrants, `introAmt` once credited, …).
     /// The peer also joins the score-manager overlay where the engine
     /// simulates one — for [`RocqEngine`], only with the crash model
-    /// on.
+    /// on and `numSM = 1`.
     fn register_peer(&mut self, peer: PeerId, initial: Reputation);
 
     /// Removes a subject and its overlay presence.
@@ -224,16 +226,12 @@ impl EngineShard {
         self.index.get(&peer).map(|h| self.incarnation[h.index()])
     }
 
-    /// Recovers a replica of `h` after the crash model lost its state.
-    /// With a sibling to copy (`numSM > 1`) the copy is bit-for-bit a
-    /// no-op — every sibling already equals the lost replica — so
-    /// nothing is written. With none, the subject's lane resets, its
-    /// book resets to `initial_credibility`, and the cached aggregate
-    /// refreshes.
+    /// Recovers `h`'s only replica after the crash model lost its
+    /// state (an overlay exists only at `numSM = 1`, so there is no
+    /// sibling to copy): the subject's lane resets, its book resets to
+    /// `initial_credibility`, and the cached aggregate refreshes.
     fn recover_lane(&mut self, h: Handle, initial_credibility: f64) {
-        if self.num_sm > 1 {
-            return;
-        }
+        debug_assert_eq!(self.num_sm, 1, "a sibling would mask the loss");
         self.slab
             .set(h.index(), ScoreState::new(Reputation::ZERO, 0.0));
         self.books[h.index()].reset(initial_credibility);
@@ -516,16 +514,24 @@ fn uniform_bitmap(n: usize) -> Vec<u8> {
     bits
 }
 
+/// True when a crash loss can change a value, so the engine simulates
+/// the overlay: the crash model is on and a lost replica has no
+/// sibling (`numSM = 1`). A sibling is always bit-equal to the lost
+/// replica, so with `numSM > 1` every recovery is a no-op.
+fn simulates_overlay(crash_prob: f64, num_sm: usize) -> bool {
+    crash_prob > 0.0 && num_sm == 1
+}
+
 /// The replicated ROCQ engine.
 ///
-/// Every subject has `numSM` score-manager replicas. With the crash
-/// model on (`crash_prob > 0`), every registered peer is also an
-/// overlay node (in the paper, peers *are* the DHT nodes that act as
-/// score managers), so registration causes a ring join, removal a
-/// ring leave, and both re-home replicas that may lose their state.
-/// With it off, re-homing could change nothing, so the engine keeps no
-/// overlay (see the module docs). Subjects live in one dense-arena
-/// store; concurrent partitioning is
+/// Every subject has `numSM` score-manager replicas. Where a crash can
+/// change a value (`crash_prob > 0` and `numSM = 1`), every registered
+/// peer is also an overlay node (in the paper, peers *are* the DHT
+/// nodes that act as score managers), so registration causes a ring
+/// join, removal a ring leave, and both re-home replicas that may lose
+/// their state. Elsewhere re-homing could change nothing, so the
+/// engine keeps no overlay (see the module docs). Subjects live in one
+/// dense-arena store; concurrent partitioning is
 /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)'s job.
 pub struct RocqEngine {
     params: RocqParams,
@@ -533,7 +539,7 @@ pub struct RocqEngine {
     /// Engine seed — the source of the deterministic crash rolls.
     seed: u64,
     /// The simulated overlay, present exactly when
-    /// `params.crash_prob > 0`.
+    /// `simulates_overlay` holds.
     overlay: Option<Overlay>,
     /// The subject store. Its index is also the member registry: a
     /// peer is a member exactly while it has subject state here.
@@ -558,8 +564,8 @@ impl RocqEngine {
             params,
             num_sm,
             seed,
-            overlay: (params.crash_prob > 0.0)
-                .then(|| Overlay::new(num_sm, seed, params.crash_prob)),
+            overlay: simulates_overlay(params.crash_prob, num_sm)
+                .then(|| Overlay::new(seed, params.crash_prob)),
             shard: EngineShard::new(num_sm),
             batch_seq: 0,
             drain_order: Vec::new(),
@@ -567,7 +573,8 @@ impl RocqEngine {
     }
 
     /// Total replica re-homings caused by churn so far — always 0
-    /// with the crash model off, when the engine simulates no overlay.
+    /// when the engine simulates no overlay (crash model off, or
+    /// `numSM > 1`).
     pub fn rehomings(&self) -> u64 {
         self.overlay.as_ref().map_or(0, |o| o.rehomings)
     }
@@ -622,7 +629,8 @@ impl RocqEngine {
     /// [`RocqEngine::export_state`]. Semantic defects (lengths
     /// disagreeing with the declared capacity, out-of-range handles,
     /// invalid parameters, an overlay whose presence disagrees with
-    /// `params.crash_prob`) surface as [`InvalidState`] so a corrupt
+    /// `params.crash_prob` and `numSM`, an overlay that would change
+    /// future crash rolls) surface as [`InvalidState`] so a corrupt
     /// checkpoint can fall back to full journal replay instead of
     /// aborting.
     pub(crate) fn import_state(state: &EngineState) -> Result<Self, InvalidState> {
@@ -635,21 +643,15 @@ impl RocqEngine {
             .filter(|&n| n > 0)
             .ok_or_else(|| InvalidState(format!("invalid numSM {}", state.num_sm)))?;
         let crash_prob = state.params.crash_prob;
-        if state.overlay.is_some() != (crash_prob > 0.0) {
+        if state.overlay.is_some() != simulates_overlay(crash_prob, num_sm) {
             return Err(InvalidState(format!(
-                "overlay presence disagrees with crash_prob {crash_prob}"
+                "overlay presence disagrees with crash_prob {crash_prob} and numSM {num_sm}"
             )));
         }
         let mut engine = RocqEngine::new(state.params, num_sm, state.seed);
         engine.shard = EngineShard::import(&state.shard, num_sm)?;
         engine.overlay = match &state.overlay {
-            Some(o) => Some(Overlay::import(
-                o,
-                &state.shard,
-                num_sm,
-                state.seed,
-                crash_prob,
-            )?),
+            Some(o) => Some(Overlay::import(o, &state.shard, state.seed, crash_prob)?),
             None => None,
         };
         Ok(engine)
@@ -677,7 +679,7 @@ impl ReputationEngine for RocqEngine {
         // The peer becomes an overlay node first (it may end up
         // hosting some of its own replicas on tiny rings — harmless).
         if let Some(overlay) = &mut self.overlay {
-            for &(lost, _) in overlay.join(peer, &self.shard.peers) {
+            for &lost in overlay.join(peer, &self.shard.peers) {
                 self.shard
                     .recover_lane(lost, self.params.initial_credibility);
             }
@@ -730,7 +732,7 @@ impl ReputationEngine for RocqEngine {
         shard.books[h.index()] = CredibilityBook::default();
         shard.alloc.release(h);
         if let Some(overlay) = &mut self.overlay {
-            for &(lost, _) in overlay.leave(peer, h, &shard.peers) {
+            for &lost in overlay.leave(peer, h, &shard.peers) {
                 shard.recover_lane(lost, self.params.initial_credibility);
             }
         }
@@ -805,6 +807,8 @@ impl ReputationEngine for RocqEngine {
 mod tests {
     use super::*;
     use crate::overlay::crash_roll;
+    use crate::reference::ReferenceEngine;
+    use replend_types::NodeId;
 
     fn engine() -> RocqEngine {
         RocqEngine::new(RocqParams::default(), 6, 42)
@@ -814,14 +818,15 @@ mod tests {
         RocqEngine::new(params, num_sm, 42)
     }
 
-    /// A crash-model engine: the only kind that simulates the overlay.
+    /// A crash-model engine with one score manager per subject: the
+    /// only kind that simulates the overlay.
     fn crash_engine(crash_prob: f64) -> RocqEngine {
         engine_with(
             RocqParams {
                 crash_prob,
                 ..Default::default()
             },
-            6,
+            1,
         )
     }
 
@@ -1084,27 +1089,41 @@ mod tests {
             crash_prob: 1.0, // every re-homing loses state
             ..Default::default()
         };
+        // The reference keeps real replicas and really loses them; the
+        // arena engine, whose losses could change nothing, simulates
+        // no overlay at all.
         let mut e = engine_with(params, 6);
-        for p in 0..50u64 {
-            e.register_peer(PeerId(p), Reputation::ONE);
+        let mut reference = ReferenceEngine::new(params, 6, 42);
+        let engines: [&mut dyn ReputationEngine; 2] = [&mut e, &mut reference];
+        let mut before = Vec::new();
+        for x in engines {
+            for p in 0..50u64 {
+                x.register_peer(PeerId(p), Reputation::ONE);
+            }
+            x.register_peer(PeerId(100), Reputation::new(0.1));
+            for r in 0..100u64 {
+                x.report(PeerId(r % 50), PeerId(100), 1.0);
+            }
+            before.push(x.reputation(PeerId(100)).unwrap().value());
+            for p in 200..230u64 {
+                x.register_peer(PeerId(p), Reputation::HALF);
+            }
         }
-        e.register_peer(PeerId(100), Reputation::new(0.1));
-        for r in 0..100u64 {
-            e.report(PeerId(r % 50), PeerId(100), 1.0);
-        }
-        let before = e.reputation(PeerId(100)).unwrap().value();
-        for p in 200..230u64 {
-            e.register_peer(PeerId(p), Reputation::HALF);
-        }
-        let after = e.reputation(PeerId(100)).unwrap().value();
-        assert!(e.crash_losses() > 0, "crash model must have fired");
+        assert!(reference.crash_losses() > 0, "crash model must have fired");
+        assert_eq!((e.rehomings(), e.crash_losses()), (0, 0));
         // Every sibling is bit-equal to the lost replica, so the
         // recovery copy changes nothing.
-        assert_eq!(
-            before.to_bits(),
-            after.to_bits(),
-            "redundancy failed to mask crashes: {before} -> {after}"
-        );
+        for (x, before) in [
+            (&e as &dyn ReputationEngine, before[0]),
+            (&reference, before[1]),
+        ] {
+            let after = x.reputation(PeerId(100)).unwrap().value();
+            assert_eq!(
+                before.to_bits(),
+                after.to_bits(),
+                "redundancy failed to mask crashes: {before} -> {after}"
+            );
+        }
     }
 
     #[test]
@@ -1367,14 +1386,15 @@ mod tests {
         e.export_state(|p| e.incarnation_of(p))
     }
 
-    /// A churny mixed op stream. With the crash model on, replica
-    /// re-homing counters and crash recovery state are exercised too.
-    fn churny_engine(crash_prob: f64) -> RocqEngine {
+    /// A churny mixed op stream. With an overlay (crash model on,
+    /// `num_sm = 1`), replica re-homing counters and crash recovery
+    /// state are exercised too.
+    fn churny_engine(crash_prob: f64, num_sm: usize) -> RocqEngine {
         let params = RocqParams {
             crash_prob,
             ..RocqParams::default()
         };
-        let mut e = RocqEngine::new(params, 3, 42);
+        let mut e = RocqEngine::new(params, num_sm, 42);
         for p in 0..60u64 {
             e.register_peer(PeerId(p), Reputation::new(0.4));
         }
@@ -1401,20 +1421,34 @@ mod tests {
     /// re-homing counts surviving the round trip).
     #[test]
     fn export_import_round_trip_preserves_future_behaviour() {
-        assert_round_trip_preserves_future_behaviour(churny_engine(0.3));
+        assert_round_trip_preserves_future_behaviour(churny_engine(0.3, 1));
     }
 
-    /// The same contract without the crash model: a checkpoint with no
-    /// overlay restores an engine with none that behaves identically.
+    /// The same contract without an overlay: a checkpoint with none
+    /// restores an engine with none that behaves identically. A
+    /// crash-on `numSM = 3` engine exports exactly what its crash-off
+    /// twin does, apart from the parameters.
     #[test]
     fn crash_off_export_import_round_trip_preserves_future_behaviour() {
-        assert_round_trip_preserves_future_behaviour(churny_engine(0.0));
+        assert_round_trip_preserves_future_behaviour(churny_engine(0.0, 3));
+        let crash_on = export(&churny_engine(0.3, 3));
+        assert_eq!(crash_on.overlay, None);
+        // Debug prints every f64 in its shortest round-trip form, so
+        // equal text means equal bits.
+        assert_eq!(
+            format!("{:?}", crash_on.shard),
+            format!("{:?}", export(&churny_engine(0.0, 3)).shard)
+        );
+        assert_round_trip_preserves_future_behaviour(churny_engine(0.3, 3));
     }
 
     fn assert_round_trip_preserves_future_behaviour(mut original: RocqEngine) {
         let state = export(&original);
         assert_eq!(state, export(&original), "export is deterministic");
-        assert_eq!(state.overlay.is_some(), original.params.crash_prob > 0.0);
+        assert_eq!(
+            state.overlay.is_some(),
+            simulates_overlay(original.params.crash_prob, original.num_sm)
+        );
         let mut restored = RocqEngine::import_state(&state).expect("state imports");
         assert_eq!(fingerprint(&original), fingerprint(&restored));
         assert_eq!(original.rehomings(), restored.rehomings());
@@ -1449,7 +1483,7 @@ mod tests {
 
     #[test]
     fn import_rejects_semantic_defects() {
-        let state = export(&churny_engine(0.3));
+        let state = export(&churny_engine(0.3, 1));
 
         let mut bad = state.clone();
         bad.shard.cached.pop();
@@ -1484,16 +1518,37 @@ mod tests {
         bad.overlay.as_mut().unwrap().ring.reverse();
         assert!(RocqEngine::import_state(&bad).is_err(), "unsorted ring");
 
+        // A sorted ring that misses a live subject, or holds one too
+        // many, would move future handoff arcs.
+        let mut bad = state.clone();
+        bad.overlay.as_mut().unwrap().ring.pop();
+        let err = RocqEngine::import_state(&bad).err().expect("refused");
+        assert!(err.0.contains("ring"), "{err}");
+        let mut bad = state.clone();
+        let ring = &mut bad.overlay.as_mut().unwrap().ring;
+        ring.push(NodeId(ring.last().unwrap().0.wrapping_add(1)));
+        let err = RocqEngine::import_state(&bad).err().expect("refused");
+        assert!(err.0.contains("ring"), "{err}");
+
+        // The next occupant of a vacant handle would inherit its
+        // re-home count, and with it a different crash roll.
+        let mut bad = state.clone();
+        let vacant = *bad.shard.free.first().expect("churny stream frees slots");
+        bad.overlay.as_mut().unwrap().rehomes[vacant.index()] = 5;
+        let err = RocqEngine::import_state(&bad).err().expect("refused");
+        assert!(err.0.contains("vacant"), "{err}");
+
         let mut bad = state.clone();
         bad.num_sm = 0;
         assert!(RocqEngine::import_state(&bad).is_err(), "zero numSM");
 
         // Replicas never diverge, so no engine exports a cleared
         // uniformity bit: a handle whose numSM lanes are spelled out…
-        let num_sm = state.num_sm as usize;
-        let (_, h) = state.shard.index[0];
+        let wide = export(&churny_engine(0.0, 3));
+        let num_sm = wide.num_sm as usize;
+        let (_, h) = wide.shard.index[0];
         let h = h.index();
-        let mut bad = state.clone();
+        let mut bad = wide.clone();
         bad.shard.slab_uniform[h / 8] &= !(1 << (h % 8));
         let (r, w) = (bad.shard.slab_r[h], bad.shard.slab_w[h]);
         bad.shard.slab_r.splice(h..=h, vec![r; num_sm]);
@@ -1501,20 +1556,25 @@ mod tests {
         let err = RocqEngine::import_state(&bad).err().expect("refused");
         assert!(err.0.contains("uniform"), "{err}");
         // … or a credibility row whose numSM values are spelled out.
-        let mut bad = state.clone();
+        let mut bad = wide;
         bad.shard.book_row_uniform[0] &= !1;
         let cred = bad.shard.book_rows[0];
         bad.shard.book_rows.splice(0..=0, vec![cred; num_sm]);
         let err = RocqEngine::import_state(&bad).err().expect("refused");
         assert!(err.0.contains("uniform"), "{err}");
 
-        // An overlay travels exactly when the crash model is on, so
-        // its presence must agree with the params in both directions.
+        // An overlay travels exactly when the crash model is on and
+        // numSM = 1, so its presence must agree with both, in both
+        // directions.
         let mut missing = state.clone();
         missing.overlay = None;
         let err = RocqEngine::import_state(&missing).err().expect("refused");
         assert!(err.0.contains("overlay"), "{err}");
-        let mut stray = export(&churny_engine(0.0));
+        let mut stray = export(&churny_engine(0.0, 1));
+        stray.overlay = state.overlay.clone();
+        let err = RocqEngine::import_state(&stray).err().expect("refused");
+        assert!(err.0.contains("overlay"), "{err}");
+        let mut stray = export(&churny_engine(0.3, 3));
         stray.overlay = state.overlay;
         let err = RocqEngine::import_state(&stray).err().expect("refused");
         assert!(err.0.contains("overlay"), "{err}");

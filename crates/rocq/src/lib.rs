@@ -34,22 +34,23 @@
 //! configurable crash probability a re-homed replica loses its state
 //! and copies it back from a surviving sibling (anti-entropy) —
 //! *"redundancy is introduced in the system in case a score manager
-//! crashes"* (§2). Reads combine the replicas' values. A re-homing
-//! without a crash changes nothing, so [`RocqEngine`] simulates the
-//! overlay only when the crash probability is positive.
+//! crashes"* (§2). Reads combine the replicas' values.
 //!
 //! The replicas of a subject can never differ: they see the same
 //! reports with the same credibilities, and the sibling a lost replica
 //! copies is already bit-equal. So [`RocqEngine`] stores one score lane
-//! and one credibility per (reporter, subject) whatever `numSM` is,
-//! and a crash loss changes state only when `numSM = 1`. The aggregate
+//! and one credibility per (reporter, subject) whatever `numSM` is.
+//! A crash loss changes state only when `numSM = 1`, and a re-homing
+//! without a loss changes nothing, so [`RocqEngine`] simulates the
+//! overlay only when the crash probability is positive and
+//! `numSM = 1`. The aggregate
 //! still sums `numSM` copies and divides, so every result bit matches
-//! the [`reference`] layout, which keeps real per-replica tables.
+//! the [`reference`](mod@reference) layout, which keeps real per-replica tables.
 //!
 //! ## Engines
 //!
 //! [`RocqEngine`] is the engine the community and the service run.
-//! The [`reference`] module preserves the pre-arena memory layout as a
+//! The [`reference`](mod@reference) module preserves the pre-arena memory layout as a
 //! semantic oracle, and the [`ReputationEngine`] trait is the seam
 //! through which the oracle suites drive both engines identically.
 //!

@@ -26,7 +26,7 @@
 
 use replend_types::hash::salted;
 use replend_types::{NodeId, PeerId};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// The replica key of peer `peer`'s `i`-th score manager.
 #[inline]
@@ -47,11 +47,11 @@ pub(crate) struct HandoffEvent {
 
 /// The membership view of a Chord-style ring.
 ///
-/// Internally a `BTreeMap<NodeId, ()>` over live node ids; successor
+/// Internally a `BTreeSet<NodeId>` of live node ids; successor
 /// queries are `O(log n)`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Ring {
-    nodes: BTreeMap<NodeId, ()>,
+    nodes: BTreeSet<NodeId>,
 }
 
 impl Ring {
@@ -62,20 +62,16 @@ impl Ring {
 
     /// A ring over an already-known membership, without replaying the
     /// joins or computing handoffs — the checkpoint-restore path,
-    /// where ownership state is restored separately. `BTreeMap`'s
-    /// bulk construction makes this `O(n)` for sorted input (which is
-    /// how checkpoints store the ring).
-    pub(crate) fn from_sorted_nodes(nodes: impl IntoIterator<Item = NodeId>) -> Self {
-        Ring {
-            nodes: nodes.into_iter().map(|n| (n, ())).collect(),
-        }
+    /// where ownership state is restored separately.
+    pub(crate) fn from_nodes(nodes: BTreeSet<NodeId>) -> Self {
+        Ring { nodes }
     }
 
     /// The closest live predecessor of `node` (exclusive), i.e. the
     /// node counter-clockwise of it. `None` if `node` is the only
     /// member or the ring is empty.
     pub(crate) fn predecessor(&self, node: NodeId) -> Option<NodeId> {
-        if self.nodes.len() < 2 && self.nodes.contains_key(&node) {
+        if self.nodes.len() < 2 && self.nodes.contains(&node) {
             return None;
         }
         if self.nodes.is_empty() {
@@ -85,7 +81,7 @@ impl Ring {
             .range(..node)
             .next_back()
             .or_else(|| self.nodes.iter().next_back())
-            .map(|(id, _)| *id)
+            .copied()
             .filter(|p| *p != node)
     }
 
@@ -95,10 +91,9 @@ impl Ring {
     ///
     /// Joining an id that is already live is a no-op returning `None`.
     pub(crate) fn join(&mut self, node: NodeId) -> Option<HandoffEvent> {
-        if self.nodes.contains_key(&node) {
+        if !self.nodes.insert(node) {
             return None;
         }
-        self.nodes.insert(node, ());
         // The first node has no predecessor and takes the whole ring
         // (`range_start == range_end`).
         Some(HandoffEvent {
@@ -112,7 +107,9 @@ impl Ring {
     /// `None`; removing the last node empties the ring (also `None`,
     /// since there is no surviving owner).
     pub(crate) fn leave(&mut self, node: NodeId) -> Option<HandoffEvent> {
-        self.nodes.remove(&node)?;
+        if !self.nodes.remove(&node) {
+            return None;
+        }
         // The survivors' predecessor of `node`; none once it is empty.
         Some(HandoffEvent {
             range_start: self.predecessor(node)?,
@@ -122,7 +119,7 @@ impl Ring {
 
     /// Collects all live nodes into a vector (ring order).
     pub(crate) fn to_vec(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.nodes.iter().copied().collect()
     }
 }
 
@@ -140,7 +137,7 @@ mod tests {
                 .range(key..)
                 .next()
                 .or_else(|| self.nodes.iter().next())
-                .map(|(id, _)| *id)
+                .copied()
         }
     }
 

@@ -29,18 +29,21 @@
 //!   state still encodes to equal bytes.
 //! * **The overlay is stored only where it exists.** The simulated
 //!   overlay (ring, replica-key index, re-home counters) can change a
-//!   value only through the crash model, so an engine keeps one
-//!   exactly when `params.crash_prob > 0`, and
-//!   [`EngineState::overlay`] is `Some` exactly then — import refuses
-//!   a state where the two disagree.
+//!   value only through a crash loss with no sibling to recover from,
+//!   so an engine keeps one exactly when `params.crash_prob > 0` and
+//!   `num_sm == 1`, and [`EngineState::overlay`] is `Some` exactly
+//!   then — import refuses a state where the two disagree, a crash-on
+//!   `num_sm > 1` state carrying an overlay included. Import also
+//!   refuses a ring that is not exactly the live subjects' node ids
+//!   and a non-zero re-home counter on a vacant handle: either would
+//!   silently change future crash rolls.
 //! * **Replica keys and the key index are never stored.** A replica's
-//!   ring key is the pure function `replica_key(subject, slot)`, and
-//!   import rebuilds the `key → (handle, slot)` index from it. Even
-//!   when two lanes collide on one 64-bit key, the order of their
-//!   shared list is unobservable: one subject's lanes are in slot
-//!   order either way, and different subjects' crash recoveries touch
-//!   disjoint state. Replica hosts are not modelled at all: nothing
-//!   reads which node manages a replica.
+//!   ring key is the pure function `replica_key(subject, 0)`, and
+//!   import rebuilds the `(key, handle)` index from it. Even when two
+//!   subjects collide on one 64-bit key, the order of their handles is
+//!   unobservable: different subjects' crash recoveries touch disjoint
+//!   state. Replica hosts are not modelled at all: nothing reads which
+//!   node manages a replica.
 //! * **One score lane and one credibility per row.** A subject's
 //!   `num_sm` replicas see the same report stream with the same
 //!   credibilities, and crash recovery copies a sibling that is
@@ -55,7 +58,7 @@
 //!   registration slot-reuse path overwrites every per-handle field
 //!   before any read (cached, peer, book, score lanes — see
 //!   `RocqEngine::register_peer`; removal zeroes a slot's re-home
-//!   counters), so vacant slots export as zeros / empty and import as
+//!   counter), so vacant slots export as zeros / empty and import as
 //!   the same canonical residue. The *slot assignment itself* is observable through
 //!   future recycling, which is why the free list is exported in
 //!   release order and restored verbatim: the restored engine
@@ -146,8 +149,9 @@ pub struct ShardState {
 pub struct OverlayState {
     /// Ring membership in ring (ascending `NodeId`) order.
     pub ring: Vec<NodeId>,
-    /// Per-lane re-home counters (`capacity × num_sm`, handle-major);
-    /// 0 on vacant lanes.
+    /// Per-handle re-home counters of the single replica (`capacity`
+    /// entries, since only a `num_sm = 1` engine has an overlay); 0 on
+    /// vacant handles.
     pub rehomes: Vec<u64>,
     /// Replica re-homings processed so far.
     pub rehomings: u64,
@@ -160,15 +164,14 @@ pub struct OverlayState {
 pub struct EngineState {
     /// Engine parameters (validated again on import).
     pub params: RocqParams,
-    /// Replication factor: the aggregate's replica count and the
-    /// stride of the overlay's per-replica re-home counters.
+    /// Replication factor: the aggregate's replica count.
     pub num_sm: u64,
     /// Engine seed — source of the deterministic crash rolls.
     pub seed: u64,
     /// The subject arena (its index doubles as the member registry).
     pub shard: ShardState,
     /// The simulated overlay: present exactly when
-    /// `params.crash_prob > 0`.
+    /// `params.crash_prob > 0` and `num_sm == 1`.
     pub overlay: Option<OverlayState>,
 }
 

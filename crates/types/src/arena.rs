@@ -13,10 +13,6 @@
 //! * [`SlotAllocator`] — the free-list that hands out handles.
 //!   Vacated slots are recycled LIFO, so a long-lived population with
 //!   churn stays dense instead of growing without bound.
-//! * [`InlineList`] — a tiny list that stores up to `N` elements
-//!   inline and only spills to the heap beyond that; for the many
-//!   small per-key lists (DHT replica assignments) that a `Vec` would
-//!   put behind one heap allocation each.
 //!
 //! Everything is deterministic: allocation order depends only on the
 //! sequence of `alloc`/`release` calls, never on hashing or time.
@@ -153,100 +149,6 @@ impl SlotAllocator {
     }
 }
 
-/// A list that stores up to `N` elements inline and spills to a `Vec`
-/// beyond that.
-///
-/// Intended for populations of many short lists (the DHT replica-key
-/// index holds one per replica key, nearly always of length 1): the
-/// common case costs zero heap allocations, and a spilled list keeps
-/// its heap buffer for reuse instead of shrinking back.
-#[derive(Clone, Debug)]
-pub struct InlineList<T, const N: usize> {
-    /// Inline storage; meaningful only while not spilled.
-    inline: [T; N],
-    /// Element count while inline (the spill's `len()` governs after).
-    len: u32,
-    /// True once elements moved to `spill` (they never move back).
-    spilled: bool,
-    spill: Vec<T>,
-}
-
-impl<T: Copy + Default, const N: usize> InlineList<T, N> {
-    /// An empty list.
-    pub(crate) fn new() -> Self {
-        InlineList {
-            inline: [T::default(); N],
-            len: 0,
-            spilled: false,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Appends an element, spilling to the heap only when the inline
-    /// capacity `N` is exceeded.
-    pub fn push(&mut self, value: T) {
-        if !self.spilled {
-            if (self.len as usize) < N {
-                self.inline[self.len as usize] = value;
-                self.len += 1;
-                return;
-            }
-            self.spill.reserve(N + 1);
-            self.spill.extend_from_slice(&self.inline[..N]);
-            self.spilled = true;
-        }
-        self.spill.push(value);
-    }
-
-    /// The elements, in insertion order.
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        if self.spilled {
-            &self.spill
-        } else {
-            &self.inline[..self.len as usize]
-        }
-    }
-
-    /// Keeps only the elements matching `keep`, preserving order.
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        if self.spilled {
-            self.spill.retain(|x| keep(x));
-            return;
-        }
-        let mut write = 0usize;
-        for read in 0..self.len as usize {
-            if keep(&self.inline[read]) {
-                self.inline[write] = self.inline[read];
-                write += 1;
-            }
-        }
-        self.len = write as u32;
-    }
-
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        if self.spilled {
-            self.spill.len()
-        } else {
-            self.len as usize
-        }
-    }
-
-    /// True when the list holds nothing.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: Copy + Default, const N: usize> Default for InlineList<T, N> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,46 +221,5 @@ mod tests {
         let h = Handle::from_index(41);
         assert_eq!(h.index(), 41);
         assert_eq!(format!("{h:?}"), "slot#41");
-    }
-
-    #[test]
-    fn inline_list_stays_inline_up_to_n() {
-        let mut l: InlineList<u64, 2> = InlineList::new();
-        assert!(l.is_empty());
-        l.push(10);
-        l.push(20);
-        assert_eq!(l.as_slice(), &[10, 20]);
-        assert!(!l.spilled, "two elements fit inline");
-        l.push(30);
-        assert!(l.spilled, "third element spills");
-        assert_eq!(l.as_slice(), &[10, 20, 30]);
-        assert_eq!(l.len(), 3);
-    }
-
-    #[test]
-    fn inline_list_retain_both_modes() {
-        let mut l: InlineList<u32, 2> = InlineList::new();
-        l.push(1);
-        l.push(2);
-        l.retain(|&x| x != 1);
-        assert_eq!(l.as_slice(), &[2]);
-
-        let mut big: InlineList<u32, 2> = InlineList::new();
-        for x in 0..6 {
-            big.push(x);
-        }
-        big.retain(|&x| x % 2 == 0);
-        assert_eq!(big.as_slice(), &[0, 2, 4]);
-        big.retain(|_| false);
-        assert!(big.is_empty());
-    }
-
-    #[test]
-    fn inline_list_preserves_insertion_order() {
-        let mut l: InlineList<u8, 1> = InlineList::new();
-        for x in [7, 3, 9, 1] {
-            l.push(x);
-        }
-        assert_eq!(l.as_slice(), &[7, 3, 9, 1]);
     }
 }

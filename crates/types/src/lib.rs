@@ -15,7 +15,7 @@
 //!   ([`config::Table1`], [`config::LendingParams`]),
 //! * deterministic, dependency-free hashing ([`hash`]),
 //! * dense slot-arena primitives for allocation-free hot paths
-//!   ([`arena`]: [`Handle`], [`SlotAllocator`], [`InlineList`]).
+//!   ([`arena`]: [`Handle`], [`SlotAllocator`]).
 //!
 //! ## Design notes
 //!
@@ -36,7 +36,7 @@ pub mod reputation;
 pub mod time;
 
 pub use accounting::{Feedback, KahanSum, MeanAcc, ReputationDelta};
-pub use arena::{Handle, InlineList, SlotAlloc, SlotAllocator};
+pub use arena::{Handle, SlotAlloc, SlotAllocator};
 pub use behavior::{Behavior, IntroducerPolicy, PeerProfile};
 pub use config::{LendingParams, SimParams, Table1, TopologyKind};
 pub use error::{ConfigError, ProtocolError};

@@ -733,7 +733,7 @@ impl SummaryEnvelope {
 // ---------------------------------------------------------------------------
 
 /// Encodes an engine checkpoint for writing to disk:
-/// [`CHECKPOINT_MAGIC`] followed by a version-gated
+/// `CHECKPOINT_MAGIC` followed by a version-gated
 /// [`SummaryEnvelope`] tagged with the service seed. Generic over the
 /// payload type so this crate keeps its serde-only dependency set: the
 /// concrete checkpoint state lives in the serve layer.
