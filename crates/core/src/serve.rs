@@ -77,7 +77,8 @@ use replend_types::hash::{salted, splitmix64};
 use replend_types::{Feedback, PeerId, Reputation};
 pub use replend_wire::SyncPolicy;
 use replend_wire::{
-    decode_checkpoint, encode_checkpoint, JournalError, JournalReader, JournalWriter, WireError,
+    decode_checkpoint, encode_checkpoint, ByteRun, JournalError, JournalReader, JournalWriter,
+    WireError,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -398,9 +399,11 @@ pub struct CheckpointReport {
 /// The checkpoint file payload, wrapped by
 /// [`replend_wire::encode_checkpoint`] (magic + versioned, seed-
 /// stamped envelope). Partitions ride as independently wire-encoded
-/// blobs so both encode and decode fan out over the thread pool.
+/// blobs so both encode and decode fan out over the thread pool; each
+/// blob is one byte run, copied once into the file buffer on encode
+/// and borrowed from it on decode.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-struct CheckpointDoc {
+struct CheckpointDoc<'a> {
     /// Journal generation after this checkpoint; always ≥ 1.
     generation: u64,
     /// Cumulative journalled operations the state includes.
@@ -411,7 +414,8 @@ struct CheckpointDoc {
     /// classification, not engine state).
     policy: StatusPolicy,
     /// One wire-encoded [`PartitionCheckpoint`] per engine partition.
-    partitions: Vec<Vec<u8>>,
+    #[serde(borrow)]
+    partitions: Vec<ByteRun<'a>>,
 }
 
 /// The seed stamped into journal records of generation `generation`.
@@ -687,7 +691,7 @@ impl ReputationService {
         let decoded: Vec<Result<PartitionCheckpoint, WireError>> = doc
             .partitions
             .par_iter()
-            .map(|blob| replend_wire::from_bytes(blob))
+            .map(|blob| replend_wire::from_bytes(blob.0))
             .collect();
         let mut parts = Vec::with_capacity(decoded.len());
         for part in decoded {
@@ -785,17 +789,15 @@ impl ReputationService {
         let parts = self.engine.export_partitions();
         let encoded: Vec<Result<Vec<u8>, WireError>> =
             parts.par_iter().map(replend_wire::to_bytes).collect();
-        let mut partitions = Vec::with_capacity(encoded.len());
-        for blob in encoded {
-            partitions.push(blob.map_err(|e| {
-                ServeError::Checkpoint(format!("encoding a partition failed: {e}"))
-            })?);
-        }
+        let blobs = encoded
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| ServeError::Checkpoint(format!("encoding a partition failed: {e}")))?;
         let doc = CheckpointDoc {
             generation: state.generation + 1,
             ops: state.ops_total,
             policy: self.policy,
-            partitions,
+            partitions: blobs.iter().map(|blob| ByteRun(blob)).collect(),
         };
         let bytes = encode_checkpoint(self.seed, &doc)
             .map_err(|e| ServeError::Checkpoint(format!("encoding the checkpoint failed: {e}")))?;

@@ -19,7 +19,9 @@
 //!   applying — not even on their own partition.
 //! * `report_batch` groups the batch by home partition and
 //!   write-locks each touched partition in turn — never more than one
-//!   lock at a time, so the facade cannot deadlock. After the engine
+//!   lock at a time, so the facade cannot deadlock (the one holder of
+//!   several locks, a checkpoint export, takes only read locks, in
+//!   index order). After the engine
 //!   applies a group, the mutator opens one slab write (epoch odd),
 //!   copies the drained aggregate deltas and interaction increments
 //!   in, and publishes (epoch even) — so the slab jumps atomically
@@ -66,9 +68,9 @@ use crate::engine::{ReputationEngine, RocqEngine};
 use crate::params::RocqParams;
 use crate::snapshot::SnapshotSlab;
 use crate::state::{InvalidState, PartitionCheckpoint};
-use replend_types::hash::{salted, splitmix64};
+use replend_types::hash::{salted, splitmix64, PeerMap};
 use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard};
 
 /// Lock-free sweep attempts before a census falls back to the
 /// partition read lock. Ingest holds the slab's write window only for
@@ -371,22 +373,37 @@ impl ConcurrentEngine {
     /// export — the expensive sort-and-copy of its arena — is
     /// independent work).
     ///
-    /// Each partition is exported under its own read lock, so it is
-    /// internally consistent; for a globally consistent checkpoint
-    /// the caller must exclude mutators for the duration (the serve
-    /// layer holds its journal lock, which every mutation path takes
-    /// first). A book row's interaction count is exported as its
-    /// reporter reads it, asking the reporter's home slab (lock-free)
-    /// for the current incarnation.
+    /// Every partition's read lock is held for the whole export, so
+    /// each partition is internally consistent; for a globally
+    /// consistent checkpoint the caller must exclude mutators for the
+    /// duration (the serve layer holds its journal lock, which every
+    /// mutation path takes first). A book row's interaction count is
+    /// exported as its reporter reads it, through the reporter's
+    /// current incarnation: every member's incarnation is read once,
+    /// under those locks, into one map that every row then probes.
     pub fn export_partitions(&self) -> Vec<PartitionCheckpoint> {
         use rayon::prelude::*;
-        self.cells
-            .par_iter()
-            .map(|cell| {
-                let p = cell.lock.read().expect("partition lock poisoned");
+        // Read locks in index order: a mutator holds at most one
+        // partition lock at a time, so it never waits on a lock held
+        // here while holding one this export waits for.
+        let guards: Vec<RwLockReadGuard<'_, Partition>> = self
+            .cells
+            .iter()
+            .map(|cell| cell.lock.read().expect("partition lock poisoned"))
+            .collect();
+        let members = guards.iter().map(|p| p.engine.subjects_len()).sum();
+        let mut incarnations: PeerMap<PeerId, u64> =
+            PeerMap::with_capacity_and_hasher(members, Default::default());
+        for p in &guards {
+            incarnations.extend(p.engine.incarnations());
+        }
+        (0..guards.len())
+            .into_par_iter()
+            .map(|i| {
+                let (cell, p) = (&self.cells[i], &guards[i]);
                 let engine = p
                     .engine
-                    .export_state(|reporter| self.home(reporter).slab.incarnation(reporter));
+                    .export_state(|reporter| incarnations.get(&reporter).copied());
                 // The read lock excludes every slab writer, so one
                 // sweep attempt observes a quiescent slab. Only the
                 // applied-report counts travel: the reputation bits

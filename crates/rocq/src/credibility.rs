@@ -125,6 +125,14 @@ impl Row {
 }
 
 impl CredibilityBook {
+    /// An empty book with room for `rows` reporters, so checkpoint
+    /// import installs a book's rows without rehashing.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        CredibilityBook {
+            rows: PeerMap::with_capacity_and_hasher(rows, Default::default()),
+        }
+    }
+
     /// Records one more interaction of `reporter` (current
     /// incarnation `tag`) with the subject — the single book probe
     /// (one `splitmix64` mix) of the engine's report hot path. Returns

@@ -487,7 +487,7 @@ impl EngineShard {
         let mut row_n = 0usize;
         shard.books = Vec::with_capacity(capacity);
         for &len in &s.book_lens {
-            let mut book = CredibilityBook::default();
+            let mut book = CredibilityBook::with_capacity(len as usize);
             for _ in 0..len {
                 book.insert_row(
                     s.book_reporters[row_n],
@@ -623,6 +623,16 @@ impl RocqEngine {
     /// non-member): the tag its interaction counts carry.
     pub(crate) fn incarnation_of(&self, peer: PeerId) -> Option<u64> {
         self.shard.incarnation_of(peer)
+    }
+
+    /// Every member with its registration incarnation, in arbitrary
+    /// order.
+    pub(crate) fn incarnations(&self) -> impl Iterator<Item = (PeerId, u64)> + '_ {
+        let shard = &self.shard;
+        shard
+            .index
+            .iter()
+            .map(|(&peer, h)| (peer, shard.incarnation[h.index()]))
     }
 
     /// Rebuilds an engine from exported state — the inverse of

@@ -84,8 +84,11 @@
 //! * **Hot arrays stay flat on the wire.** Books and score lanes are
 //!   encoded as flat `Vec<f64>` / `Vec<PeerId>` runs with per-handle
 //!   lengths, not per-subject nested structures — the decoder's cost
-//!   is a handful of large memcpy-speed array reads instead of
-//!   millions of small allocations.
+//!   is a handful of large flat array reads instead of millions of
+//!   small allocations. The serve layer's checkpoint carries each
+//!   partition's encoding as one `replend_wire::ByteRun`, so the file
+//!   framing around these arrays is one copy on write and a borrowed
+//!   slice on read, never a per-byte pass.
 
 use crate::params::RocqParams;
 use replend_types::arena::Handle;

@@ -20,6 +20,13 @@
 //!   by the value;
 //! * sequences and strings carry a `u64` element/byte count followed
 //!   by the elements;
+//! * a byte run ([`ByteRun`], serde's `serialize_bytes`) is a `u64`
+//!   byte count followed by the bytes — exactly the bytes a `Vec<u8>`
+//!   of the same content encodes to, so moving a field between the
+//!   two changes no byte on disk and needs no [`PROTOCOL_VERSION`]
+//!   bump. The difference is speed: a `Vec<u8>` is one serde call per
+//!   byte, a byte run is one copy on encode and a borrowed slice of
+//!   the input on decode;
 //! * structs, tuples and tuple structs encode their fields in
 //!   declaration order with no tags or names;
 //! * enum variants encode the `u32` variant index, then the content.
@@ -32,9 +39,10 @@
 //! ## Versioning
 //!
 //! Everything that outlives the process that wrote it travels inside
-//! a [`SummaryEnvelope`] `{ version, seed, payload }`. The version is
-//! this crate's [`PROTOCOL_VERSION`]; [`SummaryEnvelope::open`]
-//! rejects a mismatch with the typed
+//! a [`SummaryEnvelope`] `{ version, seed, payload }`: a 12-byte
+//! header (`u32` version, `u64` seed) and the payload as one byte
+//! run. The version is this crate's [`PROTOCOL_VERSION`];
+//! [`SummaryEnvelope::decode`] rejects a mismatch with the typed
 //! [`WireError::VersionMismatch`] *before* touching the payload.
 //! Policy: **any** change to the encoding of a stored type — field
 //! added/removed/reordered, width changed, variant
@@ -62,6 +70,7 @@
 //! can truncate the file and resume appending.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -156,9 +165,23 @@ impl serde::de::Error for WireError {
 
 /// Encodes a value to its canonical byte string.
 pub fn to_bytes<T: ?Sized + Serialize>(value: &T) -> Result<Vec<u8>, WireError> {
-    let mut encoder = Encoder { out: Vec::new() };
-    value.serialize(&mut encoder)?;
-    Ok(encoder.out)
+    let mut out = Vec::new();
+    encode_into(&mut out, value)?;
+    Ok(out)
+}
+
+/// Appends the encoding of `value` to `out`. [`to_bytes`] and
+/// `seal_into` both come through here, so each type has one instance
+/// of its serializer, which runs with the buffer in a local rather
+/// than behind a reference. On error `out` ends in a partial
+/// encoding.
+fn encode_into<T: ?Sized + Serialize>(out: &mut Vec<u8>, value: &T) -> Result<(), WireError> {
+    let mut encoder = Encoder {
+        out: std::mem::take(out),
+    };
+    let encoded = value.serialize(&mut encoder);
+    *out = encoder.out;
+    encoded
 }
 
 /// Decodes a value from `bytes`, requiring every byte to be consumed.
@@ -231,8 +254,12 @@ impl serde::Serializer for &mut Encoder {
     }
 
     fn serialize_str(self, v: &str) -> Result<(), WireError> {
+        self.serialize_bytes(v.as_bytes())
+    }
+
+    fn serialize_bytes(self, v: &[u8]) -> Result<(), WireError> {
         self.put(&(v.len() as u64).to_le_bytes());
-        self.put(v.as_bytes());
+        self.put(v);
         Ok(())
     }
 
@@ -500,6 +527,24 @@ impl<'de> serde::Deserializer<'de> for &mut Decoder<'de> {
         self.deserialize_str(visitor)
     }
 
+    /// The length prefix is checked against the remaining input
+    /// before anything is read or allocated: the run is handed to the
+    /// visitor as a slice of the input.
+    fn deserialize_bytes<V: serde::de::Visitor<'de>>(
+        self,
+        visitor: V,
+    ) -> Result<V::Value, WireError> {
+        let len = self.take_len()?;
+        visitor.visit_borrowed_bytes(self.take(len)?)
+    }
+
+    fn deserialize_byte_buf<V: serde::de::Visitor<'de>>(
+        self,
+        visitor: V,
+    ) -> Result<V::Value, WireError> {
+        self.deserialize_bytes(visitor)
+    }
+
     fn deserialize_option<V: serde::de::Visitor<'de>>(
         self,
         visitor: V,
@@ -665,48 +710,103 @@ impl<'de> serde::de::VariantAccess<'de> for VariantDecoder<'_, 'de> {
 }
 
 // ---------------------------------------------------------------------------
+// Byte runs
+// ---------------------------------------------------------------------------
+
+/// A byte string carried as one **byte run**: serialized through
+/// serde's `serialize_bytes` (one copy) and deserialized as a slice
+/// borrowed from the input (no copy at all). On the wire it is exactly
+/// a `Vec<u8>` of the same bytes (`u64` length, then the bytes), so a
+/// field can move between the two without a [`PROTOCOL_VERSION`] bump
+/// — see the crate docs.
+///
+/// A struct holding one borrows from the input it was decoded from;
+/// with the real `serde_derive` such a field needs `#[serde(borrow)]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ByteRun<'a>(pub &'a [u8]);
+
+impl Serialize for ByteRun<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(self.0)
+    }
+}
+
+impl<'de: 'a, 'a> Deserialize<'de> for ByteRun<'a> {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        struct RunVisitor;
+        impl<'de> serde::de::Visitor<'de> for RunVisitor {
+            type Value = &'de [u8];
+            fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
+                f.write_str("a byte run borrowed from the input")
+            }
+            fn visit_borrowed_bytes<E: serde::de::Error>(
+                self,
+                v: &'de [u8],
+            ) -> Result<&'de [u8], E> {
+                Ok(v)
+            }
+        }
+        deserializer.deserialize_bytes(RunVisitor).map(ByteRun)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Versioned envelope
 // ---------------------------------------------------------------------------
 
 /// The versioned wrapper every journal record, checkpoint and `.scn`
-/// payload is stored in.
+/// payload is stored in: `version` (`u32`), `seed` (`u64`), then the
+/// payload as one [`ByteRun`].
 ///
 /// `seed` identifies the run the payload belongs to (the service or
 /// scenario seed), letting a reader reject a record written for a
 /// different run; `version` gates decoding entirely — see the crate
-/// docs for the bump policy.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SummaryEnvelope {
+/// docs for the bump policy. A decoded envelope borrows its payload
+/// from the input.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SummaryEnvelope<'a> {
     /// Protocol version of the sender ([`PROTOCOL_VERSION`]).
     pub version: u32,
     /// Base seed of the run this payload belongs to.
     pub seed: u64,
     /// The encoded message ([`to_bytes`] of the payload type).
-    pub payload: Vec<u8>,
+    pub payload: Cow<'a, [u8]>,
 }
 
-impl SummaryEnvelope {
+impl Serialize for SummaryEnvelope<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut st = serializer.serialize_struct("SummaryEnvelope", 3)?;
+        st.serialize_field("version", &self.version)?;
+        st.serialize_field("seed", &self.seed)?;
+        st.serialize_field("payload", &ByteRun(&self.payload))?;
+        st.end()
+    }
+}
+
+impl SummaryEnvelope<'static> {
     /// Wraps an encodable payload under the current
     /// [`PROTOCOL_VERSION`].
     pub fn wrap<T: ?Sized + Serialize>(seed: u64, payload: &T) -> Result<Self, WireError> {
         Ok(SummaryEnvelope {
             version: PROTOCOL_VERSION,
             seed,
-            payload: to_bytes(payload)?,
+            payload: Cow::Owned(to_bytes(payload)?),
         })
     }
+}
 
-    /// Decodes an envelope from bytes and checks its version against
-    /// this build, **before** any payload bytes are interpreted.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let envelope: SummaryEnvelope = from_bytes(bytes)?;
-        if envelope.version != PROTOCOL_VERSION {
-            return Err(WireError::VersionMismatch {
-                expected: PROTOCOL_VERSION,
-                found: envelope.version,
-            });
-        }
-        Ok(envelope)
+impl<'a> SummaryEnvelope<'a> {
+    /// Decodes an envelope from bytes, borrowing its payload. The
+    /// version is read and checked against this build first: a
+    /// mismatch is refused before any further byte is interpreted.
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let (seed, payload) = unseal(bytes)?;
+        Ok(SummaryEnvelope {
+            version: PROTOCOL_VERSION,
+            seed,
+            payload: Cow::Borrowed(payload),
+        })
     }
 
     /// Encodes the envelope itself to bytes.
@@ -718,14 +818,53 @@ impl SummaryEnvelope {
     /// [`SummaryEnvelope::decode`]; `open` re-checks for envelopes
     /// built by hand).
     pub fn open<T: serde::de::DeserializeOwned>(&self) -> Result<T, WireError> {
-        if self.version != PROTOCOL_VERSION {
-            return Err(WireError::VersionMismatch {
-                expected: PROTOCOL_VERSION,
-                found: self.version,
-            });
-        }
+        check_version(self.version)?;
         from_bytes(&self.payload)
     }
+}
+
+/// The typed refusal of an envelope `found` written under another
+/// protocol version.
+fn check_version(found: u32) -> Result<(), WireError> {
+    if found == PROTOCOL_VERSION {
+        Ok(())
+    } else {
+        Err(WireError::VersionMismatch {
+            expected: PROTOCOL_VERSION,
+            found,
+        })
+    }
+}
+
+/// Appends the envelope of `payload` under `seed` to `out` in one
+/// pass: the header and a length placeholder, then the payload
+/// encoded in place, then the length patched. The bytes equal
+/// `SummaryEnvelope::wrap(seed, payload)?.encode()?` without the
+/// payload's own buffer or the copy out of it. On error `out` holds
+/// a partial envelope the caller must discard.
+fn seal_into<T: ?Sized + Serialize>(
+    out: &mut Vec<u8>,
+    seed: u64,
+    payload: &T,
+) -> Result<(), WireError> {
+    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    out.extend_from_slice(&seed.to_le_bytes());
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode_into(out, payload)?;
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    Ok(())
+}
+
+/// Reads an envelope's header — the version first, refused on a
+/// mismatch before anything else is read — and returns the seed with
+/// the payload, borrowed from `bytes`.
+fn unseal(bytes: &[u8]) -> Result<(u64, &[u8]), WireError> {
+    let version = bytes.get(..4).ok_or(WireError::Eof)?;
+    check_version(u32::from_le_bytes(version.try_into().expect("4 bytes")))?;
+    let (seed, ByteRun(payload)) = from_bytes(&bytes[4..])?;
+    Ok((seed, payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -734,34 +873,34 @@ impl SummaryEnvelope {
 
 /// Encodes an engine checkpoint for writing to disk:
 /// `CHECKPOINT_MAGIC` followed by a version-gated
-/// [`SummaryEnvelope`] tagged with the service seed. Generic over the
-/// payload type so this crate keeps its serde-only dependency set: the
+/// [`SummaryEnvelope`] tagged with the service seed, written into one
+/// buffer with the state encoded in place. Generic over the payload
+/// type so this crate keeps its serde-only dependency set: the
 /// concrete checkpoint state lives in the serve layer.
 pub fn encode_checkpoint<T: ?Sized + Serialize>(
     seed: u64,
     state: &T,
 ) -> Result<Vec<u8>, WireError> {
-    let envelope = SummaryEnvelope::wrap(seed, state)?.encode()?;
-    let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + envelope.len());
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&envelope);
+    let mut out = CHECKPOINT_MAGIC.to_vec();
+    seal_into(&mut out, seed, state)?;
     Ok(out)
 }
 
 /// Decodes a checkpoint file produced by [`encode_checkpoint`],
 /// checking the magic first and the protocol version second, before
 /// any payload bytes are interpreted. Returns the service seed with
-/// the decoded state. A torn file (crash mid-write before the atomic
+/// the decoded state, which may borrow from `bytes` (its
+/// [`ByteRun`]s do). A torn file (crash mid-write before the atomic
 /// rename) surfaces as [`WireError::Eof`] from the envelope decode —
 /// never as half-interpreted state.
-pub fn decode_checkpoint<T: serde::de::DeserializeOwned>(
-    bytes: &[u8],
+pub fn decode_checkpoint<'de, T: Deserialize<'de>>(
+    bytes: &'de [u8],
 ) -> Result<(u64, T), WireError> {
     let rest = bytes
         .strip_prefix(&CHECKPOINT_MAGIC[..])
         .ok_or(WireError::BadMagic)?;
-    let envelope = SummaryEnvelope::decode(rest)?;
-    Ok((envelope.seed, envelope.open()?))
+    let (seed, payload) = unseal(rest)?;
+    Ok((seed, from_bytes(payload)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -938,16 +1077,28 @@ impl<W: Write> JournalWriter<W> {
         if self.failed {
             return Err(JournalError::Stopped);
         }
-        let envelope = SummaryEnvelope::wrap(self.seed, record)?;
-        let bytes = envelope.encode()?;
-        let len = u32::try_from(bytes.len()).map_err(|_| {
-            JournalError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "frame exceeds 4 GiB",
-            ))
-        })?;
-        self.tail.extend_from_slice(&len.to_le_bytes());
-        self.tail.extend_from_slice(&bytes);
+        // One pass straight into the tail: a length placeholder, the
+        // envelope, then the length patched. A failed encode leaves
+        // the tail as it was.
+        let start = self.tail.len();
+        self.tail.extend_from_slice(&[0; 4]);
+        let framed = seal_into(&mut self.tail, self.seed, record)
+            .map_err(JournalError::Wire)
+            .and_then(|()| {
+                u32::try_from(self.tail.len() - start - 4).map_err(|_| {
+                    JournalError::Io(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        "frame exceeds 4 GiB",
+                    ))
+                })
+            });
+        match framed {
+            Ok(len) => self.tail[start..start + 4].copy_from_slice(&len.to_le_bytes()),
+            Err(e) => {
+                self.tail.truncate(start);
+                return Err(e);
+            }
+        }
         self.pending += 1;
         if self.pending >= self.every {
             self.sync()?;
@@ -1058,14 +1209,14 @@ impl<R: Read> JournalReader<R> {
             }
             Err(e) => return Err(JournalError::Io(e)),
         };
-        let envelope = SummaryEnvelope::decode(&frame)?;
-        if envelope.seed != self.seed {
+        let (seed, payload) = unseal(&frame)?;
+        if seed != self.seed {
             return Err(JournalError::SeedMismatch {
                 expected: self.seed,
-                found: envelope.seed,
+                found: seed,
             });
         }
-        let record = envelope.open()?;
+        let record = from_bytes(payload)?;
         self.consumed += 4 + frame.len() as u64;
         Ok(Some(record))
     }
@@ -1229,6 +1380,12 @@ mod tests {
         );
         assert!(matches!(
             stale.open::<Record>(),
+            Err(WireError::VersionMismatch { .. })
+        ));
+        // The version is the first thing read: even a stale envelope
+        // cut off inside its seed is refused for its version.
+        assert!(matches!(
+            SummaryEnvelope::decode(&bytes[..6]),
             Err(WireError::VersionMismatch { .. })
         ));
     }

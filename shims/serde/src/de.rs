@@ -146,6 +146,21 @@ pub trait Visitor<'de>: Sized {
     fn visit_string<E: Error>(self, v: String) -> Result<Self::Value, E> {
         self.visit_str(&v)
     }
+    /// Receives a byte string that does not outlive the call.
+    fn visit_bytes<E: Error>(self, v: &[u8]) -> Result<Self::Value, E> {
+        let _ = v;
+        Err(unexpected(&self, "a byte string"))
+    }
+    /// Receives a byte string borrowed from the input, which outlives
+    /// the deserializer (defaults to [`Visitor::visit_bytes`]).
+    fn visit_borrowed_bytes<E: Error>(self, v: &'de [u8]) -> Result<Self::Value, E> {
+        self.visit_bytes(v)
+    }
+    /// Receives an owned byte string (defaults to
+    /// [`Visitor::visit_bytes`]).
+    fn visit_byte_buf<E: Error>(self, v: Vec<u8>) -> Result<Self::Value, E> {
+        self.visit_bytes(&v)
+    }
     /// Receives `Option::None`.
     fn visit_none<E: Error>(self) -> Result<Self::Value, E> {
         Err(unexpected(&self, "none"))
@@ -276,6 +291,11 @@ pub trait Deserializer<'de>: Sized {
     fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
     /// Decodes an owned string.
     fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
+    /// Decodes a byte string, borrowed from the input where the
+    /// format can.
+    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
+    /// Decodes a byte string the visitor wants to own.
+    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
     /// Decodes an `Option`.
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
     /// Decodes `()`.

@@ -4,7 +4,7 @@
 //! format anywhere), this version implements the **serde 1 data-model
 //! subset the workspace actually serializes**: primitives
 //! (`bool`, the fixed-width ints, `usize`/`isize`, `f32`/`f64`,
-//! strings), `Option`, sequences (`Vec`/slices), tuples, unit /
+//! strings, byte strings), `Option`, sequences (`Vec`/slices), tuples, unit /
 //! newtype / tuple / named-field structs, and unit / newtype / tuple
 //! / struct enum variants — the shapes of every
 //! `#[derive(Serialize, Deserialize)]` type in the workspace. The
@@ -18,10 +18,15 @@
 //!   `Deserializer` traits and port to the real crate by filling in
 //!   the hooks this subset omits.
 //!
+//! Byte strings are hooks only, as in the real crate: `Vec<u8>` and
+//! `[u8]` still travel as sequences, and a type carries its bytes as
+//! one run by calling [`Serializer::serialize_bytes`] and
+//! [`Deserializer::deserialize_bytes`] itself.
+//!
 //! Omitted (no call site needs them): `deserialize_any` and the
-//! self-describing machinery, maps, byte strings, `char`,
-//! `i128`/`u128`, borrowed-data specializations, and the
-//! `#[serde(...)]` attribute behaviours. Swapping to the real crates
+//! self-describing machinery, maps, `char`, `i128`/`u128`, std impls
+//! for borrowed data (`&str`, `&[u8]`), and the `#[serde(...)]`
+//! attribute behaviours. Swapping to the real crates
 //! remains the usual 5-line diff in the root manifest.
 
 pub mod de;
@@ -153,6 +158,11 @@ mod tests {
             }
             fn serialize_str(self, v: &str) -> Result<(), Err> {
                 self.atoms.push(v.len() as f64);
+                Ok(())
+            }
+            fn serialize_bytes(self, v: &[u8]) -> Result<(), Err> {
+                self.atoms.push(v.len() as f64);
+                self.atoms.extend(v.iter().map(|&b| b as f64));
                 Ok(())
             }
             fn serialize_none(self) -> Result<(), Err> {
@@ -381,6 +391,19 @@ mod tests {
                 let _ = self.next()?;
                 visitor.visit_string(String::new())
             }
+            fn deserialize_bytes<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, Err> {
+                self.deserialize_byte_buf(visitor)
+            }
+            fn deserialize_byte_buf<V: de::Visitor<'de>>(
+                self,
+                visitor: V,
+            ) -> Result<V::Value, Err> {
+                let len = self.next()? as usize;
+                let bytes = (0..len)
+                    .map(|_| self.next().map(|atom| atom as u8))
+                    .collect::<Result<Vec<u8>, Err>>()?;
+                visitor.visit_byte_buf(bytes)
+            }
             fn deserialize_option<V: de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, Err> {
                 if self.next()? != 0.0 {
                     visitor.visit_some(self)
@@ -554,6 +577,42 @@ mod tests {
         assert_eq!(round_trip(&Newtype(99)), Newtype(99));
         for v in [Enumish::A, Enumish::B { v: -1.25 }, Enumish::C(3)] {
             assert_eq!(round_trip(&v), v);
+        }
+    }
+
+    /// Bytes carried as one run through the byte-string hooks.
+    #[derive(Debug, PartialEq)]
+    struct Blob(Vec<u8>);
+
+    impl super::Serialize for Blob {
+        fn serialize<S: super::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+            serializer.serialize_bytes(&self.0)
+        }
+    }
+
+    impl<'de> super::Deserialize<'de> for Blob {
+        fn deserialize<D: super::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+            struct BlobVisitor;
+            impl<'de> crate::de::Visitor<'de> for BlobVisitor {
+                type Value = Blob;
+                fn expecting(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+                    f.write_str("a byte string")
+                }
+                // The only hook written: the format hands over an
+                // owned buffer, which reaches it through the default
+                // `visit_byte_buf`.
+                fn visit_bytes<E: crate::de::Error>(self, v: &[u8]) -> Result<Blob, E> {
+                    Ok(Blob(v.to_vec()))
+                }
+            }
+            deserializer.deserialize_bytes(BlobVisitor)
+        }
+    }
+
+    #[test]
+    fn byte_strings_round_trip_through_the_hooks() {
+        for bytes in [vec![], vec![0u8, 7, 255]] {
+            assert_eq!(round_trip(&Blob(bytes.clone())), Blob(bytes));
         }
     }
 

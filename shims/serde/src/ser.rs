@@ -20,10 +20,10 @@ pub trait Serialize {
 }
 
 /// A format that can serialize the data-model subset the workspace
-/// uses: primitives, options, sequences, tuples, structs and enum
-/// variants. Maps, byte strings and `i128`/`u128` are not part of the
-/// subset (no call site needs them); a format that does need them
-/// belongs on the real crate.
+/// uses: primitives, strings, byte strings, options, sequences,
+/// tuples, structs and enum variants. Maps and `i128`/`u128` are not
+/// part of the subset (no call site needs them); a format that does
+/// need them belongs on the real crate.
 pub trait Serializer: Sized {
     /// Output of a successful serialization.
     type Ok;
@@ -66,6 +66,10 @@ pub trait Serializer: Sized {
     fn serialize_f64(self, v: f64) -> Result<Self::Ok, Self::Error>;
     /// Serializes a string slice.
     fn serialize_str(self, v: &str) -> Result<Self::Ok, Self::Error>;
+    /// Serializes a byte string as one run (a `Vec<u8>` or `[u8]`
+    /// goes through [`Serializer::serialize_seq`] one element at a
+    /// time instead; a type opts in by calling this hook).
+    fn serialize_bytes(self, v: &[u8]) -> Result<Self::Ok, Self::Error>;
     /// Serializes `Option::None`.
     fn serialize_none(self) -> Result<Self::Ok, Self::Error>;
     /// Serializes `Option::Some(value)`.

@@ -17,9 +17,15 @@
 //! environment has no `syn`/`quote`): attributes — including
 //! `#[serde(...)]`, which is accepted and ignored, as no call site
 //! uses attribute-driven behaviours — and visibility are skipped,
-//! then the struct/enum shape is walked token by token. Generic types
-//! are not supported (no derived type in the workspace is generic);
-//! deriving on one produces a compile error naming this shim.
+//! then the struct/enum shape is walked token by token. Type
+//! parameters are not supported (no derived type in the workspace has
+//! one); deriving on such a type produces a compile error naming this
+//! shim. A named-field struct may take lifetime parameters, and its
+//! `Deserialize` impl then borrows from the input for all of them
+//! (`impl<'de: 'a, 'a> Deserialize<'de> for S<'a>`): what the real
+//! derive emits when the borrowing fields carry `#[serde(borrow)]`,
+//! which such call sites must write so they build against the real
+//! crate too.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -50,9 +56,14 @@ enum Item {
     /// `struct Name(T, ...);` — field count only (encoding is
     /// positional).
     TupleStruct { name: String, fields: usize },
-    /// `struct Name { a: A, ... }` — field names in declaration
+    /// `struct Name<'a, ...> { a: A, ... }` — the lifetime
+    /// parameters (possibly none) and the field names in declaration
     /// order.
-    Struct { name: String, fields: Vec<String> },
+    Struct {
+        name: String,
+        lifetimes: Vec<String>,
+        fields: Vec<String>,
+    },
     /// `enum Name { ... }`.
     Enum {
         name: String,
@@ -122,10 +133,13 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         Some(TokenTree::Ident(i)) => i.to_string(),
         _ => return Err("serde_derive shim: expected an item name".into()),
     };
-    if matches!(tokens.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
+    let lifetimes = parse_lifetimes(&mut tokens, &name)?;
+    let is_braced_struct = kind == "struct"
+        && matches!(tokens.peek(), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace);
+    if !lifetimes.is_empty() && !is_braced_struct {
         return Err(format!(
-            "serde_derive shim: generic type `{name}` is not supported; \
-             write the impl by hand or use the real serde_derive"
+            "serde_derive shim: only a named-field struct may take lifetime \
+             parameters, `{name}` is not one; write the impl by hand"
         ));
     }
 
@@ -135,6 +149,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ';' => Ok(Item::UnitStruct { name }),
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Ok(Item::Struct {
                 name,
+                lifetimes,
                 fields: parse_named_fields(g.stream())?,
             }),
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
@@ -155,6 +170,37 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         other => Err(format!(
             "serde_derive shim: cannot derive for `{other}` items"
         )),
+    }
+}
+
+/// The item's generic parameters, which must all be lifetimes
+/// (`<'a, 'b>`, returned as `["'a", "'b"]`); none when no `<`
+/// follows the name.
+fn parse_lifetimes(
+    tokens: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>,
+    name: &str,
+) -> Result<Vec<String>, String> {
+    let mut lifetimes = Vec::new();
+    if !matches!(tokens.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
+        return Ok(lifetimes);
+    }
+    tokens.next();
+    loop {
+        match tokens.next() {
+            Some(TokenTree::Punct(p)) if p.as_char() == '>' => return Ok(lifetimes),
+            Some(TokenTree::Punct(p)) if p.as_char() == ',' => {}
+            Some(TokenTree::Punct(p)) if p.as_char() == '\'' => match tokens.next() {
+                Some(TokenTree::Ident(i)) => lifetimes.push(format!("'{i}")),
+                _ => return Err(format!("serde_derive shim: malformed lifetime on `{name}`")),
+            },
+            _ => {
+                return Err(format!(
+                    "serde_derive shim: generic type `{name}` is not supported (only \
+                     lifetime parameters are); write the impl by hand or use the real \
+                     serde_derive"
+                ))
+            }
+        }
     }
 }
 
@@ -323,7 +369,12 @@ fn gen_serialize(item: &Item) -> String {
                  -> core::result::Result<__S::Ok, __S::Error> {{\n{body}}}\n}}"
             )
         }
-        Item::Struct { name, fields } => {
+        Item::Struct {
+            name,
+            lifetimes,
+            fields,
+        } => {
+            let params = angle_list(lifetimes);
             let mut body = format!(
                 "let mut __st = __serializer.serialize_struct({name:?}, {}usize)?;\n",
                 fields.len()
@@ -335,7 +386,7 @@ fn gen_serialize(item: &Item) -> String {
             }
             body.push_str("serde::ser::SerializeStruct::end(__st)\n");
             format!(
-                "impl serde::Serialize for {name} {{\n\
+                "impl{params} serde::Serialize for {name}{params} {{\n\
                  fn serialize<__S: serde::Serializer>(&self, __serializer: __S) \
                  -> core::result::Result<__S::Ok, __S::Error> {{\n{body}}}\n}}"
             )
@@ -401,17 +452,37 @@ fn gen_serialize(item: &Item) -> String {
     }
 }
 
+/// `<'a, 'b>` for the given lifetimes, or nothing for none.
+fn angle_list(lifetimes: &[String]) -> String {
+    if lifetimes.is_empty() {
+        String::new()
+    } else {
+        format!("<{}>", lifetimes.join(", "))
+    }
+}
+
+/// The hidden visitor value the drivers hand to the deserializer.
+const VISITOR: &str = "__Visitor(core::marker::PhantomData)";
+
 /// The shared skeleton: a `Deserialize` impl delegating to a hidden
 /// visitor struct whose hooks are `visitor_hooks`, driven by
-/// `driver`.
-fn deserialize_impl(name: &str, visitor_hooks: &str, driver: &str) -> String {
+/// `driver`. With `lifetimes`, `'de` outlives each of them: the
+/// decoded value may borrow from the input.
+fn deserialize_impl(name: &str, lifetimes: &[String], visitor_hooks: &str, driver: &str) -> String {
+    let params = angle_list(lifetimes);
+    let de_params = if lifetimes.is_empty() {
+        "<'de>".to_string()
+    } else {
+        format!("<'de: {}, {}>", lifetimes.join(" + "), lifetimes.join(", "))
+    };
+    let markers: String = lifetimes.iter().map(|l| format!("&{l} (), ")).collect();
     format!(
-        "impl<'de> serde::Deserialize<'de> for {name} {{\n\
+        "impl{de_params} serde::Deserialize<'de> for {name}{params} {{\n\
          fn deserialize<__D: serde::Deserializer<'de>>(__deserializer: __D) \
          -> core::result::Result<Self, __D::Error> {{\n\
-         struct __Visitor;\n\
-         impl<'de> serde::de::Visitor<'de> for __Visitor {{\n\
-         type Value = {name};\n\
+         struct __Visitor{params}(core::marker::PhantomData<({markers})>);\n\
+         impl{de_params} serde::de::Visitor<'de> for __Visitor{params} {{\n\
+         type Value = {name}{params};\n\
          fn expecting(&self, __f: &mut core::fmt::Formatter) -> core::fmt::Result {{\n\
          __f.write_str({name:?})\n}}\n\
          {visitor_hooks}\n}}\n\
@@ -445,8 +516,8 @@ fn gen_deserialize(item: &Item) -> String {
                 "fn visit_unit<__E: serde::de::Error>(self) \
                  -> core::result::Result<Self::Value, __E> {{ Ok({name}) }}"
             );
-            let driver = format!("__deserializer.deserialize_unit_struct({name:?}, __Visitor)");
-            deserialize_impl(name, &hooks, &driver)
+            let driver = format!("__deserializer.deserialize_unit_struct({name:?}, {VISITOR})");
+            deserialize_impl(name, &[], &hooks, &driver)
         }
         Item::TupleStruct { name, fields: 1 } => {
             let hooks = format!(
@@ -454,26 +525,30 @@ fn gen_deserialize(item: &Item) -> String {
                  -> core::result::Result<Self::Value, __D2::Error> {{\n\
                  Ok({name}(serde::Deserialize::deserialize(__d)?))\n}}"
             );
-            let driver = format!("__deserializer.deserialize_newtype_struct({name:?}, __Visitor)");
-            deserialize_impl(name, &hooks, &driver)
+            let driver = format!("__deserializer.deserialize_newtype_struct({name:?}, {VISITOR})");
+            deserialize_impl(name, &[], &hooks, &driver)
         }
         Item::TupleStruct { name, fields } => {
             let bindings: Vec<String> = (0..*fields).map(|i| format!("__f{i}")).collect();
             let construct = format!("{name}({})", bindings.join(", "));
             let hooks = visit_seq_hook(&format!("tuple struct {name}"), &bindings, &construct);
             let driver = format!(
-                "__deserializer.deserialize_tuple_struct({name:?}, {fields}usize, __Visitor)"
+                "__deserializer.deserialize_tuple_struct({name:?}, {fields}usize, {VISITOR})"
             );
-            deserialize_impl(name, &hooks, &driver)
+            deserialize_impl(name, &[], &hooks, &driver)
         }
-        Item::Struct { name, fields } => {
+        Item::Struct {
+            name,
+            lifetimes,
+            fields,
+        } => {
             let construct = format!("{name} {{ {} }}", fields.join(", "));
             let hooks = visit_seq_hook(&format!("struct {name}"), fields, &construct);
             let driver = format!(
-                "__deserializer.deserialize_struct({name:?}, {}, __Visitor)",
+                "__deserializer.deserialize_struct({name:?}, {}, {VISITOR})",
                 quoted_list(fields)
             );
-            deserialize_impl(name, &hooks, &driver)
+            deserialize_impl(name, lifetimes, &hooks, &driver)
         }
         Item::Enum { name, variants } => {
             let variant_names: Vec<String> = variants.iter().map(|v| v.name.clone()).collect();
@@ -541,8 +616,8 @@ fn gen_deserialize(item: &Item) -> String {
                  }}\n}}"
             );
             let driver =
-                format!("__deserializer.deserialize_enum({name:?}, __VARIANTS, __Visitor)");
-            let body = deserialize_impl(name, &hooks, &driver);
+                format!("__deserializer.deserialize_enum({name:?}, __VARIANTS, {VISITOR})");
+            let body = deserialize_impl(name, &[], &hooks, &driver);
             // The variant-name list is shared by the driver and the
             // unknown-variant error arm; the const block scopes it.
             format!(

@@ -25,9 +25,48 @@ use replend_types::{
     Feedback, LendingParams, PeerId, Reputation, ReputationDelta, SimParams, SimTime, Table1,
     TopologyKind,
 };
-use replend_wire::{from_bytes, to_bytes, SummaryEnvelope, WireError, PROTOCOL_VERSION};
+use replend_wire::{
+    decode_checkpoint, encode_checkpoint, from_bytes, to_bytes, ByteRun, JournalError,
+    JournalReader, JournalWriter, SummaryEnvelope, SyncPolicy, WireError, PROTOCOL_VERSION,
+};
 use serde::de::DeserializeOwned;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The largest single allocation this test binary has made, so a
+/// decode can be shown not to have sized a buffer from an untrusted
+/// length prefix.
+static LARGEST_ALLOCATION: AtomicUsize = AtomicUsize::new(0);
+
+struct LargestAllocation;
+
+// SAFETY: delegates every operation to `System`, only recording the
+// requested sizes.
+unsafe impl GlobalAlloc for LargestAllocation {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_ALLOCATION.fetch_max(layout.size(), Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LARGEST_ALLOCATION.fetch_max(layout.size(), Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_ALLOCATION.fetch_max(new_size, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestAllocation = LargestAllocation;
 
 /// The suite's single oracle: one encode→decode→re-encode cycle must
 /// reproduce the exact byte string (and decoding must consume every
@@ -628,6 +667,168 @@ proptest! {
             })
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Byte runs: the same bytes as `Vec<u8>`, refused when they over-claim
+// ---------------------------------------------------------------------------
+
+/// A checkpoint-shaped document whose blobs are byte runs borrowed
+/// from the input (the serve layer's checkpoint document has this
+/// shape).
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct RunDoc<'a> {
+    generation: u64,
+    #[serde(borrow)]
+    blobs: Vec<ByteRun<'a>>,
+}
+
+/// [`RunDoc`] with its blobs as plain `Vec<u8>`s: one serde element
+/// per byte.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct VecDoc {
+    generation: u64,
+    blobs: Vec<Vec<u8>>,
+}
+
+/// An envelope in the layout every stored file has used since v1,
+/// built by hand: `version u32 LE ‖ seed u64 LE ‖ len u64 LE ‖ payload`.
+fn old_envelope(seed: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = PROTOCOL_VERSION.to_le_bytes().to_vec();
+    out.extend_from_slice(&seed.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// A checkpoint file around `payload`, built by hand.
+fn old_checkpoint(seed: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = b"RLCK".to_vec();
+    out.extend_from_slice(&old_envelope(seed, payload));
+    out
+}
+
+proptest! {
+    #[test]
+    fn byte_runs_keep_the_old_layout(
+        seed in proptest::num::u64::ANY,
+        generation in proptest::num::u64::ANY,
+        payload in proptest::collection::vec(proptest::num::u8::ANY, 0..300),
+        blobs in proptest::collection::vec(
+            proptest::collection::vec(proptest::num::u8::ANY, 0..64),
+            0..5,
+        ),
+    ) {
+        // The envelope: the payload run is the old per-byte layout.
+        let old = old_envelope(seed, &payload);
+        let envelope = SummaryEnvelope {
+            version: PROTOCOL_VERSION,
+            seed,
+            payload: Cow::Borrowed(&payload),
+        };
+        prop_assert_eq!(&envelope.encode().unwrap(), &old);
+        let decoded = SummaryEnvelope::decode(&old).unwrap();
+        prop_assert_eq!(&decoded, &envelope);
+        prop_assert!(
+            matches!(decoded.payload, Cow::Borrowed(p) if p.as_ptr() == old[20..].as_ptr()),
+            "the decoded payload is not borrowed from the input"
+        );
+
+        // A checkpoint document encodes to the same bytes whether its
+        // blobs are byte runs or `Vec<u8>`s, and either type decodes
+        // the other's file.
+        let vecs = VecDoc { generation, blobs: blobs.clone() };
+        let runs = RunDoc {
+            generation,
+            blobs: blobs.iter().map(|b| ByteRun(b)).collect(),
+        };
+        let doc = to_bytes(&vecs).unwrap();
+        prop_assert_eq!(&to_bytes(&runs).unwrap(), &doc);
+        let file = old_checkpoint(seed, &doc);
+        prop_assert_eq!(&encode_checkpoint(seed, &runs).unwrap(), &file);
+        prop_assert_eq!(&encode_checkpoint(seed, &vecs).unwrap(), &file);
+        prop_assert_eq!(decode_checkpoint::<RunDoc>(&file).unwrap(), (seed, runs));
+        prop_assert_eq!(decode_checkpoint::<VecDoc>(&file).unwrap(), (seed, vecs));
+
+        // A journal frame is the `u32` length of the old envelope,
+        // then that envelope.
+        let mut log = Vec::new();
+        JournalWriter::with_policy(&mut log, seed, SyncPolicy::Always)
+            .append(&ByteRun(&payload))
+            .unwrap();
+        let sealed = old_envelope(seed, &to_bytes(&payload).unwrap());
+        let mut frame = (sealed.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&sealed);
+        prop_assert_eq!(&log, &frame);
+        let mut reader = JournalReader::new(log.as_slice(), seed);
+        prop_assert_eq!(reader.next::<Vec<u8>>().unwrap(), Some(payload));
+    }
+}
+
+/// Length prefixes that claim far more than the input holds.
+const OVER_CLAIMS: [u64; 2] = [1 << 40, u64::MAX];
+
+/// The refusal an over-long run must get: the input ran out (or the
+/// claim does not even fit a `usize`).
+fn is_short_input(err: &WireError) -> bool {
+    matches!(err, WireError::Eof | WireError::LengthOverflow(_))
+}
+
+#[test]
+fn over_long_byte_runs_fail_typed_without_allocating_their_claim() {
+    for claim in OVER_CLAIMS {
+        // Envelope level: the payload run over-claims.
+        let mut envelope = PROTOCOL_VERSION.to_le_bytes().to_vec();
+        envelope.extend_from_slice(&7u64.to_le_bytes());
+        envelope.extend_from_slice(&claim.to_le_bytes());
+        envelope.extend_from_slice(b"abc");
+        let err = SummaryEnvelope::decode(&envelope).unwrap_err();
+        assert!(is_short_input(&err), "envelope, claim {claim}: {err:?}");
+
+        // Checkpoint level: the envelope over-claims, or an intact
+        // envelope holds a partition blob that over-claims.
+        let mut file = b"RLCK".to_vec();
+        file.extend_from_slice(&envelope);
+        let err = decode_checkpoint::<RunDoc>(&file).unwrap_err();
+        assert!(
+            is_short_input(&err),
+            "checkpoint envelope, claim {claim}: {err:?}"
+        );
+        let mut doc = 3u64.to_le_bytes().to_vec();
+        doc.extend_from_slice(&1u64.to_le_bytes());
+        doc.extend_from_slice(&claim.to_le_bytes());
+        doc.extend_from_slice(b"abc");
+        for err in [
+            decode_checkpoint::<RunDoc>(&old_checkpoint(7, &doc)).unwrap_err(),
+            decode_checkpoint::<VecDoc>(&old_checkpoint(7, &doc)).unwrap_err(),
+        ] {
+            assert!(
+                is_short_input(&err),
+                "checkpoint blob, claim {claim}: {err:?}"
+            );
+        }
+
+        // Journal-frame level: a full-length frame whose envelope
+        // over-claims is corruption, a typed error, not a torn tail.
+        let mut log = (envelope.len() as u32).to_le_bytes().to_vec();
+        log.extend_from_slice(&envelope);
+        let mut reader = JournalReader::new(log.as_slice(), 7);
+        match reader.next::<u64>() {
+            Err(JournalError::Wire(err)) => {
+                assert!(
+                    is_short_input(&err),
+                    "journal frame, claim {claim}: {err:?}"
+                )
+            }
+            other => panic!("journal frame, claim {claim}: {other:?}"),
+        }
+        assert!(!reader.torn_tail());
+    }
+    let largest = LARGEST_ALLOCATION.load(Ordering::Relaxed);
+    assert!(
+        largest < 1 << 39,
+        "a {largest}-byte buffer was sized from an untrusted length prefix"
+    );
 }
 
 /// A scenario file whose magic is wrong — or missing entirely — is
