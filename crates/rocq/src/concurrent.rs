@@ -21,11 +21,23 @@
 //!   write-locks each touched partition in turn — never more than one
 //!   lock at a time, so the facade cannot deadlock (the one holder of
 //!   several locks, a checkpoint export, takes only read locks, in
-//!   index order). After the engine
-//!   applies a group, the mutator opens one slab write (epoch odd),
-//!   copies the drained aggregate deltas and interaction increments
-//!   in, and publishes (epoch even) — so the slab jumps atomically
-//!   from the pre-batch to the post-batch state.
+//!   index order). The engine applies a group in two passes
+//!   (resolve every opinion's subject handle, then apply in batch
+//!   order; see the engine's `apply_batch`). The mutator then opens
+//!   one slab write (epoch odd), runs one pass over the applied
+//!   opinions' handles that copies each subject's cached aggregate and
+//!   counts its interactions, and publishes (epoch even) — so the slab
+//!   jumps atomically from the pre-batch to the post-batch state.
+//!
+//! A subject's slab slot **is** its engine handle: registration,
+//! re-registration and checkpoint import insert the subject at the
+//! handle the engine holds it under, and the slab allocates no slots of
+//! its own. So the publish pass indexes the slab by handle, with no
+//! peer→slot probe and no sorted delta drain. The rare mutations
+//! (credit, debit, and the lane resets the crash model causes during
+//! registration and removal) publish their drained deltas by a
+//! by-subject probe instead, inside the window of the mutation that
+//! caused them.
 //!
 //! Any member may report on any subject, so membership is
 //! community-wide: it is the union of the partitions' slabs. A peer
@@ -66,7 +78,7 @@
 
 use crate::engine::{ReputationEngine, RocqEngine};
 use crate::params::RocqParams;
-use crate::snapshot::SnapshotSlab;
+use crate::snapshot::{SlabWriter, SnapshotSlab};
 use crate::state::{InvalidState, PartitionCheckpoint};
 use replend_types::hash::{salted, splitmix64, PeerMap};
 use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
@@ -105,21 +117,21 @@ struct Cell {
     slab: SnapshotSlab,
 }
 
-impl Cell {
-    /// Syncs every drained aggregate delta into the slab under one
-    /// epoch window. Callers hold the partition write lock.
-    fn publish_deltas(&self, p: &mut Partition) {
-        p.engine.drain_deltas(&mut p.delta_scratch);
-        if p.delta_scratch.is_empty() {
-            return;
-        }
-        let mut w = self.slab.write();
-        for d in &p.delta_scratch {
+impl Partition {
+    /// Drains the engine's pending aggregate deltas into the slab
+    /// through the open write window `w`. Each delta finds its slot by
+    /// a by-subject probe of the slab's table: the path of the rare
+    /// mutations (credit, debit, and the crash model's lane resets
+    /// during registration and removal). The drain order is mutation
+    /// order within a subject, so its last delta, the current
+    /// aggregate, is the one that stays.
+    fn publish_deltas(&mut self, w: &mut SlabWriter<'_>) {
+        self.engine.drain_deltas(&mut self.delta_scratch);
+        for d in self.delta_scratch.drain(..) {
             if let Some(slot) = w.slot_of(d.subject) {
                 w.set_reputation(slot, d.new.value().to_bits());
             }
         }
-        p.delta_scratch.clear();
     }
 }
 
@@ -196,25 +208,25 @@ impl ConcurrentEngine {
             }
             let mut p = cell.lock.write().expect("partition lock poisoned");
             let p = &mut *p;
-            {
-                // One epoch window per partition: a reader sees the
-                // slab before or after this cell's share of the
-                // batch, never a half-registered group.
-                let mut w = cell.slab.write();
-                for &(peer, initial) in group {
-                    p.engine.register_peer(peer, initial);
-                    // Engine values, not `initial`: re-registration
-                    // keeps the existing score and incarnation, and the
-                    // slab must stay bit-identical to the engine either
-                    // way.
-                    let published = p.engine.reputation(peer).expect("registered subject");
-                    let slot = w.insert(peer);
-                    w.set_reputation(slot, published.value().to_bits());
-                    w.set_incarnation(slot, p.engine.incarnation_of(peer).expect("registered"));
-                }
+            // One epoch window per partition: a reader sees the slab
+            // before or after this cell's share of the batch, never a
+            // half-registered group.
+            let mut w = cell.slab.write();
+            for &(peer, initial) in group {
+                // The slot is the handle the registration returns.
+                let h = p.engine.register(peer, initial);
+                let slot = h.index() as u32;
+                w.insert(peer, slot);
+                debug_assert_eq!(w.slot_of(peer), Some(slot), "slab slot is not the handle");
+                // Engine values, not `initial`: re-registration keeps
+                // the existing score and incarnation, and the slab
+                // must stay bit-identical to the engine either way.
+                w.set_reputation(slot, p.engine.reputation_at(h).value().to_bits());
+                w.set_incarnation(slot, p.engine.incarnation_at(h));
             }
-            p.engine.drain_deltas(&mut p.delta_scratch);
-            p.delta_scratch.clear();
+            // With the crash model on, a join can reset other subjects'
+            // lanes; those resets land in the same window.
+            p.publish_deltas(&mut w);
         }
     }
 
@@ -230,9 +242,11 @@ impl ConcurrentEngine {
             return;
         }
         p.engine.remove_peer(peer);
-        cell.slab.write().remove(peer);
-        p.engine.drain_deltas(&mut p.delta_scratch);
-        p.delta_scratch.clear();
+        // The departure and the lane resets its leave may cause under
+        // the crash model are one published state.
+        let mut w = cell.slab.write();
+        w.remove(peer);
+        p.publish_deltas(&mut w);
     }
 
     /// True when `peer` is a registered subject — a lock-free slab
@@ -256,7 +270,9 @@ impl ConcurrentEngine {
     /// time), with per-element semantics identical to
     /// [`ReputationEngine::report_batch`] on a monolithic engine. The
     /// slab publishes each partition's post-group state in a single
-    /// epoch window after the engine has applied it.
+    /// epoch window after the engine has applied it, in one pass over
+    /// the applied opinions' subject handles: each handle is the
+    /// subject's slab slot, so the pass indexes and never probes.
     pub fn report_batch(&self, batch: &[Feedback]) {
         let n = self.cells.len();
         let mut groups: Vec<Vec<(Feedback, u64)>> = vec![Vec::new(); n];
@@ -276,28 +292,28 @@ impl ConcurrentEngine {
             let mut p = cell.lock.write().expect("partition lock poisoned");
             let p = &mut *p;
             p.engine.report_member_batch(group);
-            p.engine.drain_deltas(&mut p.delta_scratch);
             // One epoch window covers the whole group: aggregate
             // moves and interaction counts land together, so a read
             // sees the pre-group or the post-group state, never a
-            // half-applied group.
+            // half-applied group. Every applied opinion counts one
+            // interaction and republishes its subject's cached
+            // aggregate, which the engine refreshed after the last one.
             {
                 let mut w = cell.slab.write();
-                for d in &p.delta_scratch {
-                    if let Some(slot) = w.slot_of(d.subject) {
-                        w.set_reputation(slot, d.new.value().to_bits());
-                    }
-                }
-                // Count what was actually applied: the group holds
-                // only member reporters, so a known subject completes
-                // the pair.
-                for (f, _) in group {
-                    if let Some(slot) = w.slot_of(f.subject) {
-                        w.add_hits(slot, 1);
-                    }
+                for h in p.engine.applied_subjects() {
+                    let slot = h.index() as u32;
+                    debug_assert_eq!(
+                        w.slot_of(p.engine.subject_at(h)),
+                        Some(slot),
+                        "slab slot is not the handle"
+                    );
+                    w.set_reputation(slot, p.engine.reputation_at(h).value().to_bits());
+                    w.add_hits(slot, 1);
                 }
             }
-            p.delta_scratch.clear();
+            // The window above published every aggregate the batch
+            // moved, so the deltas need no sorted drain.
+            p.engine.discard_deltas();
         }
     }
 
@@ -307,7 +323,7 @@ impl ConcurrentEngine {
         let mut p = cell.lock.write().expect("partition lock poisoned");
         let p = &mut *p;
         p.engine.credit(subject, amount);
-        cell.publish_deltas(p);
+        p.publish_deltas(&mut cell.slab.write());
     }
 
     /// Directly lowers `subject`'s reputation (lending stake).
@@ -316,7 +332,7 @@ impl ConcurrentEngine {
         let mut p = cell.lock.write().expect("partition lock poisoned");
         let p = &mut *p;
         p.engine.debit(subject, amount);
-        cell.publish_deltas(p);
+        p.publish_deltas(&mut cell.slab.write());
     }
 
     /// The aggregate reputation of `subject` — a lock-free,
@@ -487,19 +503,19 @@ impl ConcurrentEngine {
                 let slab = SnapshotSlab::new();
                 {
                     let mut w = slab.write();
+                    // Every slot is a handle below the arena capacity.
+                    w.reserve(engine.capacity());
                     for &(peer, hits) in &part.slab {
-                        let bits = engine
-                            .reputation(PeerId(peer))
-                            .ok_or_else(|| {
-                                InvalidState(format!("slab row for unknown subject {peer}"))
-                            })?
-                            .value()
-                            .to_bits();
-                        let slot = w.insert(PeerId(peer));
-                        w.set_reputation(slot, bits);
+                        let h = engine.handle_of(PeerId(peer)).ok_or_else(|| {
+                            InvalidState(format!("slab row for unknown subject {peer}"))
+                        })?;
+                        // The slot is the restored engine handle.
+                        let slot = h.index() as u32;
+                        w.insert(PeerId(peer), slot);
+                        debug_assert_eq!(w.slot_of(PeerId(peer)), Some(slot));
+                        w.set_reputation(slot, engine.reputation_at(h).value().to_bits());
                         w.add_hits(slot, hits);
-                        let incarnation = engine.incarnation_of(PeerId(peer));
-                        w.set_incarnation(slot, incarnation.expect("live subject"));
+                        w.set_incarnation(slot, engine.incarnation_at(h));
                     }
                 }
                 Ok(Cell {
@@ -521,6 +537,7 @@ impl ConcurrentEngine {
 mod tests {
     use super::*;
     use crate::state::EngineState;
+    use proptest::prelude::*;
 
     fn engine(partitions: usize) -> ConcurrentEngine {
         ConcurrentEngine::new(RocqParams::default(), 6, partitions, 42)
@@ -883,6 +900,11 @@ mod tests {
         assert!(rows.iter().all(|&c| c == 0), "stale counts export as 0");
     }
 
+    /// `peer`'s incarnation as its own whole engine records it.
+    fn own_incarnation(e: &RocqEngine, peer: PeerId) -> Option<u64> {
+        e.handle_of(peer).map(|h| e.incarnation_at(h))
+    }
+
     /// Reputation bits of subjects `0..n` and of the reporter.
     fn bits(rep: impl Fn(PeerId) -> Option<Reputation>, n: u64, reporter: PeerId) -> Vec<u64> {
         (0..n)
@@ -945,10 +967,10 @@ mod tests {
         let mut monolith = RocqEngine::new(RocqParams::default(), 6, 42);
         apply_to_engine(&mut monolith, &before);
         monolith.drain_deltas(&mut Vec::new());
-        let state = monolith.export_state(|p| monolith.incarnation_of(p));
+        let state = monolith.export_state(|p| own_incarnation(&monolith, p));
         assert_stale_rows(&[&state], reporter, n as usize);
         let mut restored = RocqEngine::import_state(&state).expect("state imports");
-        let again = restored.export_state(|p| restored.incarnation_of(p));
+        let again = restored.export_state(|p| own_incarnation(&restored, p));
         assert_eq!(to_bytes(&state).unwrap(), to_bytes(&again).unwrap());
         apply_to_engine(&mut restored, &after);
         assert_eq!(bits(|p| restored.reputation(p), n, reporter), expected);
@@ -976,6 +998,151 @@ mod tests {
                 expected,
                 "{partitions} partitions"
             );
+        }
+    }
+
+    /// Every peer of `universe` sits at the slab slot its engine
+    /// handle names (or is absent from both), and its lock-free read
+    /// equals the engine's read under the partition lock, bit for bit.
+    fn assert_slab_is_the_engine(e: &ConcurrentEngine, universe: u64, context: &str) {
+        for peer in (0..universe).map(PeerId) {
+            let cell = e.home(peer);
+            let p = cell.lock.write().unwrap();
+            let slot = cell.slab.write().slot_of(peer);
+            let handle = p.engine.handle_of(peer).map(|h| h.index() as u32);
+            assert_eq!(
+                slot, handle,
+                "{context}: peer {peer}'s slot is not its handle"
+            );
+            let locked = p.engine.reputation(peer).map(|r| r.value().to_bits());
+            drop(p);
+            let read = e.reputation(peer).map(|r| r.value().to_bits());
+            assert_eq!(
+                read, locked,
+                "{context}: peer {peer} read differs from the engine"
+            );
+        }
+    }
+
+    /// With the crash model on (`numSM = 1`, `crash_prob > 0`), joins
+    /// and leaves reset other subjects' lanes. Those resets must reach
+    /// the read slab in the same window as the registration or removal
+    /// that caused them, and survive an export and import.
+    #[test]
+    fn crash_losses_during_churn_reach_the_read_slab() {
+        let params = RocqParams {
+            crash_prob: 0.5,
+            ..RocqParams::default()
+        };
+        let e = ConcurrentEngine::new(params, 1, 2, 7);
+        e.register_batch(
+            &(0..40u64)
+                .map(|p| (PeerId(p), Reputation::new(0.3)))
+                .collect::<Vec<_>>(),
+        );
+        for round in 0..5u64 {
+            let batch: Vec<Feedback> = (0..40u64)
+                .map(|r| Feedback::new(PeerId(r), PeerId((r * 7 + round) % 40), 1.0))
+                .collect();
+            e.report_batch(&batch);
+        }
+        assert_slab_is_the_engine(&e, 80, "after reports");
+        for p in 40..80u64 {
+            e.register_peer(PeerId(p), Reputation::new(0.3));
+        }
+        assert_slab_is_the_engine(&e, 80, "after joins");
+        for p in 0..20u64 {
+            e.remove_peer(PeerId(p * 3));
+        }
+        assert_slab_is_the_engine(&e, 80, "after leaves");
+        let losses: u64 = e
+            .cells
+            .iter()
+            .map(|c| c.lock.read().unwrap().engine.crash_losses())
+            .sum();
+        assert!(losses > 0, "the crash model must have fired");
+
+        let restored = ConcurrentEngine::import_partitions(&e.export_partitions()).unwrap();
+        assert_eq!(census(&e), census(&restored));
+        assert_slab_is_the_engine(&restored, 80, "after restore");
+    }
+
+    /// One step of the slot-invariant property below.
+    #[derive(Clone, Debug)]
+    enum SlotOp {
+        Register(Vec<u64>),
+        Remove(u64),
+        Report(Vec<(u64, u64, bool)>),
+        Credit(u64),
+        Restore,
+    }
+
+    /// Peers the slot-invariant property draws on.
+    const SLOT_PEERS: u64 = 12;
+
+    fn slot_op() -> impl Strategy<Value = SlotOp> {
+        let register = proptest::collection::vec(0..SLOT_PEERS, 1..5).prop_map(SlotOp::Register);
+        let remove = (0..SLOT_PEERS).prop_map(SlotOp::Remove);
+        let report =
+            proptest::collection::vec((0..SLOT_PEERS, 0..SLOT_PEERS, proptest::bool::ANY), 1..10)
+                .prop_map(SlotOp::Report);
+        let credit = (0..SLOT_PEERS).prop_map(SlotOp::Credit);
+        prop_oneof![
+            register.clone(),
+            register,
+            remove,
+            report.clone(),
+            report,
+            credit,
+            Just(SlotOp::Restore),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Registration, re-registration, removal, reports, credits and
+        /// export → import, with the crash model off and on: after every
+        /// step each live subject's slab slot is its engine handle and
+        /// every slab read equals the locked engine read.
+        #[test]
+        fn slab_slots_stay_the_engine_handles(
+            ops in proptest::collection::vec(slot_op(), 1..40),
+            partitions in 1usize..=3,
+            crash in proptest::bool::ANY,
+            seed in proptest::num::u64::ANY,
+        ) {
+            let (params, num_sm) = if crash {
+                (RocqParams { crash_prob: 0.5, ..RocqParams::default() }, 1)
+            } else {
+                (RocqParams::default(), 3)
+            };
+            let mut e = ConcurrentEngine::new(params, num_sm, partitions, seed);
+            for (i, op) in ops.iter().enumerate() {
+                match op {
+                    SlotOp::Register(peers) => e.register_batch(
+                        &peers
+                            .iter()
+                            .map(|&p| (PeerId(p), Reputation::new(p as f64 / SLOT_PEERS as f64)))
+                            .collect::<Vec<_>>(),
+                    ),
+                    SlotOp::Remove(p) => e.remove_peer(PeerId(*p)),
+                    SlotOp::Report(reports) => e.report_batch(
+                        &reports
+                            .iter()
+                            .map(|&(r, s, good)| Feedback::new(PeerId(r), PeerId(s), good as u8 as f64))
+                            .collect::<Vec<_>>(),
+                    ),
+                    SlotOp::Credit(p) => e.credit(PeerId(*p), 0.1),
+                    SlotOp::Restore => {
+                        let restored =
+                            ConcurrentEngine::import_partitions(&e.export_partitions()).unwrap();
+                        prop_assert_eq!(census(&e), census(&restored));
+                        e = restored;
+                    }
+                }
+                assert_slab_is_the_engine(&e, SLOT_PEERS, &format!("step {i} {op:?}"));
+            }
         }
     }
 

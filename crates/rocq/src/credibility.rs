@@ -152,6 +152,14 @@ impl CredibilityBook {
         (before, &mut row.cred)
     }
 
+    /// True when `reporter` has a row — a read-only probe, which the
+    /// engine's resolve pass uses to load the row before the apply
+    /// pass updates it.
+    #[inline]
+    pub(crate) fn has_row(&self, reporter: PeerId) -> bool {
+        self.rows.contains_key(&reporter)
+    }
+
     /// Crash without a surviving sibling: every reporter's credibility
     /// resets to `initial` (the equivalent of a fresh table — unknown
     /// and reset reporters are indistinguishable at `initial`). The

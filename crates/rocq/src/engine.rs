@@ -34,9 +34,10 @@
 //! (pinned by the churn oracle in `replend-tests` against the
 //! [`reference`](crate::reference) layout).
 //!
-//! The arrays split **hot from cold**. The `report_batch` inner loop
-//! touches only: the handle index (probed for the reporter's
-//! incarnation and the subject's handle), the per-subject
+//! The arrays split **hot from cold**. The `report_batch` loops
+//! touch only: the handle index (probed once per opinion, in the
+//! resolve pass, for the reporter's incarnation and the subject's
+//! handle; the apply pass reuses the handle), the per-subject
 //! `CredibilityBook` (one hash probe yielding the reporter's
 //! interaction count with the subject *and* its credibility, inline in
 //! the row — the reference layout pays a pair-log probe plus three
@@ -80,8 +81,9 @@
 //!
 //! ## Allocation-free steady state
 //!
-//! Every buffer the batch path needs — the first-touch (`touched`)
-//! list, the delta buffer and the canonical-order permutation of
+//! Every buffer the batch path needs — the resolve scratch, the
+//! first-touch (`touched`) list, the delta buffer and the
+//! canonical-order permutation of
 //! [`ReputationEngine::drain_deltas`] — is owned by the engine and
 //! *cleared, never freed*. Once the buffers and hash tables have
 //! grown to the workload's working set, a steady-state
@@ -158,6 +160,17 @@ pub trait ReputationEngine {
 /// and later registrations count up from it.
 const IMPORTED_INCARNATION: u64 = 1;
 
+/// One admitted opinion of a batch, resolved to its subject's handle
+/// (the `resolved` scratch of [`EngineShard::apply_batch`]).
+#[derive(Clone, Copy, Debug)]
+struct Resolved {
+    reporter: PeerId,
+    /// The reporter's incarnation.
+    tag: u64,
+    subject: Handle,
+    opinion: f64,
+}
+
 /// The engine's subject store, a dense slot arena (see the module
 /// docs for the layout).
 #[derive(Clone, Debug)]
@@ -194,6 +207,10 @@ struct EngineShard {
     /// Reusable first-touch scratch of
     /// [`ReputationEngine::report_batch`] (cleared, never freed).
     touched: Vec<Handle>,
+    /// Reusable resolve scratch of [`ReputationEngine::report_batch`]:
+    /// the admitted opinions of the last batch with their subject
+    /// handles, in batch order (cleared, never freed).
+    resolved: Vec<Resolved>,
     /// The incarnation the next registration hands out.
     next_incarnation: u64,
     /// Replication factor (the aggregate's replica count), copied from
@@ -214,6 +231,7 @@ impl EngineShard {
             books: Vec::new(),
             deltas: Vec::new(),
             touched: Vec::new(),
+            resolved: Vec::new(),
             next_incarnation: IMPORTED_INCARNATION,
             num_sm,
         }
@@ -238,14 +256,11 @@ impl EngineShard {
         self.refresh_cache(h);
     }
 
-    /// Applies one opinion to `subject`'s replicas *without*
-    /// refreshing the cached aggregate (shared by [`report`] and
-    /// [`report_batch`], which refresh at different granularities).
-    /// The caller has already checked that `reporter` is a member and
-    /// passes its incarnation `tag`.
-    ///
-    /// Returns the subject's handle, or `None` when the subject is
-    /// unknown.
+    /// Applies one opinion to the replicas of the subject at `h`
+    /// *without* refreshing the cached aggregate (shared by [`report`]
+    /// and [`report_batch`], which refresh at different
+    /// granularities). The caller has already checked that `reporter`
+    /// is a member and passes its incarnation `tag`.
     ///
     /// [`report`]: ReputationEngine::report
     /// [`report_batch`]: ReputationEngine::report_batch
@@ -255,10 +270,9 @@ impl EngineShard {
         params: &RocqParams,
         reporter: PeerId,
         tag: u64,
-        subject: PeerId,
+        h: Handle,
         opinion: f64,
-    ) -> Option<Handle> {
-        let &h = self.index.get(&subject)?;
+    ) {
         let (n, cred) = self.books[h.index()].record(reporter, tag, params.initial_credibility);
         let q = quality_from_count(n, params.eta, params.min_quality);
         // The fused report + credibility update of the subject's lane
@@ -272,7 +286,6 @@ impl EngineShard {
             params.agreement_threshold,
             params.weight_cap,
         );
-        Some(h)
     }
 
     /// Refreshes `subject`'s cached aggregate, emitting a delta when
@@ -293,10 +306,26 @@ impl EngineShard {
     /// Applies `batch` in order as batch `seq`, skipping every
     /// element `admit` (asked of this shard before the opinion touches
     /// it) maps to `None` — otherwise it yields the opinion and its
-    /// reporter's incarnation — then refreshes each touched subject's
-    /// cached aggregate once, in first-touch order. The per-subject
-    /// sequence number makes the dedup O(1) regardless of batch size.
-    /// The result is bit-identical to sequential `report` calls.
+    /// reporter's incarnation — and every opinion on an unknown
+    /// subject, then refreshes each touched subject's cached aggregate
+    /// once, in first-touch order. The per-subject sequence number
+    /// makes the dedup O(1) regardless of batch size. The result is
+    /// bit-identical to sequential `report` calls.
+    ///
+    /// It runs in two passes over one code path for every batch size:
+    ///
+    /// 1. **Resolve** only reads. It admits each opinion, probes the
+    ///    index once for the subject's handle into the `resolved`
+    ///    scratch, and loads the subject's score lane and the
+    ///    reporter's book row, so the cache misses of independent
+    ///    opinions overlap instead of stalling one apply at a time.
+    /// 2. **Apply** folds the resolved opinions in batch order, with
+    ///    no second index probe.
+    ///
+    /// Only handles cross from pass 1 to pass 2, never a count, a
+    /// credibility or a score: applying changes those, but it never
+    /// registers or removes a subject, so no handle resolved in pass 1
+    /// can go stale before pass 2 uses it.
     fn apply_batch<T: Copy>(
         &mut self,
         params: &RocqParams,
@@ -304,23 +333,42 @@ impl EngineShard {
         batch: &[T],
         admit: impl Fn(&Self, T) -> Option<(Feedback, u64)>,
     ) {
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.clear();
+        let mut resolved = std::mem::take(&mut self.resolved);
+        resolved.clear();
         for &item in batch {
             let Some((f, tag)) = admit(self, item) else {
                 continue;
             };
-            if let Some(h) = self.apply_report(params, f.reporter, tag, f.subject, f.opinion) {
-                if self.touched_seq[h.index()] != seq {
-                    self.touched_seq[h.index()] = seq;
-                    touched.push(h);
-                }
+            let Some(&h) = self.index.get(&f.subject) else {
+                continue;
+            };
+            // Warm-up loads: their values are discarded (pass 2 reads
+            // the state current when it gets there); `black_box` only
+            // keeps the loads from being optimised away.
+            std::hint::black_box(self.slab.get(h.index()));
+            std::hint::black_box(self.books[h.index()].has_row(f.reporter));
+            resolved.push(Resolved {
+                reporter: f.reporter,
+                tag,
+                subject: h,
+                opinion: f.opinion,
+            });
+        }
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        for r in &resolved {
+            self.apply_report(params, r.reporter, r.tag, r.subject, r.opinion);
+            let h = r.subject;
+            if self.touched_seq[h.index()] != seq {
+                self.touched_seq[h.index()] = seq;
+                touched.push(h);
             }
         }
         for &h in &touched {
             self.refresh_cache(h);
         }
         self.touched = touched;
+        self.resolved = resolved;
     }
 
     /// Exports the complete subject arena in the
@@ -598,7 +646,7 @@ impl RocqEngine {
     ///
     /// `incarnation_of` answers for every reporter with a book row:
     /// its current incarnation, or `None` once it departed. For a
-    /// whole engine that is [`RocqEngine::incarnation_of`]; a
+    /// whole engine that is the engine's own member record; a
     /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
     /// partition asks the reporter's home partition. Incarnations
     /// themselves are never exported.
@@ -617,12 +665,6 @@ impl RocqEngine {
             shard: self.shard.export(incarnation_of),
             overlay: self.overlay.as_ref().map(Overlay::export),
         }
-    }
-
-    /// The registration incarnation of member `peer` (`None` for a
-    /// non-member): the tag its interaction counts carry.
-    pub(crate) fn incarnation_of(&self, peer: PeerId) -> Option<u64> {
-        self.shard.incarnation_of(peer)
     }
 
     /// Every member with its registration incarnation, in arbitrary
@@ -667,24 +709,13 @@ impl RocqEngine {
         Ok(engine)
     }
 
-    /// [`ReputationEngine::report_batch`] for a caller that has
-    /// already checked every reporter's membership and pairs each
-    /// opinion with its reporter's incarnation. A
-    /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
-    /// partition needs this: its reporters may be homed in other
-    /// partitions, so only the facade can answer for them.
-    pub(crate) fn report_member_batch(&mut self, batch: &[(Feedback, u64)]) {
-        self.batch_seq += 1;
-        let params = self.params;
-        self.shard
-            .apply_batch(&params, self.batch_seq, batch, |_, tagged| Some(tagged));
-    }
-}
-
-impl ReputationEngine for RocqEngine {
-    fn register_peer(&mut self, peer: PeerId, initial: Reputation) {
-        if self.shard.index.contains_key(&peer) {
-            return;
+    /// [`ReputationEngine::register_peer`], returning the subject's
+    /// handle: the fresh one, or the one a member already holds (its
+    /// state untouched). The handle comes from the registration itself,
+    /// so a caller that publishes by handle needs no second probe.
+    pub(crate) fn register(&mut self, peer: PeerId, initial: Reputation) -> Handle {
+        if let Some(&h) = self.shard.index.get(&peer) {
+            return h;
         }
         // The peer becomes an overlay node first (it may end up
         // hosting some of its own replicas on tiny rings — harmless).
@@ -726,6 +757,64 @@ impl ReputationEngine for RocqEngine {
         if let Some(overlay) = &mut self.overlay {
             overlay.place(peer, h);
         }
+        h
+    }
+
+    /// Handles ever allocated: every live handle is below it.
+    pub(crate) fn capacity(&self) -> usize {
+        self.shard.alloc.capacity()
+    }
+
+    /// The handle of member `peer`, `None` for a non-member.
+    pub(crate) fn handle_of(&self, peer: PeerId) -> Option<Handle> {
+        self.shard.index.get(&peer).copied()
+    }
+
+    /// The subject registered at live handle `h`.
+    pub(crate) fn subject_at(&self, h: Handle) -> PeerId {
+        self.shard.peers[h.index()]
+    }
+
+    /// The cached aggregate of the subject at live handle `h`.
+    pub(crate) fn reputation_at(&self, h: Handle) -> Reputation {
+        self.shard.cached[h.index()]
+    }
+
+    /// The registration incarnation of the subject at live handle `h`.
+    pub(crate) fn incarnation_at(&self, h: Handle) -> u64 {
+        self.shard.incarnation[h.index()]
+    }
+
+    /// The subject handle of every opinion the last
+    /// [`RocqEngine::report_member_batch`] applied, in batch order, so
+    /// a subject appears once per opinion it received.
+    pub(crate) fn applied_subjects(&self) -> impl Iterator<Item = Handle> + '_ {
+        self.shard.resolved.iter().map(|r| r.subject)
+    }
+
+    /// Drops the pending aggregate deltas unread, for a caller that
+    /// publishes the changed aggregates by handle instead.
+    pub(crate) fn discard_deltas(&mut self) {
+        self.shard.deltas.clear();
+    }
+
+    /// [`ReputationEngine::report_batch`] for a caller that has
+    /// already checked every reporter's membership and pairs each
+    /// opinion with its reporter's incarnation. A
+    /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
+    /// partition needs this: its reporters may be homed in other
+    /// partitions, so only the facade can answer for them.
+    pub(crate) fn report_member_batch(&mut self, batch: &[(Feedback, u64)]) {
+        self.batch_seq += 1;
+        let params = self.params;
+        self.shard
+            .apply_batch(&params, self.batch_seq, batch, |_, tagged| Some(tagged));
+    }
+}
+
+impl ReputationEngine for RocqEngine {
+    fn register_peer(&mut self, peer: PeerId, initial: Reputation) {
+        self.register(peer, initial);
     }
 
     fn remove_peer(&mut self, peer: PeerId) {
@@ -758,7 +847,8 @@ impl ReputationEngine for RocqEngine {
         };
         let params = self.params;
         let shard = &mut self.shard;
-        if let Some(h) = shard.apply_report(&params, reporter, tag, subject, opinion) {
+        if let Some(&h) = shard.index.get(&subject) {
+            shard.apply_report(&params, reporter, tag, h, opinion);
             shard.refresh_cache(h);
         }
     }
@@ -1261,6 +1351,76 @@ mod tests {
         }
     }
 
+    /// The two-pass apply where a value read in the resolve pass would
+    /// be stale by the time it is applied: one batch repeats the pair
+    /// (1 → 2) six times, so its interaction count crosses the quality
+    /// ramp's n ≥ 3 inside the batch, and the pair's credibility and
+    /// subject 2's lane move with every repeat. Unknown reporters and
+    /// unknown subjects are interleaved. Sequential `report` calls, the
+    /// reference layout and the facade must all land on the same bits.
+    #[test]
+    fn repeated_pairs_in_one_batch_match_sequential_and_reference() {
+        use crate::concurrent::ConcurrentEngine;
+        let (a, b, c) = (PeerId(1), PeerId(2), PeerId(3));
+        let (ghost_reporter, ghost_subject) = (PeerId(90), PeerId(91));
+        let mut batch = Vec::new();
+        for i in 0..6u64 {
+            batch.push(Feedback::new(a, b, (i % 2) as f64));
+            batch.push(Feedback::new(ghost_reporter, b, 1.0));
+            batch.push(Feedback::new(c, b, 1.0));
+            batch.push(Feedback::new(a, ghost_subject, 0.0));
+            batch.push(Feedback::new(b, a, (i / 3) as f64));
+        }
+        let register = |e: &mut dyn ReputationEngine| {
+            for p in 0..5u64 {
+                e.register_peer(PeerId(p), Reputation::new(0.2 * p as f64));
+            }
+        };
+        let (mut batched, mut sequential) = (engine(), engine());
+        let mut reference = ReferenceEngine::new(RocqParams::default(), 6, 42);
+        let facade = ConcurrentEngine::new(RocqParams::default(), 6, 3, 42);
+        register(&mut batched);
+        register(&mut sequential);
+        register(&mut reference);
+        for p in 0..5u64 {
+            facade.register_peer(PeerId(p), Reputation::new(0.2 * p as f64));
+        }
+        // Twice: the second batch starts with counts of 6 already.
+        for _ in 0..2 {
+            batched.report_batch(&batch);
+            reference.report_batch(&batch);
+            facade.report_batch(&batch);
+            for f in &batch {
+                sequential.report(f.reporter, f.subject, f.opinion);
+            }
+        }
+        for p in (0..5u64).map(PeerId) {
+            let expected = sequential.reputation(p).unwrap().value().to_bits();
+            assert_eq!(
+                batched.reputation(p).unwrap().value().to_bits(),
+                expected,
+                "{p}"
+            );
+            assert_eq!(
+                reference.reputation(p).unwrap().value().to_bits(),
+                expected,
+                "{p}"
+            );
+            assert_eq!(
+                facade.reputation(p).unwrap().value().to_bits(),
+                expected,
+                "{p}"
+            );
+        }
+        // The counts and credibilities behind the bits agree too, and
+        // the facade counted each applied opinion once.
+        batched.drain_deltas(&mut Vec::new());
+        sequential.drain_deltas(&mut Vec::new());
+        assert_eq!(export(&batched), export(&sequential));
+        let hits = |p| facade.observe(p).unwrap().1;
+        assert_eq!((hits(a), hits(b), hits(c)), (12, 24, 0));
+    }
+
     #[test]
     fn crash_recovery_emits_deltas_for_changed_subjects() {
         let params = RocqParams {
@@ -1346,10 +1506,11 @@ mod tests {
     /// state" guarantee (the counting-allocator side lives in
     /// `replend-tests`, which owns the test binary's global
     /// allocator).
-    fn scratch_capacities(e: &RocqEngine) -> [usize; 3] {
+    fn scratch_capacities(e: &RocqEngine) -> [usize; 4] {
         [
             e.drain_order.capacity(),
             e.shard.touched.capacity(),
+            e.shard.resolved.capacity(),
             e.shard.deltas.capacity(),
         ]
     }
@@ -1393,7 +1554,7 @@ mod tests {
 
     /// The whole-engine checkpoint: every reporter answers for itself.
     fn export(e: &RocqEngine) -> EngineState {
-        e.export_state(|p| e.incarnation_of(p))
+        e.export_state(|p| e.shard.incarnation_of(p))
     }
 
     /// A churny mixed op stream. With an overlay (crash model on,

@@ -16,6 +16,16 @@
 //! carries the subject's registration incarnation, which the facade's
 //! reporter gate reads with the same protocol.
 //!
+//! ## The slot is the engine handle
+//!
+//! The slab allocates no slots of its own. [`SlabWriter::insert`]
+//! takes the slot from the caller, and the facade passes the
+//! subject's engine [`Handle`](replend_types::Handle): the engine's
+//! free list already keeps its arena dense, and a writer that holds an
+//! engine handle publishes to the slab by plain indexing, with no
+//! peer→slot probe. Readers still go through the peer→slot table,
+//! which registration, removal and checkpoint import maintain.
+//!
 //! ## The epoch protocol
 //!
 //! Each slab carries one `AtomicU64` epoch. **Even** means stable,
@@ -72,7 +82,6 @@
 //! an `Acquire` fence before re-validating; writers pair a `Release`
 //! fence after the odd bump with a `Release` store to re-even.
 
-use replend_types::arena::{Handle, SlotAlloc, SlotAllocator};
 use replend_types::PeerId;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -202,12 +211,9 @@ impl Values {
     }
 }
 
-/// Writer-side bookkeeping: the slot allocator and the keep-alive
-/// lists of retired allocations. Only touched under the writer mutex.
+/// Writer-side bookkeeping: the keep-alive lists of retired
+/// allocations. Only touched under the writer mutex.
 struct WriterState {
-    /// Hands out value slots; removals recycle them LIFO, so churn
-    /// keeps the slab dense.
-    slots: SlotAllocator,
     /// Superseded tables, kept alive for stale readers. The boxes are
     /// the very allocations stale readers still point into, so they
     /// must be stored as boxes — moving the payload into the `Vec`
@@ -277,7 +283,6 @@ impl SnapshotSlab {
             values: AtomicPtr::new(Box::into_raw(Box::new(Values::with_capacity(16)))),
             count: AtomicU64::new(0),
             writer: Mutex::new(WriterState {
-                slots: SlotAllocator::new(),
                 retired_tables: Vec::new(),
                 retired_values: Vec::new(),
             }),
@@ -454,34 +459,41 @@ impl SlabWriter<'_> {
         self.table().get(peer.raw())
     }
 
-    /// Ensures `peer` has a live slot and returns it. A fresh slot
-    /// starts with zero reputation bits, hits and incarnation; an
-    /// existing slot is returned untouched (idempotent, like engine
-    /// registration).
-    pub fn insert(&mut self, peer: PeerId) -> u32 {
-        if let Some(slot) = self.table().get(peer.raw()) {
-            return slot;
+    /// Makes `peer` a live subject at `slot`, which the caller chooses
+    /// (the facade passes the subject's engine handle) and which no
+    /// other live subject holds. A fresh subject's slot starts with
+    /// zero reputation bits, hits and incarnation; a live `peer` keeps
+    /// its slot and values untouched (idempotent, like engine
+    /// registration) and must already sit at `slot`.
+    pub fn insert(&mut self, peer: PeerId, slot: u32) {
+        if let Some(live) = self.table().get(peer.raw()) {
+            debug_assert_eq!(live, slot, "subject {peer} re-inserted at another slot");
+            return;
         }
-        let (SlotAlloc::Fresh(handle) | SlotAlloc::Reused(handle)) = self.state.slots.alloc();
-        let slot = handle.index();
-        self.ensure_capacity(slot + 1);
+        let i = slot as usize;
+        self.ensure_capacity(i + 1);
         let values = self.values();
-        values.rep[slot].store(0, Ordering::Relaxed);
-        values.hits[slot].store(0, Ordering::Relaxed);
-        values.incarnation[slot].store(0, Ordering::Relaxed);
+        values.rep[i].store(0, Ordering::Relaxed);
+        values.hits[i].store(0, Ordering::Relaxed);
+        values.incarnation[i].store(0, Ordering::Relaxed);
         self.maybe_grow_table();
-        self.table().insert(peer.raw(), slot as u32);
+        self.table().insert(peer.raw(), slot);
         self.slab.count.fetch_add(1, Ordering::AcqRel);
-        slot as u32
     }
 
-    /// Removes `peer`, returning its slot to the allocator.
+    /// Grows the value arrays to hold slots `0..slots` at once, so a
+    /// writer that knows its highest slot ahead (checkpoint import)
+    /// allocates them once instead of doubling.
+    pub(crate) fn reserve(&mut self, slots: usize) {
+        self.ensure_capacity(slots);
+    }
+
+    /// Removes `peer`. Its slot's values stay behind, unreachable,
+    /// until the next `insert` at that slot clears them.
     pub fn remove(&mut self, peer: PeerId) {
-        let Some(slot) = self.table().remove(peer.raw()) else {
-            return;
-        };
-        self.state.slots.release(Handle::from_index(slot as usize));
-        self.slab.count.fetch_sub(1, Ordering::AcqRel);
+        if self.table().remove(peer.raw()).is_some() {
+            self.slab.count.fetch_sub(1, Ordering::AcqRel);
+        }
     }
 
     /// Sets the published reputation bits of `slot`.
@@ -569,7 +581,8 @@ mod tests {
         assert!(slab.is_empty());
         {
             let mut w = slab.write();
-            let a = w.insert(PeerId(7));
+            let a = 3;
+            w.insert(PeerId(7), a);
             w.set_reputation(a, 0.5f64.to_bits());
             w.add_hits(a, 3);
             w.set_incarnation(a, 9);
@@ -595,21 +608,45 @@ mod tests {
         assert_eq!(slab.epoch(), e0 + 2);
     }
 
+    /// A slot handed to a new subject starts cleared, and inserting a
+    /// live subject again leaves its values alone.
     #[test]
-    fn slots_recycle_lifo_and_reset_state() {
+    fn reused_slots_start_cleared() {
         let slab = SnapshotSlab::new();
         {
             let mut w = slab.write();
-            assert_eq!(w.insert(PeerId(1)), 0);
-            assert_eq!(w.insert(PeerId(2)), 1);
+            w.insert(PeerId(1), 0);
+            w.insert(PeerId(2), 1);
             w.set_reputation(0, 1.0f64.to_bits());
             w.add_hits(0, 99);
+            w.set_incarnation(0, 4);
+            w.set_reputation(1, 0.5f64.to_bits());
+            w.insert(PeerId(2), 1);
             w.remove(PeerId(1));
-            // LIFO: the freed slot 0 is reused, with cleared fields.
-            assert_eq!(w.insert(PeerId(3)), 0);
+            w.insert(PeerId(3), 0);
+            assert_eq!(w.slot_of(PeerId(3)), Some(0));
         }
         assert_eq!(slab.read(PeerId(1)), None);
         assert_eq!(slab.read(PeerId(3)), Some((0, 0)));
+        assert_eq!(slab.incarnation(PeerId(3)), Some(0));
+        assert_eq!(slab.read(PeerId(2)), Some((0.5f64.to_bits(), 0)));
+    }
+
+    /// Slots need not arrive in order: the value arrays grow to the
+    /// highest slot inserted, and a sparse slot reads back exactly.
+    #[test]
+    fn caller_chosen_slots_may_be_sparse() {
+        let slab = SnapshotSlab::new();
+        {
+            let mut w = slab.write();
+            w.insert(PeerId(9), 1_000);
+            w.set_reputation(1_000, 0.75f64.to_bits());
+            w.add_hits(1_000, 2);
+            w.insert(PeerId(8), 2);
+        }
+        assert_eq!(slab.len(), 2);
+        assert_eq!(slab.read(PeerId(9)), Some((0.75f64.to_bits(), 2)));
+        assert_eq!(slab.read(PeerId(8)), Some((0, 0)));
     }
 
     #[test]
@@ -618,7 +655,8 @@ mod tests {
         {
             let mut w = slab.write();
             for p in 0..500u64 {
-                let slot = w.insert(PeerId(p));
+                let slot = p as u32;
+                w.insert(PeerId(p), slot);
                 w.set_reputation(slot, (p as f64 / 500.0).to_bits());
                 w.add_hits(slot, p);
                 w.set_incarnation(slot, p + 1);
@@ -641,8 +679,8 @@ mod tests {
         {
             let mut w = slab.write();
             for p in 0..100u64 {
-                let slot = w.insert(PeerId(p));
-                w.set_reputation(slot, (p as f64).to_bits());
+                w.insert(PeerId(p), p as u32);
+                w.set_reputation(p as u32, (p as f64).to_bits());
             }
             w.remove(PeerId(50));
         }
@@ -668,7 +706,7 @@ mod tests {
         {
             let mut w = slab.write();
             for p in 0..LIVE {
-                w.insert(PeerId(p));
+                w.insert(PeerId(p), p as u32);
             }
         }
         let capacity = table_capacity(&slab);
@@ -676,8 +714,10 @@ mod tests {
         let retired_values = slab.writer.lock().unwrap().retired_values.len();
         for step in 0..200_000u64 {
             let mut w = slab.write();
+            // The newcomer takes the slot its predecessor vacated.
+            let slot = (step % LIVE) as u32;
             w.remove(PeerId(step));
-            let slot = w.insert(PeerId(step + LIVE));
+            w.insert(PeerId(step + LIVE), slot);
             w.add_hits(slot, 1);
         }
         assert_eq!(slab.len(), LIVE as usize);
@@ -710,7 +750,9 @@ mod tests {
         let mut sweep = Vec::new();
         for step in 0..20_000u64 {
             rng = splitmix64(rng);
-            let key = keys[(rng % keys.len() as u64) as usize];
+            // Each key owns the slot of its position in `keys`.
+            let i = (rng % keys.len() as u64) as usize;
+            let key = keys[i];
             {
                 let mut w = slab.write();
                 // Stay below the 3/4 growth line: the table keeps its
@@ -719,7 +761,8 @@ mod tests {
                     w.remove(PeerId(key));
                     model.remove(&key);
                 } else {
-                    let slot = w.insert(PeerId(key));
+                    let slot = i as u32;
+                    w.insert(PeerId(key), slot);
                     w.set_reputation(slot, step);
                     w.add_hits(slot, key);
                     model.insert(key, (step, key));
@@ -744,8 +787,8 @@ mod tests {
         let slab = SnapshotSlab::with_epoch(u64::MAX - 3);
         {
             let mut w = slab.write();
-            let s = w.insert(PeerId(5));
-            w.set_reputation(s, 0.25f64.to_bits());
+            w.insert(PeerId(5), 0);
+            w.set_reputation(0, 0.25f64.to_bits());
         }
         assert_eq!(slab.epoch(), u64::MAX - 1);
         assert_eq!(slab.read(PeerId(5)), Some((0.25f64.to_bits(), 0)));

@@ -522,28 +522,29 @@ fn group_committed_journal_truncates_to_exact_prefix_state_at_every_boundary() {
 /// Subjects drawn on by the randomized checkpoint-equivalence stream.
 const PROP_PEERS: u64 = 16;
 
-/// A random journalled mutation touching a small peer universe —
+/// The concentrated peer space of the same stream: so few peers that
+/// (reporter, subject) pairs repeat often enough for interaction
+/// counts to pass the quality ramp's floor of 3 before the cut.
+const CONCENTRATED_PEERS: u64 = 4;
+
+/// A random journalled mutation touching peers `0..peers` —
 /// registrations (single and bulk), removals, feedback batches,
 /// credits and debits, weighted toward the ops that move state.
-fn op_strategy() -> impl Strategy<Value = JournalOp> {
-    let register = (0..PROP_PEERS, 0.0f64..=1.0).prop_map(|(p, r)| JournalOp::Register {
+fn op_strategy(peers: u64) -> impl Strategy<Value = JournalOp> {
+    let register = (0..peers, 0.0f64..=1.0).prop_map(|(p, r)| JournalOp::Register {
         peer: PeerId(p),
         initial: r,
     });
     let register_batch =
-        proptest::collection::vec((0..PROP_PEERS, 0.0f64..=1.0), 1..8).prop_map(|batch| {
+        proptest::collection::vec((0..peers, 0.0f64..=1.0), 1..8).prop_map(|batch| {
             JournalOp::RegisterBatch {
                 batch: batch.into_iter().map(|(p, r)| (PeerId(p), r)).collect(),
             }
         });
-    let remove = (0..PROP_PEERS).prop_map(|p| JournalOp::Remove { peer: PeerId(p) });
+    let remove = (0..peers).prop_map(|p| JournalOp::Remove { peer: PeerId(p) });
     let feedback = || {
         proptest::collection::vec(
-            (
-                0..PROP_PEERS,
-                0..PROP_PEERS,
-                prop_oneof![Just(0.0f64), Just(1.0f64)],
-            ),
+            (0..peers, 0..peers, prop_oneof![Just(0.0f64), Just(1.0f64)]),
             1..12,
         )
         .prop_map(|reports| JournalOp::Batch {
@@ -555,11 +556,11 @@ fn op_strategy() -> impl Strategy<Value = JournalOp> {
                 .collect(),
         })
     };
-    let credit = (0..PROP_PEERS, 0.0f64..=0.5).prop_map(|(p, a)| JournalOp::Credit {
+    let credit = (0..peers, 0.0f64..=0.5).prop_map(|(p, a)| JournalOp::Credit {
         subject: PeerId(p),
         amount: a,
     });
-    let debit = (0..PROP_PEERS, 0.0f64..=0.5).prop_map(|(p, a)| JournalOp::Debit {
+    let debit = (0..peers, 0.0f64..=0.5).prop_map(|(p, a)| JournalOp::Debit {
         subject: PeerId(p),
         amount: a,
     });
@@ -579,70 +580,134 @@ fn op_strategy() -> impl Strategy<Value = JournalOp> {
     ]
 }
 
+/// The fixed probe suffix every side runs after a restore: each live
+/// member reports on each live subject four times, the opinion flipping
+/// every round. A pair's interaction count changes a value only from 3
+/// on (the quality ramp is floored below it), so these reports turn
+/// state the fingerprint cannot see (interaction counts,
+/// credibilities, incarnations) into reputation bits it compares.
+/// `None` when no peer is live.
+fn probe_suffix(service: &ReputationService) -> Option<JournalOp> {
+    let live: Vec<PeerId> = fingerprint(service)
+        .into_iter()
+        .map(|(p, _, _)| PeerId(p))
+        .collect();
+    let mut batch = Vec::new();
+    for round in 0..4u64 {
+        for &reporter in &live {
+            for &subject in &live {
+                let opinion = (reporter.raw() + subject.raw() + round) % 2;
+                batch.push(Feedback::new(reporter, subject, opinion as f64));
+            }
+        }
+    }
+    (!live.is_empty()).then_some(JournalOp::Batch { batch })
+}
+
+/// The checkpoint correctness contract for one op stream and cut:
+/// {restore the checkpoint taken at the cut + replay the suffix} lands
+/// on exactly the same per-subject bits as {replay the whole journal}
+/// and as {apply every op in memory}, both right after the restore and
+/// after all three run the same [`probe_suffix`].
+fn check_checkpoint_at_cut(
+    ops: &[JournalOp],
+    cut_pct: usize,
+    dir_tag: &str,
+) -> Result<(), TestCaseError> {
+    let dir = std::env::temp_dir().join(format!(
+        "replend-serve-ckpt-prop-{}-{dir_tag}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = ServeConfig {
+        partitions: 3,
+        seed: 7,
+        ..ServeConfig::default()
+    };
+    let cut = ops.len() * cut_pct / 100;
+
+    let reference = ReputationService::in_memory(config);
+    for op in ops {
+        issue(&reference, op);
+    }
+
+    let full_path = dir.join("full.wal");
+    {
+        let (service, _) = ReputationService::open(config, &full_path).unwrap();
+        for op in ops {
+            issue(&service, op);
+        }
+    }
+    let (full, full_summary) = ReputationService::open(config, &full_path).unwrap();
+    prop_assert_eq!(full_summary.records, ops.len() as u64);
+    prop_assert!(!full_summary.restored_from_checkpoint());
+
+    let cut_path = dir.join("cut.wal");
+    {
+        let (service, _) = ReputationService::open(config, &cut_path).unwrap();
+        for op in &ops[..cut] {
+            issue(&service, op);
+        }
+        service.checkpoint().unwrap();
+        for op in &ops[cut..] {
+            issue(&service, op);
+        }
+    }
+    let (restored, summary) = ReputationService::open(config, &cut_path).unwrap();
+    prop_assert!(summary.restored_from_checkpoint());
+    prop_assert_eq!(summary.checkpoint_generation, 1);
+    prop_assert_eq!(summary.replayed_from_checkpoint, cut as u64);
+    prop_assert_eq!(summary.records, (ops.len() - cut) as u64);
+
+    prop_assert_eq!(fingerprint(&full), fingerprint(&reference));
+    prop_assert_eq!(fingerprint(&restored), fingerprint(&reference));
+    if let Some(probe) = probe_suffix(&reference) {
+        for service in [&reference, &full, &restored] {
+            issue(service, &probe);
+        }
+        prop_assert_eq!(
+            fingerprint(&full),
+            fingerprint(&reference),
+            "journal replay diverged under the probe suffix"
+        );
+        prop_assert_eq!(
+            fingerprint(&restored),
+            fingerprint(&reference),
+            "checkpoint restore diverged under the probe suffix"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// The checkpoint correctness contract, property-tested: for a
-    /// random op stream and a random cut point, {restore checkpoint
-    /// taken at the cut + replay the suffix} lands on exactly the
-    /// same per-subject bits as {replay the whole journal} and as
-    /// {apply every op in memory} — checkpoints change restart cost,
-    /// never state.
+    /// random op stream and a random cut point, a restore is
+    /// indistinguishable from full replay and from in-memory apply
+    /// (see [`check_checkpoint_at_cut`]) — checkpoints change restart
+    /// cost, never state.
     #[test]
     fn checkpoint_at_any_cut_replays_bit_identically(
-        ops in proptest::collection::vec(op_strategy(), 1..24),
+        ops in proptest::collection::vec(op_strategy(PROP_PEERS), 1..24),
         cut_pct in 0usize..=100,
         case in 0u64..1_000_000,
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "replend-serve-ckpt-prop-{}-{case}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let config = ServeConfig {
-            partitions: 3,
-            seed: 7,
-            ..ServeConfig::default()
-        };
-        let cut = ops.len() * cut_pct / 100;
+        check_checkpoint_at_cut(&ops, cut_pct, &format!("wide-{case}"))?;
+    }
 
-        let reference = ReputationService::in_memory(config);
-        for op in &ops {
-            issue(&reference, op);
-        }
-
-        let full_path = dir.join("full.wal");
-        {
-            let (service, _) = ReputationService::open(config, &full_path).unwrap();
-            for op in &ops {
-                issue(&service, op);
-            }
-        }
-        let (full, full_summary) = ReputationService::open(config, &full_path).unwrap();
-        prop_assert_eq!(full_summary.records, ops.len() as u64);
-        prop_assert!(!full_summary.restored_from_checkpoint());
-
-        let cut_path = dir.join("cut.wal");
-        {
-            let (service, _) = ReputationService::open(config, &cut_path).unwrap();
-            for op in &ops[..cut] {
-                issue(&service, op);
-            }
-            service.checkpoint().unwrap();
-            for op in &ops[cut..] {
-                issue(&service, op);
-            }
-        }
-        let (restored, summary) = ReputationService::open(config, &cut_path).unwrap();
-        prop_assert!(summary.restored_from_checkpoint());
-        prop_assert_eq!(summary.checkpoint_generation, 1);
-        prop_assert_eq!(summary.replayed_from_checkpoint, cut as u64);
-        prop_assert_eq!(summary.records, (ops.len() - cut) as u64);
-
-        prop_assert_eq!(fingerprint(&full), fingerprint(&reference));
-        prop_assert_eq!(fingerprint(&restored), fingerprint(&reference));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// The same contract over a concentrated peer space, where pairs
+    /// repeat often enough before the cut that a checkpoint which lost
+    /// interaction counts restores different future reputations.
+    #[test]
+    fn checkpoint_at_any_cut_replays_bit_identically_in_a_concentrated_peer_space(
+        ops in proptest::collection::vec(op_strategy(CONCENTRATED_PEERS), 1..24),
+        cut_pct in 0usize..=100,
+        case in 0u64..1_000_000,
+    ) {
+        check_checkpoint_at_cut(&ops, cut_pct, &format!("dense-{case}"))?;
     }
 }
 

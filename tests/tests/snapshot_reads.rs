@@ -1,7 +1,7 @@
 //! ISSUE 8 read-coherence suite: a wait-free snapshot read must
 //! observe exactly a published pre-batch or post-batch state — never
 //! a mix of the two — under adversarial reader/writer interleavings,
-//! across epoch wraparound, and across slot recycling after churn.
+//! across epoch wraparound, and across slot reuse after churn.
 //!
 //! Strategy: every proptest case derives a batch sequence, replays it
 //! **serially** first to enumerate the exact set of states the writer
@@ -22,7 +22,10 @@ use replend_types::hash::{salted, splitmix64, PeerMap, PeerSet};
 use replend_types::{Feedback, PeerId, Reputation};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Subject universe: small, so churn keeps recycling the same slots.
+/// Subject universe: small, so churn keeps reusing the same slots.
+/// The slab takes its slots from the caller; this suite gives each
+/// peer the slot of its id, as the facade gives each subject the slot
+/// of its engine handle.
 const POP: u64 = 12;
 
 /// One slab mutation batch, applied under a single write window.
@@ -30,7 +33,7 @@ const POP: u64 = 12;
 enum SlabOp {
     /// Insert (or re-insert) the peer and stamp fresh values.
     Upsert(u64),
-    /// Remove the peer (its slot goes to the free list).
+    /// Remove the peer (its slot keeps stale values until reused).
     Remove(u64),
     /// Bump values of every currently-present peer in the list.
     Touch(Vec<u64>),
@@ -99,7 +102,8 @@ fn apply_slab_op(slab: &SnapshotSlab, case_seed: u64, k: u64, op: &SlabOp) {
     let mut w = slab.write();
     match op {
         SlabOp::Upsert(p) => {
-            let slot = w.insert(PeerId(*p));
+            let slot = *p as u32;
+            w.insert(PeerId(*p), slot);
             let (bits, hits) = stamp(case_seed, k, *p);
             w.set_reputation(slot, bits);
             // `add_hits` accumulates; the model stores absolutes, so
@@ -356,9 +360,10 @@ proptest! {
     }
 }
 
-/// Slot recycling, deterministically: remove and re-register peers so
-/// handles are reused in LIFO order, and check a stale reader started
-/// before the churn still only sees published states.
+/// Slot reuse, deterministically: remove and re-register peers out of
+/// order so vacated slots, still holding their last values, are taken
+/// again, and check a stale reader started before the churn still
+/// only sees published states.
 #[test]
 fn recycled_slots_never_leak_previous_tenant_values() {
     let case_seed = 0xC0FFEE;
