@@ -7,12 +7,10 @@
 //! its state. With `numSM = 1` a crash destroys a peer's reputation
 //! history; with the Table-1 default of 6 the sibling copy masks it.
 
-use replend_bench::experiment::{env_runs, env_ticks, PAPER_RUNS};
+use replend_bench::experiment::{env_runs, env_ticks, run_average, PAPER_RUNS};
 use replend_bench::output::{fmt, print_table, write_csv};
-use replend_core::community::CommunityBuilder;
-use replend_core::EngineKind;
+use replend_core::{BootstrapPolicy, EngineKind};
 use replend_rocq::RocqParams;
-use replend_sim::runner::run_many_parallel;
 use replend_types::Table1;
 
 fn main() {
@@ -32,35 +30,27 @@ fn main() {
                 crash_prob,
                 ..RocqParams::default()
             });
-            let outputs = run_many_parallel(runs, 0xAB2A, |seed| {
-                let mut community = CommunityBuilder::new(config)
-                    .engine(engine)
-                    .seed(seed)
-                    .build();
-                community.run(ticks);
-                (
-                    community.mean_cooperative_reputation().unwrap_or(0.0),
-                    community.stats().success_rate().unwrap_or(0.0),
-                    community.population().uncooperative as f64,
-                )
-            });
-            let n = outputs.len().max(1) as f64;
-            let coop_rep = outputs.iter().map(|o| o.0).sum::<f64>() / n;
-            let success = outputs.iter().map(|o| o.1).sum::<f64>() / n;
-            let uncoop = outputs.iter().map(|o| o.2).sum::<f64>() / n;
+            let m = run_average(
+                config,
+                BootstrapPolicy::default(),
+                engine,
+                0xAB2A,
+                runs,
+                ticks,
+            );
             rows.push(vec![
                 num_sm.to_string(),
                 fmt(crash_prob, 1),
-                fmt(coop_rep, 3),
-                fmt(success * 100.0, 2) + "%",
-                fmt(uncoop, 1),
+                fmt(m.mean_coop_rep, 3),
+                fmt(m.success_rate * 100.0, 2) + "%",
+                fmt(m.uncoop_members, 1),
             ]);
             csv_rows.push(vec![
                 num_sm.to_string(),
                 fmt(crash_prob, 2),
-                fmt(coop_rep, 4),
-                fmt(success, 4),
-                fmt(uncoop, 2),
+                fmt(m.mean_coop_rep, 4),
+                fmt(m.success_rate, 4),
+                fmt(m.uncoop_members, 2),
             ]);
         }
     }

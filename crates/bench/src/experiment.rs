@@ -1,20 +1,18 @@
 //! Shared experiment machinery: run a configuration `n` times with
-//! derived seeds, average the metrics each figure reads out.
+//! derived seeds, average the metrics each figure reads out, and read
+//! the `REPLEND_RUNS` / `REPLEND_TICKS` scale overrides.
 //!
-//! Repeated runs execute as a
-//! [`CommunityCluster`] — K
-//! independent communities stepped in parallel on the rayon pool,
-//! with the same `seed_for_run` schedule the serial path uses, so
-//! results are bit-identical to running them one after another.
+//! Repeated runs execute as a [`CommunityCluster`] — K independent
+//! communities stepped in parallel on the rayon pool, community `i`
+//! seeded with `seed_for_run(base_seed, i)`, so results are
+//! bit-identical to running them one after another.
 
-use replend_core::community::{Community, CommunityBuilder};
-use replend_core::stats::{CommunityStats, Population};
+use replend_core::community::CommunityBuilder;
 use replend_core::{BootstrapPolicy, CommunityCluster, CommunityReport, EngineKind};
 use replend_types::Table1;
-use serde::{Deserialize, Serialize};
 
 /// Everything a figure might need from one finished run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunMetrics {
     /// Cooperative members at the end of the run.
     pub coop_members: f64,
@@ -87,42 +85,9 @@ impl RunMetrics {
     }
 }
 
-/// One x-axis point of a sweep, with averaged metrics.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentPoint {
-    /// The sweep variable (λ, f_naive, introAmt, % uncooperative, …).
-    pub x: f64,
-    /// Metrics averaged over the runs at this point.
-    pub metrics: RunMetrics,
-}
-
-/// Reads the metrics out of a finished community.
-pub fn metrics_of(community: &Community) -> RunMetrics {
-    metrics_from_parts(
-        &community.population(),
-        community.stats(),
-        community.mean_cooperative_reputation(),
-        community.mean_uncooperative_reputation(),
-    )
-}
-
-/// Reads the metrics out of a cluster report — the same arithmetic
-/// as [`metrics_of`], so a cluster run cannot change figure output.
+/// Reads the metrics out of a cluster report.
 pub fn metrics_of_report(report: &CommunityReport) -> RunMetrics {
-    metrics_from_parts(
-        &report.population,
-        &report.stats,
-        report.mean_coop_rep,
-        report.mean_uncoop_rep,
-    )
-}
-
-fn metrics_from_parts(
-    pop: &Population,
-    stats: &CommunityStats,
-    mean_coop_rep: Option<f64>,
-    mean_uncoop_rep: Option<f64>,
-) -> RunMetrics {
+    let (pop, stats) = (&report.population, &report.stats);
     RunMetrics {
         coop_members: pop.cooperative as f64,
         uncoop_members: pop.uncooperative as f64,
@@ -136,31 +101,15 @@ fn metrics_from_parts(
         success_rate: stats.success_rate().unwrap_or(0.0),
         audits_passed: stats.audits_passed as f64,
         audits_failed: stats.audits_failed as f64,
-        mean_coop_rep: mean_coop_rep.unwrap_or(0.0),
-        mean_uncoop_rep: mean_uncoop_rep.unwrap_or(0.0),
+        mean_coop_rep: report.mean_coop_rep.unwrap_or(0.0),
+        mean_uncoop_rep: report.mean_uncoop_rep.unwrap_or(0.0),
     }
 }
 
-/// Executes one run of `ticks` ticks and extracts the metrics.
-pub fn run_once(
-    config: Table1,
-    policy: BootstrapPolicy,
-    engine: EngineKind,
-    seed: u64,
-    ticks: u64,
-) -> RunMetrics {
-    let mut community = CommunityBuilder::new(config)
-        .policy(policy)
-        .engine(engine)
-        .seed(seed)
-        .build();
-    community.run(ticks);
-    metrics_of(&community)
-}
-
 /// Averages `n_runs` seeded runs, executed as a parallel
-/// [`CommunityCluster`]. Seed schedule and results are identical to
-/// calling [`run_once`] per derived seed.
+/// [`CommunityCluster`]: run `i` is the community seeded with
+/// `seed_for_run(base_seed, i)`, and the metrics are summed in run
+/// order.
 pub fn run_average(
     config: Table1,
     policy: BootstrapPolicy,
@@ -188,18 +137,56 @@ pub const GROWTH_TICKS: u64 = 50_000;
 pub const GROWTH_LAMBDA: f64 = 0.1;
 
 /// Number of runs per point, overridable with `REPLEND_RUNS` (smoke
-/// tests of the binaries set it to 1–2).
+/// tests of the binaries set it to 1–2). Exits the process with an
+/// error naming the variable when the value is not a positive
+/// integer.
 pub fn env_runs(default: usize) -> usize {
-    std::env::var("REPLEND_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_count("REPLEND_RUNS", default as u64) as usize
 }
 
-/// Run length in ticks, overridable with `REPLEND_TICKS`.
+/// Run length in ticks, overridable with `REPLEND_TICKS`; exits like
+/// [`env_runs`] on a value that is not a positive integer.
 pub fn env_ticks(default: u64) -> u64 {
-    std::env::var("REPLEND_TICKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_count("REPLEND_TICKS", default)
+}
+
+fn env_count(var: &str, default: u64) -> u64 {
+    let raw = std::env::var_os(var);
+    let raw = raw.as_ref().map(|v| v.to_string_lossy());
+    parse_count(var, raw.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Parses the value `raw` of the environment variable `var` as a
+/// count of at least 1; an unset variable (`None`) yields `default`.
+fn parse_count(var: &str, raw: Option<&str>, default: u64) -> Result<u64, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    match raw.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{var} must be a positive integer, got {raw:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_count_takes_positive_integers_and_names_the_variable_otherwise() {
+        assert_eq!(parse_count("REPLEND_RUNS", None, 10), Ok(10));
+        assert_eq!(parse_count("REPLEND_RUNS", Some("2"), 10), Ok(2));
+        assert_eq!(parse_count("REPLEND_TICKS", Some("5000"), 50_000), Ok(5000));
+        for bad in ["two", "0", "", "-1", "2.5", " 2"] {
+            assert_eq!(
+                parse_count("REPLEND_RUNS", Some(bad), 10),
+                Err(format!(
+                    "REPLEND_RUNS must be a positive integer, got {bad:?}"
+                ))
+            );
+        }
+    }
 }

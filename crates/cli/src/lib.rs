@@ -7,7 +7,7 @@
 //!             [--f-naive F] [--topology random|powerlaw|zipf]
 //!             [--policy lending|open|fixed-credit|positive-only|complaints-only]
 //!             [--intro-amt F] [--reward F] [--wait N] [--audit-trans N]
-//!             [--departure-rate F] [--seed N] [--runs N] [--sample N]
+//!             [--departure-rate F] [--seed N] [--sample N]
 //!             [--histogram N] [--communities K]
 //! replend serve [--subjects N] [--rounds N] [--batch N] [--readers N]
 //!               [--partitions N] [--num-sm N] [--seed N] [--journal PATH]
@@ -17,9 +17,10 @@
 //! replend help
 //! ```
 //!
-//! `--communities` runs K independent communities in parallel as one
-//! in-process cluster and prints merged aggregates plus a
-//! per-community table.
+//! `replend run` is always a [`CommunityCluster`] run: K independent
+//! communities (`--communities`, default 1), community `i` seeded with
+//! `seed_for_run(seed, i)`, stepped in parallel and printed as merged
+//! aggregates plus a per-community table.
 //!
 //! Argument parsing is hand-rolled (the workspace's dependency policy
 //! has no CLI crate) and fully unit-tested; `main.rs` is a thin shell
@@ -30,7 +31,6 @@ use replend_core::serve::{
     run_ingest_workload, ReputationService, ServeConfig, StatusPolicy, SyncPolicy, WorkloadConfig,
 };
 use replend_core::{BootstrapPolicy, CommunityCluster, EngineKind};
-use replend_sim::runner::{run_many_parallel, Summary};
 use replend_sim::series::average_present;
 use replend_types::{Table1, TopologyKind};
 use std::fmt::Write as _;
@@ -177,18 +177,15 @@ pub(crate) struct RunArgs {
     pub(crate) config: Table1,
     /// Bootstrap policy.
     pub(crate) policy: BootstrapPolicy,
-    /// RNG seed of the first run.
+    /// Base seed of the cluster's seed schedule.
     pub(crate) seed: u64,
-    /// Number of averaged runs.
-    pub(crate) runs: usize,
     /// Sampling interval for the reputation series (0 = no series).
     pub(crate) sample: u64,
     /// Print a reputation histogram with this many buckets (0 = off).
     pub(crate) histogram: usize,
     /// Departure churn rate (extension; 0 = paper model).
     pub(crate) departure_rate: f64,
-    /// Independent communities stepped in parallel as one cluster
-    /// (1 = the classic single-community run).
+    /// Independent communities stepped in parallel as one cluster.
     pub(crate) communities: usize,
 }
 
@@ -198,7 +195,6 @@ impl Default for RunArgs {
             config: Table1::paper_defaults().with_num_trans(50_000),
             policy: BootstrapPolicy::ReputationLending,
             seed: 0,
-            runs: 1,
             sample: 0,
             histogram: 0,
             departure_rate: 0.0,
@@ -535,10 +531,6 @@ pub(crate) fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
                         out.seed = parse_value(flag, value)?;
                         i += 2;
                     }
-                    "--runs" => {
-                        out.runs = parse_value(flag, value)?;
-                        i += 2;
-                    }
                     "--sample" => {
                         out.sample = parse_value(flag, value)?;
                         i += 2;
@@ -557,16 +549,6 @@ pub(crate) fn parse_args(args: &[&str]) -> Result<Command, UsageError> {
             out.config
                 .validate()
                 .map_err(|e| UsageError(format!("invalid configuration: {e}")))?;
-            if out.runs == 0 {
-                return Err(UsageError("--runs must be at least 1".into()));
-            }
-            if out.communities > 1 && out.runs > 1 {
-                return Err(UsageError(
-                    "--communities and --runs cannot both exceed 1 \
-                     (a cluster already averages over its communities)"
-                        .into(),
-                ));
-            }
             Ok(Command::Run(Box::new(out)))
         }
         Some(other) => Err(UsageError(format!(
@@ -685,7 +667,6 @@ pub fn usage() -> String {
      \x20 --min-intro F       override the minIntro threshold\n\
      \x20 --departure-rate F  member departure rate (extension)\n\
      \x20 --seed N            RNG seed (default 0)\n\
-     \x20 --runs N            averaged runs (default 1)\n\
      \x20 --sample N          also print a reputation series every N ticks\n\
      \x20 --histogram N       print an N-bucket member reputation histogram\n\
      \x20 --communities K     run K independent communities in parallel as one\n\
@@ -993,23 +974,14 @@ fn run_compact(args: &ServeArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Per-run scalar outputs gathered for averaging.
-#[derive(Clone, Debug)]
-struct RunOutput {
-    coop: f64,
-    uncoop: f64,
-    waiting: f64,
-    success: f64,
-    coop_rep: f64,
-    uncoop_rep: f64,
-    refused_rep: f64,
-    refused_sel: f64,
-    series: Vec<Option<f64>>,
-    hist: Vec<u64>,
+/// A mean or rate to four decimals, `n/a` when there is none.
+fn or_na(value: Option<f64>) -> String {
+    value
+        .map(|v| format!("{v:.4}"))
+        .unwrap_or_else(|| "n/a".into())
 }
 
-/// Renders a member-reputation histogram bucket table (shared by the
-/// single-community and cluster output paths).
+/// Renders a member-reputation histogram bucket table.
 fn render_histogram(out: &mut String, title: &str, buckets: &[u64]) {
     let n = buckets.len();
     let total: u64 = buckets.iter().sum();
@@ -1027,10 +999,10 @@ fn render_histogram(out: &mut String, title: &str, buckets: &[u64]) {
 }
 
 /// Renders a fixed-interval reputation series averaged element-wise
-/// across sources (runs or communities). Sources with no cooperative
-/// members at a sample tick are excluded from that tick's mean; a
-/// tick where *every* source was empty prints `n/a` instead of a
-/// fabricated 0.0.
+/// across communities. Communities with no cooperative members at a
+/// sample tick are excluded from that tick's mean; a tick where
+/// *every* community was empty prints `n/a` instead of a fabricated
+/// 0.0.
 fn render_series(out: &mut String, interval: u64, series: &[Vec<Option<f64>>]) {
     let Some(averaged) = average_present(series) else {
         return;
@@ -1041,15 +1013,16 @@ fn render_series(out: &mut String, interval: u64, series: &[Vec<Option<f64>>]) {
             out,
             "    t={:>9}  {}",
             (i as u64 + 1) * interval,
-            mean.map(|m| format!("{m:.4}"))
-                .unwrap_or_else(|| "n/a".into())
+            or_na(*mean)
         );
     }
 }
 
-/// Executes a `--communities K` run: K independent communities run in
-/// parallel, then merged aggregates plus a per-community table.
-fn run_cluster(args: &RunArgs) -> String {
+/// Executes `replend run`: K = `--communities` independent communities
+/// run in parallel as one [`CommunityCluster`], then merged aggregates
+/// plus a per-community table. K = 1 simulates the one community
+/// seeded with `seed_for_run(seed, 0)`.
+fn run_simulation(args: &RunArgs) -> String {
     let builder = CommunityBuilder::new(args.config)
         .policy(args.policy)
         .engine(EngineKind::default())
@@ -1087,47 +1060,34 @@ fn run_cluster(args: &RunArgs) -> String {
     let _ = writeln!(
         out,
         "    success rate           {}",
-        stats
-            .success_rate()
-            .map(|r| format!("{r:.4}"))
-            .unwrap_or_else(|| "n/a".into())
+        or_na(stats.success_rate())
     );
     let _ = writeln!(
         out,
         "    mean coop reputation   {}",
-        cluster
-            .mean_cooperative_reputation()
-            .map(|r| format!("{r:.4}"))
-            .unwrap_or_else(|| "n/a".into())
+        or_na(cluster.mean_cooperative_reputation())
     );
     let _ = writeln!(
         out,
         "    mean uncoop reputation {}",
-        cluster
-            .mean_uncooperative_reputation()
-            .map(|r| format!("{r:.4}"))
-            .unwrap_or_else(|| "n/a".into())
+        or_na(cluster.mean_uncooperative_reputation())
     );
     let _ = writeln!(
         out,
         "  per community (seed schedule order):\n\
          \x20   idx   members  coop  uncoop  waiting  coop rep  success"
     );
-    for s in cluster.summaries() {
+    for (index, r) in cluster.reports().iter().enumerate() {
         let _ = writeln!(
             out,
             "    {:>3}  {:>8}  {:>4}  {:>6}  {:>7}  {:>8}  {:>7}",
-            s.index,
-            s.population.members,
-            s.population.cooperative,
-            s.population.uncooperative,
-            s.population.waiting,
-            s.mean_coop_rep
-                .map(|r| format!("{r:.4}"))
-                .unwrap_or_else(|| "n/a".into()),
-            s.success_rate
-                .map(|r| format!("{r:.4}"))
-                .unwrap_or_else(|| "n/a".into()),
+            index,
+            r.population.members,
+            r.population.cooperative,
+            r.population.uncooperative,
+            r.population.waiting,
+            or_na(r.mean_coop_rep),
+            or_na(r.stats.success_rate()),
         );
     }
     if args.histogram > 0 {
@@ -1144,90 +1104,6 @@ fn run_cluster(args: &RunArgs) -> String {
         );
     }
     render_series(&mut out, args.sample, &series);
-    out
-}
-
-fn run_simulation(args: &RunArgs) -> String {
-    if args.communities > 1 {
-        return run_cluster(args);
-    }
-    let ticks = args.config.sim.num_trans;
-    let outputs = run_many_parallel(args.runs, args.seed, |seed| {
-        let mut community = CommunityBuilder::new(args.config)
-            .policy(args.policy)
-            .engine(EngineKind::default())
-            .departure_rate(args.departure_rate)
-            .seed(seed)
-            .build();
-        let series = if args.sample > 0 {
-            community.run_sampled_with(ticks, args.sample, |c| c.mean_cooperative_reputation())
-        } else {
-            community.run(ticks);
-            Vec::new()
-        };
-        let hist = if args.histogram > 0 {
-            community
-                .reputation_histogram(args.histogram)
-                .buckets()
-                .to_vec()
-        } else {
-            Vec::new()
-        };
-        let pop = community.population();
-        let stats = community.stats();
-        RunOutput {
-            coop: pop.cooperative as f64,
-            uncoop: pop.uncooperative as f64,
-            waiting: pop.waiting as f64,
-            success: stats.success_rate().unwrap_or(0.0),
-            coop_rep: community.mean_cooperative_reputation().unwrap_or(0.0),
-            uncoop_rep: community.mean_uncooperative_reputation().unwrap_or(0.0),
-            refused_rep: stats.refused_introducer_reputation as f64,
-            refused_sel: stats.refused_selective as f64,
-            series,
-            hist,
-        }
-    });
-
-    let col = |f: fn(&RunOutput) -> f64| -> Summary {
-        Summary::from_values(&outputs.iter().map(f).collect::<Vec<_>>()).expect("at least one run")
-    };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "replend: {} ticks, policy {}, topology {}, {} run(s), seed {}",
-        ticks,
-        args.policy.name(),
-        args.config.sim.topology,
-        args.runs,
-        args.seed
-    );
-    let _ = writeln!(out, "  cooperative members    {}", col(|r| r.coop));
-    let _ = writeln!(out, "  uncooperative members  {}", col(|r| r.uncoop));
-    let _ = writeln!(out, "  waiting                {}", col(|r| r.waiting));
-    let _ = writeln!(out, "  refused (introducer)   {}", col(|r| r.refused_rep));
-    let _ = writeln!(out, "  refused (selective)    {}", col(|r| r.refused_sel));
-    let _ = writeln!(out, "  success rate           {}", col(|r| r.success));
-    let _ = writeln!(out, "  mean coop reputation   {}", col(|r| r.coop_rep));
-    let _ = writeln!(out, "  mean uncoop reputation {}", col(|r| r.uncoop_rep));
-    if args.histogram > 0 {
-        let buckets = args.histogram;
-        let mut merged = vec![0u64; buckets];
-        for r in &outputs {
-            for (i, &b) in r.hist.iter().enumerate() {
-                merged[i] += b;
-            }
-        }
-        render_histogram(
-            &mut out,
-            &format!("  member reputation histogram ({buckets} buckets, all runs):"),
-            &merged,
-        );
-    }
-    if args.sample > 0 {
-        let series: Vec<Vec<Option<f64>>> = outputs.iter().map(|r| r.series.clone()).collect();
-        render_series(&mut out, args.sample, &series);
-    }
     out
 }
 
@@ -1269,7 +1145,7 @@ mod tests {
         };
         assert_eq!(args.config.sim.num_trans, 50_000);
         assert_eq!(args.policy, BootstrapPolicy::ReputationLending);
-        assert_eq!(args.runs, 1);
+        assert_eq!(args.communities, 1);
     }
 
     #[test]
@@ -1308,8 +1184,6 @@ mod tests {
             "0.001",
             "--seed",
             "9",
-            "--runs",
-            "3",
             "--sample",
             "250",
         ])
@@ -1324,20 +1198,14 @@ mod tests {
         assert_eq!(args.config.lending.min_intro_override, Some(0.45));
         assert!((args.departure_rate - 0.001).abs() < 1e-12);
         assert_eq!(args.seed, 9);
-        assert_eq!(args.runs, 3);
         assert_eq!(args.sample, 250);
     }
 
     #[test]
     fn run_rejects_invalid_config() {
         assert!(parse_args(&["run", "--f-uncoop", "2.0"]).is_err());
-        assert!(parse_args(&["run", "--runs", "0"]).is_err());
         assert!(parse_args(&["run", "--ticks"]).is_err(), "missing value");
         assert!(parse_args(&["run", "--ticks", "abc"]).is_err());
-        assert!(
-            parse_args(&["run", "--communities", "2", "--runs", "2"]).is_err(),
-            "cluster and multi-run averaging are mutually exclusive"
-        );
     }
 
     #[test]
@@ -1361,6 +1229,7 @@ mod tests {
             (&["run", "--shards", "4"], "unknown flag"),
             (&["run", "--batch-min", "64"], "unknown flag"),
             (&["run", "--profile", "host.profile"], "unknown flag"),
+            (&["run", "--runs", "2"], "unknown flag"),
             (
                 &["run", "--communities", "2", "--workers", "2"],
                 "unknown flag",
@@ -1397,6 +1266,9 @@ mod tests {
 
     #[test]
     fn execute_small_run_produces_summary() {
+        // No --communities: a plain run is a one-community cluster,
+        // and that community is the solo one seeded with
+        // seed_for_run(seed, 0).
         let cmd = parse_args(&[
             "run",
             "--ticks",
@@ -1407,16 +1279,51 @@ mod tests {
             "0.02",
             "--seed",
             "5",
-            "--runs",
-            "2",
             "--sample",
             "1000",
             "--histogram",
             "5",
         ])
         .unwrap();
+        let Command::Run(args) = &cmd else {
+            panic!("expected Run");
+        };
+        let mut solo = CommunityBuilder::new(args.config)
+            .policy(args.policy)
+            .engine(EngineKind::default())
+            .departure_rate(args.departure_rate)
+            .seed(replend_types::hash::seed_for_run(5, 0))
+            .build();
+        solo.run(2000);
+        let pop = solo.population();
         let text = execute(cmd).unwrap();
-        assert!(text.contains("cooperative members"), "{text}");
+        assert!(text.contains("× 1 communities"), "{text}");
+        for line in [
+            format!("    cooperative members    {}\n", pop.cooperative),
+            format!("    uncooperative members  {}\n", pop.uncooperative),
+            format!("    waiting                {}\n", pop.waiting),
+            format!("    refused                {}\n", pop.refused),
+            format!(
+                "    success rate           {}\n",
+                or_na(solo.stats().success_rate())
+            ),
+            format!(
+                "    mean coop reputation   {}\n",
+                or_na(solo.mean_cooperative_reputation())
+            ),
+            format!(
+                "      0  {:>8}  {:>4}  {:>6}  {:>7}  {:>8}  {:>7}\n",
+                pop.members,
+                pop.cooperative,
+                pop.uncooperative,
+                pop.waiting,
+                or_na(solo.mean_cooperative_reputation()),
+                or_na(solo.stats().success_rate()),
+            ),
+        ] {
+            assert!(text.contains(&line), "missing {line:?}: {text}");
+        }
+        assert!(!text.contains("\n      1  "), "one community row: {text}");
         assert!(text.contains("reputation series"), "{text}");
         assert!(text.contains("t="), "{text}");
         assert!(text.contains("histogram"), "{text}");
@@ -1451,7 +1358,6 @@ mod tests {
             "--min-intro",
             "--departure-rate",
             "--seed",
-            "--runs",
             "--sample",
             "--histogram",
             "--communities",

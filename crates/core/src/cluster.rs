@@ -12,7 +12,12 @@
 //! — summed [`Population`] counters, [`CommunityStats::accumulate`],
 //! the population-weighted means, bucket-summed histograms — reads
 //! only report fields, visiting communities in seed-schedule order as
-//! a serial loop would.
+//! a serial loop would. Per-community views read
+//! [`CommunityCluster::reports`] directly.
+//!
+//! This is the one path that runs K seeded communities: `replend run`
+//! is a cluster for every K (K = 1 by default), and the figure and
+//! ablation binaries average their runs through one.
 
 use crate::community::CommunityBuilder;
 use crate::stats::{CommunityStats, Population};
@@ -39,22 +44,6 @@ pub struct CommunityReport {
     /// true `0.0` mean, so cluster merges stay exact when some
     /// communities are empty.
     pub series: Vec<Option<f64>>,
-}
-
-/// Everything a sweep or operator view needs from one member
-/// community of a cluster.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CommunitySummary {
-    /// Index in the cluster (seed schedule position).
-    pub index: usize,
-    /// Final population snapshot.
-    pub population: Population,
-    /// Mean reputation of cooperative members, if any.
-    pub mean_coop_rep: Option<f64>,
-    /// Mean reputation of uncooperative members, if any.
-    pub mean_uncoop_rep: Option<f64>,
-    /// §4.1 decision success rate, if any decision was taken.
-    pub success_rate: Option<f64>,
 }
 
 /// K independent communities, run in parallel and merged from their
@@ -248,21 +237,6 @@ impl CommunityCluster {
         }
         Some(merged)
     }
-
-    /// Per-community summaries, in seed-schedule order.
-    pub fn summaries(&self) -> Vec<CommunitySummary> {
-        self.reports
-            .iter()
-            .enumerate()
-            .map(|(index, r)| CommunitySummary {
-                index,
-                population: r.population,
-                mean_coop_rep: r.mean_coop_rep,
-                mean_uncoop_rep: r.mean_uncoop_rep,
-                success_rate: r.stats.success_rate(),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -330,19 +304,6 @@ mod tests {
 
         // Summed stats cover every community's ticks.
         assert_eq!(cluster.stats().ticks, 3 * 3_000);
-    }
-
-    #[test]
-    fn summaries_line_up_with_reports() {
-        let mut cluster = CommunityCluster::build(small_builder(), 3, 9);
-        cluster.run(1_500);
-        let summaries = cluster.summaries();
-        assert_eq!(summaries.len(), 3);
-        for (s, r) in summaries.iter().zip(cluster.reports()) {
-            assert_eq!(s.population, r.population);
-            assert_eq!(s.success_rate, r.stats.success_rate());
-        }
-        assert_eq!(summaries[2].index, 2);
     }
 
     #[test]

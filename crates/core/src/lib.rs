@@ -74,7 +74,7 @@ pub mod policy;
 pub mod serve;
 pub mod stats;
 
-pub use cluster::{CommunityCluster, CommunityReport, CommunitySummary};
+pub use cluster::{CommunityCluster, CommunityReport};
 pub use community::{Community, CommunityBuilder};
 pub use policy::{BootstrapPolicy, EngineKind};
 pub use serve::{

@@ -20,9 +20,8 @@
 //! * [`series`] — fixed-interval time-series recording plus averaging
 //!   across runs (the paper samples cooperative reputation every
 //!   5 000 ticks and averages 10 runs);
-//! * [`runner`] — seeded multi-run execution with mean / standard
-//!   deviation / 95% confidence-interval summaries, optionally fanned
-//!   out over threads (each run is independent, so parallelism cannot
+//! * [`runner`] — seeded multi-run execution, optionally fanned out
+//!   over threads (each run is independent, so parallelism cannot
 //!   change results).
 
 pub mod arrivals;
@@ -34,6 +33,6 @@ pub mod stats;
 
 pub use arrivals::PoissonProcess;
 pub use events::EventQueue;
-pub use runner::{run_many, run_many_parallel, Summary};
+pub use runner::{run_many, run_many_parallel};
 pub use series::TimeSeries;
 pub use stats::Histogram;

@@ -1,60 +1,14 @@
-//! Seeded multi-run execution and summary statistics.
+//! Seeded multi-run execution.
 //!
 //! Every figure in the paper averages 10 independent runs (§4.3).
 //! [`run_many`] executes a closure once per run with a derived seed;
 //! [`run_many_parallel`] does the same across threads — runs are
 //! independent by construction, so the two produce *identical*
 //! results (tested), parallelism being purely a wall-clock
-//! optimization for the sweep binaries.
+//! optimization. `replend_core`'s `CommunityCluster` runs K seeded
+//! communities through [`run_many_parallel`].
 
 use replend_types::hash::seed_for_run;
-use serde::{Deserialize, Serialize};
-
-/// Mean / spread summary of one scalar metric across runs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of runs.
-    pub n: usize,
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation (n−1 denominator); 0 for n < 2.
-    pub std_dev: f64,
-    /// Half-width of the 95% confidence interval
-    /// (`1.96 · std_dev / √n`); 0 for n < 2.
-    pub ci95: f64,
-}
-
-impl Summary {
-    /// Summarizes a slice of per-run values.
-    ///
-    /// Returns `None` for an empty slice.
-    pub fn from_values(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
-        let n = values.len();
-        let mean = values.iter().sum::<f64>() / n as f64;
-        let (std_dev, ci95) = if n >= 2 {
-            let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0);
-            let sd = var.sqrt();
-            (sd, 1.96 * sd / (n as f64).sqrt())
-        } else {
-            (0.0, 0.0)
-        };
-        Some(Summary {
-            n,
-            mean,
-            std_dev,
-            ci95,
-        })
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.4} ± {:.4} (n={})", self.mean, self.ci95, self.n)
-    }
-}
 
 /// Runs `f` once per run index with a seed derived from `base_seed`,
 /// collecting the per-run outputs.
@@ -93,30 +47,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn summary_of_empty_is_none() {
-        assert!(Summary::from_values(&[]).is_none());
-    }
-
-    #[test]
-    fn summary_single_value() {
-        let s = Summary::from_values(&[3.0]).unwrap();
-        assert_eq!(s.n, 1);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.ci95, 0.0);
-    }
-
-    #[test]
-    fn summary_known_values() {
-        let s = Summary::from_values(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.mean, 2.5);
-        let expected_sd = (5.0f64 / 3.0).sqrt();
-        assert!((s.std_dev - expected_sd).abs() < 1e-12);
-        assert!((s.ci95 - 1.96 * expected_sd / 2.0).abs() < 1e-12);
-        assert!(s.to_string().contains("n=4"));
-    }
 
     #[test]
     fn run_many_derives_distinct_seeds() {
