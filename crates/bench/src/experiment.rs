@@ -151,42 +151,10 @@ pub fn env_ticks(default: u64) -> u64 {
 }
 
 fn env_count(var: &str, default: u64) -> u64 {
-    let raw = std::env::var_os(var);
-    let raw = raw.as_ref().map(|v| v.to_string_lossy());
-    parse_count(var, raw.as_deref(), default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1)
-    })
-}
-
-/// Parses the value `raw` of the environment variable `var` as a
-/// count of at least 1; an unset variable (`None`) yields `default`.
-fn parse_count(var: &str, raw: Option<&str>, default: u64) -> Result<u64, String> {
-    let Some(raw) = raw else {
-        return Ok(default);
-    };
-    match raw.parse() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{var} must be a positive integer, got {raw:?}")),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_count_takes_positive_integers_and_names_the_variable_otherwise() {
-        assert_eq!(parse_count("REPLEND_RUNS", None, 10), Ok(10));
-        assert_eq!(parse_count("REPLEND_RUNS", Some("2"), 10), Ok(2));
-        assert_eq!(parse_count("REPLEND_TICKS", Some("5000"), 50_000), Ok(5000));
-        for bad in ["two", "0", "", "-1", "2.5", " 2"] {
-            assert_eq!(
-                parse_count("REPLEND_RUNS", Some(bad), 10),
-                Err(format!(
-                    "REPLEND_RUNS must be a positive integer, got {bad:?}"
-                ))
-            );
-        }
-    }
+    replend_types::env::env_count(var)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+        .unwrap_or(default)
 }

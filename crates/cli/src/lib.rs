@@ -772,7 +772,7 @@ fn run_scenario(cmd: &ScenarioCmd) -> Result<String, CliError> {
             let scenario = replend_scenario::load_scenario(file)
                 .map_err(CliError::Run)?
                 .map_err(|e| UsageError(format!("invalid scenario {}: {e}", file.display())))?;
-            let options = replend_scenario::capped_options(&scenario);
+            let options = replend_scenario::capped_options(&scenario).map_err(CliError::Run)?;
             let runner = replend_scenario::ScenarioRunner::new(scenario)
                 .map_err(|e| UsageError(format!("invalid scenario {}: {e}", file.display())))?;
             let outcome = runner.run_with(options);

@@ -45,12 +45,15 @@
 //!   the beginning makes restart time proportional to service
 //!   *lifetime*; [`ReputationService::checkpoint`] bounds it by
 //!   service *size*. A checkpoint atomically persists the full engine
-//!   state (every partition exported and wire-encoded in parallel,
-//!   written to a temp file, fsynced, renamed over the previous
-//!   checkpoint), after which the journal is truncated to empty and
+//!   state: each partition is exported and wire-encoded in one
+//!   partition-parallel task, so its exported copy is freed once its
+//!   blob exists; the blobs are framed straight into a temp file (no
+//!   buffer of the whole file), fsynced, and renamed over the
+//!   previous checkpoint. The journal is then truncated to empty and
 //!   re-stamped with the next **generation seed** — so
-//!   [`ReputationService::open`] restores the latest checkpoint and
-//!   replays only the short journal suffix written since. The
+//!   [`ReputationService::open`] restores the latest checkpoint (each
+//!   partition decoded and imported in one partition-parallel task)
+//!   and replays only the short journal suffix written since. The
 //!   generation salt is the crash-safety hinge: a crash between the
 //!   checkpoint rename and the journal truncation leaves a journal
 //!   whose every record is already inside the checkpoint, and its
@@ -69,21 +72,20 @@
 //! deterministic synthetic ingest stream with reader threads
 //! hammering the read path the whole time.
 
-use rayon::prelude::*;
 use replend_rocq::concurrent::ConcurrentEngine;
-use replend_rocq::state::PartitionCheckpoint;
+use replend_rocq::state::{InvalidState, PartitionCheckpoint};
 use replend_rocq::RocqParams;
 use replend_types::hash::{salted, splitmix64};
 use replend_types::{Feedback, PeerId, Reputation};
 pub use replend_wire::SyncPolicy;
 use replend_wire::{
-    decode_checkpoint, encode_checkpoint, ByteRun, JournalError, JournalReader, JournalWriter,
+    decode_checkpoint, write_checkpoint, ByteRun, JournalError, JournalReader, JournalWriter,
     WireError,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -396,12 +398,12 @@ pub struct CheckpointReport {
     pub bytes: u64,
 }
 
-/// The checkpoint file payload, wrapped by
-/// [`replend_wire::encode_checkpoint`] (magic + versioned, seed-
+/// The checkpoint file payload, framed by
+/// [`replend_wire::write_checkpoint`] (magic + versioned, seed-
 /// stamped envelope). Partitions ride as independently wire-encoded
 /// blobs so both encode and decode fan out over the thread pool; each
-/// blob is one byte run, copied once into the file buffer on encode
-/// and borrowed from it on decode.
+/// blob is one byte run, written to the file in one call on encode
+/// and borrowed from the file's bytes on decode.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct CheckpointDoc<'a> {
     /// Journal generation after this checkpoint; always ≥ 1.
@@ -688,22 +690,17 @@ impl ReputationService {
                 config.partitions
             )));
         }
-        let decoded: Vec<Result<PartitionCheckpoint, WireError>> = doc
-            .partitions
-            .par_iter()
-            .map(|blob| replend_wire::from_bytes(blob.0))
-            .collect();
-        let mut parts = Vec::with_capacity(decoded.len());
-        for part in decoded {
-            match part {
-                Ok(part) => parts.push(part),
-                Err(_) => return Ok(None),
-            }
-        }
-        match ConcurrentEngine::import_partitions(&parts) {
+        // Each blob is decoded in its import task, so its decoded
+        // partition is freed once the partition is built. A blob that
+        // does not decode is refused like invalid state.
+        let imported = ConcurrentEngine::import_partitions_with(doc.partitions.len(), |i| {
+            replend_wire::from_bytes::<PartitionCheckpoint>(doc.partitions[i].0)
+                .map_err(|e| InvalidState(format!("partition {i} does not decode: {e}")))
+        });
+        match imported {
             Ok(engine) => Ok(Some((engine, doc.generation, doc.ops))),
-            // Well-framed but semantically invalid state — treat as
-            // corrupt and fall back.
+            // Well-framed but undecodable or semantically invalid
+            // state — treat as corrupt and fall back.
             Err(_) => Ok(None),
         }
     }
@@ -786,10 +783,11 @@ impl ReputationService {
         path: &Path,
     ) -> Result<CheckpointReport, ServeError> {
         state.writer.sync()?;
-        let parts = self.engine.export_partitions();
-        let encoded: Vec<Result<Vec<u8>, WireError>> =
-            parts.par_iter().map(replend_wire::to_bytes).collect();
-        let blobs = encoded
+        // Each partition is encoded in its export task, so its
+        // exported vectors are freed once its blob exists.
+        let blobs = self
+            .engine
+            .export_partitions_with(|part| replend_wire::to_bytes(&part))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| ServeError::Checkpoint(format!("encoding a partition failed: {e}")))?;
@@ -799,15 +797,15 @@ impl ReputationService {
             policy: self.policy,
             partitions: blobs.iter().map(|blob| ByteRun(blob)).collect(),
         };
-        let bytes = encode_checkpoint(self.seed, &doc)
-            .map_err(|e| ServeError::Checkpoint(format!("encoding the checkpoint failed: {e}")))?;
 
+        // Framed straight into the file: no buffer of the whole file.
         let tmp = checkpoint_tmp_path(path);
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
+        let bytes = {
+            let mut file = BufWriter::new(File::create(&tmp)?);
+            let bytes = write_checkpoint(&mut file, self.seed, &doc)?;
+            file.get_ref().sync_all()?;
+            bytes
+        };
         std::fs::rename(&tmp, path)?;
         sync_parent_dir(path)?;
 
@@ -827,7 +825,7 @@ impl ReputationService {
         Ok(CheckpointReport {
             generation,
             ops: state.ops_total,
-            bytes: bytes.len() as u64,
+            bytes,
         })
     }
 
@@ -1405,6 +1403,116 @@ mod tests {
         let (reopened, summary) = ReputationService::open(config(), &path).unwrap();
         assert!(!summary.restored_from_checkpoint());
         assert_eq!(fingerprint(&reopened), fingerprint(&reference));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A well-framed checkpoint whose envelope, seed, generation and
+    /// partition count all pass, but whose one partition blob fails:
+    /// either it does not decode, or it decodes and the import refuses
+    /// it as invalid state. Whichever partition it is, `open` falls
+    /// back to a full journal replay.
+    #[test]
+    fn one_failing_partition_blob_falls_back_to_full_replay() {
+        let dir = scratch("bad-blob");
+        let path = dir.join("svc.journal");
+        {
+            let (service, _) = ReputationService::open(config(), &path).unwrap();
+            run_ingest_workload(&service, small_workload(33)).unwrap();
+        }
+        let reference = ReputationService::in_memory(config());
+        run_ingest_workload(&reference, small_workload(33)).unwrap();
+
+        let twin = dir.join("twin.journal");
+        std::fs::copy(&path, &twin).unwrap();
+        {
+            let (twin_svc, _) = ReputationService::open(config(), &twin).unwrap();
+            twin_svc.checkpoint().unwrap();
+        }
+        let valid = std::fs::read(checkpoint_path(&twin)).unwrap();
+        let (seed, doc) = decode_checkpoint::<CheckpointDoc>(&valid).unwrap();
+        let last = doc.partitions.len() - 1;
+        assert_eq!(last, 3);
+
+        for victim in [0, 1, last] {
+            // One subject without its slab row: the blob decodes, but
+            // the import refuses it.
+            let mut parts: Vec<PartitionCheckpoint> = doc
+                .partitions
+                .iter()
+                .map(|blob| replend_wire::from_bytes(blob.0).unwrap())
+                .collect();
+            assert!(
+                parts[victim].slab.pop().is_some(),
+                "partition {victim} is empty"
+            );
+            assert!(ConcurrentEngine::import_partitions(&parts).is_err());
+            let refused = replend_wire::to_bytes(&parts[victim]).unwrap();
+            for (label, blob) in [
+                ("undecodable", &b"not a partition"[..]),
+                ("invalid state", &refused[..]),
+            ] {
+                let mut bad = doc.clone();
+                bad.partitions[victim] = ByteRun(blob);
+                let bytes = replend_wire::encode_checkpoint(seed, &bad).unwrap();
+                std::fs::write(checkpoint_path(&path), &bytes).unwrap();
+                let (reopened, summary) = ReputationService::open(config(), &path).unwrap();
+                let context = format!("{label} blob in partition {victim}");
+                assert!(!summary.restored_from_checkpoint(), "{context}");
+                assert_eq!(summary.records, 7, "{context}: the whole journal");
+                assert_eq!(fingerprint(&reopened), fingerprint(&reference), "{context}");
+            }
+        }
+
+        // The untouched document restores, so each failure above was
+        // the one bad blob's.
+        let bytes = replend_wire::encode_checkpoint(seed, &doc).unwrap();
+        assert_eq!(bytes, valid);
+        std::fs::write(checkpoint_path(&path), &bytes).unwrap();
+        let (reopened, summary) = ReputationService::open(config(), &path).unwrap();
+        assert!(summary.restored_from_checkpoint());
+        assert_eq!(fingerprint(&reopened), fingerprint(&reference));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The checkpoint file is the bytes `encode_checkpoint` makes of
+    /// the service's document, and its report counts them.
+    #[test]
+    fn streamed_checkpoint_equals_the_encoded_document() {
+        let dir = scratch("streamed");
+        let path = dir.join("svc.journal");
+        let cfg = ServeConfig {
+            partitions: 8,
+            ..config()
+        };
+        let (service, _) = ReputationService::open(cfg, &path).unwrap();
+        run_ingest_workload(&service, small_workload(61)).unwrap();
+        service.remove_peer(PeerId(5)).unwrap();
+        service.credit(PeerId(6), 0.25).unwrap();
+        service.debit(PeerId(7), 0.125).unwrap();
+        let report = service.checkpoint().unwrap();
+
+        let blobs: Vec<Vec<u8>> = service
+            .engine()
+            .export_partitions()
+            .iter()
+            .map(|part| replend_wire::to_bytes(part).unwrap())
+            .collect();
+        assert!(
+            blobs.iter().all(|blob| blob.len() > 64),
+            "every partition holds state"
+        );
+        let doc = CheckpointDoc {
+            generation: report.generation,
+            ops: report.ops,
+            policy: cfg.policy,
+            partitions: blobs.iter().map(|blob| ByteRun(blob)).collect(),
+        };
+        let file = std::fs::read(checkpoint_path(&path)).unwrap();
+        assert_eq!(
+            file,
+            replend_wire::encode_checkpoint(cfg.seed, &doc).unwrap()
+        );
+        assert_eq!(report.bytes, file.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

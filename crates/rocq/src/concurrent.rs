@@ -82,6 +82,7 @@ use crate::snapshot::{SlabWriter, SnapshotSlab};
 use crate::state::{InvalidState, PartitionCheckpoint};
 use replend_types::hash::{salted, splitmix64, PeerMap};
 use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
+use std::borrow::Borrow;
 use std::sync::{RwLock, RwLockReadGuard};
 
 /// Lock-free sweep attempts before a census falls back to the
@@ -384,10 +385,22 @@ impl ConcurrentEngine {
         }
     }
 
+    /// Exports every partition's state for checkpointing:
+    /// [`ConcurrentEngine::export_partitions_with`] keeping each
+    /// partition as it is.
+    pub fn export_partitions(&self) -> Vec<PartitionCheckpoint> {
+        self.export_partitions_with(|part| part)
+    }
+
     /// Exports every partition's state for checkpointing, built
     /// **partition-parallel** over the rayon pool (each partition's
     /// export — the expensive sort-and-copy of its arena — is
-    /// independent work).
+    /// independent work), and hands each partition to `consume` in
+    /// the same task, as soon as it is built. Returns what `consume`
+    /// returns, in partition order. A consumer that encodes its
+    /// partition frees the exported vectors once the encoding exists,
+    /// so at most one exported partition per pool worker is alive at
+    /// a time.
     ///
     /// Every partition's read lock is held for the whole export, so
     /// each partition is internally consistent; for a globally
@@ -397,7 +410,10 @@ impl ConcurrentEngine {
     /// exported as its reporter reads it, through the reporter's
     /// current incarnation: every member's incarnation is read once,
     /// under those locks, into one map that every row then probes.
-    pub fn export_partitions(&self) -> Vec<PartitionCheckpoint> {
+    pub fn export_partitions_with<T: Send>(
+        &self,
+        consume: impl Fn(PartitionCheckpoint) -> T + Sync,
+    ) -> Vec<T> {
         use rayon::prelude::*;
         // Read locks in index order: a mutator holds at most one
         // partition lock at a time, so it never waits on a lock held
@@ -442,46 +458,61 @@ impl ConcurrentEngine {
                     })
                     .collect();
                 slab.sort_unstable_by_key(|&(peer, _)| peer);
-                PartitionCheckpoint { engine, slab }
+                consume(PartitionCheckpoint { engine, slab })
             })
             .collect()
     }
 
     /// Rebuilds a facade from exported partitions — the inverse of
-    /// [`ConcurrentEngine::export_partitions`], decoded
-    /// partition-parallel over the rayon pool. The restored engine's
-    /// future behaviour is bit-identical to the exported one's under
-    /// any further operation stream.
-    ///
-    /// Beyond the per-partition engine checks, this requires every
-    /// subject to sit in its home partition (so no peer lives in two
-    /// partitions, and the union of the slabs is the membership),
-    /// cross-validates the slab rows against the restored engine
-    /// (every row must name a live subject of its partition, one row
-    /// per subject) and republishes the engine's cached aggregate
-    /// bits into the slab, so a corrupt checkpoint surfaces as
-    /// [`InvalidState`] here rather than as a silent read/locked-path
-    /// divergence later.
+    /// [`ConcurrentEngine::export_partitions`]:
+    /// [`ConcurrentEngine::import_partitions_with`] over a slice.
     pub fn import_partitions(parts: &[PartitionCheckpoint]) -> Result<Self, InvalidState> {
-        if parts.is_empty() {
+        Self::import_partitions_with(parts.len(), |i| Ok(&parts[i]))
+    }
+
+    /// Rebuilds a facade of `partitions` partitions, taking partition
+    /// `i` from `load(i)` — the inverse of
+    /// [`ConcurrentEngine::export_partitions_with`]. Each partition is
+    /// loaded and built in its own task, partition-parallel over the
+    /// rayon pool, and an owned partition `load` returns (a decoded
+    /// one, say) is freed as soon as its partition is built, so at
+    /// most one loaded partition per pool worker is alive at a time.
+    /// The restored engine's future behaviour is bit-identical to the
+    /// exported one's under any further operation stream.
+    ///
+    /// A partition `load` refuses fails the import with its
+    /// [`InvalidState`]. Beyond the per-partition engine checks, this
+    /// requires every subject to sit in its home partition (so no peer
+    /// lives in two partitions, and the union of the slabs is the
+    /// membership), cross-validates the slab rows against the restored
+    /// engine (every row must name a live subject of its partition,
+    /// one row per subject) and republishes the engine's cached
+    /// aggregate bits into the slab, so a corrupt checkpoint surfaces
+    /// as [`InvalidState`] here rather than as a silent
+    /// read/locked-path divergence later.
+    pub fn import_partitions_with<P: Borrow<PartitionCheckpoint>>(
+        partitions: usize,
+        load: impl Fn(usize) -> Result<P, InvalidState> + Sync,
+    ) -> Result<Self, InvalidState> {
+        if partitions == 0 {
             return Err(InvalidState("no partitions".into()));
         }
         use rayon::prelude::*;
-        let n = parts.len();
-        let cells: Vec<Result<Cell, InvalidState>> = (0..n)
+        let cells: Vec<Result<Cell, InvalidState>> = (0..partitions)
             .into_par_iter()
             .map(|i| {
-                let part = &parts[i];
+                let part = load(i)?;
+                let part = part.borrow();
                 if let Some(&(peer, _)) = part
                     .engine
                     .shard
                     .index
                     .iter()
-                    .find(|&&(peer, _)| partition_of(peer, n) != i)
+                    .find(|&&(peer, _)| partition_of(peer, partitions) != i)
                 {
                     return Err(InvalidState(format!(
                         "subject {peer} in partition {i}, but its home is {}",
-                        partition_of(peer, n)
+                        partition_of(peer, partitions)
                     )));
                 }
                 let engine = RocqEngine::import_state(&part.engine)?;

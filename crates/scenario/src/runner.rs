@@ -22,6 +22,7 @@ use crate::ScenarioError;
 use replend_core::community::{Community, CommunityBuilder};
 use replend_core::peer::PeerStatus;
 use replend_core::serve::{StatusPolicy, SubjectStatus};
+use replend_types::env::env_count;
 use replend_types::{IntroducerPolicy, PeerId, PeerProfile, Reputation};
 
 /// Overrides applied at run time (not part of the scenario).
@@ -33,23 +34,20 @@ pub struct RunOptions {
     pub sample_every: Option<u64>,
 }
 
-/// The `REPLEND_TICKS` environment cap, if set and parseable.
-pub(crate) fn env_ticks() -> Option<u64> {
-    std::env::var("REPLEND_TICKS").ok()?.parse().ok()
-}
-
-/// Run options honouring `REPLEND_TICKS`: when the cap is below the
-/// scenario's horizon, the run is truncated to the cap and resampled
-/// at `max(1, cap / 8)` ticks so reduced-scale smokes still produce
-/// a useful (and deterministic) number of rows.
-pub fn capped_options(scenario: &Scenario) -> RunOptions {
-    match env_ticks() {
+/// Run options honouring the `REPLEND_TICKS` cap: when the cap is
+/// below the scenario's horizon, the run is truncated to the cap and
+/// resampled at `max(1, cap / 8)` ticks so reduced-scale smokes still
+/// produce a useful (and deterministic) number of rows. A cap that is
+/// not a positive integer is refused with the message the figure
+/// binaries give.
+pub fn capped_options(scenario: &Scenario) -> Result<RunOptions, String> {
+    Ok(match env_count("REPLEND_TICKS")? {
         Some(cap) if cap < scenario.horizon => RunOptions {
             max_ticks: Some(cap),
             sample_every: Some((cap / 8).max(1)),
         },
         _ => RunOptions::default(),
-    }
+    })
 }
 
 /// Drives a community through a scenario.

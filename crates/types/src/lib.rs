@@ -14,6 +14,8 @@
 //! * the full simulation configuration mirroring **Table 1** of the paper
 //!   ([`config::Table1`], [`config::LendingParams`]),
 //! * deterministic, dependency-free hashing ([`hash`]),
+//! * the parser of the `REPLEND_RUNS`/`REPLEND_TICKS` scale
+//!   overrides ([`mod@env`]),
 //! * dense slot-arena primitives for allocation-free hot paths
 //!   ([`arena`]: [`Handle`], [`SlotAllocator`]).
 //!
@@ -29,6 +31,7 @@ pub mod accounting;
 pub mod arena;
 pub mod behavior;
 pub mod config;
+pub mod env;
 pub mod error;
 pub mod hash;
 pub mod id;

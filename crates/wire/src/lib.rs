@@ -172,8 +172,8 @@ pub fn to_bytes<T: ?Sized + Serialize>(value: &T) -> Result<Vec<u8>, WireError> 
 
 /// Appends the encoding of `value` to `out`. [`to_bytes`] and
 /// `seal_into` both come through here, so each type has one instance
-/// of its serializer, which runs with the buffer in a local rather
-/// than behind a reference. On error `out` ends in a partial
+/// of its in-memory serializer, which runs with the buffer in a local
+/// rather than behind a reference. On error `out` ends in a partial
 /// encoding.
 fn encode_into<T: ?Sized + Serialize>(out: &mut Vec<u8>, value: &T) -> Result<(), WireError> {
     let mut encoder = Encoder {
@@ -202,15 +202,62 @@ pub fn from_bytes<'de, T: Deserialize<'de>>(bytes: &'de [u8]) -> Result<T, WireE
 // Encoder
 // ---------------------------------------------------------------------------
 
-/// The streaming encoder behind [`to_bytes`].
-struct Encoder {
-    out: Vec<u8>,
+/// Where the [`Encoder`] puts its bytes.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-impl Encoder {
+impl Sink for Vec<u8> {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
-        self.out.extend_from_slice(bytes);
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl<S: Sink + ?Sized> Sink for &mut S {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        (**self).put(bytes);
+    }
+}
+
+/// Counts the bytes instead of keeping them: a byte run costs its
+/// length, not a copy of it.
+struct ByteCount(u64);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
+/// An [`io::Write`] as a sink. It keeps the first write error and
+/// drops every byte after it, so the encoder stays infallible and the
+/// caller reads `error` once at the end.
+struct WriteSink<W> {
+    inner: W,
+    error: io::Result<()>,
+}
+
+impl<W: Write> Sink for WriteSink<W> {
+    fn put(&mut self, bytes: &[u8]) {
+        if self.error.is_ok() {
+            self.error = self.inner.write_all(bytes);
+        }
+    }
+}
+
+/// The streaming encoder behind [`to_bytes`] and the checkpoint
+/// writer, generic over where its bytes go.
+struct Encoder<S> {
+    out: S,
+}
+
+impl<S: Sink> Encoder<S> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.out.put(bytes);
     }
 }
 
@@ -223,7 +270,7 @@ macro_rules! encode_le {
     )*};
 }
 
-impl serde::Serializer for &mut Encoder {
+impl<S: Sink> serde::Serializer for &mut Encoder<S> {
     type Ok = ();
     type Error = WireError;
     type SerializeSeq = Self;
@@ -353,7 +400,7 @@ impl serde::Serializer for &mut Encoder {
     }
 }
 
-impl serde::ser::SerializeSeq for &mut Encoder {
+impl<S: Sink> serde::ser::SerializeSeq for &mut Encoder<S> {
     type Ok = ();
     type Error = WireError;
     fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), WireError> {
@@ -364,7 +411,7 @@ impl serde::ser::SerializeSeq for &mut Encoder {
     }
 }
 
-impl serde::ser::SerializeTuple for &mut Encoder {
+impl<S: Sink> serde::ser::SerializeTuple for &mut Encoder<S> {
     type Ok = ();
     type Error = WireError;
     fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), WireError> {
@@ -375,7 +422,7 @@ impl serde::ser::SerializeTuple for &mut Encoder {
     }
 }
 
-impl serde::ser::SerializeTupleStruct for &mut Encoder {
+impl<S: Sink> serde::ser::SerializeTupleStruct for &mut Encoder<S> {
     type Ok = ();
     type Error = WireError;
     fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), WireError> {
@@ -386,7 +433,7 @@ impl serde::ser::SerializeTupleStruct for &mut Encoder {
     }
 }
 
-impl serde::ser::SerializeTupleVariant for &mut Encoder {
+impl<S: Sink> serde::ser::SerializeTupleVariant for &mut Encoder<S> {
     type Ok = ();
     type Error = WireError;
     fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), WireError> {
@@ -397,7 +444,7 @@ impl serde::ser::SerializeTupleVariant for &mut Encoder {
     }
 }
 
-impl serde::ser::SerializeStruct for &mut Encoder {
+impl<S: Sink> serde::ser::SerializeStruct for &mut Encoder<S> {
     type Ok = ();
     type Error = WireError;
     fn serialize_field<T: ?Sized + Serialize>(
@@ -412,7 +459,7 @@ impl serde::ser::SerializeStruct for &mut Encoder {
     }
 }
 
-impl serde::ser::SerializeStructVariant for &mut Encoder {
+impl<S: Sink> serde::ser::SerializeStructVariant for &mut Encoder<S> {
     type Ok = ();
     type Error = WireError;
     fn serialize_field<T: ?Sized + Serialize>(
@@ -871,22 +918,70 @@ fn unseal(bytes: &[u8]) -> Result<(u64, &[u8]), WireError> {
 // Checkpoint files
 // ---------------------------------------------------------------------------
 
-/// Encodes an engine checkpoint for writing to disk:
-/// `CHECKPOINT_MAGIC` followed by a version-gated
-/// [`SummaryEnvelope`] tagged with the service seed, written into one
-/// buffer with the state encoded in place. Generic over the payload
-/// type so this crate keeps its serde-only dependency set: the
-/// concrete checkpoint state lives in the serve layer.
+/// The one checkpoint framing: `CHECKPOINT_MAGIC`, then the
+/// [`SummaryEnvelope`] of `state` under `seed`, put into `out`. The
+/// envelope's payload length comes before the payload, so a counting
+/// pass of the same serializer takes it first (a byte run counts as
+/// its length, with no copy); the state is then encoded straight into
+/// `out`. Returns the number of bytes put.
+fn frame_checkpoint<S: Sink, T: ?Sized + Serialize>(
+    out: S,
+    seed: u64,
+    state: &T,
+) -> Result<u64, WireError> {
+    let mut count = Encoder { out: ByteCount(0) };
+    state.serialize(&mut count)?;
+    let len = count.out.0;
+    let mut encoder = Encoder { out };
+    encoder.put(&CHECKPOINT_MAGIC);
+    encoder.put(&PROTOCOL_VERSION.to_le_bytes());
+    encoder.put(&seed.to_le_bytes());
+    encoder.put(&len.to_le_bytes());
+    state.serialize(&mut encoder)?;
+    // Magic, version, seed and payload length, then the payload.
+    Ok((CHECKPOINT_MAGIC.len() + 4 + 8 + 8) as u64 + len)
+}
+
+/// Encodes an engine checkpoint into one buffer: the bytes
+/// [`write_checkpoint`] writes, `CHECKPOINT_MAGIC` followed by a
+/// version-gated [`SummaryEnvelope`] tagged with the service seed.
+/// Generic over the payload type so this crate keeps its serde-only
+/// dependency set: the concrete checkpoint state lives in the serve
+/// layer.
 pub fn encode_checkpoint<T: ?Sized + Serialize>(
     seed: u64,
     state: &T,
 ) -> Result<Vec<u8>, WireError> {
-    let mut out = CHECKPOINT_MAGIC.to_vec();
-    seal_into(&mut out, seed, state)?;
+    let mut out = Vec::new();
+    frame_checkpoint(&mut out, seed, state)?;
     Ok(out)
 }
 
-/// Decodes a checkpoint file produced by [`encode_checkpoint`],
+/// Writes the checkpoint [`encode_checkpoint`] would build straight
+/// to `out`, then flushes it, with no buffer of the whole file. A
+/// byte run goes to `out` as one `write_all`, so a `BufWriter` passes
+/// a large one through to the file unbuffered. Returns the bytes
+/// written. A failed encode surfaces as [`io::ErrorKind::InvalidData`]
+/// carrying the [`WireError`]; either way `out` may hold a partial
+/// checkpoint the caller must discard.
+pub fn write_checkpoint<W: Write, T: ?Sized + Serialize>(
+    out: W,
+    seed: u64,
+    state: &T,
+) -> io::Result<u64> {
+    let mut sink = WriteSink {
+        inner: out,
+        error: Ok(()),
+    };
+    let framed = frame_checkpoint(&mut sink, seed, state);
+    sink.error?;
+    let written = framed.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    sink.inner.flush()?;
+    Ok(written)
+}
+
+/// Decodes a checkpoint file produced by [`write_checkpoint`] or
+/// [`encode_checkpoint`],
 /// checking the magic first and the protocol version second, before
 /// any payload bytes are interpreted. Returns the service seed with
 /// the decoded state, which may borrow from `bytes` (its
@@ -1442,6 +1537,49 @@ mod tests {
         assert!(matches!(
             decode_checkpoint::<Record>(&file),
             Err(WireError::VersionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn written_checkpoint_is_the_encoded_one_and_failures_surface() {
+        let payload = Record {
+            id: 9,
+            score: 0.25,
+            tags: vec![4, 5, 6],
+            label: Some("ckpt".into()),
+            flag: false,
+        };
+        let encoded = encode_checkpoint(42, &payload).unwrap();
+        let mut written = Vec::new();
+        let len = write_checkpoint(&mut written, 42, &payload).unwrap();
+        assert_eq!(written, encoded);
+        assert_eq!(len, encoded.len() as u64);
+
+        // A failed write is returned, and nothing after it is written.
+        let sink = Rc::new(RefCell::new(Vec::new()));
+        let failing = FailOnceAfter {
+            sink: Rc::clone(&sink),
+            budget: 10,
+            failed: false,
+        };
+        let err = write_checkpoint(failing, 42, &payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(sink.borrow().as_slice(), &encoded[..10]);
+
+        // A failed encode is returned as invalid data carrying the
+        // wire error.
+        struct UnknownLength;
+        impl Serialize for UnknownLength {
+            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+                use serde::ser::SerializeSeq;
+                s.serialize_seq(None)?.end()
+            }
+        }
+        let err = write_checkpoint(Vec::new(), 42, &UnknownLength).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(matches!(
+            err.get_ref().and_then(|e| e.downcast_ref::<WireError>()),
+            Some(WireError::Message(_))
         ));
     }
 

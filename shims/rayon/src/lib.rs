@@ -11,9 +11,9 @@
 //! Surface implemented: the `prelude` traits `IntoParallelIterator`
 //! (`into_par_iter`) and `IntoParallelRefIterator` (`par_iter`), whose
 //! iterators support `map` followed by `collect` — the subset the
-//! workspace uses (`replend_sim::runner::run_many_parallel`, the
-//! worker's job fan-out, and the partition-parallel checkpoint
-//! paths). Call sites compile unchanged against the real crate; swap
+//! workspace uses (`replend_sim::runner::run_many_parallel` and the
+//! partition-parallel checkpoint export and import in
+//! `replend_rocq::concurrent`). Call sites compile unchanged against the real crate; swap
 //! the workspace dependency when a networked build is available.
 //!
 //! Thread count: `RAYON_NUM_THREADS` when set (0 or unset ⇒ all

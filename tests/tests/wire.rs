@@ -26,13 +26,16 @@ use replend_types::{
     TopologyKind,
 };
 use replend_wire::{
-    decode_checkpoint, encode_checkpoint, from_bytes, to_bytes, ByteRun, JournalError,
-    JournalReader, JournalWriter, SummaryEnvelope, SyncPolicy, WireError, PROTOCOL_VERSION,
+    decode_checkpoint, encode_checkpoint, from_bytes, to_bytes, write_checkpoint, ByteRun,
+    JournalError, JournalReader, JournalWriter, SummaryEnvelope, SyncPolicy, WireError,
+    PROTOCOL_VERSION,
 };
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
+use std::fs::File;
+use std::io::BufWriter;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The largest single allocation this test binary has made, so a
@@ -747,6 +750,20 @@ proptest! {
         let file = old_checkpoint(seed, &doc);
         prop_assert_eq!(&encode_checkpoint(seed, &runs).unwrap(), &file);
         prop_assert_eq!(&encode_checkpoint(seed, &vecs).unwrap(), &file);
+        // Streamed into a file, the same document is the same bytes,
+        // whatever the number of runs (none included).
+        let path = std::env::temp_dir()
+            .join(format!("replend-wire-streamed-{}.ckpt", std::process::id()));
+        let written = write_checkpoint(
+            BufWriter::new(File::create(&path).unwrap()),
+            seed,
+            &runs,
+        )
+        .unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        prop_assert_eq!(&on_disk, &file);
+        prop_assert_eq!(written, file.len() as u64);
         prop_assert_eq!(decode_checkpoint::<RunDoc>(&file).unwrap(), (seed, runs));
         prop_assert_eq!(decode_checkpoint::<VecDoc>(&file).unwrap(), (seed, vecs));
 
