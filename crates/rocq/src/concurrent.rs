@@ -21,32 +21,41 @@
 //!   write-locks each touched partition in turn — never more than one
 //!   lock at a time, so the facade cannot deadlock (the one holder of
 //!   several locks, a checkpoint export, takes only read locks, in
-//!   index order). The engine applies a group in two passes
-//!   (resolve every opinion's subject handle, then apply in batch
-//!   order; see the engine's `apply_batch`). The mutator then opens
-//!   one slab write (epoch odd), runs one pass over the applied
-//!   opinions' handles that copies each subject's cached aggregate and
-//!   counts its interactions, and publishes (epoch even) — so the slab
-//!   jumps atomically from the pre-batch to the post-batch state.
+//!   index order). Under the lock, the **subject pass** maps each
+//!   opinion's subject to its handle by a probe of the partition's
+//!   own slab, quiescent while the lock is held, and drops opinions
+//!   on unregistered subjects. The engine applies the group by those
+//!   handles with no index probe of its own (a warm-up pass, then the
+//!   apply in batch order). The mutator then opens one slab write
+//!   (epoch odd), runs one pass over the applied opinions' handles
+//!   that copies each subject's cached aggregate and counts its
+//!   interactions, and publishes (epoch even) — so the slab jumps
+//!   atomically from the pre-batch to the post-batch state.
 //!
 //! A subject's slab slot **is** its engine handle: registration,
 //! re-registration and checkpoint import insert the subject at the
 //! handle the engine holds it under, and the slab allocates no slots of
-//! its own. So the publish pass indexes the slab by handle, with no
-//! peer→slot probe and no sorted delta drain. The rare mutations
-//! (credit, debit, and the lane resets the crash model causes during
-//! registration and removal) publish their drained deltas by a
-//! by-subject probe instead, inside the window of the mutation that
-//! caused them.
+//! its own. So the slab answers the engine's `PeerId → Handle` lookup
+//! for the subject pass, and the publish pass indexes the slab by
+//! handle, with no peer→slot probe and no sorted delta drain. Debug
+//! builds check every resolved handle against the engine's index. The
+//! rare mutations (credit, debit, and the lane resets the crash model
+//! causes during registration and removal) publish their drained
+//! deltas by a by-subject probe instead, inside the window of the
+//! mutation that caused them.
 //!
 //! Any member may report on any subject, so membership is
 //! community-wide: it is the union of the partitions' slabs. A peer
 //! registers in its home partition alone, and `report_batch` gates
-//! each reporter by a lock-free probe of the reporter's home slab.
-//! That probe also reads the reporter's registration incarnation,
-//! which travels with the opinion to the subject's partition: the
-//! interaction count there is tagged with it and reads as 0 once the
-//! reporter re-registers. So removal takes only the home partition's
+//! each reporter by a lock-free probe of the reporter's home slab,
+//! taken while grouping, before any lock or slab write window. Both
+//! the gate and the subject pass prefetch the slab bucket of the
+//! opinion eight ahead, so the cache misses of neighbouring probes
+//! overlap instead of stalling one opinion at a time. The gate's probe
+//! also reads the reporter's registration incarnation, which travels
+//! with the opinion to the subject's partition: the interaction count
+//! there is tagged with it and reads as 0 once the reporter
+//! re-registers. So removal takes only the home partition's
 //! lock — a departed reporter's counts in other partitions go stale
 //! without being visited. The tag also settles the race of a
 //! `report_batch` that passed the gate before a concurrent removal:
@@ -76,10 +85,12 @@
 //! path returns the engine's cached aggregate bits — pinned by the
 //! serve and snapshot-read suites in `replend-tests`.
 
-use crate::engine::{ReputationEngine, RocqEngine};
+use crate::engine::{ReputationEngine, Resolved, RocqEngine};
 use crate::params::RocqParams;
+use crate::slab::PREFETCH_DISTANCE;
 use crate::snapshot::{SlabWriter, SnapshotSlab};
 use crate::state::{InvalidState, PartitionCheckpoint};
+use replend_types::arena::Handle;
 use replend_types::hash::{salted, splitmix64, PeerMap};
 use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
 use std::borrow::Borrow;
@@ -107,6 +118,9 @@ struct Partition {
     engine: RocqEngine,
     /// Drain scratch for slab sync: cleared, never freed.
     delta_scratch: Vec<ReputationDelta>,
+    /// The subject pass's output: the group's opinions on live
+    /// subjects, each with its subject's handle (cleared, never freed).
+    resolved: Vec<Resolved>,
 }
 
 /// A partition cell: the lock-guarded mutable state side by side with
@@ -119,6 +133,14 @@ struct Cell {
 }
 
 impl Partition {
+    fn new(engine: RocqEngine) -> Self {
+        Partition {
+            engine,
+            delta_scratch: Vec::new(),
+            resolved: Vec::new(),
+        }
+    }
+
     /// Drains the engine's pending aggregate deltas into the slab
     /// through the open write window `w`. Each delta finds its slot by
     /// a by-subject probe of the slab's table: the path of the rare
@@ -170,10 +192,11 @@ impl ConcurrentEngine {
         ConcurrentEngine {
             cells: (0..partitions)
                 .map(|i| Cell {
-                    lock: RwLock::new(Partition {
-                        engine: RocqEngine::new(params, num_sm, salted(seed, i as u64)),
-                        delta_scratch: Vec::new(),
-                    }),
+                    lock: RwLock::new(Partition::new(RocqEngine::new(
+                        params,
+                        num_sm,
+                        salted(seed, i as u64),
+                    ))),
                     slab: SnapshotSlab::with_epoch(epoch0),
                 })
                 .collect(),
@@ -193,7 +216,9 @@ impl ConcurrentEngine {
 
     /// Registers a batch of subjects, grouped by home partition: each
     /// touched cell takes one write lock and one snapshot epoch
-    /// window, and each peer is visited once. Final state is
+    /// window, and each peer is visited once. The engine's index and
+    /// arrays and the slab's table and value arrays are sized once for
+    /// the whole group rather than doubled up to it. Final state is
     /// bit-identical to registering the peers one at a time in batch
     /// order: partition engines are independent and each sees its
     /// operations in the same order either way.
@@ -209,13 +234,18 @@ impl ConcurrentEngine {
             }
             let mut p = cell.lock.write().expect("partition lock poisoned");
             let p = &mut *p;
+            p.engine.reserve(group.len());
+            // The slot is the handle the registration returns.
+            let handles: Vec<Handle> = group
+                .iter()
+                .map(|&(peer, initial)| p.engine.register(peer, initial))
+                .collect();
             // One epoch window per partition: a reader sees the slab
             // before or after this cell's share of the batch, never a
             // half-registered group.
             let mut w = cell.slab.write();
-            for &(peer, initial) in group {
-                // The slot is the handle the registration returns.
-                let h = p.engine.register(peer, initial);
+            w.reserve(p.engine.capacity(), group.len());
+            for (&(peer, _), h) in group.iter().zip(handles) {
                 let slot = h.index() as u32;
                 w.insert(peer, slot);
                 debug_assert_eq!(w.slot_of(peer), Some(slot), "slab slot is not the handle");
@@ -266,22 +296,37 @@ impl ConcurrentEngine {
         self.len() == 0
     }
 
-    /// Delivers a batch of opinions: grouped by home partition, each
-    /// group applied under its partition's write lock (one lock at a
-    /// time), with per-element semantics identical to
-    /// [`ReputationEngine::report_batch`] on a monolithic engine. The
-    /// slab publishes each partition's post-group state in a single
-    /// epoch window after the engine has applied it, in one pass over
-    /// the applied opinions' subject handles: each handle is the
-    /// subject's slab slot, so the pass indexes and never probes.
+    /// Delivers a batch of opinions, with per-element semantics
+    /// identical to [`ReputationEngine::report_batch`] on a monolithic
+    /// engine. Both ends of every opinion resolve at the read slabs,
+    /// in loops that prefetch the slab bucket of the opinion eight
+    /// ahead, so neighbouring probes overlap their cache misses:
+    ///
+    /// 1. **The reporter gate**, before any lock or write window: a
+    ///    lock-free probe of the reporter's home slab for its
+    ///    incarnation drops a non-member's opinion and tags a member's;
+    ///    the opinion joins its subject's partition group.
+    /// 2. **The subject pass**, per group under the partition write
+    ///    lock and before the slab's write window opens: each
+    ///    subject's slot, which is its engine handle, read from the
+    ///    partition's own slab. Only this thread can write that slab
+    ///    now, so the read never retries. An unregistered subject's
+    ///    opinion is dropped here.
+    /// 3. **The engine** applies the group by handle, with no index
+    ///    probe.
+    /// 4. **The publish**: one slab write window per group, one pass
+    ///    over the group's handles (the slots again, so it indexes and
+    ///    never probes).
     pub fn report_batch(&self, batch: &[Feedback]) {
         let n = self.cells.len();
         let mut groups: Vec<Vec<(Feedback, u64)>> = vec![Vec::new(); n];
-        for f in batch {
-            // The membership gate: a lock-free probe of the reporter's
-            // home slab for its incarnation, taken here before any slab
-            // write window opens (a seqlock read of a slab inside its
-            // own write window would spin forever).
+        for (i, f) in batch.iter().enumerate() {
+            if let Some(ahead) = batch.get(i + PREFETCH_DISTANCE) {
+                self.home(ahead.reporter).slab.prefetch(ahead.reporter);
+            }
+            // A seqlock read, so it must run outside every slab write
+            // window: a read of a slab inside its own window would
+            // spin forever.
             if let Some(tag) = self.home(f.reporter).slab.incarnation(f.reporter) {
                 groups[partition_of(f.subject, n)].push((*f, tag));
             }
@@ -292,7 +337,30 @@ impl ConcurrentEngine {
             }
             let mut p = cell.lock.write().expect("partition lock poisoned");
             let p = &mut *p;
-            p.engine.report_member_batch(group);
+            p.resolved.clear();
+            for (i, &(f, tag)) in group.iter().enumerate() {
+                if let Some((ahead, _)) = group.get(i + PREFETCH_DISTANCE) {
+                    cell.slab.prefetch(ahead.subject);
+                }
+                let subject = cell
+                    .slab
+                    .slot(f.subject)
+                    .map(|slot| Handle::from_index(slot as usize));
+                debug_assert_eq!(
+                    subject,
+                    p.engine.handle_of(f.subject),
+                    "slab slot is not the handle"
+                );
+                if let Some(subject) = subject {
+                    p.resolved.push(Resolved {
+                        reporter: f.reporter,
+                        tag,
+                        subject,
+                        opinion: f.opinion,
+                    });
+                }
+            }
+            p.engine.report_resolved_batch(&p.resolved);
             // One epoch window covers the whole group: aggregate
             // moves and interaction counts land together, so a read
             // sees the pre-group or the post-group state, never a
@@ -301,14 +369,9 @@ impl ConcurrentEngine {
             // aggregate, which the engine refreshed after the last one.
             {
                 let mut w = cell.slab.write();
-                for h in p.engine.applied_subjects() {
-                    let slot = h.index() as u32;
-                    debug_assert_eq!(
-                        w.slot_of(p.engine.subject_at(h)),
-                        Some(slot),
-                        "slab slot is not the handle"
-                    );
-                    w.set_reputation(slot, p.engine.reputation_at(h).value().to_bits());
+                for r in &p.resolved {
+                    let slot = r.subject.index() as u32;
+                    w.set_reputation(slot, p.engine.reputation_at(r.subject).value().to_bits());
                     w.add_hits(slot, 1);
                 }
             }
@@ -535,7 +598,7 @@ impl ConcurrentEngine {
                 {
                     let mut w = slab.write();
                     // Every slot is a handle below the arena capacity.
-                    w.reserve(engine.capacity());
+                    w.reserve(engine.capacity(), part.slab.len());
                     for &(peer, hits) in &part.slab {
                         let h = engine.handle_of(PeerId(peer)).ok_or_else(|| {
                             InvalidState(format!("slab row for unknown subject {peer}"))
@@ -550,10 +613,7 @@ impl ConcurrentEngine {
                     }
                 }
                 Ok(Cell {
-                    lock: RwLock::new(Partition {
-                        engine,
-                        delta_scratch: Vec::new(),
-                    }),
+                    lock: RwLock::new(Partition::new(engine)),
                     slab,
                 })
             })
@@ -1173,6 +1233,157 @@ mod tests {
                     }
                 }
                 assert_slab_is_the_engine(&e, SLOT_PEERS, &format!("step {i} {op:?}"));
+            }
+        }
+    }
+
+    /// One step of the facade-versus-monolith property below.
+    #[derive(Clone, Debug)]
+    enum IngestOp {
+        Register(Vec<u64>),
+        Remove(u64),
+        /// Removes the peer, then delivers opinions by it and on it.
+        Depart(u64, Vec<u64>),
+        Report(Vec<(u64, u64, bool)>),
+        /// One `(reporter, subject)` pair, repeated in one batch.
+        Repeat(u64, u64, usize),
+    }
+
+    /// Peers the property registers. Ids up to `INGEST_PEERS + 2` are
+    /// drawn as reporters and subjects, so some never register.
+    const INGEST_PEERS: u64 = 12;
+
+    fn ingest_op() -> impl Strategy<Value = IngestOp> {
+        let any_peer = 0..INGEST_PEERS + 2;
+        let register =
+            proptest::collection::vec(0..INGEST_PEERS, 1..5).prop_map(IngestOp::Register);
+        let remove = (0..INGEST_PEERS).prop_map(IngestOp::Remove);
+        let depart = (
+            0..INGEST_PEERS,
+            proptest::collection::vec(any_peer.clone(), 1..6),
+        )
+            .prop_map(|(p, others)| IngestOp::Depart(p, others));
+        let report = proptest::collection::vec(
+            (any_peer.clone(), any_peer.clone(), proptest::bool::ANY),
+            1..24,
+        )
+        .prop_map(IngestOp::Report);
+        let repeat = (any_peer.clone(), any_peer, 2usize..12)
+            .prop_map(|(r, s, n)| IngestOp::Repeat(r, s, n));
+        prop_oneof![
+            register.clone(),
+            register,
+            remove,
+            depart,
+            report.clone(),
+            report,
+            repeat,
+        ]
+    }
+
+    /// The opinions an [`IngestOp`] delivers after its registrations
+    /// and removals.
+    fn ingest_batch(op: &IngestOp) -> Vec<Feedback> {
+        let opinion = |r: u64, s: u64| ((r + 2 * s) % 3) as f64 / 2.0;
+        match op {
+            IngestOp::Register(_) | IngestOp::Remove(_) => Vec::new(),
+            IngestOp::Depart(p, others) => others
+                .iter()
+                .flat_map(|&o| {
+                    [
+                        Feedback::new(PeerId(*p), PeerId(o), opinion(*p, o)),
+                        Feedback::new(PeerId(o), PeerId(*p), opinion(o, *p)),
+                    ]
+                })
+                .collect(),
+            IngestOp::Report(reports) => reports
+                .iter()
+                .map(|&(r, s, good)| Feedback::new(PeerId(r), PeerId(s), good as u8 as f64))
+                .collect(),
+            IngestOp::Repeat(r, s, n) => (0..*n)
+                .map(|i| Feedback::new(PeerId(*r), PeerId(*s), (i % 2) as f64))
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Facades of 1, 2, 3 and 8 partitions equal one monolithic
+        /// engine, bit for bit and with the same census, after every
+        /// step of a stream over a dozen peers: registrations (a
+        /// returning peer takes a recycled handle, so a reused slab
+        /// slot), removals followed by opinions by and on the removed
+        /// peer, unknown reporters and subjects, and batches repeating
+        /// one pair. The monolith's interaction counts come from a
+        /// model: one per opinion both of whose ends are members,
+        /// restarting at 0 when a subject registers anew.
+        #[test]
+        fn report_batch_matches_a_monolith_bit_for_bit(
+            ops in proptest::collection::vec(ingest_op(), 1..40),
+        ) {
+            let facades: Vec<ConcurrentEngine> = [1, 2, 3, 8]
+                .into_iter()
+                .map(|partitions| ConcurrentEngine::new(RocqParams::default(), 3, partitions, 9))
+                .collect();
+            let mut monolith = RocqEngine::new(RocqParams::default(), 3, 9);
+            let mut counts: PeerMap<PeerId, u64> = PeerMap::default();
+            for (i, op) in ops.iter().enumerate() {
+                match op {
+                    IngestOp::Register(peers) => {
+                        let batch: Vec<(PeerId, Reputation)> = peers
+                            .iter()
+                            .map(|&p| (PeerId(p), Reputation::new(p as f64 / INGEST_PEERS as f64)))
+                            .collect();
+                        for &(peer, initial) in &batch {
+                            if !monolith.contains(peer) {
+                                counts.insert(peer, 0);
+                            }
+                            monolith.register_peer(peer, initial);
+                        }
+                        for e in &facades {
+                            e.register_batch(&batch);
+                        }
+                    }
+                    IngestOp::Remove(p) | IngestOp::Depart(p, _) => {
+                        counts.remove(&PeerId(*p));
+                        monolith.remove_peer(PeerId(*p));
+                        for e in &facades {
+                            e.remove_peer(PeerId(*p));
+                        }
+                    }
+                    IngestOp::Report(_) | IngestOp::Repeat(..) => {}
+                }
+                let batch = ingest_batch(op);
+                for f in &batch {
+                    if monolith.contains(f.reporter) {
+                        if let Some(n) = counts.get_mut(&f.subject) {
+                            *n += 1;
+                        }
+                    }
+                }
+                monolith.report_batch(&batch);
+                for e in &facades {
+                    e.report_batch(&batch);
+                }
+                let mut expected: Vec<(u64, u64, u64)> = counts
+                    .iter()
+                    .map(|(&p, &n)| {
+                        let r = monolith.reputation(p).expect("counted peers are members");
+                        (p.raw(), r.value().to_bits(), n)
+                    })
+                    .collect();
+                expected.sort_unstable();
+                for e in &facades {
+                    prop_assert_eq!(
+                        census(e),
+                        expected.clone(),
+                        "step {} {:?}, {} partitions",
+                        i,
+                        op,
+                        e.cells.len()
+                    );
+                }
             }
         }
     }

@@ -153,7 +153,7 @@ impl CredibilityBook {
     }
 
     /// True when `reporter` has a row — a read-only probe, which the
-    /// engine's resolve pass uses to load the row before the apply
+    /// engine's warm-up pass uses to load the row before the apply
     /// pass updates it.
     #[inline]
     pub(crate) fn has_row(&self, reporter: PeerId) -> bool {

@@ -37,7 +37,9 @@
 //! The arrays split **hot from cold**. The `report_batch` loops
 //! touch only: the handle index (probed once per opinion, in the
 //! resolve pass, for the reporter's incarnation and the subject's
-//! handle; the apply pass reuses the handle), the per-subject
+//! handle; the apply pass reuses the handle — and the concurrent
+//! facade resolves both ends at its read slab, so its partitions skip
+//! this probe), the per-subject
 //! `CredibilityBook` (one hash probe yielding the reporter's
 //! interaction count with the subject *and* its credibility, inline in
 //! the row — the reference layout pays a pair-log probe plus three
@@ -96,7 +98,7 @@ use crate::overlay::Overlay;
 use crate::params::RocqParams;
 use crate::quality::quality_from_count;
 use crate::score::ScoreState;
-use crate::slab::ScoreSlab;
+use crate::slab::{prefetch, ScoreSlab, PREFETCH_DISTANCE};
 use crate::state::{EngineState, InvalidState, ShardState};
 use replend_types::arena::{Handle, SlotAlloc, SlotAllocator};
 use replend_types::hash::PeerMap;
@@ -160,15 +162,15 @@ pub trait ReputationEngine {
 /// and later registrations count up from it.
 const IMPORTED_INCARNATION: u64 = 1;
 
-/// One admitted opinion of a batch, resolved to its subject's handle
-/// (the `resolved` scratch of [`EngineShard::apply_batch`]).
+/// One admitted opinion of a batch, resolved to its subject's handle:
+/// what [`EngineShard::apply_resolved`] folds.
 #[derive(Clone, Copy, Debug)]
-struct Resolved {
-    reporter: PeerId,
+pub(crate) struct Resolved {
+    pub(crate) reporter: PeerId,
     /// The reporter's incarnation.
-    tag: u64,
-    subject: Handle,
-    opinion: f64,
+    pub(crate) tag: u64,
+    pub(crate) subject: Handle,
+    pub(crate) opinion: f64,
 }
 
 /// The engine's subject store, a dense slot arena (see the module
@@ -208,8 +210,8 @@ struct EngineShard {
     /// [`ReputationEngine::report_batch`] (cleared, never freed).
     touched: Vec<Handle>,
     /// Reusable resolve scratch of [`ReputationEngine::report_batch`]:
-    /// the admitted opinions of the last batch with their subject
-    /// handles, in batch order (cleared, never freed).
+    /// the admitted opinions of the batch with their subject handles,
+    /// in batch order (cleared, never freed).
     resolved: Vec<Resolved>,
     /// The incarnation the next registration hands out.
     next_incarnation: u64,
@@ -303,60 +305,45 @@ impl EngineShard {
         }
     }
 
-    /// Applies `batch` in order as batch `seq`, skipping every
-    /// element `admit` (asked of this shard before the opinion touches
-    /// it) maps to `None` — otherwise it yields the opinion and its
-    /// reporter's incarnation — and every opinion on an unknown
-    /// subject, then refreshes each touched subject's cached aggregate
-    /// once, in first-touch order. The per-subject sequence number
-    /// makes the dedup O(1) regardless of batch size. The result is
-    /// bit-identical to sequential `report` calls.
+    /// Applies the resolved opinions `batch` in order as batch `seq`,
+    /// then refreshes each touched subject's cached aggregate once, in
+    /// first-touch order. The per-subject sequence number makes the
+    /// dedup O(1) regardless of batch size. The result is bit-identical
+    /// to sequential `report` calls.
     ///
     /// It runs in two passes over one code path for every batch size:
     ///
-    /// 1. **Resolve** only reads. It admits each opinion, probes the
-    ///    index once for the subject's handle into the `resolved`
-    ///    scratch, and loads the subject's score lane and the
+    /// 1. **Warm up** only reads. For each opinion it prefetches the
+    ///    book header of the subject [`PREFETCH_DISTANCE`] opinions
+    ///    ahead, then loads its own subject's score lane and the
     ///    reporter's book row, so the cache misses of independent
     ///    opinions overlap instead of stalling one apply at a time.
-    /// 2. **Apply** folds the resolved opinions in batch order, with
-    ///    no second index probe.
+    /// 2. **Apply** folds the opinions in batch order.
     ///
-    /// Only handles cross from pass 1 to pass 2, never a count, a
-    /// credibility or a score: applying changes those, but it never
-    /// registers or removes a subject, so no handle resolved in pass 1
-    /// can go stale before pass 2 uses it.
-    fn apply_batch<T: Copy>(
-        &mut self,
-        params: &RocqParams,
-        seq: u64,
-        batch: &[T],
-        admit: impl Fn(&Self, T) -> Option<(Feedback, u64)>,
-    ) {
-        let mut resolved = std::mem::take(&mut self.resolved);
-        resolved.clear();
-        for &item in batch {
-            let Some((f, tag)) = admit(self, item) else {
-                continue;
-            };
-            let Some(&h) = self.index.get(&f.subject) else {
-                continue;
-            };
+    /// Every handle must be live, which is checked against the index
+    /// in debug builds. Applying changes counts, credibilities and
+    /// scores, but it never registers or removes a subject, so no
+    /// handle goes stale during the batch.
+    fn apply_resolved(&mut self, params: &RocqParams, seq: u64, batch: &[Resolved]) {
+        for (i, r) in batch.iter().enumerate() {
+            if let Some(ahead) = batch.get(i + PREFETCH_DISTANCE) {
+                prefetch(&self.books[ahead.subject.index()]);
+            }
+            let h = r.subject;
+            debug_assert_eq!(
+                self.index.get(&self.peers[h.index()]),
+                Some(&h),
+                "resolved handle {h:?} is not live in the index"
+            );
             // Warm-up loads: their values are discarded (pass 2 reads
             // the state current when it gets there); `black_box` only
             // keeps the loads from being optimised away.
             std::hint::black_box(self.slab.get(h.index()));
-            std::hint::black_box(self.books[h.index()].has_row(f.reporter));
-            resolved.push(Resolved {
-                reporter: f.reporter,
-                tag,
-                subject: h,
-                opinion: f.opinion,
-            });
+            std::hint::black_box(self.books[h.index()].has_row(r.reporter));
         }
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
-        for r in &resolved {
+        for r in batch {
             self.apply_report(params, r.reporter, r.tag, r.subject, r.opinion);
             let h = r.subject;
             if self.touched_seq[h.index()] != seq {
@@ -368,7 +355,6 @@ impl EngineShard {
             self.refresh_cache(h);
         }
         self.touched = touched;
-        self.resolved = resolved;
     }
 
     /// Exports the complete subject arena in the
@@ -765,14 +751,24 @@ impl RocqEngine {
         self.shard.alloc.capacity()
     }
 
+    /// Makes room for `additional` more subjects at once: the index,
+    /// and every per-handle array for the ones the free list cannot
+    /// seat, so a registration group grows each of them once.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let shard = &mut self.shard;
+        shard.index.reserve(additional);
+        let fresh = additional.saturating_sub(shard.alloc.free_handles().len());
+        shard.cached.reserve(fresh);
+        shard.touched_seq.reserve(fresh);
+        shard.incarnation.reserve(fresh);
+        shard.peers.reserve(fresh);
+        shard.books.reserve(fresh);
+        shard.slab.reserve(fresh);
+    }
+
     /// The handle of member `peer`, `None` for a non-member.
     pub(crate) fn handle_of(&self, peer: PeerId) -> Option<Handle> {
         self.shard.index.get(&peer).copied()
-    }
-
-    /// The subject registered at live handle `h`.
-    pub(crate) fn subject_at(&self, h: Handle) -> PeerId {
-        self.shard.peers[h.index()]
     }
 
     /// The cached aggregate of the subject at live handle `h`.
@@ -785,13 +781,6 @@ impl RocqEngine {
         self.shard.incarnation[h.index()]
     }
 
-    /// The subject handle of every opinion the last
-    /// [`RocqEngine::report_member_batch`] applied, in batch order, so
-    /// a subject appears once per opinion it received.
-    pub(crate) fn applied_subjects(&self) -> impl Iterator<Item = Handle> + '_ {
-        self.shard.resolved.iter().map(|r| r.subject)
-    }
-
     /// Drops the pending aggregate deltas unread, for a caller that
     /// publishes the changed aggregates by handle instead.
     pub(crate) fn discard_deltas(&mut self) {
@@ -799,16 +788,17 @@ impl RocqEngine {
     }
 
     /// [`ReputationEngine::report_batch`] for a caller that has
-    /// already checked every reporter's membership and pairs each
-    /// opinion with its reporter's incarnation. A
+    /// already resolved both ends of every opinion: the reporter's
+    /// membership and incarnation, and the subject's live handle. A
     /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine)
     /// partition needs this: its reporters may be homed in other
-    /// partitions, so only the facade can answer for them.
-    pub(crate) fn report_member_batch(&mut self, batch: &[(Feedback, u64)]) {
+    /// partitions, so only the facade can answer for them, and the
+    /// facade's read slab already maps each subject to its handle, so
+    /// the engine's index is not probed again.
+    pub(crate) fn report_resolved_batch(&mut self, batch: &[Resolved]) {
         self.batch_seq += 1;
         let params = self.params;
-        self.shard
-            .apply_batch(&params, self.batch_seq, batch, |_, tagged| Some(tagged));
+        self.shard.apply_resolved(&params, self.batch_seq, batch);
     }
 }
 
@@ -879,10 +869,21 @@ impl ReputationEngine for RocqEngine {
     fn report_batch(&mut self, batch: &[Feedback]) {
         self.batch_seq += 1;
         let params = self.params;
-        self.shard
-            .apply_batch(&params, self.batch_seq, batch, |shard, f: Feedback| {
-                Some((f, shard.incarnation_of(f.reporter)?))
-            });
+        let shard = &mut self.shard;
+        // Resolve both ends by index probes, skipping every opinion of
+        // a non-member reporter and every opinion on an unknown subject.
+        let mut resolved = std::mem::take(&mut shard.resolved);
+        resolved.clear();
+        resolved.extend(batch.iter().filter_map(|f| {
+            Some(Resolved {
+                reporter: f.reporter,
+                tag: shard.incarnation_of(f.reporter)?,
+                subject: *shard.index.get(&f.subject)?,
+                opinion: f.opinion,
+            })
+        }));
+        shard.apply_resolved(&params, self.batch_seq, &resolved);
+        shard.resolved = resolved;
     }
 
     fn drain_deltas(&mut self, out: &mut Vec<ReputationDelta>) {
@@ -1351,7 +1352,7 @@ mod tests {
         }
     }
 
-    /// The two-pass apply where a value read in the resolve pass would
+    /// The two-pass apply where a value read in the warm-up pass would
     /// be stale by the time it is applied: one batch repeats the pair
     /// (1 → 2) six times, so its interaction count crosses the quality
     /// ramp's n ≥ 3 inside the batch, and the pair's credibility and

@@ -43,9 +43,39 @@
 //! A lane keeps its `r` and `w` side by side: a report reads and
 //! writes both, so one subject's lane is one cache line, not one line
 //! in each of two parallel arrays.
+//!
+//! ## Software pipelining
+//!
+//! The batch paths resolve a run of opinions whose probes are
+//! independent of each other but each stall on a cache miss.
+//! [`prefetch`] lets such a loop ask for the line that the probe
+//! [`PREFETCH_DISTANCE`] elements ahead will touch, so the misses of
+//! neighbouring opinions overlap instead of queueing.
 
 use crate::score::ScoreState;
 use replend_types::Reputation;
+
+/// How many elements ahead of the one being resolved a batch loop
+/// prefetches: far enough that a miss to memory lands before the loop
+/// gets there, near enough that the line is still cached when it does.
+pub(crate) const PREFETCH_DISTANCE: usize = 8;
+
+/// Hints the CPU to fetch the cache line holding `value` into every
+/// cache level. A hint only: it reads nothing the program sees and
+/// cannot fault. On targets other than `x86_64` it does nothing.
+#[inline(always)]
+pub(crate) fn prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // Safety: `_mm_prefetch` needs SSE, which every x86_64 target has,
+    // and a prefetch of a valid reference neither reads nor writes
+    // memory the program observes.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((value as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}
 
 /// Subject score states, one lane per subject handle (see the module
 /// docs for why one lane stands for every replica).
@@ -63,6 +93,11 @@ impl ScoreSlab {
     /// Appends one lane.
     pub fn push(&mut self, state: ScoreState) {
         self.lanes.push(state);
+    }
+
+    /// Makes room for `additional` more lanes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.lanes.reserve(additional);
     }
 
     /// Reads lane `i` back as a [`ScoreState`] (bit-exact round-trip).

@@ -24,7 +24,30 @@
 //! free list already keeps its arena dense, and a writer that holds an
 //! engine handle publishes to the slab by plain indexing, with no
 //! peer→slot probe. Readers still go through the peer→slot table,
-//! which registration, removal and checkpoint import maintain.
+//! which registration, removal and checkpoint import maintain. The
+//! facade's ingest reads it too: it takes each subject's engine
+//! handle from the table (`SnapshotSlab::slot`) instead of probing the
+//! engine's index.
+//!
+//! ## The table
+//!
+//! The peer→slot index is open addressing with linear probing. Each
+//! bucket holds its `(key, slot)` pair in 16 bytes aligned to 16, so
+//! probing a bucket touches one cache line, and a successful probe of
+//! a table below its 3/4 load line usually ends in its first bucket.
+//! A probe starts at the bucket named by the **high** half of the
+//! peer's `splitmix64` mix: the facade picks the partition from the
+//! same mix reduced `% partitions`, so with a power-of-two partition
+//! count the low bits of every key in one partition are alike, and
+//! starting from them would crowd the partition's keys into a
+//! fraction of its buckets. `SnapshotSlab::prefetch` fetches the
+//! start bucket ahead of a probe, for callers that probe a run of
+//! peers.
+//!
+//! A writer that knows its group ahead (a registration batch,
+//! checkpoint import) sizes the table and the value arrays once with
+//! `SlabWriter::reserve`; one-at-a-time inserts grow them by
+//! doubling.
 //!
 //! ## The epoch protocol
 //!
@@ -53,7 +76,7 @@
 //! that is **never freed while the slab is alive**:
 //!
 //! * The peer→slot index is an open-addressing table of
-//!   `(AtomicU64 key, AtomicU64 slot)` pairs; the per-slot value
+//!   `(AtomicU64 key, AtomicU64 slot)` buckets; the per-slot value
 //!   arrays are parallel `AtomicU64` slabs. Torn *logical* states are
 //!   possible while a write is in flight, but every load is an atomic
 //!   load — no data race, no UB — and the epoch check discards the
@@ -66,11 +89,11 @@
 //!   inside the write window, so that reader fails its epoch check,
 //!   and its probe loop is bounded by the capacity either way.
 //! * Growth never reallocates in place: the writer builds a table or
-//!   value array twice the size, publishes it through an `AtomicPtr`,
-//!   and **retires** the old allocation into a keep-alive list freed
-//!   only on drop. A reader holding a stale pointer reads
-//!   stale-but-valid memory and fails its epoch check. Only doublings
-//!   retire anything, so the retired tail is less than the live
+//!   value array at least twice the size, publishes it through an
+//!   `AtomicPtr`, and **retires** the old allocation into a keep-alive
+//!   list freed only on drop. A reader holding a stale pointer reads
+//!   stale-but-valid memory and fails its epoch check. Only growth
+//!   retires anything, so the retired tail is less than the live
 //!   allocation in total and does not grow under churn at a constant
 //!   live count (pinned by `churn_retires_only_doubled_tables`).
 //! * A slot index obtained from a *newer* table than the value array
@@ -82,6 +105,7 @@
 //! an `Acquire` fence before re-validating; writers pair a `Release`
 //! fence after the odd bump with a `Release` store to re-even.
 
+use crate::slab::prefetch;
 use replend_types::PeerId;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -90,17 +114,26 @@ use std::sync::{Mutex, MutexGuard};
 const EMPTY: u64 = 0;
 /// Occupied table slots store `slot_index + SLOT_BASE`.
 const SLOT_BASE: u64 = 1;
+/// Buckets of the smallest index table.
+const MIN_BUCKETS: usize = 16;
+
+/// One index-table bucket: a peer id beside its slot word, 16 bytes
+/// aligned to 16, so a probe of one bucket touches one cache line.
+#[repr(C, align(16))]
+struct Bucket {
+    /// Peer id; meaningful only where `slot` is occupied.
+    key: AtomicU64,
+    /// `EMPTY` or `slot + SLOT_BASE`.
+    slot: AtomicU64,
+}
 
 /// Open-addressing peer→slot index with linear probing and
-/// backward-shift deletion. Published via `AtomicPtr`; rebuilt at
-/// twice the capacity (never resized in place) when load passes 3/4.
+/// backward-shift deletion. Published via `AtomicPtr`; rebuilt larger
+/// (never resized in place) when its load would reach 3/4.
 struct Table {
     /// Capacity mask (`capacity - 1`; capacity is a power of two).
     mask: usize,
-    /// Peer ids; meaningful only where `slots` is occupied.
-    keys: Box<[AtomicU64]>,
-    /// `EMPTY` or `slot + SLOT_BASE`.
-    slots: Box<[AtomicU64]>,
+    buckets: Box<[Bucket]>,
 }
 
 impl Table {
@@ -108,15 +141,33 @@ impl Table {
         debug_assert!(capacity.is_power_of_two());
         Table {
             mask: capacity - 1,
-            keys: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            slots: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
+            buckets: (0..capacity)
+                .map(|_| Bucket {
+                    key: AtomicU64::new(0),
+                    slot: AtomicU64::new(EMPTY),
+                })
+                .collect(),
         }
     }
 
-    /// First probe index for `peer` — the same splitmix64 mix the
-    /// facade's partition routing uses.
+    /// The capacity a table needs to hold `live` entries below its 3/4
+    /// load line.
+    fn capacity_for(live: usize) -> usize {
+        let mut capacity = MIN_BUCKETS;
+        while live * 4 >= capacity * 3 {
+            capacity *= 2;
+        }
+        capacity
+    }
+
+    /// First probe index for `peer`: the **high** half of the
+    /// splitmix64 mix. The facade routes a peer to its partition by
+    /// the same mix reduced `% partitions`, which for a power-of-two
+    /// partition count is its low bits: starting from those would put
+    /// every key of a partition in one bucket out of that many and
+    /// lengthen every probe chain.
     fn start(&self, peer: u64) -> usize {
-        replend_types::hash::splitmix64(peer) as usize & self.mask
+        (replend_types::hash::splitmix64(peer) >> 32) as usize & self.mask
     }
 
     /// The bucket holding `peer` and its slot word. Readers must
@@ -127,11 +178,12 @@ impl Table {
     fn find(&self, peer: u64) -> Option<(usize, u64)> {
         let mut i = self.start(peer);
         for _ in 0..=self.mask {
-            let occupied = self.slots[i].load(Ordering::Acquire);
+            let bucket = &self.buckets[i];
+            let occupied = bucket.slot.load(Ordering::Acquire);
             if occupied == EMPTY {
                 return None;
             }
-            if self.keys[i].load(Ordering::Acquire) == peer {
+            if bucket.key.load(Ordering::Acquire) == peer {
                 return Some((i, occupied));
             }
             i = (i + 1) & self.mask;
@@ -151,11 +203,13 @@ impl Table {
     /// epoch check catches it — but cheap to rule out).
     fn insert(&self, peer: u64, slot: u32) {
         let mut i = self.start(peer);
-        while self.slots[i].load(Ordering::Relaxed) != EMPTY {
+        while self.buckets[i].slot.load(Ordering::Relaxed) != EMPTY {
             i = (i + 1) & self.mask;
         }
-        self.keys[i].store(peer, Ordering::Relaxed);
-        self.slots[i].store(slot as u64 + SLOT_BASE, Ordering::Release);
+        self.buckets[i].key.store(peer, Ordering::Relaxed);
+        self.buckets[i]
+            .slot
+            .store(slot as u64 + SLOT_BASE, Ordering::Release);
     }
 
     /// Removes `peer` by backward-shift deletion (writer-only; epoch
@@ -167,21 +221,30 @@ impl Table {
         // at least as far behind it as the hole is.
         let mut i = (hole + 1) & self.mask;
         loop {
-            let occupied = self.slots[i].load(Ordering::Relaxed);
+            let occupied = self.buckets[i].slot.load(Ordering::Relaxed);
             if occupied == EMPTY {
                 break;
             }
-            let key = self.keys[i].load(Ordering::Relaxed);
+            let key = self.buckets[i].key.load(Ordering::Relaxed);
             let behind = i.wrapping_sub(self.start(key)) & self.mask;
             if behind >= (i.wrapping_sub(hole) & self.mask) {
-                self.keys[hole].store(key, Ordering::Relaxed);
-                self.slots[hole].store(occupied, Ordering::Release);
+                self.buckets[hole].key.store(key, Ordering::Relaxed);
+                self.buckets[hole].slot.store(occupied, Ordering::Release);
                 hole = i;
             }
             i = (i + 1) & self.mask;
         }
-        self.slots[hole].store(EMPTY, Ordering::Release);
+        self.buckets[hole].slot.store(EMPTY, Ordering::Release);
         Some((removed - SLOT_BASE) as u32)
+    }
+
+    /// Every occupied bucket as `(peer, slot)`, in bucket order, under
+    /// the same caveats as `find`.
+    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.buckets.iter().filter_map(|b| {
+            let slot = b.slot.load(Ordering::Relaxed);
+            (slot != EMPTY).then(|| (b.key.load(Ordering::Relaxed), (slot - SLOT_BASE) as u32))
+        })
     }
 }
 
@@ -279,8 +342,8 @@ impl SnapshotSlab {
         assert!(initial_epoch % 2 == 0, "initial epoch must be even");
         SnapshotSlab {
             epoch: AtomicU64::new(initial_epoch),
-            table: AtomicPtr::new(Box::into_raw(Box::new(Table::with_capacity(16)))),
-            values: AtomicPtr::new(Box::into_raw(Box::new(Values::with_capacity(16)))),
+            table: AtomicPtr::new(Box::into_raw(Box::new(Table::with_capacity(MIN_BUCKETS)))),
+            values: AtomicPtr::new(Box::into_raw(Box::new(Values::with_capacity(MIN_BUCKETS)))),
             count: AtomicU64::new(0),
             writer: Mutex::new(WriterState {
                 retired_tables: Vec::new(),
@@ -380,6 +443,23 @@ impl SnapshotSlab {
         self.read_slot(peer, |_, _| ()).is_some()
     }
 
+    /// The slot of `peer` (its engine handle), or `None` when it is
+    /// not a live subject (coherent lookup).
+    pub(crate) fn slot(&self, peer: PeerId) -> Option<u32> {
+        self.read_slot(peer, |_, slot| slot as u32)
+    }
+
+    /// Hints the CPU to fetch the bucket where a probe for `peer`
+    /// starts, so a caller that probes a run of peers can issue the
+    /// miss of a later probe while an earlier one resolves. Reads no
+    /// value and needs no epoch: a stale table is still valid memory.
+    #[inline]
+    pub(crate) fn prefetch(&self, peer: PeerId) {
+        // Safety: published pointers are valid until drop.
+        let table = unsafe { &*self.table.load(Ordering::Acquire) };
+        prefetch(&table.buckets[table.start(peer.raw())]);
+    }
+
     /// The registration incarnation of `peer`, or `None` when it is
     /// not a live subject (coherent lookup).
     pub(crate) fn incarnation(&self, peer: PeerId) -> Option<u64> {
@@ -399,19 +479,15 @@ impl SnapshotSlab {
         let Some((e1, table, values)) = self.begin_read() else {
             return false;
         };
-        for (key, slot) in table.keys.iter().zip(&table.slots) {
-            let slot = slot.load(Ordering::Relaxed);
-            if slot == EMPTY {
-                continue;
-            }
-            let slot = (slot - SLOT_BASE) as usize;
+        for (key, slot) in table.entries() {
+            let slot = slot as usize;
             if slot >= values.cap {
                 // A newer table than value array is incoherent.
                 out.clear();
                 return false;
             }
             out.push((
-                key.load(Ordering::Relaxed),
+                key,
                 values.rep[slot].load(Ordering::Relaxed),
                 values.hits[slot].load(Ordering::Relaxed),
             ));
@@ -476,16 +552,19 @@ impl SlabWriter<'_> {
         values.rep[i].store(0, Ordering::Relaxed);
         values.hits[i].store(0, Ordering::Relaxed);
         values.incarnation[i].store(0, Ordering::Relaxed);
-        self.maybe_grow_table();
+        self.fit_table(self.slab.len() + 1);
         self.table().insert(peer.raw(), slot);
         self.slab.count.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Grows the value arrays to hold slots `0..slots` at once, so a
-    /// writer that knows its highest slot ahead (checkpoint import)
-    /// allocates them once instead of doubling.
-    pub(crate) fn reserve(&mut self, slots: usize) {
+    /// Sizes the slab once for a group of inserts: the value arrays
+    /// to hold slots `0..slots`, the index table to hold `subjects`
+    /// more live subjects. A writer that knows its group ahead
+    /// (registration, checkpoint import) so allocates each array once
+    /// instead of doubling it up to size, and retires nothing.
+    pub(crate) fn reserve(&mut self, slots: usize, subjects: usize) {
         self.ensure_capacity(slots);
+        self.fit_table(self.slab.len() + subjects);
     }
 
     /// Removes `peer`. Its slot's values stay behind, unreachable,
@@ -547,22 +626,19 @@ impl SlabWriter<'_> {
             .push(unsafe { Box::from_raw(retired) });
     }
 
-    /// Rebuilds the index table at twice its capacity when one more
-    /// entry would bring its load to 3/4, publishing the rebuild and
-    /// retiring the old table.
-    fn maybe_grow_table(&mut self) {
+    /// Rebuilds the index table at the capacity `live` subjects need
+    /// when it is smaller, publishing the rebuild and retiring the old
+    /// table. One more insert grows it to twice its size; a reserve may
+    /// grow it further at once.
+    fn fit_table(&mut self, live: usize) {
         let old = self.table();
-        let capacity = old.mask + 1;
-        let live = self.slab.count.load(Ordering::Relaxed) as usize;
-        if (live + 1) * 4 < capacity * 3 {
+        let capacity = Table::capacity_for(live);
+        if capacity <= old.mask + 1 {
             return;
         }
-        let fresh = Box::new(Table::with_capacity(capacity * 2));
-        for (key, slot) in old.keys.iter().zip(&old.slots) {
-            let slot = slot.load(Ordering::Relaxed);
-            if slot != EMPTY {
-                fresh.insert(key.load(Ordering::Relaxed), (slot - SLOT_BASE) as u32);
-            }
+        let fresh = Box::new(Table::with_capacity(capacity));
+        for (key, slot) in old.entries() {
+            fresh.insert(key, slot);
         }
         let retired = self.slab.table.swap(Box::into_raw(fresh), Ordering::AcqRel);
         self.state
@@ -739,12 +815,26 @@ mod tests {
     fn backward_shift_matches_a_map_model() {
         use replend_types::hash::{splitmix64, PeerMap};
         // Homes 13, 14, 15 and 0 of a 16-bucket table, so clusters
-        // form at the end and wrap to the front.
+        // form at the end and wrap to the front. The keys are drawn
+        // through the table's own start function, so they keep
+        // colliding whichever bits of the hash it takes.
+        let homes = [(13, 3), (14, 3), (15, 6), (0, 3)];
+        let sixteen = Table::with_capacity(16);
         let mut keys: Vec<u64> = Vec::new();
-        for (home, n) in [(13, 3), (14, 3), (15, 6), (0, 3)] {
-            keys.extend((0u64..).filter(|&k| splitmix64(k) & 15 == home).take(n));
+        for (home, n) in homes {
+            keys.extend((0u64..).filter(|&k| sixteen.start(k) == home).take(n));
         }
         let slab = SnapshotSlab::new();
+        {
+            let table = unsafe { &*slab.table.load(Ordering::Relaxed) };
+            assert_eq!(table.mask + 1, 16);
+            let mut drawn = keys.iter();
+            for (home, n) in homes {
+                for &k in drawn.by_ref().take(n) {
+                    assert_eq!(table.start(k), home, "key {k} left home bucket {home}");
+                }
+            }
+        }
         let mut model: PeerMap<u64, (u64, u64)> = PeerMap::default();
         let mut rng = 0x5EED_u64;
         let mut sweep = Vec::new();
@@ -779,6 +869,64 @@ mod tests {
                 model.iter().map(|(&k, &(r, h))| (k, r, h)).collect();
             expected.sort_unstable();
             assert_eq!(sweep, expected, "step {step}");
+        }
+    }
+
+    /// One partition's share of the founders (every id the facade's
+    /// partition function sends to partition 0 of 8) probes short
+    /// chains: the table's start bucket must not be a function of the
+    /// same hash bits that chose the partition.
+    #[test]
+    fn one_partitions_keys_probe_short_chains() {
+        use replend_types::hash::splitmix64;
+        let keys: Vec<u64> = (0u64..)
+            .filter(|&k| splitmix64(k) % 8 == 0)
+            .take(25_000)
+            .collect();
+        let slab = SnapshotSlab::new();
+        {
+            let mut w = slab.write();
+            for (slot, &k) in keys.iter().enumerate() {
+                w.insert(PeerId(k), slot as u32);
+            }
+        }
+        let table = unsafe { &*slab.table.load(Ordering::Relaxed) };
+        let probes: usize = keys
+            .iter()
+            .map(|&k| {
+                let (at, _) = table.find(k).expect("inserted key is found");
+                (at.wrapping_sub(table.start(k)) & table.mask) + 1
+            })
+            .sum();
+        let mean = probes as f64 / keys.len() as f64;
+        assert!(mean < 1.6, "mean successful probe {mean:.2} buckets");
+    }
+
+    /// A reserve sizes the table and the value arrays once for a group:
+    /// the inserts that follow rebuild and retire nothing, and the
+    /// table is the one incremental growth would have reached.
+    #[test]
+    fn reserve_sizes_a_group_at_once() {
+        const GROUP: u64 = 25_000;
+        let grown = SnapshotSlab::new();
+        let sized = SnapshotSlab::new();
+        {
+            let mut g = grown.write();
+            let mut s = sized.write();
+            s.reserve(GROUP as usize, GROUP as usize);
+            for p in 0..GROUP {
+                g.insert(PeerId(p), p as u32);
+                s.insert(PeerId(p), p as u32);
+                s.add_hits(p as u32, p);
+            }
+        }
+        assert_eq!(table_capacity(&sized), table_capacity(&grown));
+        let state = sized.writer.lock().unwrap();
+        assert_eq!(state.retired_tables.len(), 1, "only the empty table");
+        assert_eq!(state.retired_values.len(), 1, "only the empty arrays");
+        drop(state);
+        for p in [0, 1, GROUP / 2, GROUP - 1] {
+            assert_eq!(sized.read(PeerId(p)), Some((0, p)));
         }
     }
 
